@@ -14,13 +14,11 @@ from .core import (
     frobenius_norm,
     inf_norm,
     l1_norm,
-    softmax_policy,
     tv_norm,
 )
 from .environment import (
     CongestionGridParams,
     MfgEnvironment,
-    env_step,
     make_congestion_env,
     make_fixed_mdp_env,
     make_two_class_env,
@@ -31,7 +29,6 @@ from .oracle import (
     ContractionEstimate,
     DiagnosticsOracle,
     gamma1_lambda,
-    gamma2,
     induced_kernel,
     induced_q_star,
     make_diagnostics_oracle,
@@ -55,8 +52,6 @@ from .schedules import (
     exploration_coeff,
     exploration_floor,
     project_to_net,
-    step_size_mu,
-    step_size_pi,
 )
 
 __all__ = [
@@ -78,13 +73,11 @@ __all__ = [
     "StateActionDims",
     "TransitionCounter",
     "build_epsilon_net",
-    "env_step",
     "episode_diagnostics",
     "exploration_coeff",
     "exploration_floor",
     "frobenius_norm",
     "gamma1_lambda",
-    "gamma2",
     "induced_kernel",
     "induced_q_star",
     "inf_norm",
@@ -96,10 +89,7 @@ __all__ = [
     "probe_contraction",
     "project_to_net",
     "run_sandbox",
-    "softmax_policy",
     "solve_bmfe",
-    "step_size_mu",
-    "step_size_pi",
     "tv_norm",
     "update_mean_field",
     "update_policy",

@@ -1,12 +1,15 @@
 """Experiment configuration and orchestration.
 
-Experiments are described by a flat JSON config (exact key names below) and
-run in one of four modes: "sandbox" (one instrumented learning run),
-"oracle" (equilibrium solve only), "compare" (oracle solve plus num_seeds
-learning runs and a joint report), and "probe" (empirical operator-Lipschitz
-estimate). Outputs are CSV and JSON files in output_dir; identical config
-and seed reproduce identical bytes, so wall-clock time is logged rather
-than written into the summary files.
+Experiments are described by a flat JSON config whose keys are the fields of
+ExperimentConfig (with "lambda" for lam) plus an "environment" object with
+the fields of EnvironmentSpec; unknown keys and out-of-range values are
+rejected at load time. A config runs in one of four modes: "sandbox" (one
+instrumented learning run), "oracle" (equilibrium solve only), "compare"
+(oracle solve plus num_seeds learning runs, one after another, and a joint
+report), and "probe" (empirical operator-Lipschitz estimate). Outputs are
+CSV and JSON files in output_dir; identical config and seed reproduce
+identical bytes, so wall-clock time is logged rather than written into the
+summary files.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import math
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from .core import l1_norm, tv_norm
 from .environment import CongestionGridParams, make_congestion_env, make_two_class_env
 from .oracle import DiagnosticsOracle, probe_contraction, solve_bmfe
 from .sandbox import EpisodeDiagnostics, NonFiniteError, SandboxConfig, run_sandbox
-from .schedules import ScheduleParams, build_epsilon_net, feasible_mesh
+from .schedules import ScheduleParams, build_epsilon_net
 
 logger = logging.getLogger("mfg_sandbox")
 
@@ -88,7 +90,6 @@ class ExperimentConfig:
     constant_psi: bool = False
     epsilon_net_mesh: float = 0.5
     use_projection: bool = False
-    net_point_budget: int = 1_000_000
     K: int = 300
     T: int = 50_000
     rho: float = 0.7
@@ -96,7 +97,6 @@ class ExperimentConfig:
     num_seeds: int = 1
     output_dir: str = "runs"
     diagnostics_every: int = 1
-    per_step_residual: bool = False
     validate_every: int = 100
     damping: float = 0.5
     bmfe_tol: float = 1e-8
@@ -119,6 +119,20 @@ class ExperimentConfig:
             raise ValueError("diagnostics_every must be >= 1")
         if self.probe_pairs < 1:
             raise ValueError("probe_pairs must be >= 1")
+        if self.validate_every < 1:
+            raise ValueError("validate_every must be >= 1")
+        if not 0.0 < self.damping <= 1.0:
+            raise ValueError("damping must lie in (0, 1]")
+        if self.bmfe_tol <= 0.0:
+            raise ValueError("bmfe_tol must be > 0")
+        if self.vi_tol <= 0.0:
+            raise ValueError("vi_tol must be > 0")
+        if self.bmfe_max_iter < 1:
+            raise ValueError("bmfe_max_iter must be >= 1")
+        # Any one point covers the simplex within L1 radius 2, so a mesh >= 2
+        # guarantees nothing.
+        if not 0.0 < self.epsilon_net_mesh < 2.0:
+            raise ValueError("epsilon_net_mesh must lie in (0, 2)")
         # Re-run the schedule constraints so bad configs fail at load time
         # with the offending field named.
         self.schedule()
@@ -238,25 +252,8 @@ def read_episode_csv(path) -> list[EpisodeDiagnostics]:
     return out
 
 
-def _build_net(cfg: ExperimentConfig, num_states: int):
-    if not cfg.use_projection:
-        return None
-    try:
-        return build_epsilon_net(num_states, cfg.epsilon_net_mesh, cfg.net_point_budget)
-    except ValueError:
-        coarser = feasible_mesh(num_states, cfg.epsilon_net_mesh, cfg.net_point_budget)
-        logger.warning(
-            "net mesh %g over %d states exceeds the %d-point budget; using mesh %g",
-            cfg.epsilon_net_mesh,
-            num_states,
-            cfg.net_point_budget,
-            coarser,
-        )
-        return build_epsilon_net(num_states, coarser, cfg.net_point_budget)
-
-
 def _solve_reference(cfg: ExperimentConfig, env):
-    return solve_bmfe(
+    pair = solve_bmfe(
         env,
         lam=cfg.lam,
         rho=cfg.rho,
@@ -265,6 +262,9 @@ def _solve_reference(cfg: ExperimentConfig, env):
         max_iter=cfg.bmfe_max_iter,
         vi_tol=cfg.vi_tol,
     )
+    if not pair.converged:
+        logger.warning("equilibrium solve hit max_iter; residual_mu=%g", pair.residual_mu)
+    return pair
 
 
 def _write_bmfe(out_dir: Path, cfg: ExperimentConfig, pair) -> None:
@@ -282,10 +282,9 @@ def _run_one_seed(cfg: ExperimentConfig, env, oracle, seed: int, out_dir: Path):
         rho=cfg.rho,
         seed=seed,
         use_projection=cfg.use_projection,
-        net=_build_net(cfg, env.dims.num_states),
+        net=build_epsilon_net(env.dims.num_states, cfg.epsilon_net_mesh) if cfg.use_projection else None,
         diagnostics_oracle=oracle,
         diagnostics_every=cfg.diagnostics_every,
-        per_step_residual=cfg.per_step_residual,
         validate_every=cfg.validate_every,
     )
     started = time.perf_counter()
@@ -320,8 +319,6 @@ def _run_oracle_mode(cfg: ExperimentConfig, out_dir: Path) -> int:
     env = build_environment(cfg.environment)
     pair = _solve_reference(cfg, env)
     _write_bmfe(out_dir, cfg, pair)
-    if not pair.converged:
-        logger.warning("equilibrium solve hit max_iter; residual_mu=%g", pair.residual_mu)
     return EXIT_OK
 
 
@@ -352,11 +349,7 @@ def _run_compare_mode(cfg: ExperimentConfig, out_dir: Path) -> int:
     _write_bmfe(out_dir, cfg, pair)
     oracle = DiagnosticsOracle(env, cfg.lam, cfg.rho, pair.mean_field.probs, vi_tol=cfg.vi_tol)
     seeds = [cfg.seed + i for i in range(cfg.num_seeds)]
-    # Runs are independent (own generator and estimators, read-only env), so
-    # they may execute concurrently; the aggregate is written after all join.
-    with ThreadPoolExecutor(max_workers=min(len(seeds), 8)) as pool:
-        futures = [pool.submit(_run_one_seed, cfg, env, oracle, seed, out_dir) for seed in seeds]
-        results = [f.result() for f in futures]
+    results = [_run_one_seed(cfg, env, oracle, seed, out_dir) for seed in seeds]
     per_seed = [
         {
             "seed": seed,

@@ -66,7 +66,6 @@ class SandboxConfig:
     net: Optional[EpsilonNet] = None
     diagnostics_oracle: Optional[object] = None
     diagnostics_every: int = 1
-    per_step_residual: bool = False
     validate_every: int = 100
 
     def __post_init__(self):
@@ -115,7 +114,6 @@ class SandboxResult:
     pi_first_steps: np.ndarray
     min_policy_entry: float
     seed: int
-    per_step_residual: Optional[np.ndarray] = None
 
 
 def update_mean_field(mu_prev, p_hat, c: float, project: bool = False, net: Optional[EpsilonNet] = None):
@@ -132,7 +130,7 @@ def update_mean_field(mu_prev, p_hat, c: float, project: bool = False, net: Opti
     if project:
         if net is None:
             raise ValueError("projection requested without a net")
-        out = project_to_net(net, out).copy()
+        out = project_to_net(net, out)
     return out
 
 
@@ -215,7 +213,6 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
     mu_first = np.empty((K, num_states))
     pi_first = np.empty((K, num_states, num_actions))
     diagnostics: list[EpisodeDiagnostics] = []
-    residual_trace = [] if config.per_step_residual else None
     global_min_policy = math.inf
 
     def abort(k, t):
@@ -268,7 +265,7 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
             mu *= 1.0 - c_mu
             mu += push
             if config.use_projection and t == 1:
-                mu = project_to_net(config.net, mu).copy()
+                mu = project_to_net(config.net, mu)
             c_pi = c_pi_t[t - 1]
             psi_kt = psi_first if t == 1 else psi_tail
             pi *= 1.0 - c_pi
@@ -287,8 +284,6 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
                 entry = pi.min()
                 if entry < episode_min_policy:
                     episode_min_policy = entry
-            if residual_trace is not None:
-                residual_trace.append(_consistency_residual(env.transition_kernel(mu), pi, mu))
 
             action = pi[state].cumsum().searchsorted(draw(), side="right")
             if action > last_a:
@@ -346,5 +341,4 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
         pi_first_steps=pi_first,
         min_policy_entry=float(global_min_policy),
         seed=config.seed,
-        per_step_residual=np.asarray(residual_trace) if residual_trace is not None else None,
     )

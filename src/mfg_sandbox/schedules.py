@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -112,88 +113,50 @@ def exploration_floor(params: ScheduleParams, num_actions: int, num_episodes: in
 
 @dataclass(frozen=True)
 class EpsilonNet:
-    """Finite cover of the probability simplex with L1 radius <= mesh.
+    """Simplex lattice {m / resolution : m_i >= 0 integers, sum(m) = resolution}.
 
-    points has shape (N, S); rows are simplex points sorted lexicographically
-    so ties in the projection resolve to the lexicographically smallest point.
+    With resolution = ceil(S / mesh) the lattice covers the S-state simplex
+    with L1 radius <= mesh. The points are never materialised: project_to_net
+    finds the nearest one in closed form.
     """
 
     mesh: float
-    points: np.ndarray
+    resolution: int
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError("net must contain at least one simplex point")
-        pts = pts.copy()
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def num_points(self) -> int:
-        return int(self.points.shape[0])
+        if self.resolution < 1:
+            raise ValueError("resolution must be >= 1")
 
 
-def simplex_grid_size(num_states: int, resolution: int) -> int:
-    """Number of grid points with coordinates m/resolution summing to 1."""
-    return math.comb(resolution + num_states - 1, num_states - 1)
+def build_epsilon_net(num_states: int, mesh: float) -> EpsilonNet:
+    """Lattice of resolution ceil(S / mesh) over the S-state simplex.
 
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def build_epsilon_net(num_states: int, mesh: float, max_points: int = 1_000_000) -> EpsilonNet:
-    """Regular simplex grid of resolution ceil(S / mesh).
-
-    Neighboring grid points are 2/resolution apart in L1 and rounding any
-    simplex point onto the grid moves it by at most S/resolution <= mesh, so
-    the L1 covering radius is <= mesh. Raises when the grid would exceed
-    max_points; the error reports the budget the requested mesh would need.
+    Neighboring lattice points are 2/resolution apart in L1 and rounding any
+    simplex point onto the lattice moves it by at most S/resolution <= mesh,
+    so the L1 covering radius is <= mesh.
     """
     if mesh <= 0.0:
         raise ValueError("mesh must be > 0")
     if num_states < 1:
         raise ValueError("num_states must be >= 1")
-    resolution = math.ceil(num_states / mesh)
-    count = simplex_grid_size(num_states, resolution)
-    if count > max_points:
-        raise ValueError(
-            f"mesh {mesh} over {num_states} states needs {count} net points, "
-            f"exceeding the budget of {max_points}; coarsen the mesh"
-        )
-    points = np.array(list(_compositions(resolution, num_states)), dtype=np.float64)
-    points /= resolution
-    return EpsilonNet(mesh=float(mesh), points=points)
-
-
-def feasible_mesh(num_states: int, mesh: float, max_points: int = 1_000_000) -> float:
-    """Smallest mesh >= the requested one whose grid fits the point budget."""
-    wanted = math.ceil(num_states / mesh)
-    if simplex_grid_size(num_states, wanted) <= max_points:
-        return mesh
-    lo, hi = 1, wanted
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if simplex_grid_size(num_states, mid) <= max_points:
-            lo = mid
-        else:
-            hi = mid
-    return num_states / lo
+    return EpsilonNet(mesh=float(mesh), resolution=math.ceil(num_states / mesh))
 
 
 def project_to_net(net: EpsilonNet, mu) -> np.ndarray:
-    """Net point with minimal L1 distance to mu.
+    """Lattice point with minimal L1 distance to mu.
 
-    Ties resolve to the lexicographically smallest point because the net rows
-    are stored in lexicographic order. Idempotent: net points map to
-    themselves.
+    Largest-remainder rounding of resolution * mu, in exact arithmetic on the
+    float input: every coordinate gets its floor, and the leftover units go to
+    the largest remainders. Among equal remainders the later index gets the
+    unit, which makes the result the lexicographically smallest of the
+    minimisers. Idempotent: lattice points map to themselves.
     """
-    mu = as_probs(mu)
-    distances = np.abs(net.points - mu).sum(axis=1)
-    return net.points[int(np.argmin(distances))]
+    scaled = [Fraction(float(x)) * net.resolution for x in as_probs(mu)]
+    counts = [math.floor(x) for x in scaled]
+    leftover = net.resolution - sum(counts)
+    if not 0 <= leftover <= len(counts):
+        raise ValueError("projection input must sum to 1")
+    by_remainder = sorted(range(len(scaled)), key=lambda i: (scaled[i] - counts[i], i), reverse=True)
+    for i in by_remainder[:leftover]:
+        counts[i] += 1
+    return np.array(counts, dtype=np.float64) / net.resolution

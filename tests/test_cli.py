@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import logging
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mfg_sandbox import cli, snapshots
@@ -72,6 +74,18 @@ def test_constraint_violations_name_the_field(tmp_path):
         cli.load_config(write_config(tmp_path, {"mode": "train"}))
     with pytest.raises(ValueError, match="rho"):
         cli.load_config(write_config(tmp_path, {"rho": 1.5}))
+    for key, value in [
+        ("validate_every", 0),
+        ("damping", 0.0),
+        ("damping", 1.5),
+        ("bmfe_tol", 0.0),
+        ("vi_tol", -1e-10),
+        ("bmfe_max_iter", 0),
+        ("epsilon_net_mesh", 0.0),
+        ("epsilon_net_mesh", 2.0),
+    ]:
+        with pytest.raises(ValueError, match=key):
+            cli.load_config(write_config(tmp_path, {key: value}))
 
 
 def test_parse_error_carries_line_info(tmp_path):
@@ -249,19 +263,33 @@ def test_outputs_are_byte_identical_across_reruns(tmp_path):
         assert first[name] == second[name], f"{name} differs between reruns"
 
 
-def test_build_net_warns_and_coarsens(tmp_path, caplog):
+@pytest.mark.parametrize("mode", ["sandbox", "compare", "oracle"])
+def test_unconverged_reference_warns_in_every_mode(tmp_path, caplog, mode):
+    out = tmp_path / mode
     cfg = dataclasses.replace(
-        cli.load_config(
-            write_config(
-                tmp_path,
-                {"use_projection": True, "epsilon_net_mesh": 0.0001, "net_point_budget": 500},
-            )
-        ),
+        cli.load_config(write_config(tmp_path, {"mode": mode, "bmfe_max_iter": 2, "T": 10})),
+        output_dir=str(out),
     )
-    import logging
-
     with caplog.at_level(logging.WARNING, logger="mfg_sandbox"):
-        net = cli._build_net(cfg, 9)
-    assert net is not None
-    assert net.num_points <= 500
-    assert any("budget" in rec.message for rec in caplog.records)
+        assert cli.run_experiment(cfg) == cli.EXIT_OK
+    assert snapshots.read_json(out / "bmfe.json")["converged"] is False
+    assert [rec.message for rec in caplog.records if "max_iter" in rec.message]
+
+
+def test_projection_keeps_requested_mesh_on_5x5(tmp_path, caplog):
+    out = tmp_path / "proj"
+    overrides = {
+        "environment": {"kind": "congestion", "side": 5},
+        "use_projection": True,
+        "epsilon_net_mesh": 0.5,
+        "K": 2,
+        "T": 5,
+    }
+    cfg = dataclasses.replace(cli.load_config(write_config(tmp_path, overrides)), output_dir=str(out))
+    with caplog.at_level(logging.WARNING, logger="mfg_sandbox"):
+        assert cli.run_experiment(cfg) == cli.EXIT_OK
+    assert not caplog.records
+    # 25 states at mesh 0.5 give resolution 50; with K = 2 the summary's
+    # average is episode 1's projected first-step mean field, a point m / 50
+    mu = np.array(snapshots.read_json(out / "summary_seed5.json")["avg_mean_field"])
+    assert np.abs(mu * 50 - np.rint(mu * 50)).max() < 1e-9

@@ -1,9 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from mfg_sandbox.environment import CongestionGridParams, MfgEnvironment, make_congestion_env, make_fixed_mdp_env
+from mfg_sandbox.environment import (
+    CongestionGridParams,
+    MfgEnvironment,
+    env_step,
+    make_congestion_env,
+    make_fixed_mdp_env,
+    sample_from_cdf,
+)
+from mfg_sandbox.estimators import QLearner, TransitionCounter
 from mfg_sandbox.oracle import make_diagnostics_oracle
 from mfg_sandbox.sandbox import (
     NonFiniteError,
@@ -13,7 +22,14 @@ from mfg_sandbox.sandbox import (
     update_mean_field,
     update_policy,
 )
-from mfg_sandbox.schedules import ScheduleParams, build_epsilon_net, exploration_floor
+from mfg_sandbox.schedules import (
+    ScheduleParams,
+    build_epsilon_net,
+    exploration_coeff,
+    exploration_floor,
+    step_size_mu,
+    step_size_pi,
+)
 from mfg_sandbox import snapshots
 
 
@@ -164,23 +180,81 @@ def test_exploration_floor_holds_on_small_run():
         assert d.min_policy >= floor - 1e-12
 
 
+def lattice_points(num_states, resolution):
+    """Every point m / resolution of the net, by brute-force enumeration."""
+    grid = itertools.product(range(resolution + 1), repeat=num_states)
+    return np.array([m for m in grid if sum(m) == resolution], dtype=np.float64) / resolution
+
+
 def test_projection_snaps_first_steps_onto_net():
     env = small_env(side=2)
     net = build_epsilon_net(4, 0.5)
+    points = lattice_points(4, net.resolution)
     result = run_sandbox(small_config(env, use_projection=True, net=net))
     for mu in result.mu_first_steps:
-        gaps = np.abs(net.points - mu).sum(axis=1)
+        gaps = np.abs(points - mu).sum(axis=1)
         assert gaps.min() < 1e-12
 
 
-def test_per_step_residual_trace():
-    env = small_env(side=2)
-    K, T = 3, 40
-    result = run_sandbox(
-        small_config(env, num_episodes=K, steps_per_episode=T, per_step_residual=True)
-    )
-    assert result.per_step_residual.shape == (K * T,)
-    assert np.all(result.per_step_residual >= 0.0)
+def reference_first_steps(config):
+    """The run loop written with the reference update forms, one call per step.
+
+    Draw order matches run_sandbox: one uniform for the initial state, then
+    one for the action and one for the transition at every step.
+    """
+    env, sched = config.env, config.schedule
+    S, A = env.dims.num_states, env.dims.num_actions
+    K, T = config.num_episodes, config.steps_per_episode
+    rng = np.random.default_rng(config.seed)
+    mu = np.full(S, 1.0 / S)
+    pi = np.full((S, A), 1.0 / A)
+    counter = TransitionCounter(S)
+    learner = QLearner(S, A, config.rho, sched.c_beta, sched.nu)
+    state = sample_from_cdf(np.cumsum(env.initial_distribution.probs), rng.random())
+    mu_first, pi_first = np.empty((K, S)), np.empty((K, S, A))
+    for k in range(1, K + 1):
+        for t in range(1, T + 1):
+            p_hat = counter.cached_estimate if t == 1 else counter.estimate()
+            project = config.use_projection and t == 1
+            mu = update_mean_field(mu, p_hat, step_size_mu(sched, k, t), project, config.net)
+            pi = update_policy(
+                pi, learner.q, step_size_pi(sched, k, t), exploration_coeff(sched, k, t), sched.lam
+            )
+            if t == 1:
+                mu_first[k - 1], pi_first[k - 1] = mu, pi
+            action = sample_from_cdf(np.cumsum(pi[state]), rng.random())
+            next_state, reward = env_step(env, state, action, mu, rng)
+            counter.record(state, next_state)
+            learner.update(state, action, reward, next_state)
+            state = next_state
+        counter.reset()
+        learner.reset_clock()
+    return mu_first, pi_first
+
+
+def _fixed_mdp():
+    rng = np.random.default_rng(11)
+    kernel = rng.dirichlet(np.ones(3), size=(3, 2))
+    return make_fixed_mdp_env(kernel, rng.uniform(0.0, 1.0, size=(3, 2)))
+
+
+@pytest.mark.parametrize(
+    "make_env, overrides",
+    [
+        (lambda: small_env(side=2), {}),
+        (lambda: small_env(side=3, jostle_p=0.3), {"seed": 8}),
+        (lambda: small_env(side=2), {"use_projection": True, "net": build_epsilon_net(4, 0.5)}),
+        (lambda: RecordingEnv(small_env(side=2, jostle_p=0.2)), {}),
+        (_fixed_mdp, {"schedule": ScheduleParams(constant_psi=True, lam=2.0)}),
+    ],
+    ids=["grid2", "grid3", "grid2-projection", "mu-dependent-sampling", "fixed-mdp"],
+)
+def test_run_loop_matches_reference_updates(make_env, overrides):
+    config = small_config(make_env(), num_episodes=5, steps_per_episode=150, **overrides)
+    result = run_sandbox(config)
+    mu_first, pi_first = reference_first_steps(config)
+    assert np.abs(result.mu_first_steps - mu_first).max() <= 1e-12
+    assert np.abs(result.pi_first_steps - pi_first).max() <= 1e-12
 
 
 class NanRewardEnv(MfgEnvironment):

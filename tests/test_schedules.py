@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,9 +14,7 @@ from mfg_sandbox.schedules import (
     build_epsilon_net,
     exploration_coeff,
     exploration_floor,
-    feasible_mesh,
     project_to_net,
-    simplex_grid_size,
     step_size_mu,
     step_size_pi,
 )
@@ -120,34 +120,33 @@ def test_exploration_floor_matches_naive_recursion(constant):
     assert 0.0 < fast < 0.25
 
 
-def test_simplex_grid_counts():
-    assert simplex_grid_size(2, 2) == 3
-    assert simplex_grid_size(3, 2) == 6
+def compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def lattice_points(num_states, resolution):
+    """Every point m / resolution of the net, in lexicographic order: the reference."""
+    return np.array(list(compositions(resolution, num_states)), dtype=np.float64) / resolution
+
+
+def exact_l1(mu, counts, resolution):
+    """L1 distance from the float input to the lattice point counts / resolution, as a rational."""
+    return sum(abs(Fraction(float(x)) - Fraction(m, resolution)) for x, m in zip(mu, counts))
 
 
 def test_build_net_two_states_mesh_one():
     net = build_epsilon_net(2, 1.0)
-    assert net.num_points == 3
-    assert np.allclose(sorted(net.points[:, 0]), [0.0, 0.5, 1.0])
-    for point in net.points:
+    assert net.resolution == 2
+    points = lattice_points(2, net.resolution)
+    assert np.allclose(points[:, 0], [0.0, 0.5, 1.0])
+    for point in points:
         MeanField(point)  # every net point is a valid distribution
-
-
-def test_build_net_budget_error_reports_requirement():
-    with pytest.raises(ValueError) as err:
-        build_epsilon_net(10, 0.05, max_points=1000)
-    assert "budget" in str(err.value)
-    needed = simplex_grid_size(10, math.ceil(10 / 0.05))
-    assert str(needed) in str(err.value)
-
-
-def test_feasible_mesh_fits_budget():
-    mesh = feasible_mesh(10, 0.05, max_points=1000)
-    assert mesh >= 0.05
-    net = build_epsilon_net(10, mesh, max_points=1000)
-    assert net.num_points <= 1000
-    # a feasible request passes through unchanged
-    assert feasible_mesh(3, 0.5, max_points=10_000) == 0.5
+        assert np.array_equal(project_to_net(net, point), point)
 
 
 def test_projection_examples():
@@ -155,6 +154,8 @@ def test_projection_examples():
     assert np.allclose(project_to_net(net, np.array([0.9, 0.1])), [1.0, 0.0])
     # a net point projects to itself
     assert np.array_equal(project_to_net(net, np.array([0.5, 0.5])), [0.5, 0.5])
+    with pytest.raises(ValueError):
+        project_to_net(net, np.array([1.5, 1.5]))
 
 
 def test_projection_idempotent_and_within_mesh():
@@ -169,24 +170,54 @@ def test_projection_idempotent_and_within_mesh():
 
 
 def test_projection_covering_radius_monte_carlo():
-    # nearest-point search over the whole net is the oracle here
+    # nearest-point search over the whole lattice is the oracle here
     net = build_epsilon_net(3, 0.5)
+    points = lattice_points(3, net.resolution)
     rng = np.random.default_rng(8)
     for _ in range(10_000):
         mu = rng.dirichlet(np.ones(3))
-        best = np.abs(net.points - mu).sum(axis=1).min()
+        best = np.abs(points - mu).sum(axis=1).min()
         assert best <= 0.5 + 1e-12
+        assert l1_norm(project_to_net(net, mu) - mu) == pytest.approx(best, abs=1e-12)
 
 
 def test_projection_tie_break_lexicographic():
-    net = EpsilonNet(mesh=1.0, points=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    net = EpsilonNet(mesh=1.0, resolution=1)
     # equidistant from both points; the lexicographically smaller wins
     assert np.array_equal(project_to_net(net, np.array([0.5, 0.5])), [0.0, 1.0])
 
 
+@pytest.mark.parametrize("num_states, mesh", [(2, 1.0), (3, 0.75), (4, 1.0), (3, 0.5)])
+def test_projection_matches_brute_force_exactly(num_states, mesh):
+    # Distances are exact rationals of the float inputs, so ties at midpoints
+    # between lattice neighbours are real ties; the reference picks the first
+    # minimiser in lexicographic order.
+    net = build_epsilon_net(num_states, mesh)
+    points = lattice_points(num_states, net.resolution)
+    rng = np.random.default_rng(num_states * 100 + net.resolution)
+    inputs = list(rng.dirichlet(np.ones(num_states), size=50)) + list(points)
+    for p in points:
+        for i, j in itertools.permutations(range(num_states), 2):
+            if p[i] > 0.0:
+                step = np.zeros(num_states)
+                step[i], step[j] = -1.0 / net.resolution, 1.0 / net.resolution
+                inputs.append(p + step / 2)
+    lattice = list(compositions(net.resolution, num_states))
+    for mu in inputs:
+        # min keeps the first of equal keys: the lexicographically smallest
+        best = min(lattice, key=lambda counts: exact_l1(mu, counts, net.resolution))
+        assert np.array_equal(project_to_net(net, mu), np.array(best) / net.resolution), mu
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 6), st.floats(0.3, 3.0))
-def test_net_points_are_simplex_points(num_states, mesh):
-    net = build_epsilon_net(num_states, mesh, max_points=100_000)
-    assert np.abs(net.points.sum(axis=1) - 1.0).max() < 1e-12
-    assert net.points.min() >= 0.0
+@given(st.integers(1, 6), st.floats(0.3, 3.0), st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+def test_net_points_are_simplex_points(num_states, mesh, weights):
+    weights = np.array(weights[:num_states]) + 1e-3
+    mu = weights / weights.sum()
+    net = build_epsilon_net(num_states, mesh)
+    proj = project_to_net(net, mu)
+    assert abs(proj.sum() - 1.0) < 1e-12
+    assert proj.min() >= 0.0
+    # the projection is the nearest lattice point
+    points = lattice_points(num_states, net.resolution)
+    assert l1_norm(proj - mu) == pytest.approx(np.abs(points - mu).sum(axis=1).min(), abs=1e-12)
