@@ -1,9 +1,10 @@
 """Experiment configuration and orchestration.
 
-Experiments are described by a flat JSON config whose keys are the fields of
-ExperimentConfig (with "lambda" for lam) plus an "environment" object with
-the fields of EnvironmentSpec; unknown keys and out-of-range values are
-rejected at load time. A config runs in one of four modes: "sandbox" (one
+Experiments are described by a flat JSON config whose keys are the run
+fields of ExperimentConfig and the fields of ScheduleParams (with "lambda"
+for lam), plus an "environment" object with a "kind" and the fields of
+CongestionGridParams; unknown keys and out-of-range values are rejected at
+load time. A config runs in one of four modes: "sandbox" (one
 instrumented learning run), "oracle" (equilibrium solve only), "compare"
 (oracle solve plus num_seeds learning runs, one after another, and a joint
 report), and "probe" (empirical operator-Lipschitz estimate). Outputs are
@@ -38,7 +39,7 @@ from .schedules import ScheduleParams, build_epsilon_net
 logger = logging.getLogger("mfg_sandbox")
 
 MODES = ("sandbox", "oracle", "compare", "probe")
-ENV_KINDS = ("congestion", "two_class")
+_ENV_FACTORIES = {"congestion": make_congestion_env, "two_class": make_two_class_env}
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,43 +54,18 @@ _FIELD_ALIASES = {v: k for k, v in _KEY_ALIASES.items()}
 
 
 @dataclass(frozen=True)
-class EnvironmentSpec:
-    """Environment block of the config file."""
-
-    kind: str
-    side: int = 5
-    jostle_p: float = 0.1
-    congestion_c: float = 0.5
-    favorable_reward: float = 1.0
-    baseline_reward: float = 0.1
-    favorable_states: tuple | None = None
-
-    def __post_init__(self):
-        if self.kind not in ENV_KINDS:
-            raise ValueError(f"environment kind must be one of {ENV_KINDS}, got {self.kind!r}")
-        if self.favorable_states is not None:
-            cells = tuple(tuple(int(v) for v in cell) for cell in self.favorable_states)
-            object.__setattr__(self, "favorable_states", cells)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated experiment description."""
+    """Fully validated experiment description.
+
+    env_kind is the config's environment.kind; epsilon_net_mesh None turns
+    the projection off.
+    """
 
     mode: str
-    environment: EnvironmentSpec
-    c_mu: float = 0.5
-    c_pi: float = 0.5
-    gamma: float = 0.6
-    theta: float = 0.55
-    zeta: float = 1.1
-    c_beta: float = 5.0
-    nu: float = 0.55
-    psi: float = 0.2
-    lam: float = 1.0
-    constant_psi: bool = False
-    epsilon_net_mesh: float = 0.5
-    use_projection: bool = False
+    env_kind: str
+    environment: CongestionGridParams
+    schedule: ScheduleParams = ScheduleParams()
+    epsilon_net_mesh: float | None = None
     K: int = 300
     T: int = 50_000
     rho: float = 0.7
@@ -107,6 +83,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.env_kind not in _ENV_FACTORIES:
+            kinds = tuple(_ENV_FACTORIES)
+            raise ValueError(f"environment kind must be one of {kinds}, got {self.env_kind!r}")
+        if self.env_kind == "two_class" and self.environment.side != 5:
+            raise ValueError("environment side must be 5 for kind two_class")
         if self.K < 2:
             raise ValueError("K (episodes) must be >= 2")
         if self.T < 2:
@@ -131,25 +112,17 @@ class ExperimentConfig:
             raise ValueError("bmfe_max_iter must be >= 1")
         # Any one point covers the simplex within L1 radius 2, so a mesh >= 2
         # guarantees nothing.
-        if not 0.0 < self.epsilon_net_mesh < 2.0:
-            raise ValueError("epsilon_net_mesh must lie in (0, 2)")
-        # Re-run the schedule constraints so bad configs fail at load time
-        # with the offending field named.
-        self.schedule()
+        if self.epsilon_net_mesh is not None and not 0.0 < self.epsilon_net_mesh < 2.0:
+            raise ValueError("epsilon_net_mesh must be null or lie in (0, 2)")
 
-    def schedule(self) -> ScheduleParams:
-        return ScheduleParams(
-            c_mu=self.c_mu,
-            c_pi=self.c_pi,
-            gamma=self.gamma,
-            theta=self.theta,
-            zeta=self.zeta,
-            c_beta=self.c_beta,
-            nu=self.nu,
-            psi=self.psi,
-            lam=self.lam,
-            constant_psi=self.constant_psi,
-        )
+
+_SCHEDULE_KEYS = {_FIELD_ALIASES.get(f.name, f.name) for f in dataclasses.fields(ScheduleParams)}
+_RUN_KEYS = tuple(
+    f.name
+    for f in dataclasses.fields(ExperimentConfig)
+    if f.name not in ("env_kind", "environment", "schedule")
+)
+_ENV_KEYS = {f.name for f in dataclasses.fields(CongestionGridParams)}
 
 
 def _check_keys(given: dict, allowed: set, where: str) -> None:
@@ -167,57 +140,36 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError(f"config parse error at {path}:{err.lineno}:{err.colno}: {err.msg}") from err
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
-
-    env_fields = {f.name for f in dataclasses.fields(EnvironmentSpec)}
-    cfg_fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"environment", "lam"}
-    _check_keys(raw, cfg_fields | {"environment", "lambda"}, "config")
+    _check_keys(raw, {*_RUN_KEYS, *_SCHEDULE_KEYS, "environment"}, "config")
 
     env_raw = raw.get("environment")
     if not isinstance(env_raw, dict):
         raise ValueError("config requires an 'environment' object")
-    _check_keys(env_raw, env_fields, "environment")
+    _check_keys(env_raw, _ENV_KEYS | {"kind"}, "environment")
     if "kind" not in env_raw:
         raise ValueError("environment requires a 'kind'")
-    environment = EnvironmentSpec(**env_raw)
-
-    kwargs = {}
-    for key, value in raw.items():
-        if key == "environment":
-            continue
-        kwargs[_KEY_ALIASES.get(key, key)] = value
-    if "mode" not in kwargs:
+    if "mode" not in raw:
         raise ValueError("config requires a 'mode'")
-    return ExperimentConfig(environment=environment, **kwargs)
+    schedule = {_KEY_ALIASES.get(k, k): v for k, v in raw.items() if k in _SCHEDULE_KEYS}
+    return ExperimentConfig(
+        env_kind=env_raw["kind"],
+        environment=CongestionGridParams(**{k: v for k, v in env_raw.items() if k != "kind"}),
+        schedule=ScheduleParams(**schedule),
+        **{k: v for k, v in raw.items() if k in _RUN_KEYS},
+    )
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """JSON-ready dict using the external key names; loads back unchanged."""
-    doc = {}
-    for f in dataclasses.fields(ExperimentConfig):
-        if f.name == "environment":
-            continue
-        doc[_FIELD_ALIASES.get(f.name, f.name)] = getattr(cfg, f.name)
-    env = dataclasses.asdict(cfg.environment)
-    if env["favorable_states"] is not None:
-        env["favorable_states"] = [list(c) for c in env["favorable_states"]]
-    else:
-        del env["favorable_states"]
-    doc["environment"] = env
+    doc = {key: getattr(cfg, key) for key in _RUN_KEYS}
+    for key, value in dataclasses.asdict(cfg.schedule).items():
+        doc[_FIELD_ALIASES.get(key, key)] = value
+    doc["environment"] = {"kind": cfg.env_kind, **dataclasses.asdict(cfg.environment)}
     return doc
 
 
-def build_environment(spec: EnvironmentSpec):
-    params = CongestionGridParams(
-        side=spec.side,
-        jostle_p=spec.jostle_p,
-        congestion_c=spec.congestion_c,
-        favorable_reward=spec.favorable_reward,
-        baseline_reward=spec.baseline_reward,
-        favorable_states=spec.favorable_states,
-    )
-    if spec.kind == "two_class":
-        return make_two_class_env(params)
-    return make_congestion_env(params)
+def build_environment(cfg: ExperimentConfig):
+    return _ENV_FACTORIES[cfg.env_kind](cfg.environment)
 
 
 def _format_number(x: float) -> str:
@@ -255,7 +207,7 @@ def read_episode_csv(path) -> list[EpisodeDiagnostics]:
 def _solve_reference(cfg: ExperimentConfig, env):
     pair = solve_bmfe(
         env,
-        lam=cfg.lam,
+        lam=cfg.schedule.lam,
         rho=cfg.rho,
         damping=cfg.damping,
         tol=cfg.bmfe_tol,
@@ -269,20 +221,22 @@ def _solve_reference(cfg: ExperimentConfig, env):
 
 def _write_bmfe(out_dir: Path, cfg: ExperimentConfig, pair) -> None:
     doc = snapshots.equilibrium_snapshot(pair)
-    doc.update({"lambda": cfg.lam, "rho": cfg.rho, "damping": cfg.damping, "tol": cfg.bmfe_tol})
+    doc.update({"lambda": cfg.schedule.lam, "rho": cfg.rho, "damping": cfg.damping, "tol": cfg.bmfe_tol})
     snapshots.write_json(out_dir / "bmfe.json", doc)
 
 
 def _run_one_seed(cfg: ExperimentConfig, env, oracle, seed: int, out_dir: Path):
+    net = None
+    if cfg.epsilon_net_mesh is not None:
+        net = build_epsilon_net(env.dims.num_states, cfg.epsilon_net_mesh)
     run_config = SandboxConfig(
         env=env,
-        schedule=cfg.schedule(),
+        schedule=cfg.schedule,
         num_episodes=cfg.K,
         steps_per_episode=cfg.T,
         rho=cfg.rho,
         seed=seed,
-        use_projection=cfg.use_projection,
-        net=build_epsilon_net(env.dims.num_states, cfg.epsilon_net_mesh) if cfg.use_projection else None,
+        net=net,
         diagnostics_oracle=oracle,
         diagnostics_every=cfg.diagnostics_every,
         validate_every=cfg.validate_every,
@@ -307,25 +261,25 @@ def _run_one_seed(cfg: ExperimentConfig, env, oracle, seed: int, out_dir: Path):
 
 
 def _run_sandbox_mode(cfg: ExperimentConfig, out_dir: Path) -> int:
-    env = build_environment(cfg.environment)
+    env = build_environment(cfg)
     pair = _solve_reference(cfg, env)
     _write_bmfe(out_dir, cfg, pair)
-    oracle = DiagnosticsOracle(env, cfg.lam, cfg.rho, pair.mean_field.probs, vi_tol=cfg.vi_tol)
+    oracle = DiagnosticsOracle(env, cfg.schedule.lam, cfg.rho, pair.mean_field.probs, vi_tol=cfg.vi_tol)
     _run_one_seed(cfg, env, oracle, cfg.seed, out_dir)
     return EXIT_OK
 
 
 def _run_oracle_mode(cfg: ExperimentConfig, out_dir: Path) -> int:
-    env = build_environment(cfg.environment)
+    env = build_environment(cfg)
     pair = _solve_reference(cfg, env)
     _write_bmfe(out_dir, cfg, pair)
     return EXIT_OK
 
 
 def _run_probe_mode(cfg: ExperimentConfig, out_dir: Path) -> int:
-    env = build_environment(cfg.environment)
+    env = build_environment(cfg)
     rng = np.random.default_rng(cfg.seed)
-    estimate = probe_contraction(env, cfg.lam, cfg.rho, cfg.probe_pairs, rng, vi_tol=cfg.vi_tol)
+    estimate = probe_contraction(env, cfg.schedule.lam, cfg.rho, cfg.probe_pairs, rng, vi_tol=cfg.vi_tol)
     snapshots.write_json(
         out_dir / "contraction.json",
         {
@@ -344,10 +298,10 @@ def _run_probe_mode(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _run_compare_mode(cfg: ExperimentConfig, out_dir: Path) -> int:
-    env = build_environment(cfg.environment)
+    env = build_environment(cfg)
     pair = _solve_reference(cfg, env)
     _write_bmfe(out_dir, cfg, pair)
-    oracle = DiagnosticsOracle(env, cfg.lam, cfg.rho, pair.mean_field.probs, vi_tol=cfg.vi_tol)
+    oracle = DiagnosticsOracle(env, cfg.schedule.lam, cfg.rho, pair.mean_field.probs, vi_tol=cfg.vi_tol)
     seeds = [cfg.seed + i for i in range(cfg.num_seeds)]
     results = [_run_one_seed(cfg, env, oracle, seed, out_dir) for seed in seeds]
     per_seed = [

@@ -107,7 +107,7 @@ class CongestionGridParams:
             cells = tuple(tuple(int(v) for v in cell) for cell in self.favorable_states)
             for x, y in cells:
                 if not (1 <= x <= self.side and 1 <= y <= self.side):
-                    raise ValueError(f"favorable state {(x, y)} is outside the grid")
+                    raise ValueError(f"favorable_states entry {(x, y)} is outside the grid")
             object.__setattr__(self, "favorable_states", cells)
 
     def resolved_favorable_states(self) -> tuple[tuple[int, int], ...]:

@@ -197,17 +197,16 @@ def probe_contraction(
         pi = np.vstack([rng.dirichlet(np.ones(A)) for _ in range(S)])
         pi_alt = np.vstack([rng.dirichlet(np.ones(A)) for _ in range(S)])
 
+        push = induced_kernel(env, pi, mu).T @ mu
         dmu = l1_norm(mu - mu_alt)
         if dmu >= 1e-9:
             g1 = softmax_table(_q_star_values(env, mu, rho, vi_tol), lam)
             g1_alt = softmax_table(_q_star_values(env, mu_alt, rho, vi_tol), lam)
             d1 = max(d1, tv_norm(g1 - g1_alt) / dmu)
-            push = induced_kernel(env, pi, mu).T @ mu
             push_alt = induced_kernel(env, pi, mu_alt).T @ mu_alt
             d3 = max(d3, l1_norm(push - push_alt) / dmu)
         dpi = tv_norm(pi - pi_alt)
         if dpi >= 1e-9:
-            push = induced_kernel(env, pi, mu).T @ mu
             push_alt = induced_kernel(env, pi_alt, mu).T @ mu
             d2 = max(d2, l1_norm(push - push_alt) / dpi)
     return ContractionEstimate(d1_hat=d1, d2_hat=d2, d3_hat=d3, num_pairs=num_pairs)

@@ -33,6 +33,7 @@ from .core import (
 )
 from .environment import MfgEnvironment, sample_from_cdf
 from .estimators import QLearner, TransitionCounter
+from .oracle import induced_kernel
 from .schedules import (
     EpsilonNet,
     ScheduleParams,
@@ -62,7 +63,6 @@ class SandboxConfig:
     steps_per_episode: int
     rho: float
     seed: int = 0
-    use_projection: bool = False
     net: Optional[EpsilonNet] = None
     diagnostics_oracle: Optional[object] = None
     diagnostics_every: int = 1
@@ -73,8 +73,6 @@ class SandboxConfig:
             raise ValueError("num_episodes and steps_per_episode must both be >= 2")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("discount rho must lie in (0, 1)")
-        if self.use_projection and self.net is None:
-            raise ValueError("use_projection requires a simplex net")
         if self.diagnostics_every < 1:
             raise ValueError("diagnostics_every must be >= 1")
         if self.validate_every < 1:
@@ -116,20 +114,18 @@ class SandboxResult:
     seed: int
 
 
-def update_mean_field(mu_prev, p_hat, c: float, project: bool = False, net: Optional[EpsilonNet] = None):
+def update_mean_field(mu_prev, p_hat, c: float, net: Optional[EpsilonNet] = None):
     """One mean-field step: convex combination with its push-forward.
 
-    Returns (1 - c) * mu + c * p_hat.T @ mu, optionally snapped onto the
-    simplex net (the run loop enables this only on episode first steps).
+    Returns (1 - c) * mu + c * p_hat.T @ mu, snapped onto the simplex net
+    when one is given (the run loop passes it only on episode first steps).
     """
     if not 0.0 < c <= 1.0:
         raise ValueError("step size must lie in (0, 1]")
     if np.abs(p_hat.sum(axis=1) - 1.0).max() > SIMPLEX_ATOL:
         raise ValueError("transition estimate rows must sum to 1")
     out = (1.0 - c) * mu_prev + c * (p_hat.T @ mu_prev)
-    if project:
-        if net is None:
-            raise ValueError("projection requested without a net")
+    if net is not None:
         out = project_to_net(net, out)
     return out
 
@@ -167,11 +163,6 @@ def episode_diagnostics(k, mu_first, pi_first, p_hat_end, q_end, oracle, min_pol
     )
 
 
-def _consistency_residual(kernel, pi, mu) -> float:
-    chain = np.einsum("sa,sat->st", pi, kernel)
-    return l1_norm(mu - chain.T @ mu)
-
-
 def _validate_state(mu, pi, k, t):
     if (
         mu.min() < -SIMPLEX_ATOL
@@ -196,6 +187,7 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
     num_actions = env.dims.num_actions
     K, T = config.num_episodes, config.steps_per_episode
     oracle = config.diagnostics_oracle
+    net = config.net
 
     rng = np.random.default_rng(config.seed)
     mu = np.full(num_states, 1.0 / num_states)
@@ -264,8 +256,8 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
             push *= c_mu
             mu *= 1.0 - c_mu
             mu += push
-            if config.use_projection and t == 1:
-                mu = project_to_net(config.net, mu)
+            if net is not None and t == 1:
+                mu = project_to_net(net, mu)
             c_pi = c_pi_t[t - 1]
             psi_kt = psi_first if t == 1 else psi_tail
             pi *= 1.0 - c_pi
@@ -324,7 +316,7 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
                     e_mu=math.nan,
                     eps_P=math.nan,
                     eps_Q=math.nan,
-                    residual_mu=_consistency_residual(env.transition_kernel(mu1), pi1, mu1),
+                    residual_mu=l1_norm(mu1 - induced_kernel(env, pi1, mu1).T @ mu1),
                     min_policy=episode_min_policy,
                 )
             )

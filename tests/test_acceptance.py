@@ -63,7 +63,7 @@ def test_criterion_01_invariant_suite():
             else:
                 p_hat = rng.dirichlet(np.ones(num_states), size=num_states)
             mu = update_mean_field(
-                mu, p_hat, rng.uniform(1e-6, 1.0), project=rng.random() < 0.1, net=net
+                mu, p_hat, rng.uniform(1e-6, 1.0), net=net if rng.random() < 0.1 else None
             )
             worst_mu = max(worst_mu, abs(mu.sum() - 1.0))
             assert mu.min() >= -1e-9 and mu.max() <= 1.0 + 1e-9

@@ -2,13 +2,14 @@ import dataclasses
 import json
 import logging
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mfg_sandbox import cli, snapshots
-from mfg_sandbox.sandbox import NonFiniteError
+from mfg_sandbox.sandbox import NonFiniteError, run_sandbox
 
 
 BASE_CONFIG = {
@@ -33,15 +34,15 @@ def write_config(tmp_path, overrides=None, name="config.json"):
 def test_load_config_defaults_and_values(tmp_path):
     cfg = cli.load_config(write_config(tmp_path))
     assert cfg.mode == "sandbox"
-    assert cfg.environment.kind == "congestion"
+    assert cfg.env_kind == "congestion"
     assert cfg.K == 3 and cfg.T == 60
-    assert cfg.c_mu == 0.5 and cfg.lam == 1.0
-    assert cfg.use_projection is False
+    assert cfg.schedule.c_mu == 0.5 and cfg.schedule.lam == 1.0
+    assert cfg.epsilon_net_mesh is None
 
 
 def test_load_config_reads_lambda_key(tmp_path):
     cfg = cli.load_config(write_config(tmp_path, {"lambda": 2.5}))
-    assert cfg.lam == 2.5
+    assert cfg.schedule.lam == 2.5
 
 
 def test_shipped_configs_parse_and_match_published_values():
@@ -51,11 +52,11 @@ def test_shipped_configs_parse_and_match_published_values():
     assert full.environment.jostle_p == 0.1
     assert full.environment.congestion_c == 0.5
     assert full.rho == 0.7
-    assert (full.c_beta, full.nu) == (5.0, 0.55)
+    assert (full.schedule.c_beta, full.schedule.nu) == (5.0, 0.55)
     assert (full.T, full.K) == (50_000, 300)
-    assert (full.c_mu, full.c_pi) == (0.5, 0.5)
-    assert (full.theta, full.gamma) == (0.55, 0.6)
-    assert full.use_projection is False
+    assert (full.schedule.c_mu, full.schedule.c_pi) == (0.5, 0.5)
+    assert (full.schedule.theta, full.schedule.gamma) == (0.55, 0.6)
+    assert full.epsilon_net_mesh is None
     for name in ("two_class_5x5", "desk_3x3_compare", "probe_3x3"):
         cli.load_config(configs / f"{name}.json")
 
@@ -63,6 +64,8 @@ def test_shipped_configs_parse_and_match_published_values():
 def test_unknown_keys_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown config keys: lamda"):
         cli.load_config(write_config(tmp_path, {"lamda": 1.0}))
+    with pytest.raises(ValueError, match="unknown config keys: use_projection"):
+        cli.load_config(write_config(tmp_path, {"use_projection": True}))
     with pytest.raises(ValueError, match="unknown environment keys"):
         cli.load_config(write_config(tmp_path, {"environment": {"kind": "congestion", "p": 0.1}}))
 
@@ -86,6 +89,23 @@ def test_constraint_violations_name_the_field(tmp_path):
     ]:
         with pytest.raises(ValueError, match=key):
             cli.load_config(write_config(tmp_path, {key: value}))
+    for key, environment in [
+        ("jostle_p", {"kind": "congestion", "jostle_p": 1.5}),
+        ("side", {"kind": "congestion", "side": 0}),
+        ("favorable_states", {"kind": "congestion", "side": 3, "favorable_states": [[9, 9]]}),
+        ("side", {"kind": "two_class", "side": 3}),
+    ]:
+        with pytest.raises(ValueError, match=key):
+            cli.load_config(write_config(tmp_path, {"environment": environment}))
+
+
+def test_readme_config_reference_lists_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config reference\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"`([^`]+)`", section))
+    accepted = {*cli._RUN_KEYS, *cli._SCHEDULE_KEYS, "environment", *cli._ENV_KEYS, "kind"}
+    assert sorted(accepted - documented) == []
+    assert "use_projection" not in section
 
 
 def test_parse_error_carries_line_info(tmp_path):
@@ -216,9 +236,15 @@ def test_main_flag_overrides(tmp_path, capsys):
 
 
 def test_main_rejects_bad_config(tmp_path, capsys):
-    config = write_config(tmp_path, {"theta": 0.9})
-    assert cli.main(["--config", str(config), "--quiet"]) == cli.EXIT_USAGE
-    assert "theta" in capsys.readouterr().err
+    out = tmp_path / "never"
+    for key, overrides in [
+        ("theta", {"theta": 0.9}),
+        ("jostle_p", {"environment": {"kind": "congestion", "jostle_p": 1.5}}),
+    ]:
+        config = write_config(tmp_path, {**overrides, "output_dir": str(out)})
+        assert cli.main(["--config", str(config), "--quiet"]) == cli.EXIT_USAGE
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_main_missing_file(tmp_path, capsys):
@@ -276,11 +302,26 @@ def test_unconverged_reference_warns_in_every_mode(tmp_path, caplog, mode):
     assert [rec.message for rec in caplog.records if "max_iter" in rec.message]
 
 
+@pytest.mark.parametrize("mesh, resolution", [(None, None), (1.5, 6)])
+def test_epsilon_net_mesh_alone_selects_projection(tmp_path, monkeypatch, mesh, resolution):
+    nets = []
+
+    def spy(config):
+        nets.append(config.net)
+        return run_sandbox(config)
+
+    monkeypatch.setattr(cli, "run_sandbox", spy)
+    overrides = {"epsilon_net_mesh": mesh, "output_dir": str(tmp_path / "out")}
+    cfg = cli.load_config(write_config(tmp_path, overrides))
+    assert cfg.epsilon_net_mesh == mesh
+    assert cli.run_experiment(cfg) == cli.EXIT_OK
+    assert [None if net is None else net.resolution for net in nets] == [resolution]
+
+
 def test_projection_keeps_requested_mesh_on_5x5(tmp_path, caplog):
     out = tmp_path / "proj"
     overrides = {
         "environment": {"kind": "congestion", "side": 5},
-        "use_projection": True,
         "epsilon_net_mesh": 0.5,
         "K": 2,
         "T": 5,

@@ -58,8 +58,6 @@ def test_config_validation():
         small_config(env, steps_per_episode=1)
     with pytest.raises(ValueError):
         small_config(env, rho=1.0)
-    with pytest.raises(ValueError):
-        small_config(env, use_projection=True)  # projection without a net
 
 
 def test_update_mean_field_examples():
@@ -76,7 +74,7 @@ def test_update_mean_field_examples():
 
 def test_update_mean_field_projection():
     net = build_epsilon_net(2, 1.0)
-    out = update_mean_field(np.array([0.95, 0.05]), np.eye(2), 0.5, project=True, net=net)
+    out = update_mean_field(np.array([0.95, 0.05]), np.eye(2), 0.5, net=net)
     assert np.allclose(out, [1.0, 0.0])
 
 
@@ -190,7 +188,7 @@ def test_projection_snaps_first_steps_onto_net():
     env = small_env(side=2)
     net = build_epsilon_net(4, 0.5)
     points = lattice_points(4, net.resolution)
-    result = run_sandbox(small_config(env, use_projection=True, net=net))
+    result = run_sandbox(small_config(env, net=net))
     for mu in result.mu_first_steps:
         gaps = np.abs(points - mu).sum(axis=1)
         assert gaps.min() < 1e-12
@@ -215,8 +213,8 @@ def reference_first_steps(config):
     for k in range(1, K + 1):
         for t in range(1, T + 1):
             p_hat = counter.cached_estimate if t == 1 else counter.estimate()
-            project = config.use_projection and t == 1
-            mu = update_mean_field(mu, p_hat, step_size_mu(sched, k, t), project, config.net)
+            net = config.net if t == 1 else None
+            mu = update_mean_field(mu, p_hat, step_size_mu(sched, k, t), net)
             pi = update_policy(
                 pi, learner.q, step_size_pi(sched, k, t), exploration_coeff(sched, k, t), sched.lam
             )
@@ -243,7 +241,7 @@ def _fixed_mdp():
     [
         (lambda: small_env(side=2), {}),
         (lambda: small_env(side=3, jostle_p=0.3), {"seed": 8}),
-        (lambda: small_env(side=2), {"use_projection": True, "net": build_epsilon_net(4, 0.5)}),
+        (lambda: small_env(side=2), {"net": build_epsilon_net(4, 0.5)}),
         (lambda: RecordingEnv(small_env(side=2, jostle_p=0.2)), {}),
         (_fixed_mdp, {"schedule": ScheduleParams(constant_psi=True, lam=2.0)}),
     ],
