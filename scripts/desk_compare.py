@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Desk-scale sanity run: five seeds on the 3x3 world against the solved
-equilibrium, a few minutes of wall time. Prints the per-seed and median
+equilibrium, about half a minute of wall time. Prints the per-seed and median
 distances from the aggregate report."""
 
 import argparse

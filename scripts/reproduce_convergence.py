@@ -3,7 +3,7 @@
 
 Runs the instrumented learning loop through the CLI (so all files land in
 the standard formats), then summarizes the per-episode error trends. Expect
-a wall time in the tens of minutes. Pass --two-class for the variant whose
+a wall time of a minute or two. Pass --two-class for the variant whose
 state space is split into a closed and a non-closed communicating class.
 """
 

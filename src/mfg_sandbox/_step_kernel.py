@@ -1,0 +1,200 @@
+"""Compiled learner step for congestion-grid runs, built on first use with cffi.
+
+One call of ``learner_step`` performs everything a step of the run loop does
+except counting the transition: the mean-field and policy updates, their
+finiteness check and the policy minimum, the action and next-state draws
+from pre-drawn uniforms, the congestion reward and its range check, the
+Q-learning update and the refresh of the updated state's softmax row. The
+caller records the transition with ``TransitionCounter.record``, whose live
+estimate buffer the next step reads.
+
+The extension is compiled once into ``_kernel_build`` next to this file,
+under a name keyed by the C source, the compiler flags and the interpreter's
+extension suffix; later loads import the built module alone, without cffi's
+compiler front end. ``load`` returns None, after one warning per process,
+when the module can be neither imported nor built; the caller then runs the
+reference loop.
+"""
+
+from __future__ import annotations
+
+import importlib.machinery
+import importlib.util
+import logging
+import os
+from pathlib import Path
+
+logger = logging.getLogger("mfg_sandbox")
+
+# Return codes below zero; a step that succeeds returns the next state.
+NON_FINITE_PAIR = -1  # mean-field or policy update produced NaN/inf
+NON_FINITE_REWARD = -2
+REWARD_OUT_OF_RANGE = -3
+
+CDEF = """
+typedef struct {
+    int num_states, num_actions, state;
+    double *mu, *pi, *q, *soft, *push, *mu_first, *pi_first;
+    const double *estimate, *cached, *cdf, *state_reward;
+    const double *c_mu, *c_pi, *beta, *u;
+    double congestion_c, lam, rho, psi_first, psi_tail;
+    double min_policy, reward;
+} step_ctx;
+
+int learner_step(step_ctx *c, int t);
+"""
+
+# Field meanings (S states, A actions, T steps per episode, row-major):
+# mu (S), pi and soft (S x A, soft = softmax(lam * q) row by row), q (S x A),
+# push (S, holds P^T mu), mu_first / pi_first (this episode's first-step rows),
+# estimate / cached (S x S, live and episode-start transition estimates),
+# cdf (S x A x S, cumulative transition kernel), state_reward (S),
+# c_mu / c_pi / beta (T step sizes), u (2T uniforms: action, next state).
+SOURCE = (
+    CDEF
+    + r"""
+#include <math.h>
+#include <stddef.h>
+
+int learner_step(step_ctx *c, int t)
+{
+    const int S = c->num_states, A = c->num_actions, s = c->state;
+    const double *p = t == 1 ? c->cached : c->estimate;
+    const double c_mu = c->c_mu[t - 1], c_pi = c->c_pi[t - 1];
+    const double psi = t == 1 ? c->psi_first : c->psi_tail;
+    const double w_soft = c_pi * (1.0 - psi), w_unif = c_pi * psi * (1.0 / A);
+    const double *u = c->u + 2 * (size_t)(t - 1);
+    double *mu = c->mu, *pi = c->pi, *push = c->push;
+
+    /* mu <- (1 - c_mu) mu + c_mu P^T mu */
+    for (int j = 0; j < S; j++)
+        push[j] = 0.0;
+    for (int i = 0; i < S; i++) {
+        const double m = mu[i], *row = p + (size_t)i * S;
+        for (int j = 0; j < S; j++)
+            push[j] += m * row[j];
+    }
+    double mu_sum = 0.0;
+    for (int j = 0; j < S; j++) {
+        mu[j] = mu[j] * (1.0 - c_mu) + push[j] * c_mu;
+        mu_sum += mu[j];
+    }
+
+    /* pi <- (1 - c_pi) pi + c_pi ((1 - psi) softmax(lam q) + psi / A) */
+    double pi_sum = 0.0, pi_min = INFINITY;
+    for (int n = 0; n < S * A; n++) {
+        const double v = pi[n] * (1.0 - c_pi) + w_soft * c->soft[n] + w_unif;
+        pi[n] = v;
+        pi_sum += v;
+        if (v < pi_min)
+            pi_min = v;
+    }
+    if (!isfinite(mu_sum) || !isfinite(pi_sum))
+        return -1; /* NON_FINITE_PAIR */
+    if (t == 1) {
+        for (int j = 0; j < S; j++)
+            c->mu_first[j] = mu[j];
+        for (int n = 0; n < S * A; n++)
+            c->pi_first[n] = pi[n];
+    } else if (pi_min < c->min_policy) {
+        c->min_policy = pi_min;
+    }
+
+    /* inverse-CDF draws: first index whose cumulative mass exceeds u */
+    const double *pi_s = pi + (size_t)s * A;
+    int a = 0;
+    double mass = pi_s[0];
+    while (a < A - 1 && mass <= u[0])
+        mass += pi_s[++a];
+    const double *cdf = c->cdf + ((size_t)s * A + a) * S;
+    int next = 0;
+    while (next < S - 1 && cdf[next] <= u[1])
+        next++;
+
+    const double r = (1.0 - c->congestion_c * mu[s]) * c->state_reward[s];
+    c->reward = r;
+    if (!isfinite(r))
+        return -2; /* NON_FINITE_REWARD */
+    if (!(0.0 <= r && r <= 1.0))
+        return -3; /* REWARD_OUT_OF_RANGE */
+
+    /* Q-learning update, then the softmax row of the updated state */
+    double *q_s = c->q + (size_t)s * A, *soft_s = c->soft + (size_t)s * A;
+    const double *q_next = c->q + (size_t)next * A;
+    double q_max = q_next[0];
+    for (int b = 1; b < A; b++)
+        if (q_next[b] > q_max)
+            q_max = q_next[b];
+    const double beta = c->beta[t - 1];
+    q_s[a] = (1.0 - beta) * q_s[a] + beta * (r + c->rho * q_max);
+    double z_max = -INFINITY;
+    for (int b = 0; b < A; b++) {
+        soft_s[b] = c->lam * q_s[b];
+        if (soft_s[b] > z_max)
+            z_max = soft_s[b];
+    }
+    double z_sum = 0.0;
+    for (int b = 0; b < A; b++) {
+        soft_s[b] = exp(soft_s[b] - z_max);
+        z_sum += soft_s[b];
+    }
+    for (int b = 0; b < A; b++)
+        soft_s[b] /= z_sum;
+
+    c->state = next;
+    return next;
+}
+"""
+)
+
+# No contraction into fused multiply-adds, so every product and sum rounds
+# the way the same expression rounds in NumPy.
+COMPILE_ARGS = ["-O2", "-ffp-contract=off"]
+BUILD_DIR = Path(__file__).resolve().parent / "_kernel_build"
+_SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]
+
+_loaded = None  # (ffi, lib) once loaded, False after a failure
+
+
+def _module_path() -> Path:
+    import hashlib
+
+    key = "\0".join([SOURCE, " ".join(COMPILE_ARGS), _SUFFIX]).encode()
+    return BUILD_DIR / f"_learner_step_{hashlib.sha256(key).hexdigest()[:16]}{_SUFFIX}"
+
+
+def _build(path: Path) -> None:
+    """Compile into a private temporary directory, then move into place."""
+    import tempfile
+
+    import cffi
+
+    ffi = cffi.FFI()
+    ffi.cdef(CDEF)
+    ffi.set_source(path.name.removesuffix(_SUFFIX), SOURCE, extra_compile_args=COMPILE_ARGS)
+    BUILD_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=BUILD_DIR) as tmp:
+        os.replace(ffi.compile(tmpdir=tmp), path)
+
+
+def _import_or_build():
+    path = _module_path()
+    if not path.exists():
+        _build(path)
+    spec = importlib.util.spec_from_file_location(path.name.removesuffix(_SUFFIX), path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ffi, module.lib
+
+
+def load():
+    """(ffi, lib) of the compiled step, or None when it is unavailable."""
+    global _loaded
+    if _loaded is None:
+        try:
+            _loaded = _import_or_build()
+        except Exception as err:  # any build or load failure falls back
+            logger.warning("compiled learner step unavailable, using the reference loop: %s", err)
+            logger.debug("learner step build failure", exc_info=True)
+            _loaded = False
+    return _loaded or None

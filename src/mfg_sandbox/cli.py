@@ -3,14 +3,14 @@
 Experiments are described by a flat JSON config whose keys are the run
 fields of ExperimentConfig and the fields of ScheduleParams (with "lambda"
 for lam), plus an "environment" object with a "kind" and the fields of
-CongestionGridParams; unknown keys and out-of-range values are rejected at
-load time. A config runs in one of four modes: "sandbox" (one
-instrumented learning run), "oracle" (equilibrium solve only), "compare"
-(oracle solve plus num_seeds learning runs, one after another, and a joint
-report), and "probe" (empirical operator-Lipschitz estimate). Outputs are
-CSV and JSON files in output_dir; identical config and seed reproduce
-identical bytes, so wall-clock time is logged rather than written into the
-summary files.
+CongestionGridParams; unknown keys, values of the wrong JSON type and
+out-of-range values are rejected at load time. A config runs in one of four
+modes: "sandbox" (one instrumented learning run), "oracle" (equilibrium
+solve only), "compare" (oracle solve plus num_seeds learning runs, one after
+another, and a joint report), and "probe" (empirical operator-Lipschitz
+estimate). Outputs are CSV and JSON files in output_dir; identical config
+and seed reproduce identical bytes, so wall-clock time is logged rather than
+written into the summary files.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import math
 import statistics
 import sys
 import time
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,6 +96,8 @@ class ExperimentConfig:
             raise ValueError("T (steps per episode) must be >= 2")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.num_seeds < 1:
             raise ValueError("num_seeds must be >= 1")
         if self.diagnostics_every < 1:
@@ -124,11 +128,40 @@ _RUN_KEYS = tuple(
 )
 _ENV_KEYS = {f.name for f in dataclasses.fields(CongestionGridParams)}
 
+# Declared type of every JSON key, and the JSON values each scalar type
+# accepts (a boolean is not a number). Other types, such as the environment
+# object and favorable_states, are checked by the code that parses them.
+_CONFIG_TYPES = {
+    **typing.get_type_hints(ExperimentConfig),
+    **{_FIELD_ALIASES.get(k, k): v for k, v in typing.get_type_hints(ScheduleParams).items()},
+}
+_ENV_TYPES = {**typing.get_type_hints(CongestionGridParams), "kind": str}
+_JSON_TYPES = {
+    bool: ("a boolean", bool),
+    int: ("an integer", int),
+    float: ("a number", (int, float)),
+    str: ("a string", str),
+}
+
 
 def _check_keys(given: dict, allowed: set, where: str) -> None:
     unknown = sorted(set(given) - allowed)
     if unknown:
         raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+
+
+def _check_types(given: dict, declared: dict) -> None:
+    for key, value in given.items():
+        kind = declared[key]
+        if isinstance(kind, types.UnionType):  # X | None
+            if value is None:
+                continue
+            (kind,) = set(typing.get_args(kind)) - {type(None)}
+        if kind not in _JSON_TYPES:
+            continue
+        name, accepted = _JSON_TYPES[kind]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise ValueError(f"{key} must be {name}, got {json.dumps(value)}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -150,6 +183,8 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError("environment requires a 'kind'")
     if "mode" not in raw:
         raise ValueError("config requires a 'mode'")
+    _check_types(raw, _CONFIG_TYPES)
+    _check_types(env_raw, _ENV_TYPES)
     schedule = {_KEY_ALIASES.get(k, k): v for k, v in raw.items() if k in _SCHEDULE_KEYS}
     return ExperimentConfig(
         env_kind=env_raw["kind"],

@@ -9,6 +9,7 @@ wrapper for estimator unit tests. Grid coordinates are (x, y) with x, y in
 from __future__ import annotations
 
 import abc
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,6 @@ class MfgEnvironment(abc.ABC):
 
     dims: StateActionDims
     initial_distribution: MeanField
-    # False when the kernel ignores mu; callers may then cache the kernel.
-    kernel_depends_on_mu: bool = True
 
     @abc.abstractmethod
     def transition_dist(self, s: int, a: int, mu) -> np.ndarray:
@@ -97,14 +96,18 @@ class CongestionGridParams:
             raise ValueError("grid side must be >= 1")
         if not 0.0 <= self.jostle_p < 1.0:
             raise ValueError("jostle_p must lie in [0, 1)")
-        if self.congestion_c < 0.0:
-            raise ValueError("congestion_c must be >= 0")
+        # Larger values make the reward negative on a crowded enough cell.
+        if not 0.0 <= self.congestion_c <= 1.0:
+            raise ValueError("congestion_c must lie in [0, 1]")
         if not 0.0 < self.favorable_reward <= 1.0:
             raise ValueError("favorable_reward must lie in (0, 1]")
         if not 0.0 <= self.baseline_reward < self.favorable_reward:
             raise ValueError("baseline_reward must lie in [0, favorable_reward)")
         if self.favorable_states is not None:
-            cells = tuple(tuple(int(v) for v in cell) for cell in self.favorable_states)
+            try:
+                cells = tuple((operator.index(x), operator.index(y)) for x, y in self.favorable_states)
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"favorable_states must be a list of [x, y] integer cells ({err})") from None
             for x, y in cells:
                 if not (1 <= x <= self.side and 1 <= y <= self.side):
                     raise ValueError(f"favorable_states entry {(x, y)} is outside the grid")
@@ -146,9 +149,11 @@ def _grid_kernel(side: int, jostle_p: float) -> np.ndarray:
 
 
 class CongestionGridEnv(MfgEnvironment):
-    """Congestion-averse grid world with a mean-field-independent kernel."""
+    """Congestion-averse grid world with a mean-field-independent kernel.
 
-    kernel_depends_on_mu = False
+    state_reward holds R(s), so the reward at (s, a, mu) is
+    (1 - congestion_c * mu[s]) * state_reward[s].
+    """
 
     def __init__(self, params: CongestionGridParams, kernel: np.ndarray):
         side = params.side
@@ -162,14 +167,14 @@ class CongestionGridEnv(MfgEnvironment):
         for x, y in params.resolved_favorable_states():
             state_reward[state_index(x, y, side)] = params.favorable_reward
         state_reward.flags.writeable = False
-        self._state_reward = state_reward
+        self.state_reward = state_reward
 
     def transition_dist(self, s, a, mu):
         return self._kernel[s, a]
 
     def reward(self, s, a, mu):
         mu = as_probs(mu)
-        return float((1.0 - self.params.congestion_c * mu[s]) * self._state_reward[s])
+        return float((1.0 - self.params.congestion_c * mu[s]) * self.state_reward[s])
 
     def transition_kernel(self, mu=None):
         return self._kernel
@@ -177,7 +182,7 @@ class CongestionGridEnv(MfgEnvironment):
     def reward_table(self, mu):
         mu = as_probs(mu)
         scale = 1.0 - self.params.congestion_c * mu
-        return np.repeat((scale * self._state_reward)[:, None], self.dims.num_actions, axis=1)
+        return np.repeat((scale * self.state_reward)[:, None], self.dims.num_actions, axis=1)
 
 
 def make_congestion_env(params: CongestionGridParams) -> CongestionGridEnv:
@@ -216,8 +221,6 @@ def make_two_class_env(params: CongestionGridParams) -> CongestionGridEnv:
 
 class FixedMdpEnv(MfgEnvironment):
     """Mean-field-independent MDP used as a ground-truth test environment."""
-
-    kernel_depends_on_mu = False
 
     def __init__(self, kernel: np.ndarray, rewards: np.ndarray, initial=None):
         kernel = np.asarray(kernel, dtype=np.float64)

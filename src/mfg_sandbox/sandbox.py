@@ -31,7 +31,7 @@ from .core import (
     softmax_table,
     tv_norm,
 )
-from .environment import MfgEnvironment, sample_from_cdf
+from .environment import CongestionGridEnv, MfgEnvironment, env_step, sample_from_cdf
 from .estimators import QLearner, TransitionCounter
 from .oracle import induced_kernel
 from .schedules import (
@@ -40,7 +40,7 @@ from .schedules import (
     exploration_coeff,
     project_to_net,
 )
-from . import snapshots
+from . import _step_kernel, snapshots
 
 
 class NonFiniteError(RuntimeError):
@@ -110,6 +110,7 @@ class SandboxResult:
     per_episode: list[EpisodeDiagnostics]
     mu_first_steps: np.ndarray
     pi_first_steps: np.ndarray
+    q_values: np.ndarray  # the Q-table at the end of the run
     min_policy_entry: float
     seed: int
 
@@ -173,139 +174,218 @@ def _validate_state(mu, pi, k, t):
         raise RuntimeError(f"simplex invariant violated at episode {k}, step {t}")
 
 
-def run_sandbox(config: SandboxConfig) -> SandboxResult:
-    """Run the full episodic loop and return the averaged first-step pair.
+class _Run:
+    """Everything one learning run mutates; either step loop advances it."""
 
-    Deterministic given the seed: the generator draws one uniform for the
-    initial state, then one per action and one per transition, in that
-    order. Any non-finite value aborts with a NonFiniteError carrying a
-    serialized state snapshot.
-    """
-    env = config.env
-    sched = config.schedule
-    num_states = env.dims.num_states
-    num_actions = env.dims.num_actions
-    K, T = config.num_episodes, config.steps_per_episode
-    oracle = config.diagnostics_oracle
-    net = config.net
+    def __init__(self, config: SandboxConfig):
+        env, sched = config.env, config.schedule
+        num_states, num_actions = env.dims.num_states, env.dims.num_actions
+        K, T = config.num_episodes, config.steps_per_episode
+        self.config = config
+        self.rng = np.random.default_rng(config.seed)
+        self.mu = np.full(num_states, 1.0 / num_states)
+        self.pi = np.full((num_states, num_actions), 1.0 / num_actions)
+        self.counter = TransitionCounter(num_states)
+        self.learner = QLearner(num_states, num_actions, config.rho, sched.c_beta, sched.nu)
+        self.state = sample_from_cdf(np.cumsum(env.initial_distribution.probs), self.rng.random())
+        self.mu_first = np.empty((K, num_states))
+        self.pi_first = np.empty((K, num_states, num_actions))
+        self._inv_tz = np.arange(1, T + 1, dtype=np.float64) ** (-sched.zeta)
+        self.c_mu = np.empty(T)
+        self.c_pi = np.empty(T)
+        self.psi_first = self.psi_tail = 0.0
 
-    rng = np.random.default_rng(config.seed)
-    mu = np.full(num_states, 1.0 / num_states)
-    pi = np.full((num_states, num_actions), 1.0 / num_actions)
-    counter = TransitionCounter(num_states)
-    learner = QLearner(num_states, num_actions, config.rho, sched.c_beta, sched.nu)
-    state = sample_from_cdf(np.cumsum(env.initial_distribution.probs), rng.random())
+    def start_episode(self, k: int) -> None:
+        """Fill episode k's step sizes and exploration weights in place."""
+        sched = self.config.schedule
+        np.multiply(sched.c_mu / k**sched.gamma, self._inv_tz, out=self.c_mu)
+        np.multiply(sched.c_pi / k**sched.theta, self._inv_tz, out=self.c_pi)
+        self.psi_first = exploration_coeff(sched, k, 1)
+        self.psi_tail = exploration_coeff(sched, k, 2)
 
-    # The grid kernels ignore mu, so their per-(s, a) inverse CDFs are fixed.
-    static_cdf = None
-    if not env.kernel_depends_on_mu:
-        static_cdf = np.cumsum(env.transition_kernel(None), axis=2)
+    def reference_episode(self, k: int) -> float:
+        """Episode k as a plain loop over the reference update forms.
 
-    inv_tz = np.arange(1, T + 1, dtype=np.float64) ** (-sched.zeta)
-    mu_first = np.empty((K, num_states))
-    pi_first = np.empty((K, num_states, num_actions))
-    diagnostics: list[EpisodeDiagnostics] = []
-    global_min_policy = math.inf
+        Works for every environment and projection. Returns the smallest
+        policy entry over steps t > 1.
+        """
+        config = self.config
+        counter, learner, rng = self.counter, self.learner, self.rng
+        min_policy = math.inf
+        for t in range(1, config.steps_per_episode + 1):
+            first = t == 1
+            self.mu = update_mean_field(
+                self.mu,
+                counter.cached_estimate if first else counter.estimate(),
+                self.c_mu[t - 1],
+                config.net if first else None,
+            )
+            self.pi = update_policy(
+                self.pi,
+                learner.q,
+                self.c_pi[t - 1],
+                self.psi_first if first else self.psi_tail,
+                config.schedule.lam,
+            )
+            if not (math.isfinite(self.mu.sum()) and math.isfinite(self.pi.sum())):
+                raise self.non_finite(k, t, rng.bit_generator.state)
+            if t % config.validate_every == 0:
+                _validate_state(self.mu, self.pi, k, t)
+            if first:
+                self.mu_first[k - 1], self.pi_first[k - 1] = self.mu, self.pi
+            else:
+                min_policy = min(min_policy, float(self.pi.min()))
+            action = sample_from_cdf(np.cumsum(self.pi[self.state]), rng.random())
+            next_state, reward = env_step(config.env, self.state, action, self.mu, rng)
+            if not math.isfinite(reward):
+                raise self.non_finite(k, t, rng.bit_generator.state)
+            counter.record(self.state, next_state)
+            learner.update(self.state, action, reward, next_state)
+            self.state = next_state
+        return min_policy
 
-    def abort(k, t):
-        raise NonFiniteError(
+    def non_finite(self, k: int, t: int, rng_state: dict) -> NonFiniteError:
+        counter = self.counter
+        return NonFiniteError(
             k,
             t,
             snapshots.run_state_snapshot(
                 episode=k,
                 step=t,
-                agent_state=state,
-                mean_field=mu,
-                policy=pi,
-                q_values=learner.q,
+                agent_state=self.state,
+                mean_field=self.mu,
+                policy=self.pi,
+                q_values=self.learner.q,
                 pair_counts=counter.pair_counts,
                 state_counts=counter.state_counts,
                 cached_estimate=counter.cached_estimate,
-                rng_state=rng.bit_generator.state,
+                rng_state=rng_state,
             ),
         )
 
-    # The loop body below is the elementwise form of update_mean_field /
-    # update_policy, with the Boltzmann table maintained incrementally: a
-    # Q-learning step touches one state, so only that softmax row changes.
-    # The counter refreshes its estimate matrix in place, so one binding
-    # stays current for the whole run.
-    soft = softmax_table(learner.q, sched.lam)
-    uniform_action = 1.0 / num_actions
-    lam = sched.lam
-    estimate = counter.estimate()
-    q_values = learner.q
-    draw = rng.random
-    record = counter.record
-    q_update = learner.update
-    env_reward = env.reward
-    validate_every = config.validate_every
-    last_a = num_actions - 1
-    last_s = num_states - 1
 
-    for k in range(1, K + 1):
-        c_mu_t = (sched.c_mu / k**sched.gamma) * inv_tz
-        c_pi_t = (sched.c_pi / k**sched.theta) * inv_tz
-        psi_first = exploration_coeff(sched, k, 1)
-        psi_tail = exploration_coeff(sched, k, 2)
-        cached = counter.cached_estimate
-        episode_min_policy = math.inf
-        for t in range(1, T + 1):
-            c_mu = c_mu_t[t - 1]
-            push = mu @ (cached if t == 1 else estimate)
-            push *= c_mu
-            mu *= 1.0 - c_mu
-            mu += push
-            if net is not None and t == 1:
-                mu = project_to_net(net, mu)
-            c_pi = c_pi_t[t - 1]
-            psi_kt = psi_first if t == 1 else psi_tail
-            pi *= 1.0 - c_pi
-            pi += (c_pi * (1.0 - psi_kt)) * soft
-            if psi_kt > 0.0:
-                pi += c_pi * psi_kt * uniform_action
+class _KernelLoop:
+    """Episodes of a congestion-grid run through the compiled learner step.
 
-            if not (math.isfinite(mu.sum()) and math.isfinite(pi.sum())):
-                abort(k, t)
+    Each step is one kernel call, which updates mu, pi, the Q-table and the
+    softmax table in place, then one TransitionCounter.record call. The
+    kernel reads the counter's live estimate buffer, and each episode's
+    2T uniforms are drawn as one block, the same stream as 2T scalar draws.
+    """
+
+    def __init__(self, run: _Run, ffi, lib):
+        config, env = run.config, run.config.env
+        sched, learner = config.schedule, run.learner
+        S, A, T = env.dims.num_states, env.dims.num_actions, config.steps_per_episode
+        self.run, self._ffi, self._step = run, ffi, lib.learner_step
+        self._buffers = {}  # every array the context points into, kept alive
+        self._u = np.empty(2 * T)
+        # QLearner.step_size at clocks 0 .. T-1; the clock restarts each episode.
+        beta = np.array([min(1.0, learner.c_beta / (t + 1.0) ** learner.nu) for t in range(T)])
+        ctx = self.ctx = ffi.new("step_ctx *")
+        ctx.num_states, ctx.num_actions = S, A
+        ctx.congestion_c = env.params.congestion_c
+        ctx.lam, ctx.rho = sched.lam, config.rho
+        for name, array, size in (
+            ("mu", run.mu, S),
+            ("pi", run.pi, S * A),
+            ("q", learner.q, S * A),
+            ("soft", softmax_table(learner.q, sched.lam), S * A),
+            ("push", np.empty(S), S),
+            ("estimate", run.counter.estimate(), S * S),
+            ("cdf", np.cumsum(env.transition_kernel(None), axis=2), S * A * S),
+            ("state_reward", env.state_reward, S),
+            ("c_mu", run.c_mu, T),
+            ("c_pi", run.c_pi, T),
+            ("beta", beta, T),
+            ("u", self._u, 2 * T),
+        ):
+            self._bind(name, array, size)
+
+    def _bind(self, name: str, array: np.ndarray, size: int) -> None:
+        if array.dtype != np.float64 or not array.flags.c_contiguous or array.size != size:
+            raise ValueError(f"step buffer {name} must be {size} contiguous float64 values")
+        buffer = self._buffers[name] = self._ffi.from_buffer("double[]", array)
+        setattr(self.ctx, name, buffer)
+
+    def episode(self, k: int) -> float:
+        """Run episode k; returns the smallest policy entry over steps t > 1."""
+        run, ctx = self.run, self.ctx
+        S, A = ctx.num_states, ctx.num_actions
+        self._bind("cached", run.counter.cached_estimate, S * S)
+        self._bind("mu_first", run.mu_first[k - 1], S)
+        self._bind("pi_first", run.pi_first[k - 1], S * A)
+        ctx.psi_first, ctx.psi_tail = run.psi_first, run.psi_tail
+        ctx.min_policy = math.inf
+        ctx.state = state = run.state
+        episode_rng = run.rng.bit_generator.state
+        run.rng.random(out=self._u)
+        step, record = self._step, run.counter.record
+        validate_every = run.config.validate_every
+        for t in range(1, run.config.steps_per_episode + 1):
+            next_state = step(ctx, t)
+            if next_state < 0:
+                run.state = state
+                self._fail(k, t, next_state, episode_rng)
             if t % validate_every == 0:
-                _validate_state(mu, pi, k, t)
-            if t == 1:
-                mu_first[k - 1] = mu
-                pi_first[k - 1] = pi
-            else:
-                entry = pi.min()
-                if entry < episode_min_policy:
-                    episode_min_policy = entry
-
-            action = pi[state].cumsum().searchsorted(draw(), side="right")
-            if action > last_a:
-                action = last_a
-            if static_cdf is not None:
-                next_state = static_cdf[state, action].searchsorted(draw(), side="right")
-            else:
-                next_state = np.cumsum(env.transition_dist(state, action, mu)).searchsorted(
-                    draw(), side="right"
-                )
-            if next_state > last_s:
-                next_state = last_s
-            reward = env_reward(state, action, mu)
-            if not math.isfinite(reward):
-                abort(k, t)
+                _validate_state(run.mu, run.pi, k, t)
             record(state, next_state)
-            q_update(state, action, reward, next_state)
-            row = lam * q_values[state]
-            row -= row.max()
-            np.exp(row, out=row)
-            soft[state] = row / row.sum()
             state = next_state
+        run.state = state
+        return ctx.min_policy
 
-        episode_min_policy = float(episode_min_policy)
+    def _fail(self, k: int, t: int, code: int, episode_rng: dict) -> None:
+        """Raise what the reference loop raises at step t of episode k.
+
+        The snapshot's generator state is rebuilt from the episode's start
+        by replaying the uniforms the reference loop would have drawn.
+        """
+        run = self.run
+        drawn = 2 * (t - 1)
+        if code != _step_kernel.NON_FINITE_PAIR:
+            if t % run.config.validate_every == 0:
+                _validate_state(run.mu, run.pi, k, t)
+            if code == _step_kernel.REWARD_OUT_OF_RANGE:
+                raise ValueError(f"reward {self.ctx.reward} outside [0, 1]")
+            drawn += 2
+        rng = snapshots.restore_rng(episode_rng)
+        rng.random(drawn)
+        raise run.non_finite(k, t, rng.bit_generator.state)
+
+
+def run_sandbox(config: SandboxConfig) -> SandboxResult:
+    """Run the full episodic loop and return the averaged first-step pair.
+
+    Deterministic given the seed: the generator draws one uniform for the
+    initial state, then one per action and one per transition, in that
+    order. Congestion-grid runs without projection use the compiled step
+    when it can be built, every other run the reference loop; both give the
+    same results up to rounding. Any non-finite value aborts with a
+    NonFiniteError carrying a serialized state snapshot.
+    """
+    env = config.env
+    K = config.num_episodes
+    oracle = config.diagnostics_oracle
+    run = _Run(config)
+    episode = run.reference_episode
+    # A subclass may override reward or transition_dist, which the kernel
+    # does not call.
+    if type(env) is CongestionGridEnv and config.net is None:
+        kernel = _step_kernel.load()
+        if kernel is not None:
+            episode = _KernelLoop(run, *kernel).episode
+
+    diagnostics: list[EpisodeDiagnostics] = []
+    global_min_policy = math.inf
+    for k in range(1, K + 1):
+        run.start_episode(k)
+        episode_min_policy = episode(k)
         global_min_policy = min(global_min_policy, episode_min_policy)
-        mu1, pi1 = mu_first[k - 1], pi_first[k - 1]
+        mu1, pi1 = run.mu_first[k - 1], run.pi_first[k - 1]
         if oracle is not None and (k - 1) % config.diagnostics_every == 0:
             diagnostics.append(
                 episode_diagnostics(
-                    k, mu1, pi1, counter.estimate(), learner.q, oracle, episode_min_policy
+                    k, mu1, pi1, run.counter.estimate(), run.learner.q, oracle, episode_min_policy
                 )
             )
         else:
@@ -320,17 +400,18 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
                     min_policy=episode_min_policy,
                 )
             )
-        counter.reset()
-        learner.reset_clock()
+        run.counter.reset()
+        run.learner.reset_clock()
 
-    avg_mu = mu_first[: K - 1].mean(axis=0)
-    avg_pi = pi_first[: K - 1].mean(axis=0)
+    avg_mu = run.mu_first[: K - 1].mean(axis=0)
+    avg_pi = run.pi_first[: K - 1].mean(axis=0)
     return SandboxResult(
         avg_policy=Policy(avg_pi),
         avg_mean_field=MeanField(avg_mu),
         per_episode=diagnostics,
-        mu_first_steps=mu_first,
-        pi_first_steps=pi_first,
+        mu_first_steps=run.mu_first,
+        pi_first_steps=run.pi_first,
+        q_values=run.learner.q,
         min_policy_entry=float(global_min_policy),
         seed=config.seed,
     )

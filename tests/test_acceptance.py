@@ -1,6 +1,6 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line. Criteria 8 and 9 replay the full-scale grid experiments and
-take tens of minutes, so they carry the slow marker and are deselected by
+take minutes, so they carry the slow marker and are deselected by
 default; run them with `pytest -m slow`.
 """
 

@@ -86,6 +86,13 @@ def test_constraint_violations_name_the_field(tmp_path):
         ("bmfe_max_iter", 0),
         ("epsilon_net_mesh", 0.0),
         ("epsilon_net_mesh", 2.0),
+        ("seed", -1),
+        ("K", "3"),
+        ("K", 3.0),
+        ("lambda", True),
+        ("constant_psi", 1),
+        ("output_dir", 7),
+        ("epsilon_net_mesh", "0.5"),
     ]:
         with pytest.raises(ValueError, match=key):
             cli.load_config(write_config(tmp_path, {key: value}))
@@ -94,6 +101,13 @@ def test_constraint_violations_name_the_field(tmp_path):
         ("side", {"kind": "congestion", "side": 0}),
         ("favorable_states", {"kind": "congestion", "side": 3, "favorable_states": [[9, 9]]}),
         ("side", {"kind": "two_class", "side": 3}),
+        ("congestion_c", {"kind": "congestion", "congestion_c": 5}),
+        ("congestion_c", {"kind": "congestion", "congestion_c": 1.01}),
+        ("side", {"kind": "congestion", "side": "3"}),
+        ("kind", {"kind": ["congestion"]}),
+        ("favorable_states", {"kind": "congestion", "favorable_states": 5}),
+        ("favorable_states", {"kind": "congestion", "favorable_states": [[1]]}),
+        ("favorable_states", {"kind": "congestion", "favorable_states": [[1, 1.5]]}),
     ]:
         with pytest.raises(ValueError, match=key):
             cli.load_config(write_config(tmp_path, {"environment": environment}))
@@ -237,12 +251,16 @@ def test_main_flag_overrides(tmp_path, capsys):
 
 def test_main_rejects_bad_config(tmp_path, capsys):
     out = tmp_path / "never"
-    for key, overrides in [
-        ("theta", {"theta": 0.9}),
-        ("jostle_p", {"environment": {"kind": "congestion", "jostle_p": 1.5}}),
+    for key, overrides, flags in [
+        ("theta", {"theta": 0.9}, []),
+        ("jostle_p", {"environment": {"kind": "congestion", "jostle_p": 1.5}}, []),
+        ("seed", {"seed": -1}, []),
+        ("seed", {}, ["--seed", "-1"]),
+        ("K", {"K": "3"}, []),
+        ("favorable_states", {"environment": {"kind": "congestion", "favorable_states": 5}}, []),
     ]:
         config = write_config(tmp_path, {**overrides, "output_dir": str(out)})
-        assert cli.main(["--config", str(config), "--quiet"]) == cli.EXIT_USAGE
+        assert cli.main(["--config", str(config), "--quiet", *flags]) == cli.EXIT_USAGE
         assert key in capsys.readouterr().err
         assert not out.exists()
 

@@ -1,15 +1,26 @@
+import dataclasses
 import itertools
+import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfg_sandbox.environment import (
+    CongestionGridEnv,
     CongestionGridParams,
     MfgEnvironment,
     env_step,
     make_congestion_env,
     make_fixed_mdp_env,
+    make_two_class_env,
     sample_from_cdf,
 )
 from mfg_sandbox.estimators import QLearner, TransitionCounter
@@ -30,7 +41,7 @@ from mfg_sandbox.schedules import (
     step_size_mu,
     step_size_pi,
 )
-from mfg_sandbox import snapshots
+from mfg_sandbox import _step_kernel, snapshots
 
 
 def small_env(side=2, **kw):
@@ -117,9 +128,8 @@ def test_run_is_deterministic():
 
 
 class RecordingEnv(MfgEnvironment):
-    """Forces the mu-dependent sampling path and logs every transition query."""
-
-    kernel_depends_on_mu = True
+    """Wraps a grid in a plain environment, which runs the reference loop, and
+    logs every transition query."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -256,8 +266,6 @@ def test_run_loop_matches_reference_updates(make_env, overrides):
 
 
 class NanRewardEnv(MfgEnvironment):
-    kernel_depends_on_mu = True
-
     def __init__(self, inner, bad_after):
         self.inner = inner
         self.dims = inner.dims
@@ -356,3 +364,185 @@ def test_diagnostics_stride_leaves_gaps():
     assert filled == [True, False, True, False, True]
     # residual_mu is computed for every episode regardless
     assert all(not math.isnan(d.residual_mu) for d in result.per_episode)
+
+
+@pytest.fixture(scope="module")
+def step_kernel():
+    if _step_kernel.load() is None:
+        pytest.skip("the compiled learner step could not be built here")
+
+
+def run_reference_loop(config):
+    """run_sandbox with the compiled step unavailable."""
+    with mock.patch.object(_step_kernel, "load", return_value=None):
+        return run_sandbox(config)
+
+
+def assert_runs_agree(fast, reference, tol=1e-12):
+    assert np.abs(fast.mu_first_steps - reference.mu_first_steps).max() <= tol
+    assert np.abs(fast.pi_first_steps - reference.pi_first_steps).max() <= tol
+    assert np.abs(fast.q_values - reference.q_values).max() <= tol
+    assert abs(fast.min_policy_entry - reference.min_policy_entry) <= tol
+    for a, b in zip(fast.per_episode, reference.per_episode, strict=True):
+        assert abs(a.min_policy - b.min_policy) <= tol
+        assert abs(a.residual_mu - b.residual_mu) <= tol
+
+
+@st.composite
+def grid_envs(draw):
+    favorable = draw(st.floats(0.05, 1.0))
+    params = dict(
+        jostle_p=draw(st.floats(0.0, 0.9)),
+        congestion_c=draw(st.floats(0.0, 1.0)),
+        favorable_reward=favorable,
+        baseline_reward=draw(st.floats(0.0, 0.99)) * favorable,
+    )
+    if draw(st.booleans()):
+        return make_two_class_env(CongestionGridParams(side=5, **params))
+    return make_congestion_env(CongestionGridParams(side=draw(st.integers(1, 4)), **params))
+
+
+@st.composite
+def schedules(draw):
+    gamma = draw(st.floats(0.05, 0.95))
+    c_pi = draw(st.floats(0.05, 0.9))
+    return ScheduleParams(
+        c_mu=draw(st.floats(0.05, 1.0)),
+        c_pi=c_pi,
+        gamma=gamma,
+        theta=draw(st.floats(0.01, 0.99)) * gamma,
+        zeta=draw(st.floats(1.01, 3.0)),
+        c_beta=draw(st.floats(0.1, 10.0)),
+        nu=draw(st.floats(0.51, 1.0)),
+        psi=draw(st.floats(0.01, 0.99)) * (1.0 - c_pi),
+        lam=draw(st.floats(0.01, 20.0)),
+        constant_psi=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    env=grid_envs(),
+    schedule=schedules(),
+    K=st.integers(2, 4),
+    T=st.integers(2, 60),
+    rho=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32),
+)
+def test_kernel_matches_reference_loop(step_kernel, env, schedule, K, T, rho, seed):
+    config = SandboxConfig(
+        env=env, schedule=schedule, num_episodes=K, steps_per_episode=T, rho=rho, seed=seed
+    )
+    assert_runs_agree(run_sandbox(config), run_reference_loop(config))
+
+
+def test_failed_kernel_build_warns_once_and_falls_back(step_kernel, monkeypatch, caplog):
+    config = small_config(small_env(side=3, jostle_p=0.2), num_episodes=3, steps_per_episode=200)
+    fast = run_sandbox(config)
+
+    def no_compiler():
+        raise OSError("no compiler")
+
+    monkeypatch.setattr(_step_kernel, "_loaded", None)
+    monkeypatch.setattr(_step_kernel, "_import_or_build", no_compiler)
+    with caplog.at_level(logging.WARNING, logger="mfg_sandbox"):
+        # the reference loop calls QLearner.update, the compiled step never does
+        with mock.patch.object(QLearner, "update", autospec=True, side_effect=QLearner.update) as update:
+            first = run_sandbox(config)
+            second = run_sandbox(config)
+    assert update.call_count == 2 * 3 * 200
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and "no compiler" in warnings[0].getMessage()
+    assert_runs_agree(fast, first)
+    assert_runs_agree(fast, second)
+
+
+class LoggingGridEnv(CongestionGridEnv):
+    """A congestion grid that logs the state of every reward query."""
+
+    def __init__(self, inner):
+        super().__init__(inner.params, inner.transition_kernel())
+        self.visits = []
+
+    def reward(self, s, a, mu):
+        self.visits.append(int(s))
+        return super().reward(s, a, mu)
+
+
+def late_first_visit(config, T):
+    """A state the run first visits after its first episode."""
+    env = LoggingGridEnv(config.env)
+    run_reference_loop(dataclasses.replace(config, env=env))
+    first_seen = {}
+    for step, s in enumerate(env.visits):
+        first_seen.setdefault(s, step)
+    late = [s for s, step in first_seen.items() if step >= T]
+    assert late, "every visited state was reached in the first episode"
+    return late[0]
+
+
+def snapshots_agree(fast, reference):
+    assert (fast.episode, fast.step) == (reference.episode, reference.step)
+    a, b = fast.snapshot, reference.snapshot
+    assert a.keys() == b.keys()
+    for key in ("schema_version", "kind", "episode", "step", "agent_state", "pair_counts", "state_counts", "rng_state"):
+        assert a[key] == b[key], key
+    for key in ("mean_field", "policy", "q_values", "cached_estimate"):
+        np.testing.assert_allclose(a[key], b[key], rtol=0.0, atol=1e-12, equal_nan=True, err_msg=key)
+
+
+def test_kernel_nan_reward_abort_matches_reference(step_kernel):
+    T = 6
+    env = small_env(side=5, jostle_p=0.0)
+    config = small_config(env, num_episodes=4, steps_per_episode=T, seed=2)
+    bad = late_first_visit(config, T)
+    reward = env.state_reward.copy()
+    reward[bad] = math.nan
+    env.state_reward = reward
+    with pytest.raises(NonFiniteError) as fast:
+        run_sandbox(config)
+    with pytest.raises(NonFiniteError) as reference:
+        run_reference_loop(config)
+    assert fast.value.episode >= 2
+    snapshots_agree(fast.value, reference.value)
+    # the generator state is the one after every uniform drawn so far
+    replay = np.random.default_rng(config.seed)
+    replay.random(1 + 2 * ((fast.value.episode - 1) * T + fast.value.step))
+    assert fast.value.snapshot["rng_state"] == replay.bit_generator.state
+
+
+def test_kernel_non_finite_policy_abort_matches_reference(step_kernel):
+    # lam * q overflows once a Q value exceeds about 1.8, so the softmax
+    # row, then the next policy update, turns NaN.
+    env = small_env(side=2, jostle_p=0.1, baseline_reward=0.9)
+    config = small_config(
+        env, schedule=ScheduleParams(lam=1e308), num_episodes=3, steps_per_episode=200, rho=0.95
+    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NonFiniteError) as fast:
+            run_sandbox(config)
+        with pytest.raises(NonFiniteError) as reference:
+            run_reference_loop(config)
+    assert np.isnan(fast.value.snapshot["policy"]).any()
+    snapshots_agree(fast.value, reference.value)
+
+
+def test_kernel_reward_out_of_range_matches_reference(step_kernel):
+    env = small_env(side=2)
+    env.state_reward = np.full(4, 2.0)
+    config = small_config(env)
+    with pytest.raises(ValueError, match=r"reward .* outside \[0, 1\]"):
+        run_sandbox(config)
+    with pytest.raises(ValueError, match=r"reward .* outside \[0, 1\]"):
+        run_reference_loop(config)
+
+
+def test_cached_kernel_loads_without_cffi(step_kernel):
+    src = Path(_step_kernel.__file__).resolve().parent.parent
+    code = (
+        "import sys; from mfg_sandbox import _step_kernel; assert _step_kernel.load(); "
+        "print(sorted({'cffi', 'pycparser'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
