@@ -1,0 +1,206 @@
+#!/usr/bin/env python3
+"""A/B benchmark: a base git ref against the working tree, in alternating pairs.
+
+    python3 scripts/bench_ab.py --base HEAD~1 --number 6
+
+The base ref is exported with ``git archive`` into a temporary directory,
+so the repository's own checkout and ``.git`` are left as they are; the
+candidate is the working tree. Each side runs its own, unmodified
+``perfbench/run.py`` (``--trace 0``) in its own checkout, at the run length
+``run_seconds`` of the candidate's ``BENCHMARK.json``, on every workload
+listed there. For each workload, pair i of the 10 pairs runs both sides
+with workload seed ``--seed + i``, the side that goes first alternating
+from pair to pair. Before the pairs, each side runs once untimed, so lazy
+set-up such as the step-kernel build does not fall into a timed run.
+
+Writes ``BENCH_<number>.json`` at the repository root: per workload and
+end-to-end metric (names and directions from the candidate's
+``BENCHMARK.json``), each side's median and quartiles, the pair count, the
+candidate's wins out of the pairs (ties count for neither), the distance
+between the base's quartiles, each side's attempted and failed
+invocations, and the machine facts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+
+
+def export(ref: str, dest: Path) -> str:
+    """Extract the committed tree of ref into dest; returns its commit hash."""
+    commit = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{ref}^{{commit}}"], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, check=True, capture_output=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+    return commit
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench/run.py invocation in checkout; returns its result line."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=checkout,
+        capture_output=True,
+        text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"{checkout}: run.py printed no result (exit {proc.returncode}):\n{proc.stderr[-2000:]}")
+    result = json.loads(lines[-1])
+    result["exit_code"] = proc.returncode
+    return result
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> dict:
+    """Per-metric comparison of the base and candidate runs of one workload."""
+    out = {}
+    for spec in metrics:
+        name, higher = spec["name"], spec["better"] == "higher"
+        got = [
+            (b["metrics"][name]["value"], c["metrics"][name]["value"])
+            for b, c in pairs
+            if name in b["metrics"] and name in c["metrics"]
+        ]
+        if not got:
+            continue
+        base = [b for b, _ in got]
+        cand = [c for _, c in got]
+        bq, cq = quartiles(base), quartiles(cand)
+        wins = sum(1 for b, c in got if (c > b if higher else c < b))
+        out[name] = {
+            "unit": spec["unit"],
+            "better": spec["better"],
+            "bound": spec.get("bound"),
+            "base": {"median": bq[1], "q1": bq[0], "q3": bq[2]},
+            "candidate": {"median": cq[1], "q1": cq[0], "q3": cq[2]},
+            "median_ratio": cq[1] / bq[1] if bq[1] else None,
+            "base_iqr": bq[2] - bq[0],
+            "pairs": len(got),
+            "wins": wins,
+            "base_values": base,
+            "candidate_values": cand,
+        }
+    return out
+
+
+def machine_facts() -> dict:
+    facts = {
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
+    try:
+        import numpy
+
+        facts["numpy"] = numpy.__version__
+    except ImportError:
+        pass
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                facts["cpu"] = line.split(":", 1)[1].strip()
+                break
+        for line in Path("/proc/meminfo").read_text().splitlines():
+            if line.startswith("MemTotal"):
+                facts["mem_total_kb"] = int(line.split()[1])
+                break
+    except OSError:
+        pass
+    return facts
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git ref of the base side")
+    parser.add_argument("--number", required=True, help="the N of the BENCH_<N>.json written at the repository root")
+    parser.add_argument("--seed", type=int, default=1000, help="workload seed of the first pair")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
+        base_dir = Path(tmp) / "base"
+        base_commit = export(args.base, base_dir)
+        head_commit = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, check=True, capture_output=True, text=True
+        ).stdout.strip()
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+        seconds = spec["run_seconds"]
+        workloads = [w["name"] for w in spec["workloads"]]
+        sides = {"base": base_dir, "candidate": ROOT}
+
+        for name, checkout in sides.items():
+            print(f"warm-up {name}", file=sys.stderr, flush=True)
+            run_bench(checkout, workloads[0], args.seed, 0)
+
+        report = {}
+        for workload in workloads:
+            pairs, runs = [], {"base": [], "candidate": []}
+            for i in range(PAIRS):
+                order = ["base", "candidate"] if i % 2 == 0 else ["candidate", "base"]
+                result = {}
+                for side in order:
+                    result[side] = run_bench(sides[side], workload, args.seed + i, seconds)
+                    runs[side].append(result[side])
+                    print(
+                        f"{workload} pair {i + 1}/{PAIRS} {side}: correct={result[side]['correct']}",
+                        file=sys.stderr,
+                        flush=True,
+                    )
+                pairs.append((result["base"], result["candidate"]))
+            report[workload] = {
+                "metrics": summarize(spec["end_to_end"], pairs),
+                "first_side": ["base" if i % 2 == 0 else "candidate" for i in range(PAIRS)],
+                "seeds": [args.seed + i for i in range(PAIRS)],
+                **{
+                    f"{side}_invocations": {
+                        "attempted": sum(r["attempted"] for r in side_runs),
+                        "failed": sum(r["failed"] for r in side_runs),
+                        "all_correct": all(r["correct"] for r in side_runs),
+                    }
+                    for side, side_runs in runs.items()
+                },
+            }
+
+    doc = {
+        "base": {"ref": args.base, "commit": base_commit},
+        "candidate": {"ref": "working tree", "head_commit": head_commit},
+        "protocol": {
+            "command": "python3 perfbench/run.py --workload W --seed S --seconds T (each side's own copy)",
+            "seconds": seconds,
+            "pairs": PAIRS,
+            "order": "alternating, base first in even pairs",
+            "wins": "pairs where the candidate is better by the metric's direction; ties count for neither",
+        },
+        "machine": machine_facts(),
+        "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "workloads": report,
+    }
+    out = ROOT / f"BENCH_{args.number}.json"
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {out}", file=sys.stderr)
+    all_correct = all(w[f"{side}_invocations"]["all_correct"] for w in report.values() for side in sides)
+    return 0 if all_correct else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -299,7 +299,7 @@ def _run_sandbox_mode(cfg: ExperimentConfig, out_dir: Path) -> int:
     env = build_environment(cfg)
     pair = _solve_reference(cfg, env)
     _write_bmfe(out_dir, cfg, pair)
-    oracle = DiagnosticsOracle(env, cfg.schedule.lam, cfg.rho, pair.mean_field.probs, vi_tol=cfg.vi_tol)
+    oracle = DiagnosticsOracle(pair.mean_field.probs, env, cfg.schedule.lam, cfg.rho, vi_tol=cfg.vi_tol)
     _run_one_seed(cfg, env, oracle, cfg.seed, out_dir)
     return EXIT_OK
 
@@ -336,7 +336,7 @@ def _run_compare_mode(cfg: ExperimentConfig, out_dir: Path) -> int:
     env = build_environment(cfg)
     pair = _solve_reference(cfg, env)
     _write_bmfe(out_dir, cfg, pair)
-    oracle = DiagnosticsOracle(env, cfg.schedule.lam, cfg.rho, pair.mean_field.probs, vi_tol=cfg.vi_tol)
+    oracle = DiagnosticsOracle(pair.mean_field.probs, env, cfg.schedule.lam, cfg.rho, vi_tol=cfg.vi_tol)
     seeds = [cfg.seed + i for i in range(cfg.num_seeds)]
     results = [_run_one_seed(cfg, env, oracle, seed, out_dir) for seed in seeds]
     per_seed = [

@@ -21,35 +21,89 @@ from .core import (
     QTable,
     as_policy_table,
     as_probs,
-    inf_norm,
     l1_norm,
     softmax_table,
     tv_norm,
 )
 from .environment import MfgEnvironment
 
+# Probe pairs drawn and solved together: 2 * PROBE_BLOCK value iterations
+# per call keep the per-sweep overhead small and memory O(PROBE_BLOCK).
+PROBE_BLOCK = 16
 
-def _q_star_values(env: MfgEnvironment, mu, rho: float, tol: float, max_iter: int = 1_000_000) -> np.ndarray:
-    """Value iteration on the mu-frozen MDP, accurate to tol in sup norm.
 
-    Successive iterates of the Bellman map contract by rho, so stopping when
-    consecutive tables differ by at most tol * (1 - rho) / rho leaves the
-    result within tol of the true fixed point.
+def _value_iteration(
+    env: MfgEnvironment, mus, rho: float, tol: float, q_start=None, max_iter: int = 1_000_000
+) -> tuple[np.ndarray, int]:
+    """Value iteration on a stack of mu-frozen MDPs, each accurate to tol in sup norm.
+
+    mus is a sequence of M mean-fields. Returns the unclipped (M, S, A) final
+    iterates and the number of sweeps summed over the M problems. Successive
+    iterates of the Bellman map contract by rho, so a problem stops at the
+    first sweep that changes it by at most tol * (1 - rho) / rho, which
+    leaves it within tol of its fixed point from any start. A stopped
+    problem leaves the active set, so each result is the iterate the loop
+    reaches on that problem alone. q_start is the (M, S, A) starting stack;
+    by default every problem starts from Q = 0.
     """
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
-    mu = as_probs(mu)
-    kernel = env.transition_kernel(mu)
-    rewards = env.reward_table(mu)
+    S, A = env.dims.num_states, env.dims.num_actions
+    kernels, rewards = [], []
+    for mu in mus:
+        mu = as_probs(mu)
+        kernels.append(env.transition_kernel(mu))
+        rewards.append(env.reward_table(mu))
+    out = np.empty((len(rewards), S, A))
+    if not rewards:
+        return out, 0
+    # The loop keeps each table action-major, (A, S), so the max over
+    # actions reduces over an outer axis, which NumPy does much faster.
+    rewards = np.array(rewards).transpose(0, 2, 1)
+    # Every package environment returns one kernel array for all mu; then a
+    # single (S, A*S) matrix serves the whole stack as one product. The
+    # discount is folded into the kernel.
+    shared = all(k is kernels[0] for k in kernels)
+    if shared:
+        kernel = rho * kernels[0].transpose(2, 1, 0).reshape(S, A * S)
+    else:
+        kernel = rho * np.array(kernels).transpose(0, 2, 1, 3)
+    q = np.zeros_like(rewards) if q_start is None else np.array(q_start, dtype=np.float64).transpose(0, 2, 1)
+    index = np.arange(len(out))
     threshold = tol * (1.0 - rho) / rho
-    q = np.zeros_like(rewards)
-    for _ in range(max_iter):
-        q_next = rewards + rho * (kernel @ q.max(axis=1))
-        delta = float(np.abs(q_next - q).max())
+    sweeps = 0
+    for sweep in range(1, max_iter + 1):
+        v = q.max(axis=1)
+        if shared:
+            # einsum, not a BLAS matrix product: slower by a few microseconds
+            # per sweep here, but the BLAS product's code and buffers would
+            # add about 0.3 MB (1%) to a probe's peak RSS.
+            expected = np.einsum("ms,st->mt", v, kernel).reshape(q.shape)
+        else:
+            expected = np.matmul(kernel, v[:, None, :, None])[..., 0]
+        q_next = rewards + expected
+        delta = np.abs(q_next - q).max(axis=(1, 2))
         q = q_next
-        if delta <= threshold:
-            return np.clip(q, 0.0, 1.0 / (1.0 - rho))
+        if delta.min() <= threshold:
+            done = delta <= threshold
+            out[index[done]] = q[done].transpose(0, 2, 1)
+            sweeps += sweep * int(done.sum())
+            if done.all():
+                return out, sweeps
+            keep = ~done
+            index, q, rewards = index[keep], q[keep], rewards[keep]
+            if not shared:
+                kernel = kernel[keep]
     raise ArithmeticError(f"value iteration did not converge within {max_iter} sweeps")
+
+
+def _clip_q(q: np.ndarray, rho: float) -> np.ndarray:
+    return np.clip(q, 0.0, 1.0 / (1.0 - rho))
+
+
+def _q_star_values(env: MfgEnvironment, mu, rho: float, tol: float) -> np.ndarray:
+    """Optimal Q-values of the mu-frozen MDP, within tol in sup norm, clipped to [0, 1/(1-rho)]."""
+    return _clip_q(_value_iteration(env, [mu], rho, tol)[0][0], rho)
 
 
 def induced_q_star(env: MfgEnvironment, mu, rho: float, tol: float = 1e-10) -> QTable:
@@ -91,7 +145,8 @@ class BmfePair:
     residual_policy is the TV gap between policy and the optimality operator
     applied to mean_field; residual_mu is the L1 gap between mean_field and
     its own push-forward under policy. converged is False when the solver
-    hit max_iter and returned its best iterate.
+    hit max_iter and returned its best iterate. vi_sweeps counts the
+    value-iteration sweeps the solve ran, the residual check included.
     """
 
     policy: Policy
@@ -100,6 +155,7 @@ class BmfePair:
     residual_mu: float
     converged: bool = True
     iterations: int = 0
+    vi_sweeps: int = 0
 
 
 def solve_bmfe(
@@ -117,6 +173,9 @@ def solve_bmfe(
     consistency(optimality(mu), mu) until the undamped composite moves mu by
     at most tol in L1. The undamped composite need not contract, so damping
     (which preserves fixed points) widens the set of instances that converge.
+    Each value iteration starts from the previous one's Q-table; its
+    stopping rule bounds the error from any start. The final residual check
+    solves again from Q = 0.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -124,7 +183,8 @@ def solve_bmfe(
         raise ValueError("tol must be > 0")
     num_states = env.dims.num_states
     mu = np.full(num_states, 1.0 / num_states)
-    pi = softmax_table(_q_star_values(env, mu, rho, vi_tol), lam)
+    q, sweeps = _value_iteration(env, [mu], rho, vi_tol)
+    pi = softmax_table(_clip_q(q[0], rho), lam)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -135,9 +195,12 @@ def solve_bmfe(
             break
         mu = (1.0 - damping) * mu + damping * pushed
         mu /= mu.sum()
-        pi = softmax_table(_q_star_values(env, mu, rho, vi_tol), lam)
+        q, n = _value_iteration(env, [mu], rho, vi_tol, q_start=q)
+        sweeps += n
+        pi = softmax_table(_clip_q(q[0], rho), lam)
     residual_mu = l1_norm(induced_kernel(env, pi, mu).T @ mu - mu)
-    residual_policy = tv_norm(pi - softmax_table(_q_star_values(env, mu, rho, vi_tol), lam))
+    q_check, n = _value_iteration(env, [mu], rho, vi_tol)
+    residual_policy = tv_norm(pi - softmax_table(_clip_q(q_check[0], rho), lam))
     return BmfePair(
         policy=Policy(pi),
         mean_field=MeanField(mu),
@@ -145,6 +208,7 @@ def solve_bmfe(
         residual_mu=residual_mu,
         converged=converged,
         iterations=iterations,
+        vi_sweeps=sweeps + n,
     )
 
 
@@ -184,57 +248,61 @@ def probe_contraction(
     """Sample Lipschitz ratios of the two operators over random pairs.
 
     Mean-fields and policy rows are drawn symmetric-Dirichlet(1), i.e.
-    uniformly over the simplex. Ratios whose denominator is below 1e-9 are
-    skipped.
+    uniformly over the simplex, pair by pair in the order mu, mu_alt, pi,
+    pi_alt. Ratios whose denominator is below 1e-9 are skipped. Pairs are
+    drawn and solved in blocks of PROBE_BLOCK, so memory does not grow
+    with num_pairs.
     """
     if num_pairs < 1:
         raise ValueError("num_pairs must be >= 1")
     S, A = env.dims.num_states, env.dims.num_actions
     d1 = d2 = d3 = 0.0
-    for _ in range(num_pairs):
-        mu = rng.dirichlet(np.ones(S))
-        mu_alt = rng.dirichlet(np.ones(S))
-        pi = np.vstack([rng.dirichlet(np.ones(A)) for _ in range(S)])
-        pi_alt = np.vstack([rng.dirichlet(np.ones(A)) for _ in range(S)])
-
-        push = induced_kernel(env, pi, mu).T @ mu
-        dmu = l1_norm(mu - mu_alt)
-        if dmu >= 1e-9:
-            g1 = softmax_table(_q_star_values(env, mu, rho, vi_tol), lam)
-            g1_alt = softmax_table(_q_star_values(env, mu_alt, rho, vi_tol), lam)
-            d1 = max(d1, tv_norm(g1 - g1_alt) / dmu)
-            push_alt = induced_kernel(env, pi, mu_alt).T @ mu_alt
-            d3 = max(d3, l1_norm(push - push_alt) / dmu)
-        dpi = tv_norm(pi - pi_alt)
-        if dpi >= 1e-9:
-            push_alt = induced_kernel(env, pi_alt, mu).T @ mu
-            d2 = max(d2, l1_norm(push - push_alt) / dpi)
+    for start in range(0, num_pairs, PROBE_BLOCK):
+        block = [
+            (
+                rng.dirichlet(np.ones(S)),
+                rng.dirichlet(np.ones(S)),
+                rng.dirichlet(np.ones(A), size=S),
+                rng.dirichlet(np.ones(A), size=S),
+            )
+            for _ in range(min(PROBE_BLOCK, num_pairs - start))
+        ]
+        dmus = [l1_norm(mu - mu_alt) for mu, mu_alt, _, _ in block]
+        moved = [m for (mu, mu_alt, _, _), dmu in zip(block, dmus) if dmu >= 1e-9 for m in (mu, mu_alt)]
+        q_star = iter(_clip_q(_value_iteration(env, moved, rho, vi_tol)[0], rho))
+        for (mu, mu_alt, pi, pi_alt), dmu in zip(block, dmus):
+            push = induced_kernel(env, pi, mu).T @ mu
+            if dmu >= 1e-9:
+                g1 = softmax_table(next(q_star), lam)
+                g1_alt = softmax_table(next(q_star), lam)
+                d1 = max(d1, tv_norm(g1 - g1_alt) / dmu)
+                push_alt = induced_kernel(env, pi, mu_alt).T @ mu_alt
+                d3 = max(d3, l1_norm(push - push_alt) / dmu)
+            dpi = tv_norm(pi - pi_alt)
+            if dpi >= 1e-9:
+                push_alt = induced_kernel(env, pi_alt, mu).T @ mu
+                d2 = max(d2, l1_norm(push - push_alt) / dpi)
     return ContractionEstimate(d1_hat=d1, d2_hat=d2, d3_hat=d3, num_pairs=num_pairs)
 
 
 class DiagnosticsOracle:
-    """Ground-truth quantities handed to an instrumented learning run.
+    """Reference equilibrium handed to an instrumented learning run.
 
-    Bundles the environment, the temperature and discount, and the reference
-    equilibrium mean-field so the run loop can score each episode's first
-    step against exact operator evaluations.
+    Holds the reference mean-field mu_star, the environment, temperature
+    and discount it was solved for, and the value-iteration tolerance. The
+    run scores each episode against exact operators on its own SandboxConfig,
+    which rejects an oracle solved for another environment, lam or rho, so
+    e_pi and e_mu always score the game the run learns.
     """
 
-    def __init__(self, env: MfgEnvironment, lam: float, rho: float, mu_star, vi_tol: float = 1e-10):
+    def __init__(self, mu_star, env: MfgEnvironment, lam: float, rho: float, vi_tol: float = 1e-10):
+        self.mu_star = as_probs(mu_star).copy()
+        if self.mu_star.shape != (env.dims.num_states,):
+            raise ValueError("mu_star must have one entry per state of env")
         self.env = env
         self.lam = float(lam)
         self.rho = float(rho)
-        self.mu_star = as_probs(mu_star).copy()
         self.vi_tol = float(vi_tol)
-
-    def q_star_values(self, mu) -> np.ndarray:
-        return _q_star_values(self.env, mu, self.rho, self.vi_tol)
-
-    def gamma1_table(self, mu) -> np.ndarray:
-        return softmax_table(self.q_star_values(mu), self.lam)
-
-    def kernel(self, pi, mu) -> np.ndarray:
-        return induced_kernel(self.env, pi, mu)
 
 
 def make_diagnostics_oracle(
@@ -248,5 +316,4 @@ def make_diagnostics_oracle(
 ) -> tuple[DiagnosticsOracle, BmfePair]:
     """Solve for the reference equilibrium and wrap it for instrumentation."""
     pair = solve_bmfe(env, lam, rho, damping=damping, tol=tol, max_iter=max_iter, vi_tol=vi_tol)
-    oracle = DiagnosticsOracle(env, lam, rho, pair.mean_field.probs, vi_tol=vi_tol)
-    return oracle, pair
+    return DiagnosticsOracle(pair.mean_field.probs, env, lam, rho, vi_tol=vi_tol), pair

@@ -33,7 +33,7 @@ from .core import (
 )
 from .environment import CongestionGridEnv, MfgEnvironment, env_step, sample_from_cdf
 from .estimators import QLearner, TransitionCounter
-from .oracle import induced_kernel
+from .oracle import DiagnosticsOracle, induced_kernel, induced_q_star
 from .schedules import (
     EpsilonNet,
     ScheduleParams,
@@ -64,7 +64,7 @@ class SandboxConfig:
     rho: float
     seed: int = 0
     net: Optional[EpsilonNet] = None
-    diagnostics_oracle: Optional[object] = None
+    diagnostics_oracle: Optional[DiagnosticsOracle] = None
     diagnostics_every: int = 1
     validate_every: int = 100
 
@@ -77,6 +77,11 @@ class SandboxConfig:
             raise ValueError("diagnostics_every must be >= 1")
         if self.validate_every < 1:
             raise ValueError("validate_every must be >= 1")
+        oracle = self.diagnostics_oracle
+        if oracle is not None and (
+            oracle.env is not self.env or oracle.lam != self.schedule.lam or oracle.rho != self.rho
+        ):
+            raise ValueError("diagnostics oracle was solved for another environment, lambda or rho than the run's")
 
 
 @dataclass
@@ -146,13 +151,21 @@ def update_policy(pi_prev, q_values, c: float, psi_coeff: float, lam: float):
     return (1.0 - c) * pi_prev + c * target
 
 
-def episode_diagnostics(k, mu_first, pi_first, p_hat_end, q_end, oracle, min_policy=math.nan) -> EpisodeDiagnostics:
-    """Score one episode against the exact operators supplied by the oracle."""
+def episode_diagnostics(
+    k, mu_first, pi_first, p_hat_end, q_end, config: SandboxConfig, min_policy=math.nan
+) -> EpisodeDiagnostics:
+    """Score one episode against exact operators on the run's environment.
+
+    The temperature, discount and environment come from config, the
+    reference mean-field and value-iteration tolerance from its oracle,
+    which config has checked was solved for the same game.
+    """
+    oracle = config.diagnostics_oracle
     if oracle is None:
         raise ValueError("episode diagnostics require an oracle handle")
-    q_star = oracle.q_star_values(mu_first)
-    best_response = softmax_table(q_star, oracle.lam)
-    chain = oracle.kernel(pi_first, mu_first)
+    q_star = induced_q_star(config.env, mu_first, config.rho, oracle.vi_tol).values
+    best_response = softmax_table(q_star, config.schedule.lam)
+    chain = induced_kernel(config.env, pi_first, mu_first)
     return EpisodeDiagnostics(
         k=k,
         e_pi=tv_norm(pi_first - best_response),
@@ -385,7 +398,7 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
         if oracle is not None and (k - 1) % config.diagnostics_every == 0:
             diagnostics.append(
                 episode_diagnostics(
-                    k, mu1, pi1, run.counter.estimate(), run.learner.q, oracle, episode_min_policy
+                    k, mu1, pi1, run.counter.estimate(), run.learner.q, config, episode_min_policy
                 )
             )
         else:

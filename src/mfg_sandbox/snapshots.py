@@ -59,6 +59,7 @@ def equilibrium_snapshot(pair) -> dict:
         "residual_mu": float(pair.residual_mu),
         "converged": bool(pair.converged),
         "iterations": int(pair.iterations),
+        "vi_sweeps": int(pair.vi_sweeps),
     }
 
 

@@ -1,0 +1,41 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_ab.py"
+
+
+@pytest.fixture(scope="module")
+def bench_ab():
+    spec = importlib.util.spec_from_file_location("bench_ab", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(**values):
+    return {"metrics": {name: {"value": v, "unit": "s"} for name, v in values.items()}}
+
+
+def test_summarize_counts_wins_by_direction_and_ties_for_neither(bench_ab):
+    metrics = [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "absent", "unit": "s", "better": "lower", "bound": 0.25},
+    ]
+    pairs = [
+        (_run(wall_s=2.0, rate=10.0), _run(wall_s=1.0, rate=30.0)),
+        (_run(wall_s=2.0, rate=20.0), _run(wall_s=2.0, rate=20.0)),
+        (_run(wall_s=1.0, rate=30.0), _run(wall_s=3.0, rate=10.0)),
+        (_run(wall_s=4.0, rate=40.0), _run(wall_s=1.5, rate=50.0)),
+    ]
+    out = bench_ab.summarize(metrics, pairs)
+    assert set(out) == {"wall_s", "rate"}
+    assert out["wall_s"]["wins"] == 2 and out["wall_s"]["pairs"] == 4
+    assert out["rate"]["wins"] == 2
+    assert out["wall_s"]["base"]["median"] == 2.0
+    assert out["wall_s"]["candidate"]["median"] == 1.75
+    assert out["wall_s"]["median_ratio"] == pytest.approx(0.875)
+    assert out["wall_s"]["base_iqr"] == pytest.approx(2.5 - 1.75)
+    assert out["rate"]["base_values"] == [10.0, 20.0, 30.0, 40.0]

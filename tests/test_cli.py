@@ -225,6 +225,8 @@ def test_oracle_mode_output(tmp_path):
     assert doc["kind"] == "equilibrium"
     assert len(doc["mean_field"]) == 9
     assert len(doc["policy"]) == 9
+    # the solver trace: damped iterations and the value-iteration sweeps behind them
+    assert doc["vi_sweeps"] > doc["iterations"] > 0
 
 
 def test_two_class_environment_via_config(tmp_path):

@@ -1,11 +1,22 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mfg_sandbox.core import inf_norm, l1_norm, tv_norm
-from mfg_sandbox.environment import CongestionGridParams, make_congestion_env, make_fixed_mdp_env
+from mfg_sandbox import oracle
+from mfg_sandbox.core import MeanField, StateActionDims, inf_norm, l1_norm, softmax_table, tv_norm
+from mfg_sandbox.environment import (
+    CongestionGridParams,
+    MfgEnvironment,
+    make_congestion_env,
+    make_fixed_mdp_env,
+    make_two_class_env,
+)
 from mfg_sandbox.oracle import (
+    PROBE_BLOCK,
     BmfePair,
     ContractionEstimate,
     DiagnosticsOracle,
@@ -243,11 +254,216 @@ def test_contraction_estimate_validation():
 
 def test_diagnostics_oracle_bundles_reference():
     env = make_congestion_env(CongestionGridParams(side=3))
-    oracle, pair = make_diagnostics_oracle(env, lam=1.0, rho=0.7)
+    oracle, pair = make_diagnostics_oracle(env, lam=1.0, rho=0.7, vi_tol=1e-11)
     assert isinstance(oracle, DiagnosticsOracle)
+    assert set(vars(oracle)) == {"mu_star", "env", "lam", "rho", "vi_tol"}
+    assert oracle.env is env and (oracle.lam, oracle.rho) == (1.0, 0.7)
     assert np.array_equal(oracle.mu_star, pair.mean_field.probs)
+    assert oracle.vi_tol == 1e-11
     mu = np.full(9, 1 / 9)
-    assert oracle.q_star_values(mu).shape == (9, 4)
-    assert np.allclose(oracle.gamma1_table(mu).sum(axis=1), 1.0)
-    chain = oracle.kernel(np.full((9, 4), 0.25), mu)
+    assert np.allclose(gamma1_lambda(env, mu, 1.0, 0.7, oracle.vi_tol).table.sum(axis=1), 1.0)
+    chain = induced_kernel(env, np.full((9, 4), 0.25), mu)
     assert np.abs(chain.sum(axis=1) - 1.0).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the batched, warm-started oracle against plain loops.
+
+
+class MuDependentEnv(MfgEnvironment):
+    """Kernel and reward both move with mu; the base-class transition_kernel
+    returns a fresh array per call, so value iteration stacks the kernels."""
+
+    def __init__(self, seed, num_states=4, num_actions=3):
+        rng = np.random.default_rng(seed)
+        self.dims = StateActionDims(num_states, num_actions)
+        self.initial_distribution = MeanField.uniform(num_states)
+        self._base = rng.dirichlet(np.ones(num_states), size=(num_states, num_actions))
+        self._rewards = rng.uniform(0.0, 1.0, size=(num_states, num_actions))
+
+    def transition_dist(self, s, a, mu):
+        return 0.7 * self._base[s, a] + 0.3 * np.asarray(mu)
+
+    def reward(self, s, a, mu):
+        return float(self._rewards[s, a] * (1.0 - 0.5 * mu[s]))
+
+
+def reference_value_iteration(env, mu, rho, tol, q_start=None):
+    """The per-mean-field loop: unclipped final iterate and its sweep count."""
+    kernel = env.transition_kernel(mu)
+    rewards = env.reward_table(mu)
+    threshold = tol * (1.0 - rho) / rho
+    q = np.zeros_like(rewards) if q_start is None else q_start.copy()
+    sweeps = 0
+    while True:
+        q_next = rewards + rho * (kernel @ q.max(axis=1))
+        sweeps += 1
+        delta = float(np.abs(q_next - q).max())
+        q = q_next
+        if delta <= threshold:
+            return q, sweeps
+
+
+def reference_q_star(env, mu, rho, tol):
+    return np.clip(reference_value_iteration(env, mu, rho, tol)[0], 0.0, 1.0 / (1.0 - rho))
+
+
+def reference_probe(env, lam, rho, num_pairs, rng, vi_tol=1e-10):
+    """Pair-by-pair probe: one row draw per policy row, two cold solves per pair."""
+    S, A = env.dims.num_states, env.dims.num_actions
+    d1 = d2 = d3 = 0.0
+    for _ in range(num_pairs):
+        mu = rng.dirichlet(np.ones(S))
+        mu_alt = rng.dirichlet(np.ones(S))
+        pi = np.vstack([rng.dirichlet(np.ones(A)) for _ in range(S)])
+        pi_alt = np.vstack([rng.dirichlet(np.ones(A)) for _ in range(S)])
+        push = induced_kernel(env, pi, mu).T @ mu
+        dmu = l1_norm(mu - mu_alt)
+        if dmu >= 1e-9:
+            g1 = softmax_table(reference_q_star(env, mu, rho, vi_tol), lam)
+            g1_alt = softmax_table(reference_q_star(env, mu_alt, rho, vi_tol), lam)
+            d1 = max(d1, tv_norm(g1 - g1_alt) / dmu)
+            push_alt = induced_kernel(env, pi, mu_alt).T @ mu_alt
+            d3 = max(d3, l1_norm(push - push_alt) / dmu)
+        dpi = tv_norm(pi - pi_alt)
+        if dpi >= 1e-9:
+            push_alt = induced_kernel(env, pi_alt, mu).T @ mu
+            d2 = max(d2, l1_norm(push - push_alt) / dpi)
+    return d1, d2, d3
+
+
+def reference_solve_bmfe(env, lam, rho, damping=0.5, tol=1e-8, max_iter=10_000, vi_tol=1e-10):
+    """Damped iteration with every value iteration cold: (mu, iterations, sweeps)."""
+    mu = np.full(env.dims.num_states, 1.0 / env.dims.num_states)
+    sweeps = 0
+
+    def best_response(mu):
+        nonlocal sweeps
+        q, n = reference_value_iteration(env, mu, rho, vi_tol)
+        sweeps += n
+        return softmax_table(np.clip(q, 0.0, 1.0 / (1.0 - rho)), lam)
+
+    pi = best_response(mu)
+    for iterations in range(1, max_iter + 1):
+        pushed = induced_kernel(env, pi, mu).T @ mu
+        if l1_norm(pushed - mu) <= tol:
+            break
+        mu = (1.0 - damping) * mu + damping * pushed
+        mu /= mu.sum()
+        pi = best_response(mu)
+    best_response(mu)  # the residual check
+    return mu, iterations, sweeps
+
+
+def _oracle_env(kind, side, seed):
+    if kind == "congestion":
+        return make_congestion_env(CongestionGridParams(side=side))
+    if kind == "two_class":
+        return make_two_class_env(CongestionGridParams(side=5))
+    if kind == "fixed":
+        return _random_env(seed, num_states=side + 1, num_actions=3)
+    return MuDependentEnv(seed, num_states=side + 1)
+
+
+# The batched product sums in another order than the per-mu loop, so the
+# iterates differ by rounding (about 1e-15). The tolerances keep the stopping
+# threshold tol * (1 - rho) / rho far above that, so both stop at the same
+# sweep; at tol = 1e-12 and rho near 0.9 they can stop one sweep apart.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["congestion", "two_class", "fixed", "mu_dependent"]),
+    side=st.integers(1, 4),
+    num_problems=st.integers(1, 6),
+    rho=st.floats(0.1, 0.9),
+    tol=st.sampled_from([1e-6, 1e-8, 1e-10]),
+    warm=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_value_iteration_matches_per_mu_loop(kind, side, num_problems, rho, tol, warm, seed):
+    env = _oracle_env(kind, side, seed)
+    S, A = env.dims.num_states, env.dims.num_actions
+    rng = np.random.default_rng(seed)
+    mus = rng.dirichlet(np.ones(S), size=num_problems)
+    q_start = rng.uniform(0.0, 1.0 / (1.0 - rho), size=(num_problems, S, A)) if warm else None
+    q, sweeps = oracle._value_iteration(env, mus, rho, tol, q_start=q_start)
+    assert q.shape == (num_problems, S, A)
+    expected_sweeps = 0
+    for m, mu in enumerate(mus):
+        q_ref, n = reference_value_iteration(env, mu, rho, tol, None if q_start is None else q_start[m])
+        assert np.abs(q[m] - q_ref).max() <= 1e-12
+        expected_sweeps += n
+    assert sweeps == expected_sweeps
+
+
+def test_mu_dependent_kernel_takes_the_stacked_branch():
+    env = MuDependentEnv(0)
+    mu = np.full(4, 0.25)
+    assert env.transition_kernel(mu) is not env.transition_kernel(mu)
+    mus = np.random.default_rng(1).dirichlet(np.ones(4), size=3)
+    q, _ = oracle._value_iteration(env, mus, 0.8, 1e-10)
+    for m, mu in enumerate(mus):
+        # a shared kernel (the first mu's) would miss these by far more
+        assert np.abs(q[m] - reference_value_iteration(env, mu, 0.8, 1e-10)[0]).max() <= 1e-12
+
+
+def test_value_iteration_of_no_problems():
+    env = _random_env(0)
+    q, sweeps = oracle._value_iteration(env, [], 0.7, 1e-10)
+    assert q.shape == (0, 5, 2) and sweeps == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("num_pairs", [1, PROBE_BLOCK - 1, PROBE_BLOCK, 2 * PROBE_BLOCK + 5])
+def test_probe_matches_pair_by_pair_loop(seed, num_pairs):
+    env = make_congestion_env(CongestionGridParams(side=3))
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch_sizes = []
+    solve = oracle._value_iteration
+
+    def recording(env, mus, *args, **kwargs):
+        batch_sizes.append(len(mus))
+        return solve(env, mus, *args, **kwargs)
+
+    with mock.patch.object(oracle, "_value_iteration", recording):
+        est = probe_contraction(env, lam=2.0, rho=0.7, num_pairs=num_pairs, rng=rng)
+    d1, d2, d3 = reference_probe(env, 2.0, 0.7, num_pairs, rng_ref)
+    assert abs(est.d1_hat - d1) <= 1e-12
+    assert abs(est.d2_hat - d2) <= 1e-12
+    assert abs(est.d3_hat - d3) <= 1e-12
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    # memory stays O(block): no call solves more than one block's pairs
+    assert sum(batch_sizes) == 2 * num_pairs
+    assert max(batch_sizes) <= 2 * PROBE_BLOCK
+
+
+def test_probe_single_state_skips_every_mean_field_ratio():
+    env = make_congestion_env(CongestionGridParams(side=1))
+    est = probe_contraction(env, lam=1.0, rho=0.7, num_pairs=PROBE_BLOCK + 1, rng=np.random.default_rng(0))
+    assert est.d1_hat == 0.0 and est.d3_hat == 0.0
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        make_congestion_env(CongestionGridParams(side=3)),
+        make_congestion_env(CongestionGridParams(side=5)),
+        make_two_class_env(CongestionGridParams(side=5)),
+        _random_env(21),
+        MuDependentEnv(22),
+    ],
+    ids=["grid3", "grid5", "two_class", "fixed", "mu_dependent"],
+)
+def test_warm_started_solve_matches_cold_loop(env):
+    pair = solve_bmfe(env, lam=1.0, rho=0.7)
+    mu_ref, iterations, _ = reference_solve_bmfe(env, lam=1.0, rho=0.7)
+    assert pair.converged
+    assert pair.iterations == iterations
+    assert l1_norm(pair.mean_field.probs - mu_ref) <= 1e-10
+
+
+def test_warm_start_halves_the_sweeps_on_5x5():
+    env = make_congestion_env(CongestionGridParams(side=5))
+    pair = solve_bmfe(env, lam=1.0, rho=0.7)
+    _, iterations, cold_sweeps = reference_solve_bmfe(env, lam=1.0, rho=0.7)
+    assert pair.iterations == iterations
+    assert 0 < pair.vi_sweeps < cold_sweeps / 2

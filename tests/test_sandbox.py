@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfg_sandbox.core import l1_norm, tv_norm
 from mfg_sandbox.environment import (
     CongestionGridEnv,
     CongestionGridParams,
@@ -24,7 +25,7 @@ from mfg_sandbox.environment import (
     sample_from_cdf,
 )
 from mfg_sandbox.estimators import QLearner, TransitionCounter
-from mfg_sandbox.oracle import make_diagnostics_oracle
+from mfg_sandbox.oracle import gamma1_lambda, induced_kernel, induced_q_star, make_diagnostics_oracle
 from mfg_sandbox.sandbox import (
     NonFiniteError,
     SandboxConfig,
@@ -325,9 +326,10 @@ def test_episode_diagnostics_zero_cases():
     oracle, pair = make_diagnostics_oracle(env, lam=1.0, rho=0.7, tol=1e-9)
     mu_star = pair.mean_field.probs
     pi_star = pair.policy.table
-    chain = oracle.kernel(pi_star, mu_star)
-    q_star = oracle.q_star_values(mu_star)
-    diag = episode_diagnostics(5, mu_star, pi_star, chain, q_star, oracle, min_policy=0.1)
+    chain = induced_kernel(env, pi_star, mu_star)
+    q_star = induced_q_star(env, mu_star, 0.7, oracle.vi_tol).values
+    config = small_config(env, diagnostics_oracle=oracle)
+    diag = episode_diagnostics(5, mu_star, pi_star, chain, q_star, config, min_policy=0.1)
     assert diag.k == 5
     assert diag.e_pi == pytest.approx(0.0, abs=1e-12)
     assert diag.e_mu == pytest.approx(0.0, abs=1e-12)
@@ -338,8 +340,40 @@ def test_episode_diagnostics_zero_cases():
 
 
 def test_episode_diagnostics_requires_oracle():
+    config = small_config(small_env(side=1))
     with pytest.raises(ValueError):
-        episode_diagnostics(1, np.array([1.0]), np.array([[1.0]]), np.eye(1), np.zeros((1, 1)), None)
+        episode_diagnostics(1, np.array([1.0]), np.full((1, 4), 0.25), np.eye(1), np.zeros((1, 4)), config)
+
+
+def test_config_rejects_an_oracle_solved_for_another_game():
+    env = small_env(side=3)
+    oracle, _ = make_diagnostics_oracle(env, lam=1.0, rho=0.7)
+    config = small_config(env, diagnostics_oracle=oracle)
+    for kw in (
+        dict(schedule=ScheduleParams(lam=3.0)),
+        dict(rho=0.6),
+        dict(env=small_env(side=3)),
+    ):
+        with pytest.raises(ValueError, match="another environment, lambda or rho"):
+            dataclasses.replace(config, **kw)
+
+
+def test_diagnostics_score_at_the_run_temperature():
+    # At lambda = 3, e_pi is the distance to the lambda = 3 best response and
+    # e_mu the distance to the lambda = 3 equilibrium; both differ from
+    # their values at the default lambda = 1.
+    env = small_env(side=3)
+    oracle, pair = make_diagnostics_oracle(env, lam=3.0, rho=0.7)
+    _, pair_at_1 = make_diagnostics_oracle(env, lam=1.0, rho=0.7)
+    config = small_config(env, schedule=ScheduleParams(lam=3.0), diagnostics_oracle=oracle)
+    result = run_sandbox(config)
+    for diag, mu1, pi1 in zip(result.per_episode, result.mu_first_steps, result.pi_first_steps):
+        at_run = tv_norm(pi1 - gamma1_lambda(env, mu1, 3.0, 0.7).table)
+        at_default = tv_norm(pi1 - gamma1_lambda(env, mu1, 1.0, 0.7).table)
+        assert diag.e_pi == pytest.approx(at_run, abs=1e-12)
+        assert abs(at_run - at_default) > 1e-3
+        assert diag.e_mu == pytest.approx(l1_norm(mu1 - pair.mean_field.probs), abs=1e-12)
+    assert l1_norm(pair.mean_field.probs - pair_at_1.mean_field.probs) > 1e-3
 
 
 def test_diagnostics_during_run_decrease_on_average():
