@@ -27,11 +27,9 @@ from .estimators import QLearner, TransitionCounter
 from .oracle import (
     BmfePair,
     ContractionEstimate,
-    DiagnosticsOracle,
     gamma1_lambda,
     induced_kernel,
     induced_q_star,
-    make_diagnostics_oracle,
     probe_contraction,
     solve_bmfe,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "BmfePair",
     "CongestionGridParams",
     "ContractionEstimate",
-    "DiagnosticsOracle",
     "EpisodeDiagnostics",
     "EpsilonNet",
     "MeanField",
@@ -83,7 +80,6 @@ __all__ = [
     "inf_norm",
     "l1_norm",
     "make_congestion_env",
-    "make_diagnostics_oracle",
     "make_fixed_mdp_env",
     "make_two_class_env",
     "probe_contraction",

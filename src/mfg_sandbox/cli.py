@@ -34,7 +34,7 @@ import numpy as np
 from . import snapshots
 from .core import l1_norm, tv_norm
 from .environment import CongestionGridParams, make_congestion_env, make_two_class_env
-from .oracle import DiagnosticsOracle, probe_contraction, solve_bmfe
+from .oracle import BmfePair, probe_contraction, solve_bmfe
 from .sandbox import EpisodeDiagnostics, NonFiniteError, SandboxConfig, run_sandbox
 from .schedules import ScheduleParams, build_epsilon_net
 
@@ -239,7 +239,8 @@ def read_episode_csv(path) -> list[EpisodeDiagnostics]:
     return out
 
 
-def _solve_reference(cfg: ExperimentConfig, env):
+def _solve_reference(cfg: ExperimentConfig, env, out_dir: Path) -> BmfePair:
+    """Solve for the reference equilibrium, warn if unconverged, and write bmfe.json."""
     pair = solve_bmfe(
         env,
         lam=cfg.schedule.lam,
@@ -250,17 +251,18 @@ def _solve_reference(cfg: ExperimentConfig, env):
         vi_tol=cfg.vi_tol,
     )
     if not pair.converged:
-        logger.warning("equilibrium solve hit max_iter; residual_mu=%g", pair.residual_mu)
+        logger.warning(
+            "equilibrium solve stopped at bmfe_max_iter=%d without converging (residual_mu=%g); "
+            "a lower damping than %g can restore convergence, or raise bmfe_max_iter",
+            cfg.bmfe_max_iter,
+            pair.residual_mu,
+            cfg.damping,
+        )
+    snapshots.write_json(out_dir / "bmfe.json", snapshots.equilibrium_snapshot(pair))
     return pair
 
 
-def _write_bmfe(out_dir: Path, cfg: ExperimentConfig, pair) -> None:
-    doc = snapshots.equilibrium_snapshot(pair)
-    doc.update({"lambda": cfg.schedule.lam, "rho": cfg.rho, "damping": cfg.damping, "tol": cfg.bmfe_tol})
-    snapshots.write_json(out_dir / "bmfe.json", doc)
-
-
-def _run_one_seed(cfg: ExperimentConfig, env, oracle, seed: int, out_dir: Path):
+def _run_one_seed(cfg: ExperimentConfig, env, reference: BmfePair, seed: int, out_dir: Path):
     net = None
     if cfg.epsilon_net_mesh is not None:
         net = build_epsilon_net(env.dims.num_states, cfg.epsilon_net_mesh)
@@ -272,7 +274,7 @@ def _run_one_seed(cfg: ExperimentConfig, env, oracle, seed: int, out_dir: Path):
         rho=cfg.rho,
         seed=seed,
         net=net,
-        diagnostics_oracle=oracle,
+        reference=reference,
         diagnostics_every=cfg.diagnostics_every,
         validate_every=cfg.validate_every,
     )
@@ -297,17 +299,12 @@ def _run_one_seed(cfg: ExperimentConfig, env, oracle, seed: int, out_dir: Path):
 
 def _run_sandbox_mode(cfg: ExperimentConfig, out_dir: Path) -> int:
     env = build_environment(cfg)
-    pair = _solve_reference(cfg, env)
-    _write_bmfe(out_dir, cfg, pair)
-    oracle = DiagnosticsOracle(pair.mean_field.probs, env, cfg.schedule.lam, cfg.rho, vi_tol=cfg.vi_tol)
-    _run_one_seed(cfg, env, oracle, cfg.seed, out_dir)
+    _run_one_seed(cfg, env, _solve_reference(cfg, env, out_dir), cfg.seed, out_dir)
     return EXIT_OK
 
 
 def _run_oracle_mode(cfg: ExperimentConfig, out_dir: Path) -> int:
-    env = build_environment(cfg)
-    pair = _solve_reference(cfg, env)
-    _write_bmfe(out_dir, cfg, pair)
+    _solve_reference(cfg, build_environment(cfg), out_dir)
     return EXIT_OK
 
 
@@ -334,11 +331,9 @@ def _run_probe_mode(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def _run_compare_mode(cfg: ExperimentConfig, out_dir: Path) -> int:
     env = build_environment(cfg)
-    pair = _solve_reference(cfg, env)
-    _write_bmfe(out_dir, cfg, pair)
-    oracle = DiagnosticsOracle(pair.mean_field.probs, env, cfg.schedule.lam, cfg.rho, vi_tol=cfg.vi_tol)
+    pair = _solve_reference(cfg, env, out_dir)
     seeds = [cfg.seed + i for i in range(cfg.num_seeds)]
-    results = [_run_one_seed(cfg, env, oracle, seed, out_dir) for seed in seeds]
+    results = [_run_one_seed(cfg, env, pair, seed, out_dir) for seed in seeds]
     per_seed = [
         {
             "seed": seed,

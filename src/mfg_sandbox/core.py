@@ -103,10 +103,6 @@ class Policy:
     def num_actions(self) -> int:
         return int(self.table.shape[1])
 
-    @staticmethod
-    def uniform(num_states: int, num_actions: int) -> "Policy":
-        return Policy(np.full((num_states, num_actions), 1.0 / num_actions))
-
 
 @dataclass(frozen=True)
 class QTable:
@@ -128,10 +124,6 @@ class QTable:
             )
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-
-    @staticmethod
-    def zeros(num_states: int, num_actions: int, rho: float) -> "QTable":
-        return QTable(np.zeros((num_states, num_actions)), rho)
 
 
 def tv_norm(f) -> float:
@@ -166,32 +158,17 @@ def softmax_table(q_values, lam: float) -> np.ndarray:
     """Row-wise Boltzmann distribution exp(lam * q) / sum over actions.
 
     Stabilized by subtracting the per-row maximum before exponentiating, so
-    arbitrarily large lam * q stays finite. lam = 0 yields the uniform table
-    and lam = inf falls back to the even-split argmax table.
+    arbitrarily large finite lam * q stays finite. lam = 0 yields the
+    uniform table.
     """
     q = _finite_array(q_values, "softmax input")
     if q.ndim != 2:
         raise ValueError("softmax expects a states-by-actions matrix")
-    if lam < 0.0:
-        raise ValueError("softmax temperature must be >= 0")
-    if math.isinf(lam):
-        return hard_max_table(q)
+    if not 0.0 <= lam < math.inf:
+        raise ValueError("softmax temperature must be finite and >= 0")
     z = lam * q
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
     return z
 
-
-def hard_max_table(q_values) -> np.ndarray:
-    """Deterministic-limit policy: split probability evenly among row maxima."""
-    q = _finite_array(q_values, "argmax input")
-    if q.ndim != 2:
-        raise ValueError("argmax policy expects a states-by-actions matrix")
-    mask = (q == q.max(axis=1, keepdims=True)).astype(np.float64)
-    return mask / mask.sum(axis=1, keepdims=True)
-
-
-def softmax_policy(q: QTable, lam: float) -> Policy:
-    """Boltzmann policy of a Q-table at temperature lam."""
-    return Policy(softmax_table(q.values, lam))

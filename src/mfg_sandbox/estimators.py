@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import QTable
-
 
 class TransitionCounter:
     """Smoothed transition-probability estimator.
@@ -104,6 +102,3 @@ class QLearner:
 
     def reset_clock(self) -> None:
         self.t = 0
-
-    def q_table(self) -> QTable:
-        return QTable(self.q.copy(), self.rho)

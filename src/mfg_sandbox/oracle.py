@@ -112,11 +112,7 @@ def induced_q_star(env: MfgEnvironment, mu, rho: float, tol: float = 1e-10) -> Q
 
 
 def gamma1_lambda(env: MfgEnvironment, mu, lam: float, rho: float, tol: float = 1e-10) -> Policy:
-    """Boltzmann-optimality operator: softmax of the induced optimal Q-table.
-
-    lam = inf gives the deterministic limit with probability split evenly
-    among optimal actions.
-    """
+    """Boltzmann-optimality operator: softmax of the induced optimal Q-table at a finite lam >= 0."""
     if lam < 0.0:
         raise ValueError("lambda must be >= 0")
     return Policy(softmax_table(_q_star_values(env, mu, rho, tol), lam))
@@ -129,33 +125,44 @@ def induced_kernel(env: MfgEnvironment, pi, mu) -> np.ndarray:
     return np.einsum("sa,sat->st", pi, kernel)
 
 
-def gamma2(env: MfgEnvironment, pi, mu) -> MeanField:
+def gamma2(env: MfgEnvironment, pi, mu) -> np.ndarray:
     """Consistency operator: the mean-field after one step of the population.
 
-    Pushes mu through the chain induced by pi at mean-field mu.
+    Pushes mu through the chain induced by pi at mean-field mu. Returns a
+    plain vector, not a MeanField: the solver and the probe call it in
+    their inner loops.
     """
     mu = as_probs(mu)
-    return MeanField(induced_kernel(env, pi, mu).T @ mu)
+    return induced_kernel(env, pi, mu).T @ mu
 
 
 @dataclass(frozen=True)
 class BmfePair:
-    """Softmax-equilibrium pair with its two defining residuals.
+    """Softmax-equilibrium pair, its two defining residuals and the inputs it was solved from.
 
     residual_policy is the TV gap between policy and the optimality operator
     applied to mean_field; residual_mu is the L1 gap between mean_field and
     its own push-forward under policy. converged is False when the solver
     hit max_iter and returned its best iterate. vi_sweeps counts the
     value-iteration sweeps the solve ran, the residual check included.
+    env, lam, rho, damping, tol and vi_tol are the arguments of the
+    solve_bmfe call that built the pair, so a run scored against it can
+    check that it plays the same game.
     """
 
     policy: Policy
     mean_field: MeanField
     residual_policy: float
     residual_mu: float
-    converged: bool = True
-    iterations: int = 0
-    vi_sweeps: int = 0
+    converged: bool
+    iterations: int
+    vi_sweeps: int
+    env: MfgEnvironment
+    lam: float
+    rho: float
+    damping: float
+    tol: float
+    vi_tol: float
 
 
 def solve_bmfe(
@@ -188,7 +195,7 @@ def solve_bmfe(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        pushed = induced_kernel(env, pi, mu).T @ mu
+        pushed = gamma2(env, pi, mu)
         residual = l1_norm(pushed - mu)
         if residual <= tol:
             converged = True
@@ -198,7 +205,7 @@ def solve_bmfe(
         q, n = _value_iteration(env, [mu], rho, vi_tol, q_start=q)
         sweeps += n
         pi = softmax_table(_clip_q(q[0], rho), lam)
-    residual_mu = l1_norm(induced_kernel(env, pi, mu).T @ mu - mu)
+    residual_mu = l1_norm(gamma2(env, pi, mu) - mu)
     q_check, n = _value_iteration(env, [mu], rho, vi_tol)
     residual_policy = tv_norm(pi - softmax_table(_clip_q(q_check[0], rho), lam))
     return BmfePair(
@@ -209,6 +216,12 @@ def solve_bmfe(
         converged=converged,
         iterations=iterations,
         vi_sweeps=sweeps + n,
+        env=env,
+        lam=lam,
+        rho=rho,
+        damping=damping,
+        tol=tol,
+        vi_tol=vi_tol,
     )
 
 
@@ -271,49 +284,16 @@ def probe_contraction(
         moved = [m for (mu, mu_alt, _, _), dmu in zip(block, dmus) if dmu >= 1e-9 for m in (mu, mu_alt)]
         q_star = iter(_clip_q(_value_iteration(env, moved, rho, vi_tol)[0], rho))
         for (mu, mu_alt, pi, pi_alt), dmu in zip(block, dmus):
-            push = induced_kernel(env, pi, mu).T @ mu
+            push = gamma2(env, pi, mu)
             if dmu >= 1e-9:
                 g1 = softmax_table(next(q_star), lam)
                 g1_alt = softmax_table(next(q_star), lam)
                 d1 = max(d1, tv_norm(g1 - g1_alt) / dmu)
-                push_alt = induced_kernel(env, pi, mu_alt).T @ mu_alt
+                push_alt = gamma2(env, pi, mu_alt)
                 d3 = max(d3, l1_norm(push - push_alt) / dmu)
             dpi = tv_norm(pi - pi_alt)
             if dpi >= 1e-9:
-                push_alt = induced_kernel(env, pi_alt, mu).T @ mu
+                push_alt = gamma2(env, pi_alt, mu)
                 d2 = max(d2, l1_norm(push - push_alt) / dpi)
     return ContractionEstimate(d1_hat=d1, d2_hat=d2, d3_hat=d3, num_pairs=num_pairs)
 
-
-class DiagnosticsOracle:
-    """Reference equilibrium handed to an instrumented learning run.
-
-    Holds the reference mean-field mu_star, the environment, temperature
-    and discount it was solved for, and the value-iteration tolerance. The
-    run scores each episode against exact operators on its own SandboxConfig,
-    which rejects an oracle solved for another environment, lam or rho, so
-    e_pi and e_mu always score the game the run learns.
-    """
-
-    def __init__(self, mu_star, env: MfgEnvironment, lam: float, rho: float, vi_tol: float = 1e-10):
-        self.mu_star = as_probs(mu_star).copy()
-        if self.mu_star.shape != (env.dims.num_states,):
-            raise ValueError("mu_star must have one entry per state of env")
-        self.env = env
-        self.lam = float(lam)
-        self.rho = float(rho)
-        self.vi_tol = float(vi_tol)
-
-
-def make_diagnostics_oracle(
-    env: MfgEnvironment,
-    lam: float,
-    rho: float,
-    damping: float = 0.5,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-    vi_tol: float = 1e-10,
-) -> tuple[DiagnosticsOracle, BmfePair]:
-    """Solve for the reference equilibrium and wrap it for instrumentation."""
-    pair = solve_bmfe(env, lam, rho, damping=damping, tol=tol, max_iter=max_iter, vi_tol=vi_tol)
-    return DiagnosticsOracle(pair.mean_field.probs, env, lam, rho, vi_tol=vi_tol), pair

@@ -33,7 +33,7 @@ from .core import (
 )
 from .environment import CongestionGridEnv, MfgEnvironment, env_step, sample_from_cdf
 from .estimators import QLearner, TransitionCounter
-from .oracle import DiagnosticsOracle, induced_kernel, induced_q_star
+from .oracle import BmfePair, gamma2, induced_kernel, induced_q_star
 from .schedules import (
     EpsilonNet,
     ScheduleParams,
@@ -64,7 +64,7 @@ class SandboxConfig:
     rho: float
     seed: int = 0
     net: Optional[EpsilonNet] = None
-    diagnostics_oracle: Optional[DiagnosticsOracle] = None
+    reference: Optional[BmfePair] = None
     diagnostics_every: int = 1
     validate_every: int = 100
 
@@ -77,11 +77,9 @@ class SandboxConfig:
             raise ValueError("diagnostics_every must be >= 1")
         if self.validate_every < 1:
             raise ValueError("validate_every must be >= 1")
-        oracle = self.diagnostics_oracle
-        if oracle is not None and (
-            oracle.env is not self.env or oracle.lam != self.schedule.lam or oracle.rho != self.rho
-        ):
-            raise ValueError("diagnostics oracle was solved for another environment, lambda or rho than the run's")
+        ref = self.reference
+        if ref is not None and (ref.env is not self.env or ref.lam != self.schedule.lam or ref.rho != self.rho):
+            raise ValueError("reference was solved for another environment, lambda or rho than the run's")
 
 
 @dataclass
@@ -93,7 +91,7 @@ class EpisodeDiagnostics:
     the end-of-episode estimation errors of the transition matrix and the
     Q-table against their exact counterparts at the first-step pair;
     residual_mu measures how far the first-step mean-field is from its own
-    push-forward. Oracle-backed fields are NaN when no oracle was supplied.
+    push-forward. Oracle-backed fields are NaN when no reference was supplied.
     min_policy is the smallest policy entry seen over steps t > 1.
     """
 
@@ -157,19 +155,19 @@ def episode_diagnostics(
     """Score one episode against exact operators on the run's environment.
 
     The temperature, discount and environment come from config, the
-    reference mean-field and value-iteration tolerance from its oracle,
-    which config has checked was solved for the same game.
+    reference mean-field and value-iteration tolerance from its reference
+    pair, which config has checked was solved for the same game.
     """
-    oracle = config.diagnostics_oracle
-    if oracle is None:
-        raise ValueError("episode diagnostics require an oracle handle")
-    q_star = induced_q_star(config.env, mu_first, config.rho, oracle.vi_tol).values
+    ref = config.reference
+    if ref is None:
+        raise ValueError("episode diagnostics require a reference equilibrium")
+    q_star = induced_q_star(config.env, mu_first, config.rho, ref.vi_tol).values
     best_response = softmax_table(q_star, config.schedule.lam)
     chain = induced_kernel(config.env, pi_first, mu_first)
     return EpisodeDiagnostics(
         k=k,
         e_pi=tv_norm(pi_first - best_response),
-        e_mu=l1_norm(mu_first - oracle.mu_star),
+        e_mu=l1_norm(mu_first - ref.mean_field.probs),
         eps_P=frobenius_norm(p_hat_end - chain),
         eps_Q=inf_norm(q_end - q_star),
         residual_mu=l1_norm(mu_first - chain.T @ mu_first),
@@ -378,7 +376,6 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
     """
     env = config.env
     K = config.num_episodes
-    oracle = config.diagnostics_oracle
     run = _Run(config)
     episode = run.reference_episode
     # A subclass may override reward or transition_dist, which the kernel
@@ -395,7 +392,7 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
         episode_min_policy = episode(k)
         global_min_policy = min(global_min_policy, episode_min_policy)
         mu1, pi1 = run.mu_first[k - 1], run.pi_first[k - 1]
-        if oracle is not None and (k - 1) % config.diagnostics_every == 0:
+        if config.reference is not None and (k - 1) % config.diagnostics_every == 0:
             diagnostics.append(
                 episode_diagnostics(
                     k, mu1, pi1, run.counter.estimate(), run.learner.q, config, episode_min_policy
@@ -409,7 +406,7 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
                     e_mu=math.nan,
                     eps_P=math.nan,
                     eps_Q=math.nan,
-                    residual_mu=l1_norm(mu1 - induced_kernel(env, pi1, mu1).T @ mu1),
+                    residual_mu=l1_norm(mu1 - gamma2(env, pi1, mu1)),
                     min_policy=episode_min_policy,
                 )
             )

@@ -49,7 +49,11 @@ def run_state_snapshot(
 
 
 def equilibrium_snapshot(pair) -> dict:
-    """Equilibrium pair document; shares the mean_field / policy encoding."""
+    """Equilibrium pair document; shares the mean_field / policy encoding.
+
+    Records the temperature, discount, damping and tolerance the pair was
+    solved with, taken from the pair itself.
+    """
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "equilibrium",
@@ -60,6 +64,10 @@ def equilibrium_snapshot(pair) -> dict:
         "converged": bool(pair.converged),
         "iterations": int(pair.iterations),
         "vi_sweeps": int(pair.vi_sweeps),
+        "lambda": pair.lam,
+        "rho": pair.rho,
+        "damping": pair.damping,
+        "tol": pair.tol,
     }
 
 

@@ -19,7 +19,6 @@ from mfg_sandbox.oracle import (
     gamma1_lambda,
     induced_kernel,
     induced_q_star,
-    make_diagnostics_oracle,
     solve_bmfe,
 )
 from mfg_sandbox.sandbox import SandboxConfig, run_sandbox, update_mean_field, update_policy
@@ -261,7 +260,7 @@ def _windowed_trend(values):
 
 def _full_grid_run(env):
     schedule = ScheduleParams(**GRID_SCHEDULE, psi=0.2)
-    oracle, _ = make_diagnostics_oracle(env, lam=schedule.lam, rho=RHO, tol=1e-8)
+    reference = solve_bmfe(env, lam=schedule.lam, rho=RHO, tol=1e-8)
     result = run_sandbox(
         SandboxConfig(
             env=env,
@@ -270,7 +269,7 @@ def _full_grid_run(env):
             steps_per_episode=50_000,
             rho=RHO,
             seed=0,
-            diagnostics_oracle=oracle,
+            reference=reference,
         )
     )
     mu_last, mu_first = _windowed_trend([d.e_mu for d in result.per_episode])

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mfg_sandbox
 from mfg_sandbox import cli, snapshots
 from mfg_sandbox.sandbox import NonFiniteError, run_sandbox
 
@@ -122,6 +123,15 @@ def test_readme_config_reference_lists_every_key():
     assert "use_projection" not in section
 
 
+def test_readme_library_example_imports_public_names():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"from mfg_sandbox import \(([^)]*)\)", section)
+    assert block is not None
+    names = {name.strip() for name in block.group(1).split(",") if name.strip()}
+    assert names and sorted(names - set(mfg_sandbox.__all__)) == []
+
+
 def test_parse_error_carries_line_info(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "mode": "sandbox",\n  oops\n}', encoding="utf-8")
@@ -227,6 +237,20 @@ def test_oracle_mode_output(tmp_path):
     assert len(doc["policy"]) == 9
     # the solver trace: damped iterations and the value-iteration sweeps behind them
     assert doc["vi_sweeps"] > doc["iterations"] > 0
+    # the solver settings are recorded from the solved pair
+    out = tmp_path / "oracle_set"
+    cfg = dataclasses.replace(
+        cli.load_config(write_config(tmp_path, {"mode": "oracle", "damping": 0.7, "bmfe_tol": 1e-9})),
+        output_dir=str(out),
+    )
+    assert cli.run_experiment(cfg) == cli.EXIT_OK
+    doc = snapshots.read_json(out / "bmfe.json")
+    assert set(doc) == {
+        "schema_version", "kind", "mean_field", "policy", "residual_policy", "residual_mu",
+        "converged", "iterations", "vi_sweeps", "lambda", "rho", "damping", "tol",
+    }
+    assert (doc["lambda"], doc["rho"], doc["damping"], doc["tol"]) == (1.0, 0.7, 0.7, 1e-9)
+    assert doc["converged"] is True
 
 
 def test_two_class_environment_via_config(tmp_path):
@@ -319,7 +343,8 @@ def test_unconverged_reference_warns_in_every_mode(tmp_path, caplog, mode):
     with caplog.at_level(logging.WARNING, logger="mfg_sandbox"):
         assert cli.run_experiment(cfg) == cli.EXIT_OK
     assert snapshots.read_json(out / "bmfe.json")["converged"] is False
-    assert [rec.message for rec in caplog.records if "max_iter" in rec.message]
+    warnings = [rec.message for rec in caplog.records if "max_iter" in rec.message]
+    assert warnings and all("bmfe_max_iter" in m and "damping" in m for m in warnings)
 
 
 @pytest.mark.parametrize("mesh, resolution", [(None, None), (1.5, 6)])

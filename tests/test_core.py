@@ -12,10 +12,8 @@ from mfg_sandbox.core import (
     QTable,
     StateActionDims,
     frobenius_norm,
-    hard_max_table,
     inf_norm,
     l1_norm,
-    softmax_policy,
     softmax_table,
     tv_norm,
 )
@@ -125,22 +123,15 @@ def test_softmax_two_action_example():
 def test_softmax_rejects_non_finite():
     with pytest.raises(ValueError):
         softmax_table(np.array([[np.inf, 0.0]]), 1.0)
-    with pytest.raises(ValueError):
-        softmax_table(np.array([[0.0, 1.0]]), -1.0)
+    for lam in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="temperature"):
+            softmax_table(np.array([[0.0, 1.0]]), lam)
 
 
 def test_softmax_policy_returns_valid_policy():
     q = QTable(np.array([[0.0, 2.0], [3.0, 1.0]]), rho=0.7)
-    pol = softmax_policy(q, 5.0)
-    assert isinstance(pol, Policy)
-
-
-def test_hard_max_splits_ties_evenly():
-    q = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]])
-    out = hard_max_table(q)
-    assert np.allclose(out[0], [0.5, 0.5, 0.0])
-    assert np.allclose(out[1], [0.0, 0.5, 0.5])
-    assert np.allclose(softmax_table(q, math.inf), out)
+    pol = Policy(softmax_table(q.values, 5.0))
+    assert pol.table[0, 1] > pol.table[0, 0] and pol.table[1, 0] > pol.table[1, 1]
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfg_sandbox.core import frobenius_norm
+from mfg_sandbox.core import QTable, frobenius_norm
 from mfg_sandbox.estimators import QLearner, TransitionCounter
 
 
@@ -130,7 +130,7 @@ def test_q_stays_in_bounds():
         )
     assert learner.q.min() >= 0.0
     assert learner.q.max() <= bound
-    table = learner.q_table()
+    table = QTable(learner.q, learner.rho)  # checks every entry against 1 / (1 - rho)
     assert table.rho == 0.7
 
 

@@ -19,12 +19,10 @@ from mfg_sandbox.oracle import (
     PROBE_BLOCK,
     BmfePair,
     ContractionEstimate,
-    DiagnosticsOracle,
     gamma1_lambda,
     gamma2,
     induced_kernel,
     induced_q_star,
-    make_diagnostics_oracle,
     probe_contraction,
     solve_bmfe,
 )
@@ -120,13 +118,6 @@ def test_gamma1_concentrates_with_temperature():
     assert np.all(prev_mass[separated] > 0.999)
 
 
-def test_gamma1_infinite_temperature_splits_ties():
-    kernel = np.ones((1, 2, 1))
-    env = make_fixed_mdp_env(kernel, np.array([[0.5, 0.5]]))
-    pol = gamma1_lambda(env, np.array([1.0]), lam=math.inf, rho=0.7)
-    assert np.allclose(pol.table, 0.5)
-
-
 def test_gamma2_identity_kernel_fixes_everything():
     kernel = np.zeros((3, 2, 3))
     for s in range(3):
@@ -136,7 +127,7 @@ def test_gamma2_identity_kernel_fixes_everything():
     for _ in range(10):
         mu = rng.dirichlet(np.ones(3))
         pi = rng.dirichlet(np.ones(2), size=3)
-        assert np.allclose(gamma2(env, pi, mu).probs, mu)
+        assert np.allclose(gamma2(env, pi, mu), mu)
 
 
 def test_gamma2_absorbing_kernel():
@@ -144,7 +135,7 @@ def test_gamma2_absorbing_kernel():
     kernel[:, :, 0] = 1.0
     env = make_fixed_mdp_env(kernel, np.zeros((2, 2)))
     out = gamma2(env, np.full((2, 2), 0.5), np.array([0.3, 0.7]))
-    assert np.allclose(out.probs, [1.0, 0.0])
+    assert np.allclose(out, [1.0, 0.0])
 
 
 def test_gamma2_iteration_reaches_stationary_distribution():
@@ -153,7 +144,7 @@ def test_gamma2_iteration_reaches_stationary_distribution():
     pi = rng.dirichlet(np.ones(2), size=5)
     mu = rng.dirichlet(np.ones(5))
     for _ in range(500):
-        mu = gamma2(env, pi, mu).probs
+        mu = gamma2(env, pi, mu)
         assert abs(mu.sum() - 1.0) < 1e-12  # simplex preserved exactly
     expected = _stationary_distribution(induced_kernel(env, pi, mu))
     assert l1_norm(mu - expected) < 1e-10
@@ -219,7 +210,7 @@ def test_solve_bmfe_congestion_fixed_point_contract():
     assert pair.residual_mu <= tol
     # reapplying the composite map moves mu* by at most 2 * tol
     moved = gamma2(env, gamma1_lambda(env, pair.mean_field.probs, 1.0, 0.7).table, pair.mean_field.probs)
-    assert l1_norm(moved.probs - pair.mean_field.probs) <= 2 * tol
+    assert l1_norm(moved - pair.mean_field.probs) <= 2 * tol
 
 
 def test_solve_bmfe_flags_non_convergence():
@@ -252,18 +243,12 @@ def test_contraction_estimate_validation():
         ContractionEstimate(d1_hat=math.nan, d2_hat=0.0, d3_hat=0.0, num_pairs=1)
 
 
-def test_diagnostics_oracle_bundles_reference():
+def test_solve_bmfe_records_its_inputs():
     env = make_congestion_env(CongestionGridParams(side=3))
-    oracle, pair = make_diagnostics_oracle(env, lam=1.0, rho=0.7, vi_tol=1e-11)
-    assert isinstance(oracle, DiagnosticsOracle)
-    assert set(vars(oracle)) == {"mu_star", "env", "lam", "rho", "vi_tol"}
-    assert oracle.env is env and (oracle.lam, oracle.rho) == (1.0, 0.7)
-    assert np.array_equal(oracle.mu_star, pair.mean_field.probs)
-    assert oracle.vi_tol == 1e-11
-    mu = np.full(9, 1 / 9)
-    assert np.allclose(gamma1_lambda(env, mu, 1.0, 0.7, oracle.vi_tol).table.sum(axis=1), 1.0)
-    chain = induced_kernel(env, np.full((9, 4), 0.25), mu)
-    assert np.abs(chain.sum(axis=1) - 1.0).max() < 1e-12
+    pair = solve_bmfe(env, lam=2.0, rho=0.6, damping=0.7, tol=1e-9, vi_tol=1e-11)
+    assert pair.env is env
+    assert (pair.lam, pair.rho, pair.damping, pair.tol, pair.vi_tol) == (2.0, 0.6, 0.7, 1e-9, 1e-11)
+    assert pair.converged and pair.iterations > 0 and pair.vi_sweeps > pair.iterations
 
 
 # ---------------------------------------------------------------------------

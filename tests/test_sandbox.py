@@ -25,7 +25,7 @@ from mfg_sandbox.environment import (
     sample_from_cdf,
 )
 from mfg_sandbox.estimators import QLearner, TransitionCounter
-from mfg_sandbox.oracle import gamma1_lambda, induced_kernel, induced_q_star, make_diagnostics_oracle
+from mfg_sandbox.oracle import gamma1_lambda, induced_kernel, induced_q_star, solve_bmfe
 from mfg_sandbox.sandbox import (
     NonFiniteError,
     SandboxConfig,
@@ -323,12 +323,12 @@ def test_snapshot_file_round_trip(tmp_path):
 
 def test_episode_diagnostics_zero_cases():
     env = small_env(side=2)
-    oracle, pair = make_diagnostics_oracle(env, lam=1.0, rho=0.7, tol=1e-9)
+    pair = solve_bmfe(env, lam=1.0, rho=0.7, tol=1e-9)
     mu_star = pair.mean_field.probs
     pi_star = pair.policy.table
     chain = induced_kernel(env, pi_star, mu_star)
-    q_star = induced_q_star(env, mu_star, 0.7, oracle.vi_tol).values
-    config = small_config(env, diagnostics_oracle=oracle)
+    q_star = induced_q_star(env, mu_star, 0.7, pair.vi_tol).values
+    config = small_config(env, reference=pair)
     diag = episode_diagnostics(5, mu_star, pi_star, chain, q_star, config, min_policy=0.1)
     assert diag.k == 5
     assert diag.e_pi == pytest.approx(0.0, abs=1e-12)
@@ -347,8 +347,7 @@ def test_episode_diagnostics_requires_oracle():
 
 def test_config_rejects_an_oracle_solved_for_another_game():
     env = small_env(side=3)
-    oracle, _ = make_diagnostics_oracle(env, lam=1.0, rho=0.7)
-    config = small_config(env, diagnostics_oracle=oracle)
+    config = small_config(env, reference=solve_bmfe(env, lam=1.0, rho=0.7))
     for kw in (
         dict(schedule=ScheduleParams(lam=3.0)),
         dict(rho=0.6),
@@ -363,9 +362,9 @@ def test_diagnostics_score_at_the_run_temperature():
     # e_mu the distance to the lambda = 3 equilibrium; both differ from
     # their values at the default lambda = 1.
     env = small_env(side=3)
-    oracle, pair = make_diagnostics_oracle(env, lam=3.0, rho=0.7)
-    _, pair_at_1 = make_diagnostics_oracle(env, lam=1.0, rho=0.7)
-    config = small_config(env, schedule=ScheduleParams(lam=3.0), diagnostics_oracle=oracle)
+    pair = solve_bmfe(env, lam=3.0, rho=0.7)
+    pair_at_1 = solve_bmfe(env, lam=1.0, rho=0.7)
+    config = small_config(env, schedule=ScheduleParams(lam=3.0), reference=pair)
     result = run_sandbox(config)
     for diag, mu1, pi1 in zip(result.per_episode, result.mu_first_steps, result.pi_first_steps):
         at_run = tv_norm(pi1 - gamma1_lambda(env, mu1, 3.0, 0.7).table)
@@ -378,10 +377,8 @@ def test_diagnostics_score_at_the_run_temperature():
 
 def test_diagnostics_during_run_decrease_on_average():
     env = small_env(side=2, jostle_p=0.2)
-    oracle, _ = make_diagnostics_oracle(env, lam=1.0, rho=0.7)
-    result = run_sandbox(
-        small_config(env, num_episodes=12, steps_per_episode=300, diagnostics_oracle=oracle)
-    )
+    pair = solve_bmfe(env, lam=1.0, rho=0.7)
+    result = run_sandbox(small_config(env, num_episodes=12, steps_per_episode=300, reference=pair))
     assert len(result.per_episode) == 12
     e_mu = np.array([d.e_mu for d in result.per_episode])
     assert not np.isnan(e_mu).any()
@@ -390,9 +387,9 @@ def test_diagnostics_during_run_decrease_on_average():
 
 def test_diagnostics_stride_leaves_gaps():
     env = small_env(side=2)
-    oracle, _ = make_diagnostics_oracle(env, lam=1.0, rho=0.7)
+    pair = solve_bmfe(env, lam=1.0, rho=0.7)
     result = run_sandbox(
-        small_config(env, num_episodes=5, steps_per_episode=60, diagnostics_oracle=oracle, diagnostics_every=2)
+        small_config(env, num_episodes=5, steps_per_episode=60, reference=pair, diagnostics_every=2)
     )
     filled = [not math.isnan(d.e_mu) for d in result.per_episode]
     assert filled == [True, False, True, False, True]
