@@ -10,15 +10,18 @@ candidate is the working tree. Each side runs its own, unmodified
 ``run_seconds`` of the candidate's ``BENCHMARK.json``, on every workload
 listed there. For each workload, pair i of the 10 pairs runs both sides
 with workload seed ``--seed + i``, the side that goes first alternating
-from pair to pair. Before the pairs, each side runs once untimed, so lazy
-set-up such as the step-kernel build does not fall into a timed run.
+from pair to pair. Before the pairs, each side runs its tier-1 tests once
+(``python -m pytest -q --continue-on-collection-errors`` with its own
+``src`` on ``PYTHONPATH``) and the benchmark once untimed, so lazy set-up
+such as the step-kernel build does not fall into a timed run.
 
 Writes ``BENCH_<number>.json`` at the repository root: per workload and
 end-to-end metric (names and directions from the candidate's
 ``BENCHMARK.json``), each side's median and quartiles, the pair count, the
 candidate's wins out of the pairs (ties count for neither), the distance
 between the base's quartiles, each side's attempted and failed
-invocations, and the machine facts.
+invocations, each side's tier-1 counts and wall time (a measured number,
+not a gate), and the machine facts.
 """
 
 from __future__ import annotations
@@ -28,10 +31,12 @@ import datetime
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,6 +68,32 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     result["exit_code"] = proc.returncode
     return result
+
+
+def parse_pytest_summary(output: str) -> dict:
+    """Outcome counts from the last summary line of ``pytest -q`` output."""
+    counts = {}
+    for line in reversed(output.strip().splitlines()):
+        if re.search(r" in [\d.]+s\b", line):
+            found = re.findall(r"(\d+) (passed|failed|error|skipped|deselected)s?\b", line)
+            counts = {word: int(n) for n, word in found}
+            break
+    return {key: counts.get(key, 0) for key in ("passed", "failed", "error", "skipped", "deselected")}
+
+
+def run_tier1(checkout: Path) -> dict:
+    """One tier-1 test run in checkout: outcome counts, exit code and wall time."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        cwd=checkout,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    wall_s = time.perf_counter() - started
+    return {**parse_pytest_summary(proc.stdout), "exit_code": proc.returncode, "wall_s": wall_s}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -148,7 +179,10 @@ def main(argv=None) -> int:
         workloads = [w["name"] for w in spec["workloads"]]
         sides = {"base": base_dir, "candidate": ROOT}
 
+        tier1 = {}
         for name, checkout in sides.items():
+            print(f"tier-1 tests {name}", file=sys.stderr, flush=True)
+            tier1[name] = run_tier1(checkout)
             print(f"warm-up {name}", file=sys.stderr, flush=True)
             run_bench(checkout, workloads[0], args.seed, 0)
 
@@ -191,6 +225,7 @@ def main(argv=None) -> int:
             "order": "alternating, base first in even pairs",
             "wins": "pairs where the candidate is better by the metric's direction; ties count for neither",
         },
+        "tier1": tier1,
         "machine": machine_facts(),
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "workloads": report,

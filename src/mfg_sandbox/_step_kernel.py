@@ -1,12 +1,14 @@
 """Compiled learner step for congestion-grid runs, built on first use with cffi.
 
-One call of ``learner_step`` performs everything a step of the run loop does
-except counting the transition: the mean-field and policy updates, their
-finiteness check and the policy minimum, the action and next-state draws
-from pre-drawn uniforms, the congestion reward and its range check, the
-Q-learning update and the refresh of the updated state's softmax row. The
-caller records the transition with ``TransitionCounter.record``, whose live
-estimate buffer the next step reads.
+One call of ``learner_step`` performs everything a step t > 1 of the run
+loop does except counting the transition: the mean-field and policy updates,
+their finiteness check and the policy minimum, the action and next-state
+draws from pre-drawn uniforms, the congestion reward and its range check,
+the Q-learning update and the refresh of the updated state's softmax row.
+The caller records the transition with ``TransitionCounter.record``, whose
+live estimate buffer the next step reads. Each episode's first step, which
+reads the cached estimate, may project, and stores the first-step pair, is
+left to the reference step.
 
 The extension is compiled once into ``_kernel_build`` next to this file,
 under a name keyed by the C source, the compiler flags and the interpreter's
@@ -34,10 +36,10 @@ REWARD_OUT_OF_RANGE = -3
 CDEF = """
 typedef struct {
     int num_states, num_actions, state;
-    double *mu, *pi, *q, *soft, *push, *mu_first, *pi_first;
-    const double *estimate, *cached, *cdf, *state_reward;
+    double *mu, *pi, *q, *soft, *push;
+    const double *estimate, *cdf, *state_reward;
     const double *c_mu, *c_pi, *beta, *u;
-    double congestion_c, lam, rho, psi_first, psi_tail;
+    double congestion_c, lam, rho, psi;
     double min_policy, reward;
 } step_ctx;
 
@@ -46,10 +48,11 @@ int learner_step(step_ctx *c, int t);
 
 # Field meanings (S states, A actions, T steps per episode, row-major):
 # mu (S), pi and soft (S x A, soft = softmax(lam * q) row by row), q (S x A),
-# push (S, holds P^T mu), mu_first / pi_first (this episode's first-step rows),
-# estimate / cached (S x S, live and episode-start transition estimates),
+# push (S, holds P^T mu), estimate (S x S, live transition estimate),
 # cdf (S x A x S, cumulative transition kernel), state_reward (S),
-# c_mu / c_pi / beta (T step sizes), u (2T uniforms: action, next state).
+# c_mu / c_pi / beta (T step sizes, indexed by t - 1), psi (exploration
+# weight of steps t > 1), u (2(T - 1) uniforms of steps 2..T: action, next
+# state), min_policy (smallest policy entry over the calls so far).
 SOURCE = (
     CDEF
     + r"""
@@ -59,18 +62,16 @@ SOURCE = (
 int learner_step(step_ctx *c, int t)
 {
     const int S = c->num_states, A = c->num_actions, s = c->state;
-    const double *p = t == 1 ? c->cached : c->estimate;
     const double c_mu = c->c_mu[t - 1], c_pi = c->c_pi[t - 1];
-    const double psi = t == 1 ? c->psi_first : c->psi_tail;
-    const double w_soft = c_pi * (1.0 - psi), w_unif = c_pi * psi * (1.0 / A);
-    const double *u = c->u + 2 * (size_t)(t - 1);
+    const double w_soft = c_pi * (1.0 - c->psi), w_unif = c_pi * c->psi * (1.0 / A);
+    const double *u = c->u + 2 * (size_t)(t - 2);
     double *mu = c->mu, *pi = c->pi, *push = c->push;
 
     /* mu <- (1 - c_mu) mu + c_mu P^T mu */
     for (int j = 0; j < S; j++)
         push[j] = 0.0;
     for (int i = 0; i < S; i++) {
-        const double m = mu[i], *row = p + (size_t)i * S;
+        const double m = mu[i], *row = c->estimate + (size_t)i * S;
         for (int j = 0; j < S; j++)
             push[j] += m * row[j];
     }
@@ -91,14 +92,8 @@ int learner_step(step_ctx *c, int t)
     }
     if (!isfinite(mu_sum) || !isfinite(pi_sum))
         return -1; /* NON_FINITE_PAIR */
-    if (t == 1) {
-        for (int j = 0; j < S; j++)
-            c->mu_first[j] = mu[j];
-        for (int n = 0; n < S * A; n++)
-            c->pi_first[n] = pi[n];
-    } else if (pi_min < c->min_policy) {
+    if (pi_min < c->min_policy)
         c->min_policy = pi_min;
-    }
 
     /* inverse-CDF draws: first index whose cumulative mass exceeds u */
     const double *pi_s = pi + (size_t)s * A;

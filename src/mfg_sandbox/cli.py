@@ -75,7 +75,6 @@ class ExperimentConfig:
     num_seeds: int = 1
     output_dir: str = "runs"
     diagnostics_every: int = 1
-    validate_every: int = 100
     damping: float = 0.5
     bmfe_tol: float = 1e-8
     bmfe_max_iter: int = 10_000
@@ -104,8 +103,6 @@ class ExperimentConfig:
             raise ValueError("diagnostics_every must be >= 1")
         if self.probe_pairs < 1:
             raise ValueError("probe_pairs must be >= 1")
-        if self.validate_every < 1:
-            raise ValueError("validate_every must be >= 1")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
         if self.bmfe_tol <= 0.0:
@@ -194,15 +191,6 @@ def load_config(path) -> ExperimentConfig:
     )
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """JSON-ready dict using the external key names; loads back unchanged."""
-    doc = {key: getattr(cfg, key) for key in _RUN_KEYS}
-    for key, value in dataclasses.asdict(cfg.schedule).items():
-        doc[_FIELD_ALIASES.get(key, key)] = value
-    doc["environment"] = {"kind": cfg.env_kind, **dataclasses.asdict(cfg.environment)}
-    return doc
-
-
 def build_environment(cfg: ExperimentConfig):
     return _ENV_FACTORIES[cfg.env_kind](cfg.environment)
 
@@ -276,7 +264,6 @@ def _run_one_seed(cfg: ExperimentConfig, env, reference: BmfePair, seed: int, ou
         net=net,
         reference=reference,
         diagnostics_every=cfg.diagnostics_every,
-        validate_every=cfg.validate_every,
     )
     started = time.perf_counter()
     result = run_sandbox(run_config)

@@ -42,6 +42,9 @@ from .schedules import (
 )
 from . import _step_kernel, snapshots
 
+# Stride, in steps, of the simplex check on the mean-field and policy.
+VALIDATE_EVERY = 100
+
 
 class NonFiniteError(RuntimeError):
     """A NaN or infinity showed up mid-run; carries a full state snapshot."""
@@ -66,7 +69,6 @@ class SandboxConfig:
     net: Optional[EpsilonNet] = None
     reference: Optional[BmfePair] = None
     diagnostics_every: int = 1
-    validate_every: int = 100
 
     def __post_init__(self):
         if self.num_episodes < 2 or self.steps_per_episode < 2:
@@ -75,8 +77,6 @@ class SandboxConfig:
             raise ValueError("discount rho must lie in (0, 1)")
         if self.diagnostics_every < 1:
             raise ValueError("diagnostics_every must be >= 1")
-        if self.validate_every < 1:
-            raise ValueError("validate_every must be >= 1")
         ref = self.reference
         if ref is not None and (ref.env is not self.env or ref.lam != self.schedule.lam or ref.rho != self.rho):
             raise ValueError("reference was solved for another environment, lambda or rho than the run's")
@@ -214,46 +214,50 @@ class _Run:
         self.psi_first = exploration_coeff(sched, k, 1)
         self.psi_tail = exploration_coeff(sched, k, 2)
 
-    def reference_episode(self, k: int) -> float:
-        """Episode k as a plain loop over the reference update forms.
+    def reference_step(self, k: int, t: int) -> float:
+        """Step t of episode k through the reference update forms.
 
-        Works for every environment and projection. Returns the smallest
-        policy entry over steps t > 1.
+        Works for every environment and projection. Writes mu and pi in
+        place, since the compiled step points into them. Returns the
+        smallest policy entry, or inf at t = 1, whose pair is stored as the
+        episode's first step instead.
         """
-        config = self.config
-        counter, learner, rng = self.counter, self.learner, self.rng
-        min_policy = math.inf
-        for t in range(1, config.steps_per_episode + 1):
-            first = t == 1
-            self.mu = update_mean_field(
-                self.mu,
-                counter.cached_estimate if first else counter.estimate(),
-                self.c_mu[t - 1],
-                config.net if first else None,
-            )
-            self.pi = update_policy(
-                self.pi,
-                learner.q,
-                self.c_pi[t - 1],
-                self.psi_first if first else self.psi_tail,
-                config.schedule.lam,
-            )
-            if not (math.isfinite(self.mu.sum()) and math.isfinite(self.pi.sum())):
-                raise self.non_finite(k, t, rng.bit_generator.state)
-            if t % config.validate_every == 0:
-                _validate_state(self.mu, self.pi, k, t)
-            if first:
-                self.mu_first[k - 1], self.pi_first[k - 1] = self.mu, self.pi
-            else:
-                min_policy = min(min_policy, float(self.pi.min()))
-            action = sample_from_cdf(np.cumsum(self.pi[self.state]), rng.random())
-            next_state, reward = env_step(config.env, self.state, action, self.mu, rng)
-            if not math.isfinite(reward):
-                raise self.non_finite(k, t, rng.bit_generator.state)
-            counter.record(self.state, next_state)
-            learner.update(self.state, action, reward, next_state)
-            self.state = next_state
+        config, counter, learner, rng = self.config, self.counter, self.learner, self.rng
+        first = t == 1
+        self.mu[:] = update_mean_field(
+            self.mu,
+            counter.cached_estimate if first else counter.estimate(),
+            self.c_mu[t - 1],
+            config.net if first else None,
+        )
+        self.pi[:] = update_policy(
+            self.pi,
+            learner.q,
+            self.c_pi[t - 1],
+            self.psi_first if first else self.psi_tail,
+            config.schedule.lam,
+        )
+        if not (math.isfinite(self.mu.sum()) and math.isfinite(self.pi.sum())):
+            raise self.non_finite(k, t, rng.bit_generator.state)
+        if t % VALIDATE_EVERY == 0:
+            _validate_state(self.mu, self.pi, k, t)
+        if first:
+            self.mu_first[k - 1], self.pi_first[k - 1] = self.mu, self.pi
+            min_policy = math.inf
+        else:
+            min_policy = float(self.pi.min())
+        action = sample_from_cdf(np.cumsum(self.pi[self.state]), rng.random())
+        next_state, reward = env_step(config.env, self.state, action, self.mu, rng)
+        if not math.isfinite(reward):
+            raise self.non_finite(k, t, rng.bit_generator.state)
+        counter.record(self.state, next_state)
+        learner.update(self.state, action, reward, next_state)
+        self.state = next_state
         return min_policy
+
+    def reference_episode(self, k: int) -> float:
+        """Episode k as a loop over reference_step; the smallest policy entry over t > 1."""
+        return min(self.reference_step(k, t) for t in range(1, self.config.steps_per_episode + 1))
 
     def non_finite(self, k: int, t: int, rng_state: dict) -> NonFiniteError:
         counter = self.counter
@@ -276,32 +280,35 @@ class _Run:
 
 
 class _KernelLoop:
-    """Episodes of a congestion-grid run through the compiled learner step.
+    """Episodes of a congestion-grid run with steps 2..T through the compiled step.
 
-    Each step is one kernel call, which updates mu, pi, the Q-table and the
-    softmax table in place, then one TransitionCounter.record call. The
-    kernel reads the counter's live estimate buffer, and each episode's
-    2T uniforms are drawn as one block, the same stream as 2T scalar draws.
+    Step 1, which alone reads the cached estimate, projects and stores the
+    first-step pair, runs through _Run.reference_step. Each later step is one
+    kernel call, which updates mu, pi, the Q-table and the softmax table in
+    place, then one TransitionCounter.record call. The kernel reads the
+    counter's live estimate buffer, and the 2(T - 1) uniforms of steps 2..T
+    are drawn as one block, the same stream as that many scalar draws.
     """
 
     def __init__(self, run: _Run, ffi, lib):
         config, env = run.config, run.config.env
         sched, learner = config.schedule, run.learner
         S, A, T = env.dims.num_states, env.dims.num_actions, config.steps_per_episode
-        self.run, self._ffi, self._step = run, ffi, lib.learner_step
-        self._buffers = {}  # every array the context points into, kept alive
-        self._u = np.empty(2 * T)
+        self.run, self._step = run, lib.learner_step
+        self._u = np.empty(2 * (T - 1))
+        self._soft = np.empty((S, A))
         # QLearner.step_size at clocks 0 .. T-1; the clock restarts each episode.
         beta = np.array([min(1.0, learner.c_beta / (t + 1.0) ** learner.nu) for t in range(T)])
         ctx = self.ctx = ffi.new("step_ctx *")
         ctx.num_states, ctx.num_actions = S, A
         ctx.congestion_c = env.params.congestion_c
         ctx.lam, ctx.rho = sched.lam, config.rho
+        self._buffers = []  # every array the context points into, kept alive
         for name, array, size in (
             ("mu", run.mu, S),
             ("pi", run.pi, S * A),
             ("q", learner.q, S * A),
-            ("soft", softmax_table(learner.q, sched.lam), S * A),
+            ("soft", self._soft, S * A),
             ("push", np.empty(S), S),
             ("estimate", run.counter.estimate(), S * S),
             ("cdf", np.cumsum(env.transition_kernel(None), axis=2), S * A * S),
@@ -309,57 +316,53 @@ class _KernelLoop:
             ("c_mu", run.c_mu, T),
             ("c_pi", run.c_pi, T),
             ("beta", beta, T),
-            ("u", self._u, 2 * T),
+            ("u", self._u, 2 * (T - 1)),
         ):
-            self._bind(name, array, size)
-
-    def _bind(self, name: str, array: np.ndarray, size: int) -> None:
-        if array.dtype != np.float64 or not array.flags.c_contiguous or array.size != size:
-            raise ValueError(f"step buffer {name} must be {size} contiguous float64 values")
-        buffer = self._buffers[name] = self._ffi.from_buffer("double[]", array)
-        setattr(self.ctx, name, buffer)
+            if array.dtype != np.float64 or not array.flags.c_contiguous or array.size != size:
+                raise ValueError(f"step buffer {name} must be {size} contiguous float64 values")
+            buffer = ffi.from_buffer("double[]", array)
+            self._buffers.append(buffer)
+            setattr(ctx, name, buffer)
 
     def episode(self, k: int) -> float:
         """Run episode k; returns the smallest policy entry over steps t > 1."""
         run, ctx = self.run, self.ctx
-        S, A = ctx.num_states, ctx.num_actions
-        self._bind("cached", run.counter.cached_estimate, S * S)
-        self._bind("mu_first", run.mu_first[k - 1], S)
-        self._bind("pi_first", run.pi_first[k - 1], S * A)
-        ctx.psi_first, ctx.psi_tail = run.psi_first, run.psi_tail
+        run.reference_step(k, 1)
+        # Step 1 updated one Q entry in Python.
+        self._soft[:] = softmax_table(run.learner.q, run.config.schedule.lam)
+        ctx.psi = run.psi_tail
         ctx.min_policy = math.inf
         ctx.state = state = run.state
-        episode_rng = run.rng.bit_generator.state
+        rng_after_first = run.rng.bit_generator.state
         run.rng.random(out=self._u)
         step, record = self._step, run.counter.record
-        validate_every = run.config.validate_every
-        for t in range(1, run.config.steps_per_episode + 1):
+        for t in range(2, run.config.steps_per_episode + 1):
             next_state = step(ctx, t)
             if next_state < 0:
                 run.state = state
-                self._fail(k, t, next_state, episode_rng)
-            if t % validate_every == 0:
+                self._fail(k, t, next_state, rng_after_first)
+            if t % VALIDATE_EVERY == 0:
                 _validate_state(run.mu, run.pi, k, t)
             record(state, next_state)
             state = next_state
         run.state = state
         return ctx.min_policy
 
-    def _fail(self, k: int, t: int, code: int, episode_rng: dict) -> None:
+    def _fail(self, k: int, t: int, code: int, rng_after_first: dict) -> None:
         """Raise what the reference loop raises at step t of episode k.
 
-        The snapshot's generator state is rebuilt from the episode's start
-        by replaying the uniforms the reference loop would have drawn.
+        The snapshot's generator state is rebuilt from the state after step
+        1 by replaying the uniforms the reference loop would have drawn.
         """
         run = self.run
-        drawn = 2 * (t - 1)
+        drawn = 2 * (t - 2)
         if code != _step_kernel.NON_FINITE_PAIR:
-            if t % run.config.validate_every == 0:
+            if t % VALIDATE_EVERY == 0:
                 _validate_state(run.mu, run.pi, k, t)
             if code == _step_kernel.REWARD_OUT_OF_RANGE:
                 raise ValueError(f"reward {self.ctx.reward} outside [0, 1]")
             drawn += 2
-        rng = snapshots.restore_rng(episode_rng)
+        rng = snapshots.restore_rng(rng_after_first)
         rng.random(drawn)
         raise run.non_finite(k, t, rng.bit_generator.state)
 
@@ -369,10 +372,11 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
 
     Deterministic given the seed: the generator draws one uniform for the
     initial state, then one per action and one per transition, in that
-    order. Congestion-grid runs without projection use the compiled step
-    when it can be built, every other run the reference loop; both give the
-    same results up to rounding. Any non-finite value aborts with a
-    NonFiniteError carrying a serialized state snapshot.
+    order. On congestion grids, projection included, steps 2..T of every
+    episode use the compiled step when it can be built; every other step
+    and run uses the reference step, and both give the same results up to
+    rounding. Any non-finite value aborts with a NonFiniteError carrying a
+    serialized state snapshot.
     """
     env = config.env
     K = config.num_episodes
@@ -380,7 +384,7 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
     episode = run.reference_episode
     # A subclass may override reward or transition_dist, which the kernel
     # does not call.
-    if type(env) is CongestionGridEnv and config.net is None:
+    if type(env) is CongestionGridEnv:
         kernel = _step_kernel.load()
         if kernel is not None:
             episode = _KernelLoop(run, *kernel).episode

@@ -39,3 +39,24 @@ def test_summarize_counts_wins_by_direction_and_ties_for_neither(bench_ab):
     assert out["wall_s"]["median_ratio"] == pytest.approx(0.875)
     assert out["wall_s"]["base_iqr"] == pytest.approx(2.5 - 1.75)
     assert out["rate"]["base_values"] == [10.0, 20.0, 30.0, 40.0]
+
+
+@pytest.mark.parametrize(
+    "output, expected",
+    [
+        (
+            "....s...\n179 passed, 1 skipped, 2 deselected in 84.60s (0:01:24)\n",
+            {"passed": 179, "failed": 0, "error": 0, "skipped": 1, "deselected": 2},
+        ),
+        (
+            "F..E\nFAILED tests/test_a.py::test_b - assert 2 passed in 1.0s == 3\n"
+            "1 failed, 176 passed, 2 deselected, 3 warnings, 2 errors in 80.10s\n",
+            {"passed": 176, "failed": 1, "error": 2, "skipped": 0, "deselected": 2},
+        ),
+        ("no tests ran in 0.01s\n", {"passed": 0, "failed": 0, "error": 0, "skipped": 0, "deselected": 0}),
+        ("", {"passed": 0, "failed": 0, "error": 0, "skipped": 0, "deselected": 0}),
+    ],
+    ids=["passing", "failures-and-errors", "no-tests", "no-output"],
+)
+def test_parse_pytest_summary_reads_the_final_line(bench_ab, output, expected):
+    assert bench_ab.parse_pytest_summary(output) == expected

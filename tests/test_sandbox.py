@@ -42,7 +42,7 @@ from mfg_sandbox.schedules import (
     step_size_mu,
     step_size_pi,
 )
-from mfg_sandbox import _step_kernel, snapshots
+from mfg_sandbox import _step_kernel, sandbox, snapshots
 
 
 def small_env(side=2, **kw):
@@ -173,9 +173,10 @@ def test_averaging_matches_first_step_snapshots():
     assert np.abs(result.pi_first_steps.sum(axis=2) - 1.0).max() < 1e-9
 
 
-def test_every_step_validation_run():
+def test_every_step_validation_run(monkeypatch):
+    monkeypatch.setattr(sandbox, "VALIDATE_EVERY", 1)
     env = small_env(side=2, jostle_p=0.3)
-    run_sandbox(small_config(env, validate_every=1))  # raises on any violation
+    run_sandbox(small_config(env))  # raises on any violation
 
 
 def test_exploration_floor_holds_on_small_run():
@@ -459,17 +460,22 @@ def schedules(draw):
     T=st.integers(2, 60),
     rho=st.floats(0.05, 0.95),
     seed=st.integers(0, 2**32),
+    mesh=st.none() | st.floats(0.05, 2.0, exclude_max=True),
 )
-def test_kernel_matches_reference_loop(step_kernel, env, schedule, K, T, rho, seed):
+def test_kernel_matches_reference_loop(step_kernel, env, schedule, K, T, rho, seed, mesh):
+    net = None if mesh is None else build_epsilon_net(env.dims.num_states, mesh)
     config = SandboxConfig(
-        env=env, schedule=schedule, num_episodes=K, steps_per_episode=T, rho=rho, seed=seed
+        env=env, schedule=schedule, num_episodes=K, steps_per_episode=T, rho=rho, seed=seed, net=net
     )
     assert_runs_agree(run_sandbox(config), run_reference_loop(config))
 
 
 def test_failed_kernel_build_warns_once_and_falls_back(step_kernel, monkeypatch, caplog):
     config = small_config(small_env(side=3, jostle_p=0.2), num_episodes=3, steps_per_episode=200)
-    fast = run_sandbox(config)
+    # the compiled step leaves only each episode's first step to QLearner.update
+    with mock.patch.object(QLearner, "update", autospec=True, side_effect=QLearner.update) as update:
+        fast = run_sandbox(config)
+    assert update.call_count == 3
 
     def no_compiler():
         raise OSError("no compiler")
@@ -477,7 +483,7 @@ def test_failed_kernel_build_warns_once_and_falls_back(step_kernel, monkeypatch,
     monkeypatch.setattr(_step_kernel, "_loaded", None)
     monkeypatch.setattr(_step_kernel, "_import_or_build", no_compiler)
     with caplog.at_level(logging.WARNING, logger="mfg_sandbox"):
-        # the reference loop calls QLearner.update, the compiled step never does
+        # the reference loop calls QLearner.update at every step
         with mock.patch.object(QLearner, "update", autospec=True, side_effect=QLearner.update) as update:
             first = run_sandbox(config)
             second = run_sandbox(config)
