@@ -1,14 +1,16 @@
 """Compiled learner step for congestion-grid runs, built on first use with cffi.
 
 One call of ``learner_step`` performs everything a step t > 1 of the run
-loop does except counting the transition: the mean-field and policy updates,
-their finiteness check and the policy minimum, the action and next-state
-draws from pre-drawn uniforms, the congestion reward and its range check,
-the Q-learning update and the refresh of the updated state's softmax row.
-The caller records the transition with ``TransitionCounter.record``, whose
-live estimate buffer the next step reads. Each episode's first step, which
-reads the cached estimate, may project, and stores the first-step pair, is
-left to the reference step.
+loop does except counting the transition: the refresh of the one estimate
+row the last count changed, the mean-field and policy updates, their
+finiteness check and the policy minimum, the action and next-state draws
+from pre-drawn uniforms, the congestion reward and its range check, the
+Q-learning update and the refresh of the updated state's softmax row. The
+caller counts the transition with ``TransitionCounter.record``; the step
+reads the counter's count arrays and keeps the transition estimate in a
+buffer of its own, row by row equal to ``TransitionCounter.estimate()``.
+Each episode's first step, which reads the cached estimate, may project,
+and stores the first-step pair, is left to the reference step.
 
 The extension is compiled once into ``_kernel_build`` next to this file,
 under a name keyed by the C source, the compiler flags and the interpreter's
@@ -35,9 +37,10 @@ REWARD_OUT_OF_RANGE = -3
 
 CDEF = """
 typedef struct {
-    int num_states, num_actions, state;
-    double *mu, *pi, *q, *soft, *push;
-    const double *estimate, *cdf, *state_reward;
+    int num_states, num_actions, state, prev;
+    double *mu, *pi, *q, *soft, *push, *estimate;
+    const int64_t *pair_counts, *state_counts;
+    const double *cdf, *state_reward;
     const double *c_mu, *c_pi, *beta, *u;
     double congestion_c, lam, rho, psi;
     double min_policy, reward;
@@ -48,7 +51,10 @@ int learner_step(step_ctx *c, int t);
 
 # Field meanings (S states, A actions, T steps per episode, row-major):
 # mu (S), pi and soft (S x A, soft = softmax(lam * q) row by row), q (S x A),
-# push (S, holds P^T mu), estimate (S x S, live transition estimate),
+# push (S, holds P^T mu), estimate (S x S, the smoothed transition estimate
+# of the counts pair_counts (S x S) and state_counts (S), the counter's own
+# arrays), prev (the one state whose estimate row the counts may have moved
+# since the last refresh),
 # cdf (S x A x S, cumulative transition kernel), state_reward (S),
 # c_mu / c_pi / beta (T step sizes, indexed by t - 1), psi (exploration
 # weight of steps t > 1), u (2(T - 1) uniforms of steps 2..T: action, next
@@ -58,6 +64,7 @@ SOURCE = (
     + r"""
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 
 int learner_step(step_ctx *c, int t)
 {
@@ -66,6 +73,15 @@ int learner_step(step_ctx *c, int t)
     const double w_soft = c_pi * (1.0 - c->psi), w_unif = c_pi * c->psi * (1.0 / A);
     const double *u = c->u + 2 * (size_t)(t - 2);
     double *mu = c->mu, *pi = c->pi, *push = c->push;
+
+    /* estimate row prev <- (N(prev, j) + 1/S) / (N(prev) + 1) */
+    {
+        const int64_t *n_row = c->pair_counts + (size_t)c->prev * S;
+        const double n_prev = (double)c->state_counts[c->prev] + 1.0;
+        double *row = c->estimate + (size_t)c->prev * S;
+        for (int j = 0; j < S; j++)
+            row[j] = ((double)n_row[j] + 1.0 / S) / n_prev;
+    }
 
     /* mu <- (1 - c_mu) mu + c_mu P^T mu */
     for (int j = 0; j < S; j++)
@@ -136,6 +152,7 @@ int learner_step(step_ctx *c, int t)
     for (int b = 0; b < A; b++)
         soft_s[b] /= z_sum;
 
+    c->prev = s;
     c->state = next;
     return next;
 }

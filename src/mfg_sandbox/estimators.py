@@ -16,9 +16,10 @@ class TransitionCounter:
 
     Entry (i, j) of the estimate is (N(i, j) + 1/S) / (N(i) + 1), so every
     row sums to 1 identically, including never-visited rows (uniform 1/S).
-    Counts cover the current episode only; reset() caches the final estimate
-    so the next episode's first mean-field update can reuse it before any
-    new observations arrive.
+    The counter holds only the counts N; the estimate is derived from them
+    on each call. Counts cover the current episode only; reset() caches the
+    final estimate so the next episode's first mean-field update can reuse
+    it before any new observations arrive.
     """
 
     def __init__(self, num_states: int):
@@ -27,31 +28,25 @@ class TransitionCounter:
         self.num_states = num_states
         self.pair_counts = np.zeros((num_states, num_states), dtype=np.int64)
         self.state_counts = np.zeros(num_states, dtype=np.int64)
-        self._estimate = np.full((num_states, num_states), 1.0 / num_states)
-        self.cached_estimate = self._estimate.copy()
+        self.cached_estimate = self.estimate()
 
     def record(self, i: int, j: int) -> None:
-        """Count one observed transition i -> j and refresh row i."""
+        """Count one observed transition i -> j."""
         n = self.num_states
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"transition ({i}, {j}) out of range for {n} states")
         self.pair_counts[i, j] += 1
         self.state_counts[i] += 1
-        self._estimate[i] = (self.pair_counts[i] + 1.0 / n) / (self.state_counts[i] + 1.0)
 
     def estimate(self) -> np.ndarray:
-        """Current smoothed row-stochastic estimate.
-
-        Returns the live internal buffer for speed; copy before mutating.
-        """
-        return self._estimate
+        """Current smoothed row-stochastic estimate, as a new array."""
+        return (self.pair_counts + 1.0 / self.num_states) / (self.state_counts[:, None] + 1.0)
 
     def reset(self) -> None:
-        """Cache the current estimate, zero the counts, return to uniform."""
-        self.cached_estimate = self._estimate.copy()
+        """Cache the current estimate and zero the counts in place."""
+        self.cached_estimate = self.estimate()
         self.pair_counts[:] = 0
         self.state_counts[:] = 0
-        self._estimate[:] = 1.0 / self.num_states
 
 
 class QLearner:

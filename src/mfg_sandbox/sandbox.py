@@ -285,9 +285,12 @@ class _KernelLoop:
     Step 1, which alone reads the cached estimate, projects and stores the
     first-step pair, runs through _Run.reference_step. Each later step is one
     kernel call, which updates mu, pi, the Q-table and the softmax table in
-    place, then one TransitionCounter.record call. The kernel reads the
-    counter's live estimate buffer, and the 2(T - 1) uniforms of steps 2..T
-    are drawn as one block, the same stream as that many scalar draws.
+    place, then one TransitionCounter.record call. The kernel keeps its own
+    copy of the transition estimate: loaded from the counter at the start of
+    each episode, it refreshes on entry the row of the state the previous
+    step left, the only row whose counts have moved since. The 2(T - 1)
+    uniforms of steps 2..T are drawn as one block, the same stream as that
+    many scalar draws.
     """
 
     def __init__(self, run: _Run, ffi, lib):
@@ -297,6 +300,7 @@ class _KernelLoop:
         self.run, self._step = run, lib.learner_step
         self._u = np.empty(2 * (T - 1))
         self._soft = np.empty((S, A))
+        self._estimate = np.empty((S, S))
         # QLearner.step_size at clocks 0 .. T-1; the clock restarts each episode.
         beta = np.array([min(1.0, learner.c_beta / (t + 1.0) ** learner.nu) for t in range(T)])
         ctx = self.ctx = ffi.new("step_ctx *")
@@ -310,23 +314,30 @@ class _KernelLoop:
             ("q", learner.q, S * A),
             ("soft", self._soft, S * A),
             ("push", np.empty(S), S),
-            ("estimate", run.counter.estimate(), S * S),
+            ("estimate", self._estimate, S * S),
             ("cdf", np.cumsum(env.transition_kernel(None), axis=2), S * A * S),
             ("state_reward", env.state_reward, S),
             ("c_mu", run.c_mu, T),
             ("c_pi", run.c_pi, T),
             ("beta", beta, T),
             ("u", self._u, 2 * (T - 1)),
+            ("pair_counts", run.counter.pair_counts, S * S),
+            ("state_counts", run.counter.state_counts, S),
         ):
-            if array.dtype != np.float64 or not array.flags.c_contiguous or array.size != size:
-                raise ValueError(f"step buffer {name} must be {size} contiguous float64 values")
-            buffer = ffi.from_buffer("double[]", array)
+            dtype, ctype = (np.int64, "int64_t[]") if name.endswith("counts") else (np.float64, "double[]")
+            if array.dtype != dtype or not array.flags.c_contiguous or array.size != size:
+                raise ValueError(f"step buffer {name} must be {size} contiguous {np.dtype(dtype).name} values")
+            buffer = ffi.from_buffer(ctype, array)
             self._buffers.append(buffer)
             setattr(ctx, name, buffer)
 
     def episode(self, k: int) -> float:
         """Run episode k; returns the smallest policy entry over steps t > 1."""
         run, ctx = self.run, self.ctx
+        # The counts were reset since the last episode; step 1 counts the
+        # transition out of the current state, which the kernel refreshes first.
+        self._estimate[:] = run.counter.estimate()
+        ctx.prev = run.state
         run.reference_step(k, 1)
         # Step 1 updated one Q entry in Python.
         self._soft[:] = softmax_table(run.learner.q, run.config.schedule.lam)

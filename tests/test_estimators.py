@@ -42,6 +42,56 @@ def test_counts_and_row_sums_invariant(transitions):
     assert np.abs(counter.estimate().sum(axis=1) - 1.0).max() < 1e-12
 
 
+class IncrementalCounter:
+    """Row-by-row reference: each record refreshes estimate row i from its counts."""
+
+    def __init__(self, n):
+        self.n = n
+        self.pair_counts = np.zeros((n, n), dtype=np.int64)
+        self.state_counts = np.zeros(n, dtype=np.int64)
+        self.estimate = np.full((n, n), 1.0 / n)
+        self.cached_estimate = self.estimate.copy()
+
+    def record(self, i, j):
+        self.pair_counts[i, j] += 1
+        self.state_counts[i] += 1
+        self.estimate[i] = (self.pair_counts[i] + 1.0 / self.n) / (self.state_counts[i] + 1.0)
+
+    def reset(self):
+        self.cached_estimate = self.estimate.copy()
+        self.pair_counts[:] = 0
+        self.state_counts[:] = 0
+        self.estimate[:] = 1.0 / self.n
+
+
+@st.composite
+def transition_scripts(draw):
+    """A state count and a list of transitions (i, j) with a few resets (None) among them."""
+    n = draw(st.integers(1, 6))
+    ops = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=300))
+    for at in sorted(draw(st.lists(st.integers(0, len(ops)), max_size=5)), reverse=True):
+        ops.insert(at, None)
+    return n, ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(transition_scripts())
+def test_estimate_is_bit_equal_to_row_by_row_refresh(script):
+    n, ops = script
+    counter, reference = TransitionCounter(n), IncrementalCounter(n)
+    for op in ops:
+        if op is None:
+            counter.reset()
+            reference.reset()
+        else:
+            counter.record(*op)
+            reference.record(*op)
+        assert np.array_equal(counter.estimate(), reference.estimate)
+        assert np.array_equal(counter.cached_estimate, reference.cached_estimate)
+    assert np.array_equal(counter.pair_counts, reference.pair_counts)
+    assert np.array_equal(counter.state_counts, reference.state_counts)
+
+
 def test_reset_caches_final_estimate():
     counter = TransitionCounter(3)
     for i, j in [(0, 1), (1, 2), (2, 0), (0, 1)]:

@@ -411,6 +411,7 @@ def run_reference_loop(config):
 
 
 def assert_runs_agree(fast, reference, tol=1e-12):
+    """Learner outputs within tol; oracle columns within tol where scored, NaN in both where not."""
     assert np.abs(fast.mu_first_steps - reference.mu_first_steps).max() <= tol
     assert np.abs(fast.pi_first_steps - reference.pi_first_steps).max() <= tol
     assert np.abs(fast.q_values - reference.q_values).max() <= tol
@@ -418,6 +419,9 @@ def assert_runs_agree(fast, reference, tol=1e-12):
     for a, b in zip(fast.per_episode, reference.per_episode, strict=True):
         assert abs(a.min_policy - b.min_policy) <= tol
         assert abs(a.residual_mu - b.residual_mu) <= tol
+        for name in ("e_pi", "e_mu", "eps_P", "eps_Q"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (math.isnan(x) and math.isnan(y)) or abs(x - y) <= tol, (a.k, name, x, y)
 
 
 @st.composite
@@ -468,6 +472,27 @@ def test_kernel_matches_reference_loop(step_kernel, env, schedule, K, T, rho, se
         env=env, schedule=schedule, num_episodes=K, steps_per_episode=T, rho=rho, seed=seed, net=net
     )
     assert_runs_agree(run_sandbox(config), run_reference_loop(config))
+
+
+@pytest.mark.parametrize(
+    "make_env",
+    [
+        lambda: small_env(side=3, jostle_p=0.2),
+        lambda: small_env(side=5, jostle_p=0.1, congestion_c=0.5),
+        lambda: make_two_class_env(CongestionGridParams(side=5, jostle_p=0.1)),
+    ],
+    ids=["grid3", "grid5", "two-class"],
+)
+def test_kernel_diagnostics_match_reference_loop(step_kernel, make_env):
+    # eps_P reads the counter's end-of-episode estimate, e_pi, e_mu and eps_Q
+    # the first-step pair and the Q-table the compiled steps left behind.
+    env = make_env()
+    config = small_config(
+        env, num_episodes=4, steps_per_episode=400, reference=solve_bmfe(env, lam=1.0, rho=0.7)
+    )
+    fast, reference = run_sandbox(config), run_reference_loop(config)
+    assert all(not math.isnan(d.eps_P) for d in fast.per_episode)
+    assert_runs_agree(fast, reference)
 
 
 def test_failed_kernel_build_warns_once_and_falls_back(step_kernel, monkeypatch, caplog):
