@@ -8,7 +8,9 @@ out-of-range values are rejected at load time. A config runs in one of four
 modes: "sandbox" (one instrumented learning run), "oracle" (equilibrium
 solve only), "compare" (oracle solve plus num_seeds learning runs, one after
 another, and a joint report), and "probe" (empirical operator-Lipschitz
-estimate). Outputs are CSV and JSON files in output_dir; identical config
+estimate). The reference solve and the probe take no solver settings from
+the config: they run at the library defaults, and solve_bmfe tunes its own
+damping. Outputs are CSV and JSON files in output_dir; identical config
 and seed reproduce identical bytes, so wall-clock time is logged rather than
 written into the summary files.
 """
@@ -75,10 +77,6 @@ class ExperimentConfig:
     num_seeds: int = 1
     output_dir: str = "runs"
     diagnostics_every: int = 1
-    damping: float = 0.5
-    bmfe_tol: float = 1e-8
-    bmfe_max_iter: int = 10_000
-    vi_tol: float = 1e-10
     probe_pairs: int = 64
 
     def __post_init__(self):
@@ -103,14 +101,6 @@ class ExperimentConfig:
             raise ValueError("diagnostics_every must be >= 1")
         if self.probe_pairs < 1:
             raise ValueError("probe_pairs must be >= 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-        if self.bmfe_tol <= 0.0:
-            raise ValueError("bmfe_tol must be > 0")
-        if self.vi_tol <= 0.0:
-            raise ValueError("vi_tol must be > 0")
-        if self.bmfe_max_iter < 1:
-            raise ValueError("bmfe_max_iter must be >= 1")
         # Any one point covers the simplex within L1 radius 2, so a mesh >= 2
         # guarantees nothing.
         if self.epsilon_net_mesh is not None and not 0.0 < self.epsilon_net_mesh < 2.0:
@@ -229,22 +219,14 @@ def read_episode_csv(path) -> list[EpisodeDiagnostics]:
 
 def _solve_reference(cfg: ExperimentConfig, env, out_dir: Path) -> BmfePair:
     """Solve for the reference equilibrium, warn if unconverged, and write bmfe.json."""
-    pair = solve_bmfe(
-        env,
-        lam=cfg.schedule.lam,
-        rho=cfg.rho,
-        damping=cfg.damping,
-        tol=cfg.bmfe_tol,
-        max_iter=cfg.bmfe_max_iter,
-        vi_tol=cfg.vi_tol,
-    )
+    pair = solve_bmfe(env, lam=cfg.schedule.lam, rho=cfg.rho)
     if not pair.converged:
         logger.warning(
-            "equilibrium solve stopped at bmfe_max_iter=%d without converging (residual_mu=%g); "
-            "a lower damping than %g can restore convergence, or raise bmfe_max_iter",
-            cfg.bmfe_max_iter,
+            "equilibrium solve did not converge: stopped after %d iterations "
+            "with residual_mu=%g at damping %g",
+            pair.iterations,
             pair.residual_mu,
-            cfg.damping,
+            pair.damping,
         )
     snapshots.write_json(out_dir / "bmfe.json", snapshots.equilibrium_snapshot(pair))
     return pair
@@ -298,7 +280,7 @@ def _run_oracle_mode(cfg: ExperimentConfig, out_dir: Path) -> int:
 def _run_probe_mode(cfg: ExperimentConfig, out_dir: Path) -> int:
     env = build_environment(cfg)
     rng = np.random.default_rng(cfg.seed)
-    estimate = probe_contraction(env, cfg.schedule.lam, cfg.rho, cfg.probe_pairs, rng, vi_tol=cfg.vi_tol)
+    estimate = probe_contraction(env, cfg.schedule.lam, cfg.rho, cfg.probe_pairs, rng)
     snapshots.write_json(
         out_dir / "contraction.json",
         {

@@ -143,11 +143,11 @@ class BmfePair:
     residual_policy is the TV gap between policy and the optimality operator
     applied to mean_field; residual_mu is the L1 gap between mean_field and
     its own push-forward under policy. converged is False when the solver
-    hit max_iter and returned its best iterate. vi_sweeps counts the
+    hit max_iter and returned its last iterate. vi_sweeps counts the
     value-iteration sweeps the solve ran, the residual check included.
-    env, lam, rho, damping, tol and vi_tol are the arguments of the
-    solve_bmfe call that built the pair, so a run scored against it can
-    check that it plays the same game.
+    env, lam, rho, tol and vi_tol are the arguments of the solve_bmfe call
+    that built the pair, so a run scored against it can check that it plays
+    the same game; damping is the damping the solve ended with.
     """
 
     policy: Policy
@@ -169,7 +169,6 @@ def solve_bmfe(
     env: MfgEnvironment,
     lam: float,
     rho: float,
-    damping: float = 0.5,
     tol: float = 1e-8,
     max_iter: int = 10_000,
     vi_tol: float = 1e-10,
@@ -180,12 +179,12 @@ def solve_bmfe(
     consistency(optimality(mu), mu) until the undamped composite moves mu by
     at most tol in L1. The undamped composite need not contract, so damping
     (which preserves fixed points) widens the set of instances that converge.
-    Each value iteration starts from the previous one's Q-table; its
-    stopping rule bounds the error from any start. The final residual check
-    solves again from Q = 0.
+    The damping starts at 1/2 and halves whenever that undamped residual is
+    larger than on the previous iteration; the pair records the damping the
+    solve ended with. Each value iteration starts from the previous one's
+    Q-table; its stopping rule bounds the error from any start. The final
+    residual check solves again from Q = 0.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
     num_states = env.dims.num_states
@@ -194,12 +193,16 @@ def solve_bmfe(
     pi = softmax_table(_clip_q(q[0], rho), lam)
     converged = False
     iterations = 0
+    damping, previous = 0.5, math.inf
     for iterations in range(1, max_iter + 1):
         pushed = gamma2(env, pi, mu)
         residual = l1_norm(pushed - mu)
         if residual <= tol:
             converged = True
             break
+        if residual > previous:
+            damping /= 2.0
+        previous = residual
         mu = (1.0 - damping) * mu + damping * pushed
         mu /= mu.sum()
         q, n = _value_iteration(env, [mu], rho, vi_tol, q_start=q)

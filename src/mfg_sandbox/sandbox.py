@@ -33,7 +33,7 @@ from .core import (
 )
 from .environment import CongestionGridEnv, MfgEnvironment, env_step, sample_from_cdf
 from .estimators import QLearner, TransitionCounter
-from .oracle import BmfePair, gamma2, induced_kernel, induced_q_star
+from .oracle import BmfePair, induced_kernel, induced_q_star
 from .schedules import (
     EpsilonNet,
     ScheduleParams,
@@ -123,12 +123,14 @@ def update_mean_field(mu_prev, p_hat, c: float, net: Optional[EpsilonNet] = None
 
     Returns (1 - c) * mu + c * p_hat.T @ mu, snapped onto the simplex net
     when one is given (the run loop passes it only on episode first steps).
+    The push-forward is summed over i in index order, as the compiled step
+    sums it, so both loops round alike and the projection breaks ties alike.
     """
     if not 0.0 < c <= 1.0:
         raise ValueError("step size must lie in (0, 1]")
     if np.abs(p_hat.sum(axis=1) - 1.0).max() > SIMPLEX_ATOL:
         raise ValueError("transition estimate rows must sum to 1")
-    out = (1.0 - c) * mu_prev + c * (p_hat.T @ mu_prev)
+    out = (1.0 - c) * mu_prev + c * (mu_prev[:, None] * p_hat).sum(axis=0)
     if net is not None:
         out = project_to_net(net, out)
     return out
@@ -150,27 +152,35 @@ def update_policy(pi_prev, q_values, c: float, psi_coeff: float, lam: float):
 
 
 def episode_diagnostics(
-    k, mu_first, pi_first, p_hat_end, q_end, config: SandboxConfig, min_policy=math.nan
+    k, mu_first, pi_first, p_hat_end, q_end, config: SandboxConfig, min_policy=math.nan, scored=True
 ) -> EpisodeDiagnostics:
     """Score one episode against exact operators on the run's environment.
 
     The temperature, discount and environment come from config, the
     reference mean-field and value-iteration tolerance from its reference
-    pair, which config has checked was solved for the same game.
+    pair, which config has checked was solved for the same game. An
+    unscored episode needs no reference: its oracle-backed fields are NaN
+    and only residual_mu is computed.
     """
     ref = config.reference
-    if ref is None:
+    if scored and ref is None:
         raise ValueError("episode diagnostics require a reference equilibrium")
+    chain = induced_kernel(config.env, pi_first, mu_first)
+    residual_mu = l1_norm(mu_first - chain.T @ mu_first)
+    if not scored:
+        nan = math.nan
+        return EpisodeDiagnostics(
+            k=k, e_pi=nan, e_mu=nan, eps_P=nan, eps_Q=nan, residual_mu=residual_mu, min_policy=min_policy
+        )
     q_star = induced_q_star(config.env, mu_first, config.rho, ref.vi_tol).values
     best_response = softmax_table(q_star, config.schedule.lam)
-    chain = induced_kernel(config.env, pi_first, mu_first)
     return EpisodeDiagnostics(
         k=k,
         e_pi=tv_norm(pi_first - best_response),
         e_mu=l1_norm(mu_first - ref.mean_field.probs),
         eps_P=frobenius_norm(p_hat_end - chain),
         eps_Q=inf_norm(q_end - q_star),
-        residual_mu=l1_norm(mu_first - chain.T @ mu_first),
+        residual_mu=residual_mu,
         min_policy=min_policy,
     )
 
@@ -407,24 +417,12 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
         episode_min_policy = episode(k)
         global_min_policy = min(global_min_policy, episode_min_policy)
         mu1, pi1 = run.mu_first[k - 1], run.pi_first[k - 1]
-        if config.reference is not None and (k - 1) % config.diagnostics_every == 0:
-            diagnostics.append(
-                episode_diagnostics(
-                    k, mu1, pi1, run.counter.estimate(), run.learner.q, config, episode_min_policy
-                )
+        scored = config.reference is not None and (k - 1) % config.diagnostics_every == 0
+        diagnostics.append(
+            episode_diagnostics(
+                k, mu1, pi1, run.counter.estimate(), run.learner.q, config, episode_min_policy, scored
             )
-        else:
-            diagnostics.append(
-                EpisodeDiagnostics(
-                    k=k,
-                    e_pi=math.nan,
-                    e_mu=math.nan,
-                    eps_P=math.nan,
-                    eps_Q=math.nan,
-                    residual_mu=l1_norm(mu1 - gamma2(env, pi1, mu1)),
-                    min_policy=episode_min_policy,
-                )
-            )
+        )
         run.counter.reset()
         run.learner.reset_clock()
 

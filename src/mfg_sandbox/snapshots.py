@@ -51,8 +51,8 @@ def run_state_snapshot(
 def equilibrium_snapshot(pair) -> dict:
     """Equilibrium pair document; shares the mean_field / policy encoding.
 
-    Records the temperature, discount, damping and tolerance the pair was
-    solved with, taken from the pair itself.
+    Records the temperature, discount and tolerance the pair was solved
+    with and the damping its solve ended with, taken from the pair itself.
     """
     return {
         "schema_version": SCHEMA_VERSION,

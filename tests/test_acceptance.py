@@ -200,14 +200,14 @@ def test_criterion_05_exploration_floor():
 
 
 def test_criterion_06_oracle_self_consistency():
-    pair = solve_bmfe(_desk_env(), lam=1.0, rho=RHO, damping=0.5, tol=1e-8)
+    pair = solve_bmfe(_desk_env(), lam=1.0, rho=RHO, tol=1e-8)
     ok_grid = pair.converged and pair.residual_policy <= 1e-8 and pair.residual_mu <= 1e-8
 
     env = make_fixed_mdp_env(
         np.random.default_rng(12).dirichlet(np.ones(5) * 2.0, size=(5, 2)),
         np.random.default_rng(13).uniform(0.0, 1.0, size=(5, 2)),
     )
-    fixed = solve_bmfe(env, lam=1.0, rho=RHO, damping=0.5, tol=1e-9)
+    fixed = solve_bmfe(env, lam=1.0, rho=RHO, tol=1e-9)
     policy = gamma1_lambda(env, fixed.mean_field.probs, 1.0, RHO)
     chain = induced_kernel(env, policy.table, fixed.mean_field.probs)
     a = chain.T - np.eye(5)
@@ -228,7 +228,7 @@ def test_criterion_06_oracle_self_consistency():
 def test_criterion_07_desk_scale_convergence():
     env = _desk_env()
     schedule = ScheduleParams(**GRID_SCHEDULE, psi=0.01)
-    pair = solve_bmfe(env, lam=schedule.lam, rho=RHO, damping=0.5, tol=1e-8)
+    pair = solve_bmfe(env, lam=schedule.lam, rho=RHO, tol=1e-8)
     mu_gaps, pi_gaps = [], []
     for seed in range(5):
         result = run_sandbox(

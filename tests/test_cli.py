@@ -72,6 +72,10 @@ def test_unknown_keys_rejected(tmp_path):
         cli.load_config(write_config(tmp_path, {"use_projection": True}))
     with pytest.raises(ValueError, match="unknown config keys: validate_every"):
         cli.load_config(write_config(tmp_path, {"validate_every": 1}))
+    # the reference solve takes no settings from the config
+    for key, value in [("damping", 0.2), ("bmfe_tol", 1e-9), ("bmfe_max_iter", 100), ("vi_tol", 1e-11)]:
+        with pytest.raises(ValueError, match=f"unknown config keys: {key}"):
+            cli.load_config(write_config(tmp_path, {key: value}))
     with pytest.raises(ValueError, match="unknown environment keys"):
         cli.load_config(write_config(tmp_path, {"environment": {"kind": "congestion", "p": 0.1}}))
 
@@ -84,11 +88,6 @@ def test_constraint_violations_name_the_field(tmp_path):
     with pytest.raises(ValueError, match="rho"):
         cli.load_config(write_config(tmp_path, {"rho": 1.5}))
     for key, value in [
-        ("damping", 0.0),
-        ("damping", 1.5),
-        ("bmfe_tol", 0.0),
-        ("vi_tol", -1e-10),
-        ("bmfe_max_iter", 0),
         ("epsilon_net_mesh", 0.0),
         ("epsilon_net_mesh", 2.0),
         ("seed", -1),
@@ -124,7 +123,8 @@ def test_readme_config_reference_lists_every_key():
     documented = set(re.findall(r"`([^`]+)`", section))
     accepted = {*cli._RUN_KEYS, *cli._SCHEDULE_KEYS, "environment", *cli._ENV_KEYS, "kind"}
     assert sorted(accepted - documented) == []
-    assert "use_projection" not in section
+    retired = ("use_projection", "validate_every", "damping", "bmfe_tol", "bmfe_max_iter", "vi_tol")
+    assert [key for key in retired if f"`{key}`" in section] == []
 
 
 def test_readme_library_example_imports_public_names():
@@ -222,19 +222,13 @@ def test_oracle_mode_output(tmp_path):
     assert len(doc["policy"]) == 9
     # the solver trace: damped iterations and the value-iteration sweeps behind them
     assert doc["vi_sweeps"] > doc["iterations"] > 0
-    # the solver settings are recorded from the solved pair
-    out = tmp_path / "oracle_set"
-    cfg = dataclasses.replace(
-        cli.load_config(write_config(tmp_path, {"mode": "oracle", "damping": 0.7, "bmfe_tol": 1e-9})),
-        output_dir=str(out),
-    )
-    assert cli.run_experiment(cfg) == cli.EXIT_OK
-    doc = snapshots.read_json(out / "bmfe.json")
+    # the solver settings are recorded from the solved pair: the library
+    # defaults, and the damping the solve ended with
     assert set(doc) == {
         "schema_version", "kind", "mean_field", "policy", "residual_policy", "residual_mu",
         "converged", "iterations", "vi_sweeps", "lambda", "rho", "damping", "tol",
     }
-    assert (doc["lambda"], doc["rho"], doc["damping"], doc["tol"]) == (1.0, 0.7, 0.7, 1e-9)
+    assert (doc["lambda"], doc["rho"], doc["damping"], doc["tol"]) == (1.0, 0.7, 0.5, 1e-8)
     assert doc["converged"] is True
 
 
@@ -319,17 +313,20 @@ def test_outputs_are_byte_identical_across_reruns(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["sandbox", "compare", "oracle"])
-def test_unconverged_reference_warns_in_every_mode(tmp_path, caplog, mode):
+def test_unconverged_reference_warns_in_every_mode(tmp_path, caplog, monkeypatch, mode):
+    solve = cli.solve_bmfe
+    monkeypatch.setattr(cli, "solve_bmfe", lambda *args, **kwargs: solve(*args, **kwargs, max_iter=2))
     out = tmp_path / mode
     cfg = dataclasses.replace(
-        cli.load_config(write_config(tmp_path, {"mode": mode, "bmfe_max_iter": 2, "T": 10})),
-        output_dir=str(out),
+        cli.load_config(write_config(tmp_path, {"mode": mode, "T": 10})), output_dir=str(out)
     )
     with caplog.at_level(logging.WARNING, logger="mfg_sandbox"):
         assert cli.run_experiment(cfg) == cli.EXIT_OK
-    assert snapshots.read_json(out / "bmfe.json")["converged"] is False
-    warnings = [rec.message for rec in caplog.records if "max_iter" in rec.message]
-    assert warnings and all("bmfe_max_iter" in m and "damping" in m for m in warnings)
+    doc = snapshots.read_json(out / "bmfe.json")
+    assert doc["converged"] is False
+    warnings = [rec.getMessage() for rec in caplog.records if "did not converge" in rec.getMessage()]
+    expected = f"after 2 iterations with residual_mu={doc['residual_mu']:g} at damping {doc['damping']:g}"
+    assert len(warnings) == 1 and expected in warnings[0]
 
 
 @pytest.mark.parametrize("mesh, resolution", [(None, None), (1.5, 6)])

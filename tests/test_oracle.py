@@ -192,7 +192,7 @@ def test_solve_bmfe_single_state():
 
 def test_solve_bmfe_matches_stationary_distribution():
     env = _random_env(12)
-    pair = solve_bmfe(env, lam=1.0, rho=0.7, damping=0.5, tol=1e-9)
+    pair = solve_bmfe(env, lam=1.0, rho=0.7, tol=1e-9)
     assert pair.converged
     # mu-independent env: the equilibrium policy is constant, so mu* is the
     # stationary distribution of its chain
@@ -204,7 +204,7 @@ def test_solve_bmfe_matches_stationary_distribution():
 def test_solve_bmfe_congestion_fixed_point_contract():
     env = make_congestion_env(CongestionGridParams(side=3))
     tol = 1e-8
-    pair = solve_bmfe(env, lam=1.0, rho=0.7, damping=0.5, tol=tol)
+    pair = solve_bmfe(env, lam=1.0, rho=0.7, tol=tol)
     assert pair.converged
     assert pair.residual_policy <= tol
     assert pair.residual_mu <= tol
@@ -215,10 +215,39 @@ def test_solve_bmfe_congestion_fixed_point_contract():
 
 def test_solve_bmfe_flags_non_convergence():
     env = make_congestion_env(CongestionGridParams(side=3))
-    pair = solve_bmfe(env, lam=1.0, rho=0.7, damping=0.5, tol=1e-12, max_iter=2)
+    pair = solve_bmfe(env, lam=1.0, rho=0.7, tol=1e-12, max_iter=2)
     assert not pair.converged
     assert pair.iterations == 2
     assert isinstance(pair, BmfePair)
+
+
+@pytest.mark.parametrize(
+    "env, iterations",
+    [
+        (make_congestion_env(CongestionGridParams(side=3)), 51),
+        (make_congestion_env(CongestionGridParams(side=5)), 110),
+        (make_two_class_env(CongestionGridParams(side=5)), 92),
+    ],
+    ids=["grid3", "grid5", "two_class"],
+)
+def test_shipped_grids_never_back_off(env, iterations):
+    # the residual falls on every iteration, so the damping stays at 1/2
+    pair = solve_bmfe(env, lam=1.0, rho=0.7)
+    assert pair.converged
+    assert (pair.iterations, pair.damping) == (iterations, 0.5)
+
+
+def test_damping_back_off_converges_where_half_stalls():
+    # At a fixed damping of 1/2 this solve cycles with residual_mu near 0.047
+    # for all 10,000 iterations; halving the damping when the residual rises
+    # converges within 100.
+    env = make_congestion_env(CongestionGridParams(side=3))
+    pair = solve_bmfe(env, lam=10.0, rho=0.9, max_iter=100)
+    assert pair.converged and pair.residual_mu <= 1e-8 and pair.residual_policy <= 1e-8
+    assert (pair.iterations, pair.damping) == (41, 0.25)
+    mu_ref, iterations, _, damping = reference_solve_bmfe(env, lam=10.0, rho=0.9, max_iter=100)
+    assert (iterations, damping) == (41, 0.25)
+    assert l1_norm(pair.mean_field.probs - mu_ref) <= 1e-10
 
 
 def test_probe_zero_temperature_has_constant_gamma1():
@@ -245,9 +274,11 @@ def test_contraction_estimate_validation():
 
 def test_solve_bmfe_records_its_inputs():
     env = make_congestion_env(CongestionGridParams(side=3))
-    pair = solve_bmfe(env, lam=2.0, rho=0.6, damping=0.7, tol=1e-9, vi_tol=1e-11)
+    pair = solve_bmfe(env, lam=2.0, rho=0.6, tol=1e-9, vi_tol=1e-11)
     assert pair.env is env
-    assert (pair.lam, pair.rho, pair.damping, pair.tol, pair.vi_tol) == (2.0, 0.6, 0.7, 1e-9, 1e-11)
+    assert (pair.lam, pair.rho, pair.tol, pair.vi_tol) == (2.0, 0.6, 1e-9, 1e-11)
+    # the damping the solve ended with: this solve never backs off from 1/2
+    assert pair.damping == 0.5
     assert pair.converged and pair.iterations > 0 and pair.vi_sweeps > pair.iterations
 
 
@@ -317,8 +348,11 @@ def reference_probe(env, lam, rho, num_pairs, rng, vi_tol=1e-10):
     return d1, d2, d3
 
 
-def reference_solve_bmfe(env, lam, rho, damping=0.5, tol=1e-8, max_iter=10_000, vi_tol=1e-10):
-    """Damped iteration with every value iteration cold: (mu, iterations, sweeps)."""
+def reference_solve_bmfe(env, lam, rho, tol=1e-8, max_iter=10_000, vi_tol=1e-10):
+    """Damped iteration with every value iteration cold: (mu, iterations, sweeps, damping).
+
+    The damping starts at 1/2 and halves whenever the undamped residual rises.
+    """
     mu = np.full(env.dims.num_states, 1.0 / env.dims.num_states)
     sweeps = 0
 
@@ -329,15 +363,20 @@ def reference_solve_bmfe(env, lam, rho, damping=0.5, tol=1e-8, max_iter=10_000, 
         return softmax_table(np.clip(q, 0.0, 1.0 / (1.0 - rho)), lam)
 
     pi = best_response(mu)
+    damping, previous = 0.5, math.inf
     for iterations in range(1, max_iter + 1):
         pushed = induced_kernel(env, pi, mu).T @ mu
-        if l1_norm(pushed - mu) <= tol:
+        residual = l1_norm(pushed - mu)
+        if residual <= tol:
             break
+        if residual > previous:
+            damping /= 2.0
+        previous = residual
         mu = (1.0 - damping) * mu + damping * pushed
         mu /= mu.sum()
         pi = best_response(mu)
     best_response(mu)  # the residual check
-    return mu, iterations, sweeps
+    return mu, iterations, sweeps, damping
 
 
 def _oracle_env(kind, side, seed):
@@ -440,15 +479,15 @@ def test_probe_single_state_skips_every_mean_field_ratio():
 )
 def test_warm_started_solve_matches_cold_loop(env):
     pair = solve_bmfe(env, lam=1.0, rho=0.7)
-    mu_ref, iterations, _ = reference_solve_bmfe(env, lam=1.0, rho=0.7)
+    mu_ref, iterations, _, damping = reference_solve_bmfe(env, lam=1.0, rho=0.7)
     assert pair.converged
-    assert pair.iterations == iterations
+    assert (pair.iterations, pair.damping) == (iterations, damping)
     assert l1_norm(pair.mean_field.probs - mu_ref) <= 1e-10
 
 
 def test_warm_start_halves_the_sweeps_on_5x5():
     env = make_congestion_env(CongestionGridParams(side=5))
     pair = solve_bmfe(env, lam=1.0, rho=0.7)
-    _, iterations, cold_sweeps = reference_solve_bmfe(env, lam=1.0, rho=0.7)
+    _, iterations, cold_sweeps, _ = reference_solve_bmfe(env, lam=1.0, rho=0.7)
     assert pair.iterations == iterations
     assert 0 < pair.vi_sweeps < cold_sweeps / 2

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfg_sandbox.core import l1_norm, tv_norm
@@ -25,7 +25,7 @@ from mfg_sandbox.environment import (
     sample_from_cdf,
 )
 from mfg_sandbox.estimators import QLearner, TransitionCounter
-from mfg_sandbox.oracle import gamma1_lambda, induced_kernel, induced_q_star, solve_bmfe
+from mfg_sandbox.oracle import gamma1_lambda, gamma2, induced_kernel, induced_q_star, solve_bmfe
 from mfg_sandbox.sandbox import (
     NonFiniteError,
     SandboxConfig,
@@ -82,6 +82,21 @@ def test_update_mean_field_examples():
         update_mean_field(mu, np.array([[0.9, 0.0], [0.5, 0.5]]), 0.5)
     with pytest.raises(ValueError):
         update_mean_field(mu, np.eye(2), 0.0)
+
+
+def test_update_mean_field_sums_the_push_in_index_order():
+    # the compiled step accumulates push[j] += mu[i] * p_hat[i, j] over i = 0..S-1
+    rng = np.random.default_rng(0)
+    for num_states in (1, 2, 9, 25):
+        for _ in range(50):
+            mu = rng.dirichlet(np.ones(num_states))
+            p_hat = rng.dirichlet(np.ones(num_states), size=num_states)
+            c = rng.uniform(0.01, 1.0)
+            push = np.zeros(num_states)
+            for i in range(num_states):
+                push += mu[i] * p_hat[i]
+            expected = mu * (1.0 - c) + push * c
+            assert np.array_equal(update_mean_field(mu, p_hat, c), expected)
 
 
 def test_update_mean_field_projection():
@@ -394,8 +409,12 @@ def test_diagnostics_stride_leaves_gaps():
     )
     filled = [not math.isnan(d.e_mu) for d in result.per_episode]
     assert filled == [True, False, True, False, True]
-    # residual_mu is computed for every episode regardless
-    assert all(not math.isnan(d.residual_mu) for d in result.per_episode)
+    # residual_mu is computed for every episode regardless, by the same
+    # push-forward as the consistency operator
+    for d, mu1, pi1, scored in zip(result.per_episode, result.mu_first_steps, result.pi_first_steps, filled):
+        assert not math.isnan(d.residual_mu)
+        if not scored:
+            assert d.residual_mu == l1_norm(mu1 - gamma2(env, pi1, mu1))
 
 
 @pytest.fixture(scope="module")
@@ -456,6 +475,21 @@ def schedules(draw):
     )
 
 
+# A push-forward summed in another order than the kernel's once broke a tie
+# in the projection's rounding differently here: mu_first_steps differed by
+# a whole lattice unit (0.04).
+_TIED_PROJECTION = dict(
+    schedule=ScheduleParams(
+        c_mu=0.75, c_pi=0.5, gamma=0.5, theta=0.25, zeta=1.125, c_beta=1.0, nu=1.0, psi=0.25, lam=1.0
+    ),
+    K=2,
+    T=12,
+    rho=0.5,
+    seed=2,
+    mesh=1.0,
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     env=grid_envs(),
@@ -466,6 +500,8 @@ def schedules(draw):
     seed=st.integers(0, 2**32),
     mesh=st.none() | st.floats(0.05, 2.0, exclude_max=True),
 )
+@example(env=make_congestion_env(CongestionGridParams(side=5)), **_TIED_PROJECTION)
+@example(env=make_two_class_env(CongestionGridParams(side=5)), **_TIED_PROJECTION)
 def test_kernel_matches_reference_loop(step_kernel, env, schedule, K, T, rho, seed, mesh):
     net = None if mesh is None else build_epsilon_net(env.dims.num_states, mesh)
     config = SandboxConfig(
