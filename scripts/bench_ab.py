@@ -15,13 +15,22 @@ from pair to pair. Before the pairs, each side runs its tier-1 tests once
 ``src`` on ``PYTHONPATH``) and the benchmark once untimed, so lazy set-up
 such as the step-kernel build does not fall into a timed run.
 
+A second, in-process section times the step loop without the CLI's
+process start, imports and I/O, which on this kind of host spread more
+than a 10% change: ``run_sandbox`` on the 5x5 grid of
+``configs/full_grid_5x5.json`` cut to K = 4, T = 10k, scored against a
+reference solved once per process. Each of ``IN_PROCESS_ROUNDS`` rounds
+starts one process per side, the side that goes first alternating, and
+each process reports the minimum of ``IN_PROCESS_REPEATS`` timed calls.
+
 Writes ``BENCH_<number>.json`` at the repository root: per workload and
 end-to-end metric (names and directions from the candidate's
 ``BENCHMARK.json``), each side's median and quartiles, the pair count, the
 candidate's wins out of the pairs (ties count for neither), the distance
 between the base's quartiles, each side's attempted and failed
-invocations, each side's tier-1 counts and wall time (a measured number,
-not a gate), and the machine facts.
+invocations; the in-process rounds with each round's speedup (base time
+over candidate time); each side's tier-1 counts and wall time (a measured
+number, not a gate), and the machine facts.
 """
 
 from __future__ import annotations
@@ -41,6 +50,37 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+IN_PROCESS_ROUNDS = 5
+IN_PROCESS_REPEATS = 7
+IN_PROCESS_K, IN_PROCESS_T = 4, 10_000
+
+# Run with ``python -c`` in a checkout; argv: src dir, config, K, T, repeats.
+# Prints the wall time of each run_sandbox call as one JSON line.
+IN_PROCESS_CHILD = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from mfg_sandbox import cli
+from mfg_sandbox.oracle import solve_bmfe
+from mfg_sandbox.sandbox import SandboxConfig, run_sandbox
+
+cfg = cli.load_config(sys.argv[2])
+env = cli.build_environment(cfg)
+config = SandboxConfig(
+    env=env,
+    schedule=cfg.schedule,
+    num_episodes=int(sys.argv[3]),
+    steps_per_episode=int(sys.argv[4]),
+    rho=cfg.rho,
+    seed=cfg.seed,
+    reference=solve_bmfe(env, lam=cfg.schedule.lam, rho=cfg.rho),
+)
+times = []
+for _ in range(int(sys.argv[5])):
+    started = time.perf_counter()
+    run_sandbox(config)
+    times.append(time.perf_counter() - started)
+print(json.dumps(times))
+"""
 
 
 def export(ref: str, dest: Path) -> str:
@@ -68,6 +108,59 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     result["exit_code"] = proc.returncode
     return result
+
+
+def time_run_sandbox(checkout: Path, K: int, T: int, repeats: int) -> list[float]:
+    """Wall times of repeated run_sandbox calls in one process on checkout's code."""
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            IN_PROCESS_CHILD,
+            str(checkout / "src"),
+            str(checkout / "configs" / "full_grid_5x5.json"),
+            str(K),
+            str(T),
+            str(repeats),
+        ],
+        cwd=checkout,
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: in-process timing failed (exit {proc.returncode}):\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summarize_rounds(rounds: list[dict]) -> dict:
+    """Speedup of each in-process round, base minimum over candidate minimum."""
+    speedups = [r["base_min_s"] / r["candidate_min_s"] for r in rounds]
+    return {
+        "rounds": rounds,
+        "speedups": speedups,
+        "min_speedup": min(speedups),
+        "median_speedup": statistics.median(speedups),
+    }
+
+
+def measure_in_process(sides: dict) -> dict:
+    """Alternating in-process rounds of run_sandbox, minimum of the repeats per process."""
+    rounds = []
+    for i in range(IN_PROCESS_ROUNDS):
+        order = ["base", "candidate"] if i % 2 == 0 else ["candidate", "base"]
+        times = {side: time_run_sandbox(sides[side], IN_PROCESS_K, IN_PROCESS_T, IN_PROCESS_REPEATS) for side in order}
+        rounds.append({"first_side": order[0], **{f"{side}_min_s": min(t) for side, t in times.items()}})
+        print(f"in-process round {i + 1}/{IN_PROCESS_ROUNDS}: {rounds[-1]}", file=sys.stderr, flush=True)
+    return {
+        "protocol": {
+            "call": f"run_sandbox on configs/full_grid_5x5.json at K={IN_PROCESS_K}, T={IN_PROCESS_T}, with a reference",
+            "repeats_per_process": IN_PROCESS_REPEATS,
+            "order": "alternating, base first in even rounds",
+            "speedup": "base minimum over candidate minimum, per round",
+        },
+        "steps_per_call": IN_PROCESS_K * IN_PROCESS_T,
+        **summarize_rounds(rounds),
+    }
 
 
 def parse_pytest_summary(output: str) -> dict:
@@ -186,6 +279,7 @@ def main(argv=None) -> int:
             print(f"warm-up {name}", file=sys.stderr, flush=True)
             run_bench(checkout, workloads[0], args.seed, 0)
 
+        in_process = measure_in_process(sides)
         report = {}
         for workload in workloads:
             pairs, runs = [], {"base": [], "candidate": []}
@@ -226,6 +320,7 @@ def main(argv=None) -> int:
             "wins": "pairs where the candidate is better by the metric's direction; ties count for neither",
         },
         "tier1": tier1,
+        "in_process": in_process,
         "machine": machine_facts(),
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "workloads": report,

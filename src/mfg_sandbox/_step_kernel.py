@@ -3,14 +3,16 @@
 One call of ``learner_step`` performs everything a step t > 1 of the run
 loop does except counting the transition: the refresh of the one estimate
 row the last count changed, the mean-field and policy updates, their
-finiteness check and the policy minimum, the action and next-state draws
-from pre-drawn uniforms, the congestion reward and its range check, the
-Q-learning update and the refresh of the updated state's softmax row. The
-caller counts the transition with ``TransitionCounter.record``; the step
-reads the counter's count arrays and keeps the transition estimate in a
-buffer of its own, row by row equal to ``TransitionCounter.estimate()``.
-Each episode's first step, which reads the cached estimate, may project,
-and stores the first-step pair, is left to the reference step.
+finiteness check, the simplex check every ``validate_every`` steps, the
+policy minimum, the action and next-state draws from pre-drawn uniforms,
+the congestion reward and its range check, the Q-learning update at step
+size ``min(1, c_beta / t**nu)`` and the refresh of the updated state's
+softmax row. The caller counts the transition with
+``TransitionCounter.record``; the step reads the counter's count arrays and
+keeps the transition estimate in a buffer of its own, row by row equal to
+``TransitionCounter.estimate()``. Each episode's first step, which reads
+the cached estimate, may project, and stores the first-step pair, is left
+to the reference step.
 
 The extension is compiled once into ``_kernel_build`` next to this file,
 under a name keyed by the C source, the compiler flags and the interpreter's
@@ -34,15 +36,16 @@ logger = logging.getLogger("mfg_sandbox")
 NON_FINITE_PAIR = -1  # mean-field or policy update produced NaN/inf
 NON_FINITE_REWARD = -2
 REWARD_OUT_OF_RANGE = -3
+SIMPLEX_VIOLATED = -4  # mean-field or policy left the simplex at a checked step
 
 CDEF = """
 typedef struct {
-    int num_states, num_actions, state, prev;
+    int num_states, num_actions, state, prev, validate_every;
     double *mu, *pi, *q, *soft, *push, *estimate;
     const int64_t *pair_counts, *state_counts;
     const double *cdf, *state_reward;
-    const double *c_mu, *c_pi, *beta, *u;
-    double congestion_c, lam, rho, psi;
+    const double *c_mu, *c_pi, *u;
+    double congestion_c, lam, rho, psi, c_beta, nu, simplex_atol;
     double min_policy, reward;
 } step_ctx;
 
@@ -56,9 +59,12 @@ int learner_step(step_ctx *c, int t);
 # arrays), prev (the one state whose estimate row the counts may have moved
 # since the last refresh),
 # cdf (S x A x S, cumulative transition kernel), state_reward (S),
-# c_mu / c_pi / beta (T step sizes, indexed by t - 1), psi (exploration
-# weight of steps t > 1), u (2(T - 1) uniforms of steps 2..T: action, next
-# state), min_policy (smallest policy entry over the calls so far).
+# c_mu / c_pi (T step sizes, indexed by t - 1), psi (exploration weight of
+# steps t > 1), c_beta and nu (the Q step size at step t is
+# min(1, c_beta / t**nu), QLearner.step_size at clock t - 1), u (2(T - 1)
+# uniforms of steps 2..T: action, next state), validate_every and
+# simplex_atol (stride and tolerance of the simplex check), min_policy
+# (smallest policy entry over the calls so far).
 SOURCE = (
     CDEF
     + r"""
@@ -83,13 +89,28 @@ int learner_step(step_ctx *c, int t)
             row[j] = ((double)n_row[j] + 1.0 / S) / n_prev;
     }
 
-    /* mu <- (1 - c_mu) mu + c_mu P^T mu */
-    for (int j = 0; j < S; j++)
-        push[j] = 0.0;
-    for (int i = 0; i < S; i++) {
-        const double m = mu[i], *row = c->estimate + (size_t)i * S;
-        for (int j = 0; j < S; j++)
-            push[j] += m * row[j];
+    /* mu <- (1 - c_mu) mu + c_mu P^T mu. Each push[j] sums over i in index
+       order; four columns at a time keep their sums in registers. */
+    int j0 = 0;
+    for (; j0 + 4 <= S; j0 += 4) {
+        double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+        for (int i = 0; i < S; i++) {
+            const double m = mu[i], *row = c->estimate + (size_t)i * S + j0;
+            a0 += m * row[0];
+            a1 += m * row[1];
+            a2 += m * row[2];
+            a3 += m * row[3];
+        }
+        push[j0] = a0;
+        push[j0 + 1] = a1;
+        push[j0 + 2] = a2;
+        push[j0 + 3] = a3;
+    }
+    for (; j0 < S; j0++) {
+        double a0 = 0.0;
+        for (int i = 0; i < S; i++)
+            a0 += mu[i] * c->estimate[(size_t)i * S + j0];
+        push[j0] = a0;
     }
     double mu_sum = 0.0;
     for (int j = 0; j < S; j++) {
@@ -108,6 +129,21 @@ int learner_step(step_ctx *c, int t)
     }
     if (!isfinite(mu_sum) || !isfinite(pi_sum))
         return -1; /* NON_FINITE_PAIR */
+    /* the reference step's simplex check; its sums round in another order */
+    if (t % c->validate_every == 0) {
+        const double atol = c->simplex_atol;
+        int bad = fabs(mu_sum - 1.0) > atol || pi_min < -atol;
+        for (int j = 0; j < S; j++)
+            bad |= mu[j] < -atol;
+        for (int i = 0; i < S; i++) {
+            double row_sum = 0.0;
+            for (int b = 0; b < A; b++)
+                row_sum += pi[(size_t)i * A + b];
+            bad |= fabs(row_sum - 1.0) > atol;
+        }
+        if (bad)
+            return -4; /* SIMPLEX_VIOLATED */
+    }
     if (pi_min < c->min_policy)
         c->min_policy = pi_min;
 
@@ -136,7 +172,7 @@ int learner_step(step_ctx *c, int t)
     for (int b = 1; b < A; b++)
         if (q_next[b] > q_max)
             q_max = q_next[b];
-    const double beta = c->beta[t - 1];
+    const double beta = fmin(1.0, c->c_beta / pow((double)t, c->nu));
     q_s[a] = (1.0 - beta) * q_s[a] + beta * (r + c->rho * q_max);
     double z_max = -INFINITY;
     for (int b = 0; b < A; b++) {

@@ -28,6 +28,11 @@ class TransitionCounter:
         self.num_states = num_states
         self.pair_counts = np.zeros((num_states, num_states), dtype=np.int64)
         self.state_counts = np.zeros(num_states, dtype=np.int64)
+        # 1-D views of the count arrays, which are only ever written in place:
+        # record runs once per learner step, and a memoryview increment costs
+        # a fraction of a numpy scalar increment.
+        self._pairs = memoryview(self.pair_counts.reshape(-1))
+        self._states = memoryview(self.state_counts)
         self.cached_estimate = self.estimate()
 
     def record(self, i: int, j: int) -> None:
@@ -35,8 +40,8 @@ class TransitionCounter:
         n = self.num_states
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"transition ({i}, {j}) out of range for {n} states")
-        self.pair_counts[i, j] += 1
-        self.state_counts[i] += 1
+        self._pairs[i * n + j] += 1
+        self._states[i] += 1
 
     def estimate(self) -> np.ndarray:
         """Current smoothed row-stochastic estimate, as a new array."""

@@ -295,15 +295,18 @@ class _KernelLoop:
     Step 1, which alone reads the cached estimate, projects and stores the
     first-step pair, runs through _Run.reference_step. Each later step is one
     kernel call, which updates mu, pi, the Q-table and the softmax table in
-    place, then one TransitionCounter.record call. The kernel keeps its own
-    copy of the transition estimate: loaded from the counter at the start of
-    each episode, it refreshes on entry the row of the state the previous
-    step left, the only row whose counts have moved since. The 2(T - 1)
-    uniforms of steps 2..T are drawn as one block, the same stream as that
-    many scalar draws.
+    place and runs the simplex check every VALIDATE_EVERY steps, then one
+    TransitionCounter.record call. The kernel keeps its own copy of the
+    transition estimate: loaded from the counter at the start of each
+    episode, it refreshes on entry the row of the state the previous step
+    left, the only row whose counts have moved since. The 2(T - 1) uniforms
+    of steps 2..T are drawn as one block, the same stream as that many
+    scalar draws.
     """
 
     def __init__(self, run: _Run, ffi, lib):
+        if VALIDATE_EVERY < 1:
+            raise ValueError(f"VALIDATE_EVERY must be >= 1, got {VALIDATE_EVERY}")
         config, env = run.config, run.config.env
         sched, learner = config.schedule, run.learner
         S, A, T = env.dims.num_states, env.dims.num_actions, config.steps_per_episode
@@ -311,12 +314,12 @@ class _KernelLoop:
         self._u = np.empty(2 * (T - 1))
         self._soft = np.empty((S, A))
         self._estimate = np.empty((S, S))
-        # QLearner.step_size at clocks 0 .. T-1; the clock restarts each episode.
-        beta = np.array([min(1.0, learner.c_beta / (t + 1.0) ** learner.nu) for t in range(T)])
         ctx = self.ctx = ffi.new("step_ctx *")
         ctx.num_states, ctx.num_actions = S, A
         ctx.congestion_c = env.params.congestion_c
         ctx.lam, ctx.rho = sched.lam, config.rho
+        ctx.c_beta, ctx.nu = learner.c_beta, learner.nu
+        ctx.validate_every, ctx.simplex_atol = VALIDATE_EVERY, SIMPLEX_ATOL
         self._buffers = []  # every array the context points into, kept alive
         for name, array, size in (
             ("mu", run.mu, S),
@@ -329,7 +332,6 @@ class _KernelLoop:
             ("state_reward", env.state_reward, S),
             ("c_mu", run.c_mu, T),
             ("c_pi", run.c_pi, T),
-            ("beta", beta, T),
             ("u", self._u, 2 * (T - 1)),
             ("pair_counts", run.counter.pair_counts, S * S),
             ("state_counts", run.counter.state_counts, S),
@@ -362,8 +364,6 @@ class _KernelLoop:
             if next_state < 0:
                 run.state = state
                 self._fail(k, t, next_state, rng_after_first)
-            if t % VALIDATE_EVERY == 0:
-                _validate_state(run.mu, run.pi, k, t)
             record(state, next_state)
             state = next_state
         run.state = state
@@ -375,17 +375,15 @@ class _KernelLoop:
         The snapshot's generator state is rebuilt from the state after step
         1 by replaying the uniforms the reference loop would have drawn.
         """
-        run = self.run
-        drawn = 2 * (t - 2)
-        if code != _step_kernel.NON_FINITE_PAIR:
-            if t % VALIDATE_EVERY == 0:
-                _validate_state(run.mu, run.pi, k, t)
-            if code == _step_kernel.REWARD_OUT_OF_RANGE:
-                raise ValueError(f"reward {self.ctx.reward} outside [0, 1]")
-            drawn += 2
+        if code == _step_kernel.SIMPLEX_VIOLATED:
+            raise RuntimeError(f"simplex invariant violated at episode {k}, step {t}")
+        if code == _step_kernel.REWARD_OUT_OF_RANGE:
+            raise ValueError(f"reward {self.ctx.reward} outside [0, 1]")
+        # A non-finite pair aborts before the step's two draws, a non-finite reward after.
+        drawn = 2 * (t - 2) + (0 if code == _step_kernel.NON_FINITE_PAIR else 2)
         rng = snapshots.restore_rng(rng_after_first)
         rng.random(drawn)
-        raise run.non_finite(k, t, rng.bit_generator.state)
+        raise self.run.non_finite(k, t, rng.bit_generator.state)
 
 
 def run_sandbox(config: SandboxConfig) -> SandboxResult:

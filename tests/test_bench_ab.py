@@ -60,3 +60,21 @@ def test_summarize_counts_wins_by_direction_and_ties_for_neither(bench_ab):
 )
 def test_parse_pytest_summary_reads_the_final_line(bench_ab, output, expected):
     assert bench_ab.parse_pytest_summary(output) == expected
+
+
+def test_summarize_rounds_reports_base_over_candidate(bench_ab):
+    rounds = [
+        {"first_side": "base", "base_min_s": 0.09, "candidate_min_s": 0.06},
+        {"first_side": "candidate", "base_min_s": 0.08, "candidate_min_s": 0.05},
+        {"first_side": "base", "base_min_s": 0.06, "candidate_min_s": 0.06},
+    ]
+    out = bench_ab.summarize_rounds(rounds)
+    assert out["rounds"] == rounds
+    assert out["speedups"] == pytest.approx([1.5, 1.6, 1.0])
+    assert out["min_speedup"] == pytest.approx(1.0)
+    assert out["median_speedup"] == pytest.approx(1.5)
+
+
+def test_in_process_child_times_run_sandbox_in_a_checkout(bench_ab):
+    times = bench_ab.time_run_sandbox(SCRIPT.parent.parent, K=2, T=20, repeats=3)
+    assert len(times) == 3 and all(t > 0.0 for t in times)

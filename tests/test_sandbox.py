@@ -635,6 +635,53 @@ def test_kernel_reward_out_of_range_matches_reference(step_kernel):
         run_reference_loop(config)
 
 
+@pytest.mark.parametrize("stride", [sandbox.VALIDATE_EVERY, 1], ids=["default-stride", "every-step"])
+def test_kernel_simplex_abort_matches_reference(step_kernel, monkeypatch, stride):
+    # Lifting one policy entry by 1e-6 after step 1 of episode 2, which both
+    # loops run through the reference step, leaves a row sum that decays too
+    # slowly to pass the next simplex check: the compiled step's check, or
+    # the reference step's, must fail at the same step.
+    monkeypatch.setattr(sandbox, "VALIDATE_EVERY", stride)
+    reference_step = sandbox._Run.reference_step
+
+    def perturbed_step(run, k, t):
+        min_policy = reference_step(run, k, t)
+        if (k, t) == (2, 1):
+            run.pi[0, 0] += 1e-6
+        return min_policy
+
+    monkeypatch.setattr(sandbox._Run, "reference_step", perturbed_step)
+    config = small_config(small_env(side=3, jostle_p=0.2), num_episodes=3, steps_per_episode=150)
+    step = sandbox.VALIDATE_EVERY if stride > 1 else 2
+    message = rf"^simplex invariant violated at episode 2, step {step}$"
+    with pytest.raises(RuntimeError, match=message):
+        run_sandbox(config)
+    with pytest.raises(RuntimeError, match=message):
+        run_reference_loop(config)
+
+
+@pytest.mark.parametrize("c_beta, nu", [(5.0, 0.55), (0.5, 1.0), (1.0, 0.51)])
+def test_kernel_q_step_size_is_bit_equal(step_kernel, c_beta, nu):
+    # Bit equality of the Q-table pins the kernel's step size, clamp included
+    # (at c_beta = 5, nu = 0.55, min(1, .) clamps through step 18). Without
+    # congestion the reward does not read mu, so no rounding of the
+    # mean-field step can reach the Q-table.
+    env = small_env(side=5, jostle_p=0.1, congestion_c=0.0)
+    config = small_config(
+        env, schedule=ScheduleParams(c_beta=c_beta, nu=nu), num_episodes=3, steps_per_episode=1000
+    )
+    fast, reference = run_sandbox(config), run_reference_loop(config)
+    assert np.array_equal(fast.q_values, reference.q_values)
+    assert np.array_equal(fast.mu_first_steps, reference.mu_first_steps)
+
+
+@pytest.mark.parametrize("stride", [0, -5])
+def test_kernel_rejects_a_validation_stride_below_one(step_kernel, monkeypatch, stride):
+    monkeypatch.setattr(sandbox, "VALIDATE_EVERY", stride)
+    with pytest.raises(ValueError, match="VALIDATE_EVERY must be >= 1"):
+        run_sandbox(small_config(small_env(side=2)))
+
+
 def test_cached_kernel_loads_without_cffi(step_kernel):
     src = Path(_step_kernel.__file__).resolve().parent.parent
     code = (
