@@ -19,9 +19,12 @@ A second, in-process section times the step loop without the CLI's
 process start, imports and I/O, which on this kind of host spread more
 than a 10% change: ``run_sandbox`` on the 5x5 grid of
 ``configs/full_grid_5x5.json`` cut to K = 4, T = 10k, scored against a
-reference solved once per process. Each of ``IN_PROCESS_ROUNDS`` rounds
-starts one process per side, the side that goes first alternating, and
-each process reports the minimum of ``IN_PROCESS_REPEATS`` timed calls.
+reference solved once per process. Each call is timed with
+``time.process_time()``, the CPU time of the process, so time the process
+spends descheduled on a shared host does not count. Each of
+``IN_PROCESS_ROUNDS`` rounds starts one process per side, the side that
+goes first alternating, and each process reports the minimum of
+``IN_PROCESS_REPEATS`` timed calls.
 
 Writes ``BENCH_<number>.json`` at the repository root: per workload and
 end-to-end metric (names and directions from the candidate's
@@ -55,7 +58,7 @@ IN_PROCESS_REPEATS = 7
 IN_PROCESS_K, IN_PROCESS_T = 4, 10_000
 
 # Run with ``python -c`` in a checkout; argv: src dir, config, K, T, repeats.
-# Prints the wall time of each run_sandbox call as one JSON line.
+# Prints the CPU time of each run_sandbox call as one JSON line.
 IN_PROCESS_CHILD = """
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
@@ -76,9 +79,9 @@ config = SandboxConfig(
 )
 times = []
 for _ in range(int(sys.argv[5])):
-    started = time.perf_counter()
+    started = time.process_time()
     run_sandbox(config)
-    times.append(time.perf_counter() - started)
+    times.append(time.process_time() - started)
 print(json.dumps(times))
 """
 
@@ -111,7 +114,7 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def time_run_sandbox(checkout: Path, K: int, T: int, repeats: int) -> list[float]:
-    """Wall times of repeated run_sandbox calls in one process on checkout's code."""
+    """CPU times of repeated run_sandbox calls in one process on checkout's code."""
     proc = subprocess.run(
         [
             sys.executable,
@@ -155,6 +158,7 @@ def measure_in_process(sides: dict) -> dict:
         "protocol": {
             "call": f"run_sandbox on configs/full_grid_5x5.json at K={IN_PROCESS_K}, T={IN_PROCESS_T}, with a reference",
             "repeats_per_process": IN_PROCESS_REPEATS,
+            "clock": "time.process_time, the CPU time of the process",
             "order": "alternating, base first in even rounds",
             "speedup": "base minimum over candidate minimum, per round",
         },

@@ -116,15 +116,15 @@ _RUN_KEYS = tuple(
 _ENV_KEYS = {f.name for f in dataclasses.fields(CongestionGridParams)}
 
 # Declared type of every JSON key, and the JSON values each scalar type
-# accepts (a boolean is not a number). Other types, such as the environment
-# object and favorable_states, are checked by the code that parses them.
+# accepts. No key takes a boolean, which Python counts as an int. Other
+# types, such as the environment object and favorable_states, are checked
+# by the code that parses them.
 _CONFIG_TYPES = {
     **typing.get_type_hints(ExperimentConfig),
     **{_FIELD_ALIASES.get(k, k): v for k, v in typing.get_type_hints(ScheduleParams).items()},
 }
 _ENV_TYPES = {**typing.get_type_hints(CongestionGridParams), "kind": str}
 _JSON_TYPES = {
-    bool: ("a boolean", bool),
     int: ("an integer", int),
     float: ("a number", (int, float)),
     str: ("a string", str),
@@ -147,7 +147,7 @@ def _check_types(given: dict, declared: dict) -> None:
         if kind not in _JSON_TYPES:
             continue
         name, accepted = _JSON_TYPES[kind]
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        if isinstance(value, bool) or not isinstance(value, accepted):
             raise ValueError(f"{key} must be {name}, got {json.dumps(value)}")
 
 

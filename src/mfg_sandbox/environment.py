@@ -1,9 +1,11 @@
 """Mean-field game environments.
 
-Provides the abstract environment interface (population-dependent kernel and
-reward), the congestion grid worlds used in the experiments, and a fixed-MDP
-wrapper for estimator unit tests. Grid coordinates are (x, y) with x, y in
-1..side; the flat state index is (x - 1) * side + (y - 1) (row major).
+Provides the abstract environment interface, which defines a game by two
+tables at a mean-field mu (the (S, A, S) transition kernel and the (S, A)
+reward table), the congestion grid worlds used in the experiments, and a
+fixed-MDP wrapper for estimator unit tests. Grid coordinates are (x, y)
+with x, y in 1..side; the flat state index is (x - 1) * side + (y - 1)
+(row major).
 """
 
 from __future__ import annotations
@@ -24,40 +26,25 @@ TWO_CLASS_OPEN_STATES = ((4, 5), (5, 4), (5, 5))
 
 
 class MfgEnvironment(abc.ABC):
-    """Environment whose transitions and rewards may depend on the mean-field.
+    """A mean-field game: its kernel and reward tables at a mean-field mu.
 
-    Instances are immutable after construction; transition_dist and reward
-    are pure functions and safe to share across concurrent runs.
+    Subclasses define the whole game through transition_kernel and
+    reward_table; the learner's reference step (env_step) and every oracle
+    caller read these two methods, so the game learned is the game scored.
+    Both may depend on mu. Instances are immutable after construction, and
+    both methods are pure and safe to share across concurrent runs.
     """
 
     dims: StateActionDims
     initial_distribution: MeanField
 
     @abc.abstractmethod
-    def transition_dist(self, s: int, a: int, mu) -> np.ndarray:
-        """Distribution of the next state given (s, a) and mean-field mu."""
+    def transition_kernel(self, mu) -> np.ndarray:
+        """(S, A, S) kernel at mean-field mu; each [s, a] row is a distribution."""
 
     @abc.abstractmethod
-    def reward(self, s: int, a: int, mu) -> float:
-        """Instantaneous reward in [0, 1]."""
-
-    def transition_kernel(self, mu=None) -> np.ndarray:
-        """Exact (S, A, S) kernel at mean-field mu."""
-        dims = self.dims
-        out = np.empty((dims.num_states, dims.num_actions, dims.num_states))
-        for s in range(dims.num_states):
-            for a in range(dims.num_actions):
-                out[s, a] = self.transition_dist(s, a, mu)
-        return out
-
     def reward_table(self, mu) -> np.ndarray:
-        """Exact (S, A) reward table at mean-field mu."""
-        dims = self.dims
-        out = np.empty((dims.num_states, dims.num_actions))
-        for s in range(dims.num_states):
-            for a in range(dims.num_actions):
-                out[s, a] = self.reward(s, a, mu)
-        return out
+        """(S, A) rewards in [0, 1] at mean-field mu."""
 
 
 def state_index(x: int, y: int, side: int) -> int:
@@ -169,13 +156,6 @@ class CongestionGridEnv(MfgEnvironment):
         state_reward.flags.writeable = False
         self.state_reward = state_reward
 
-    def transition_dist(self, s, a, mu):
-        return self._kernel[s, a]
-
-    def reward(self, s, a, mu):
-        mu = as_probs(mu)
-        return float((1.0 - self.params.congestion_c * mu[s]) * self.state_reward[s])
-
     def transition_kernel(self, mu=None):
         return self._kernel
 
@@ -247,12 +227,6 @@ class FixedMdpEnv(MfgEnvironment):
         rewards.flags.writeable = False
         self._rewards = rewards
 
-    def transition_dist(self, s, a, mu):
-        return self._kernel[s, a]
-
-    def reward(self, s, a, mu):
-        return float(self._rewards[s, a])
-
     def transition_kernel(self, mu=None):
         return self._kernel
 
@@ -274,13 +248,13 @@ def sample_from_cdf(cdf: np.ndarray, u: float) -> int:
 def env_step(env: MfgEnvironment, s: int, a: int, mu, rng) -> tuple[int, float]:
     """Sample one transition with a single uniform draw from rng.
 
-    Returns (next_state, reward); the reward is evaluated at the current
-    state, action, and mean-field.
+    Returns (next_state, reward): the draw is from row [s, a] of
+    transition_kernel(mu), the reward entry [s, a] of reward_table(mu), both
+    at the current mean-field.
     """
     if not 0 <= s < env.dims.num_states:
         raise IndexError(f"state {s} out of range for {env.dims.num_states} states")
     if not 0 <= a < env.dims.num_actions:
         raise IndexError(f"action {a} out of range for {env.dims.num_actions} actions")
-    dist = env.transition_dist(s, a, mu)
-    next_state = sample_from_cdf(np.cumsum(dist), rng.random())
-    return next_state, float(env.reward(s, a, mu))
+    next_state = sample_from_cdf(np.cumsum(env.transition_kernel(mu)[s, a]), rng.random())
+    return next_state, float(env.reward_table(mu)[s, a])

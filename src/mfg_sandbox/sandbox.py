@@ -214,14 +214,13 @@ class _Run:
         self._inv_tz = np.arange(1, T + 1, dtype=np.float64) ** (-sched.zeta)
         self.c_mu = np.empty(T)
         self.c_pi = np.empty(T)
-        self.psi_first = self.psi_tail = 0.0
+        self.psi_tail = 0.0
 
     def start_episode(self, k: int) -> None:
-        """Fill episode k's step sizes and exploration weights in place."""
+        """Fill episode k's step sizes and its exploration weight for t > 1."""
         sched = self.config.schedule
         np.multiply(sched.c_mu / k**sched.gamma, self._inv_tz, out=self.c_mu)
         np.multiply(sched.c_pi / k**sched.theta, self._inv_tz, out=self.c_pi)
-        self.psi_first = exploration_coeff(sched, k, 1)
         self.psi_tail = exploration_coeff(sched, k, 2)
 
     def reference_step(self, k: int, t: int) -> float:
@@ -244,7 +243,7 @@ class _Run:
             self.pi,
             learner.q,
             self.c_pi[t - 1],
-            self.psi_first if first else self.psi_tail,
+            0.0 if first else self.psi_tail,
             config.schedule.lam,
         )
         if not (math.isfinite(self.mu.sum()) and math.isfinite(self.pi.sum())):
@@ -401,7 +400,8 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
     K = config.num_episodes
     run = _Run(config)
     episode = run.reference_episode
-    # A subclass may override reward or transition_dist, which the kernel
+    # The kernel reads the grid's kernel array and state rewards directly; a
+    # subclass may override transition_kernel or reward_table, which it
     # does not call.
     if type(env) is CongestionGridEnv:
         kernel = _step_kernel.load()

@@ -19,12 +19,7 @@ from .core import as_probs
 
 @dataclass(frozen=True)
 class ScheduleParams:
-    """Learning-rate and exploration constants shared by a whole run.
-
-    constant_psi switches the exploration-noise coefficient from the default
-    episode-dependent schedule (zero on each episode's first step, then
-    psi / (1 - c_pi / k**theta)) to the plain constant psi.
-    """
+    """Learning-rate and exploration constants shared by a whole run."""
 
     c_mu: float = 0.5
     c_pi: float = 0.5
@@ -35,7 +30,6 @@ class ScheduleParams:
     nu: float = 0.55
     psi: float = 0.2
     lam: float = 1.0
-    constant_psi: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.c_mu <= 1.0:
@@ -71,12 +65,9 @@ def step_size_pi(params: ScheduleParams, k: int, t: int) -> float:
 def exploration_coeff(params: ScheduleParams, k: int, t: int) -> float:
     """Weight of the uniform exploration noise in the policy update.
 
-    Default schedule: 0 on each episode's first step; psi / (1 - c_pi /
-    k**theta) afterwards, decreasing toward psi as k grows. The constant
-    variant returns psi for every step.
+    0 on each episode's first step; psi / (1 - c_pi / k**theta) afterwards,
+    decreasing toward psi as k grows.
     """
-    if params.constant_psi:
-        return params.psi
     if t == 1:
         return 0.0
     return params.psi / (1.0 - params.c_pi / k**params.theta)
@@ -100,7 +91,7 @@ def exploration_floor(params: ScheduleParams, num_actions: int, num_episodes: in
     for k in range(1, num_episodes + 1):
         c = (params.c_pi / k**params.theta) * inv_tz
         noise = np.full(steps_per_episode, exploration_coeff(params, k, 2) / num_actions)
-        noise[0] = exploration_coeff(params, k, 1) / num_actions
+        noise[0] = 0.0  # step 1 adds no exploration noise
         keep = 1.0 - c
         # x_t = prod(keep[1..t]) * (x_0 + sum_{l<=t} c_l * noise_l / prod(keep[1..l]))
         cum_keep = np.cumprod(keep)

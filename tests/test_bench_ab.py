@@ -78,3 +78,14 @@ def test_summarize_rounds_reports_base_over_candidate(bench_ab):
 def test_in_process_child_times_run_sandbox_in_a_checkout(bench_ab):
     times = bench_ab.time_run_sandbox(SCRIPT.parent.parent, K=2, T=20, repeats=3)
     assert len(times) == 3 and all(t > 0.0 for t in times)
+
+
+def test_in_process_rounds_time_cpu_not_wall(bench_ab, monkeypatch):
+    # time the process spends descheduled on a shared host must not count
+    assert "time.process_time()" in bench_ab.IN_PROCESS_CHILD
+    assert "perf_counter" not in bench_ab.IN_PROCESS_CHILD
+    monkeypatch.setattr(bench_ab, "IN_PROCESS_ROUNDS", 2)
+    monkeypatch.setattr(bench_ab, "time_run_sandbox", lambda checkout, K, T, repeats: [0.2, 0.1])
+    out = bench_ab.measure_in_process({"base": Path("base"), "candidate": Path("candidate")})
+    assert out["protocol"]["clock"].startswith("time.process_time")
+    assert out["speedups"] == [1.0, 1.0]

@@ -72,6 +72,8 @@ def test_unknown_keys_rejected(tmp_path):
         cli.load_config(write_config(tmp_path, {"use_projection": True}))
     with pytest.raises(ValueError, match="unknown config keys: validate_every"):
         cli.load_config(write_config(tmp_path, {"validate_every": 1}))
+    with pytest.raises(ValueError, match="unknown config keys: constant_psi"):
+        cli.load_config(write_config(tmp_path, {"constant_psi": False}))
     # the reference solve takes no settings from the config
     for key, value in [("damping", 0.2), ("bmfe_tol", 1e-9), ("bmfe_max_iter", 100), ("vi_tol", 1e-11)]:
         with pytest.raises(ValueError, match=f"unknown config keys: {key}"):
@@ -94,7 +96,6 @@ def test_constraint_violations_name_the_field(tmp_path):
         ("K", "3"),
         ("K", 3.0),
         ("lambda", True),
-        ("constant_psi", 1),
         ("output_dir", 7),
         ("epsilon_net_mesh", "0.5"),
     ]:
@@ -123,7 +124,7 @@ def test_readme_config_reference_lists_every_key():
     documented = set(re.findall(r"`([^`]+)`", section))
     accepted = {*cli._RUN_KEYS, *cli._SCHEDULE_KEYS, "environment", *cli._ENV_KEYS, "kind"}
     assert sorted(accepted - documented) == []
-    retired = ("use_projection", "validate_every", "damping", "bmfe_tol", "bmfe_max_iter", "vi_tol")
+    retired = ("use_projection", "validate_every", "damping", "bmfe_tol", "bmfe_max_iter", "vi_tol", "constant_psi")
     assert [key for key in retired if f"`{key}`" in section] == []
 
 

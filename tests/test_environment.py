@@ -5,6 +5,7 @@ from mfg_sandbox.core import MeanField
 from mfg_sandbox.environment import (
     TWO_CLASS_OPEN_STATES,
     CongestionGridParams,
+    MfgEnvironment,
     env_step,
     make_congestion_env,
     make_fixed_mdp_env,
@@ -76,10 +77,9 @@ def test_kernel_rows_are_stochastic_and_rewards_bounded():
         assert kernel.min() >= 0.0
         rng = np.random.default_rng(0)
         for _ in range(20):
-            mu = rng.dirichlet(np.ones(env.dims.num_states))
-            s = int(rng.integers(env.dims.num_states))
-            a = int(rng.integers(env.dims.num_actions))
-            assert 0.0 <= env.reward(s, a, mu) <= 1.0
+            rewards = env.reward_table(rng.dirichlet(np.ones(env.dims.num_states)))
+            assert rewards.shape == (env.dims.num_states, env.dims.num_actions)
+            assert 0.0 <= rewards.min() and rewards.max() <= 1.0
 
 
 def test_zero_jostle_is_deterministic():
@@ -87,7 +87,7 @@ def test_zero_jostle_is_deterministic():
     mu = uniform_mu(16)
     # from (2, 2), action (+1, +1) lands exactly at (3, 3)
     s = state_index(2, 2, 4)
-    dist = env.transition_dist(s, 3, mu)
+    dist = env.transition_kernel(mu)[s, 3]
     assert dist[state_index(3, 3, 4)] == 1.0
     rng = np.random.default_rng(1)
     nxt, _ = env_step(env, s, 3, mu, rng)
@@ -98,18 +98,17 @@ def test_reward_formula_on_favorable_state():
     env = make_congestion_env(CongestionGridParams(side=5))
     mu = uniform_mu(25)
     s = state_index(3, 3, 5)
+    rewards = env.reward_table(mu)
     # (1 - 0.5 * 1/25) * 1.0
-    assert env.reward(s, 0, mu) == pytest.approx(0.98)
+    assert rewards[s, 0] == pytest.approx(0.98)
     s_base = state_index(1, 1, 5)
-    assert env.reward(s_base, 2, mu) == pytest.approx((1 - 0.5 / 25) * 0.1)
+    assert rewards[s_base, 2] == pytest.approx((1 - 0.5 / 25) * 0.1)
 
 
 def test_reward_is_action_independent():
     env = make_congestion_env(CongestionGridParams(side=3))
-    mu = np.random.default_rng(2).dirichlet(np.ones(9))
-    for s in range(9):
-        rewards = {env.reward(s, a, mu) for a in range(4)}
-        assert len(rewards) == 1
+    rewards = env.reward_table(np.random.default_rng(2).dirichlet(np.ones(9)))
+    assert np.array_equal(rewards, np.repeat(rewards[:, :1], 4, axis=1))
 
 
 def test_kernel_ignores_mean_field():
@@ -117,9 +116,7 @@ def test_kernel_ignores_mean_field():
     rng = np.random.default_rng(3)
     mu1 = rng.dirichlet(np.ones(9))
     mu2 = rng.dirichlet(np.ones(9))
-    for s in range(9):
-        for a in range(4):
-            assert np.array_equal(env.transition_dist(s, a, mu1), env.transition_dist(s, a, mu2))
+    assert np.array_equal(env.transition_kernel(mu1), env.transition_kernel(mu2))
 
 
 def test_congestion_env_is_communicating():
@@ -181,7 +178,7 @@ def test_env_step_frequencies_match_kernel():
     env = make_congestion_env(CongestionGridParams(side=3, jostle_p=0.3))
     mu = uniform_mu(9)
     s, a = state_index(2, 2, 3), 0
-    dist = env.transition_dist(s, a, mu)
+    dist = env.transition_kernel(mu)[s, a]
     n = 100_000
     rng = np.random.default_rng(7)
     counts = np.zeros(9)
@@ -201,10 +198,10 @@ def test_fixed_mdp_round_trip_and_mu_independence():
     assert np.array_equal(env.transition_kernel(), kernel)
     mu1 = rng.dirichlet(np.ones(5))
     mu2 = rng.dirichlet(np.ones(5))
-    for s in range(5):
-        for a in range(2):
-            assert np.array_equal(env.transition_dist(s, a, mu1), env.transition_dist(s, a, mu2))
-            assert env.reward(s, a, mu1) == env.reward(s, a, mu2) == rewards[s, a]
+    assert np.array_equal(env.transition_kernel(mu1), kernel)
+    assert np.array_equal(env.transition_kernel(mu2), kernel)
+    assert np.array_equal(env.reward_table(mu1), rewards)
+    assert np.array_equal(env.reward_table(mu2), rewards)
 
 
 def test_fixed_mdp_validation():
@@ -222,3 +219,8 @@ def test_one_state_one_action_env():
     nxt, r = env_step(env, 0, 0, np.array([1.0]), rng)
     assert nxt == 0 and r == 0.4
     assert isinstance(env.initial_distribution, MeanField)
+
+
+def test_an_environment_is_its_two_tables():
+    # the learner's env_step and every oracle caller read these two methods
+    assert MfgEnvironment.__abstractmethods__ == {"transition_kernel", "reward_table"}

@@ -287,8 +287,8 @@ def test_solve_bmfe_records_its_inputs():
 
 
 class MuDependentEnv(MfgEnvironment):
-    """Kernel and reward both move with mu; the base-class transition_kernel
-    returns a fresh array per call, so value iteration stacks the kernels."""
+    """Kernel and reward both move with mu; transition_kernel returns a fresh
+    array per call, so value iteration stacks the kernels."""
 
     def __init__(self, seed, num_states=4, num_actions=3):
         rng = np.random.default_rng(seed)
@@ -297,11 +297,11 @@ class MuDependentEnv(MfgEnvironment):
         self._base = rng.dirichlet(np.ones(num_states), size=(num_states, num_actions))
         self._rewards = rng.uniform(0.0, 1.0, size=(num_states, num_actions))
 
-    def transition_dist(self, s, a, mu):
-        return 0.7 * self._base[s, a] + 0.3 * np.asarray(mu)
+    def transition_kernel(self, mu):
+        return 0.7 * self._base + 0.3 * np.asarray(mu)
 
-    def reward(self, s, a, mu):
-        return float(self._rewards[s, a] * (1.0 - 0.5 * mu[s]))
+    def reward_table(self, mu):
+        return self._rewards * (1.0 - 0.5 * np.asarray(mu))[:, None]
 
 
 def reference_value_iteration(env, mu, rho, tol, q_start=None):

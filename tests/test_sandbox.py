@@ -143,38 +143,67 @@ def test_run_is_deterministic():
         assert a == b
 
 
-class RecordingEnv(MfgEnvironment):
-    """Wraps a grid in a plain environment, which runs the reference loop, and
-    logs every transition query."""
+class PlainGridEnv(MfgEnvironment):
+    """Wraps a grid in a plain environment, which runs the reference loop."""
 
     def __init__(self, inner):
         self.inner = inner
         self.dims = inner.dims
         self.initial_distribution = inner.initial_distribution
-        self.calls = []
 
-    def transition_dist(self, s, a, mu):
-        self.calls.append((int(s), int(a)))
-        return self.inner.transition_dist(s, a, mu)
-
-    def reward(self, s, a, mu):
-        return self.inner.reward(s, a, mu)
-
-    def transition_kernel(self, mu=None):
-        # diagnostics use this; keep it out of the sampling log
+    def transition_kernel(self, mu):
         return self.inner.transition_kernel(mu)
+
+    def reward_table(self, mu):
+        return self.inner.reward_table(mu)
+
+
+def logged_env_steps(log):
+    """sandbox.env_step, appending (state, action, next_state) to log per call."""
+
+    def logged(env, s, a, mu, rng):
+        next_state, reward = env_step(env, s, a, mu, rng)
+        log.append((int(s), int(a), next_state))
+        return next_state, reward
+
+    return mock.patch.object(sandbox, "env_step", logged)
 
 
 def test_single_sample_path_without_reinitialization():
-    env = RecordingEnv(small_env(side=2, jostle_p=0.2))
+    env = PlainGridEnv(small_env(side=2, jostle_p=0.2))
     K, T = 3, 50
-    run_sandbox(small_config(env, num_episodes=K, steps_per_episode=T))
-    assert len(env.calls) == K * T  # exactly one transition per step
+    steps = []
+    with logged_env_steps(steps):
+        run_sandbox(small_config(env, num_episodes=K, steps_per_episode=T))
+    assert len(steps) == K * T  # exactly one transition per step
     kernel = env.inner.transition_kernel()
-    for (s, a), (s_next, _) in zip(env.calls, env.calls[1:]):
-        # the next query starts where a positive-probability transition
-        # could land, including across episode boundaries
-        assert kernel[s, a, s_next] > 0.0
+    for (s, a, s_next), (s_after, _, _) in zip(steps, steps[1:]):
+        # the next step starts where this one landed, through a
+        # positive-probability transition, including across episode boundaries
+        assert s_after == s_next and kernel[s, a, s_next] > 0.0
+
+
+class FlatRewardGridEnv(CongestionGridEnv):
+    """A congestion grid whose one override is a constant reward table."""
+
+    def reward_table(self, mu):
+        return np.full((self.dims.num_states, self.dims.num_actions), 0.5)
+
+
+def test_the_learner_and_the_oracle_play_one_game():
+    # The subclass runs the reference loop; every reward the learner
+    # receives, and the table the oracle solves, must be the override's.
+    grid = small_env(side=3)
+    env = FlatRewardGridEnv(grid.params, grid.transition_kernel())
+    K, T = 3, 50
+    with mock.patch.object(QLearner, "update", autospec=True, side_effect=QLearner.update) as update:
+        run_sandbox(small_config(env, num_episodes=K, steps_per_episode=T))
+    rewards = [call.args[3] for call in update.call_args_list]
+    assert len(rewards) == K * T and set(rewards) == {0.5}
+    # a constant reward r makes every optimal Q-value r / (1 - rho)
+    mu = np.random.default_rng(0).dirichlet(np.ones(env.dims.num_states))
+    q_star = induced_q_star(env, mu, 0.7, tol=1e-12).values
+    np.testing.assert_allclose(q_star, 0.5 / (1.0 - 0.7), rtol=0.0, atol=1e-11)
 
 
 def test_averaging_matches_first_step_snapshots():
@@ -269,8 +298,8 @@ def _fixed_mdp():
         (lambda: small_env(side=2), {}),
         (lambda: small_env(side=3, jostle_p=0.3), {"seed": 8}),
         (lambda: small_env(side=2), {"net": build_epsilon_net(4, 0.5)}),
-        (lambda: RecordingEnv(small_env(side=2, jostle_p=0.2)), {}),
-        (_fixed_mdp, {"schedule": ScheduleParams(constant_psi=True, lam=2.0)}),
+        (lambda: PlainGridEnv(small_env(side=2, jostle_p=0.2)), {}),
+        (_fixed_mdp, {"schedule": ScheduleParams(lam=2.0)}),
     ],
     ids=["grid2", "grid3", "grid2-projection", "mu-dependent-sampling", "fixed-mdp"],
 )
@@ -290,14 +319,14 @@ class NanRewardEnv(MfgEnvironment):
         self.bad_after = bad_after
         self.count = 0
 
-    def transition_dist(self, s, a, mu):
-        return self.inner.transition_dist(s, a, mu)
+    def transition_kernel(self, mu):
+        return self.inner.transition_kernel(mu)
 
-    def reward(self, s, a, mu):
+    def reward_table(self, mu):
         self.count += 1
         if self.count > self.bad_after:
-            return math.nan
-        return self.inner.reward(s, a, mu)
+            return np.full((self.dims.num_states, self.dims.num_actions), math.nan)
+        return self.inner.reward_table(mu)
 
 
 def test_non_finite_reward_aborts_with_snapshot():
@@ -471,7 +500,6 @@ def schedules(draw):
         nu=draw(st.floats(0.51, 1.0)),
         psi=draw(st.floats(0.01, 0.99)) * (1.0 - c_pi),
         lam=draw(st.floats(0.01, 20.0)),
-        constant_psi=draw(st.booleans()),
     )
 
 
@@ -555,24 +583,13 @@ def test_failed_kernel_build_warns_once_and_falls_back(step_kernel, monkeypatch,
     assert_runs_agree(fast, second)
 
 
-class LoggingGridEnv(CongestionGridEnv):
-    """A congestion grid that logs the state of every reward query."""
-
-    def __init__(self, inner):
-        super().__init__(inner.params, inner.transition_kernel())
-        self.visits = []
-
-    def reward(self, s, a, mu):
-        self.visits.append(int(s))
-        return super().reward(s, a, mu)
-
-
 def late_first_visit(config, T):
     """A state the run first visits after its first episode."""
-    env = LoggingGridEnv(config.env)
-    run_reference_loop(dataclasses.replace(config, env=env))
+    steps = []
+    with logged_env_steps(steps):
+        run_reference_loop(config)
     first_seen = {}
-    for step, s in enumerate(env.visits):
+    for step, (s, _, _) in enumerate(steps):
         first_seen.setdefault(s, step)
     late = [s for s, step in first_seen.items() if step >= T]
     assert late, "every visited state was reached in the first episode"

@@ -93,12 +93,6 @@ def test_exploration_coeff_schedule():
         prev = value
 
 
-def test_exploration_coeff_constant_variant():
-    p = ScheduleParams(psi=0.2, constant_psi=True)
-    assert exploration_coeff(p, 1, 1) == 0.2
-    assert exploration_coeff(p, 7, 123) == 0.2
-
-
 def _naive_floor(params, num_actions, num_episodes, steps):
     x = 1.0 / num_actions
     floor = math.inf
@@ -111,9 +105,8 @@ def _naive_floor(params, num_actions, num_episodes, steps):
     return floor
 
 
-@pytest.mark.parametrize("constant", [False, True])
-def test_exploration_floor_matches_naive_recursion(constant):
-    p = ScheduleParams(constant_psi=constant)
+def test_exploration_floor_matches_naive_recursion():
+    p = ScheduleParams()
     fast = exploration_floor(p, 4, 7, 40)
     slow = _naive_floor(p, 4, 7, 40)
     assert fast == pytest.approx(slow, rel=1e-12)
