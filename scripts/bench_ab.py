@@ -15,16 +15,18 @@ from pair to pair. Before the pairs, each side runs its tier-1 tests once
 ``src`` on ``PYTHONPATH``) and the benchmark once untimed, so lazy set-up
 such as the step-kernel build does not fall into a timed run.
 
-A second, in-process section times the step loop without the CLI's
-process start, imports and I/O, which on this kind of host spread more
-than a 10% change: ``run_sandbox`` on the 5x5 grid of
-``configs/full_grid_5x5.json`` cut to K = 4, T = 10k, scored against a
-reference solved once per process. Each call is timed with
+A second, in-process section times the step loop and the oracle without
+the CLI's process start, imports and I/O, which on this kind of host
+spread more than a 10% change. On the 5x5 grid of
+``configs/full_grid_5x5.json`` it times ``run_sandbox`` cut to K = 4,
+T = 10k, scored against a reference solved once per process, and in a
+second process ``probe_contraction`` over ``IN_PROCESS_PROBE_PAIRS`` pairs
+(seed 4) and ``solve_bmfe``. Each call is timed with
 ``time.process_time()``, the CPU time of the process, so time the process
 spends descheduled on a shared host does not count. Each of
-``IN_PROCESS_ROUNDS`` rounds starts one process per side, the side that
-goes first alternating, and each process reports the minimum of
-``IN_PROCESS_REPEATS`` timed calls.
+``IN_PROCESS_ROUNDS`` rounds starts these processes for each side, the side
+that goes first alternating, and each process reports the minimum of
+``IN_PROCESS_REPEATS`` timed calls of each call it times.
 
 Writes ``BENCH_<number>.json`` at the repository root: per workload and
 end-to-end metric (names and directions from the candidate's
@@ -56,6 +58,8 @@ PAIRS = 10
 IN_PROCESS_ROUNDS = 5
 IN_PROCESS_REPEATS = 7
 IN_PROCESS_K, IN_PROCESS_T = 4, 10_000
+IN_PROCESS_PROBE_PAIRS = 600
+ORACLE_CALLS = ("probe_contraction", "solve_bmfe")
 
 # Run with ``python -c`` in a checkout; argv: src dir, config, K, T, repeats.
 # Prints the CPU time of each run_sandbox call as one JSON line.
@@ -82,6 +86,31 @@ for _ in range(int(sys.argv[5])):
     started = time.process_time()
     run_sandbox(config)
     times.append(time.process_time() - started)
+print(json.dumps(times))
+"""
+
+# Run with ``python -c`` in a checkout; argv: src dir, config, probe pairs,
+# repeats. Prints the CPU times of each oracle call as one JSON object.
+IN_PROCESS_ORACLE_CHILD = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from mfg_sandbox import cli
+from mfg_sandbox.oracle import probe_contraction, solve_bmfe
+
+cfg = cli.load_config(sys.argv[2])
+env = cli.build_environment(cfg)
+lam, rho, pairs = cfg.schedule.lam, cfg.rho, int(sys.argv[3])
+calls = {
+    "probe_contraction": lambda: probe_contraction(env, lam, rho, pairs, np.random.default_rng(4)),
+    "solve_bmfe": lambda: solve_bmfe(env, lam=lam, rho=rho),
+}
+times = {name: [] for name in calls}
+for _ in range(int(sys.argv[4])):
+    for name, call in calls.items():
+        started = time.process_time()
+        call()
+        times[name].append(time.process_time() - started)
 print(json.dumps(times))
 """
 
@@ -135,6 +164,27 @@ def time_run_sandbox(checkout: Path, K: int, T: int, repeats: int) -> list[float
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def time_oracle(checkout: Path, pairs: int, repeats: int) -> dict[str, list[float]]:
+    """CPU times of repeated probe_contraction and solve_bmfe calls in one process on checkout's code."""
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            IN_PROCESS_ORACLE_CHILD,
+            str(checkout / "src"),
+            str(checkout / "configs" / "full_grid_5x5.json"),
+            str(pairs),
+            str(repeats),
+        ],
+        cwd=checkout,
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: oracle timing failed (exit {proc.returncode}):\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def summarize_rounds(rounds: list[dict]) -> dict:
     """Speedup of each in-process round, base minimum over candidate minimum."""
     speedups = [r["base_min_s"] / r["candidate_min_s"] for r in rounds]
@@ -147,16 +197,27 @@ def summarize_rounds(rounds: list[dict]) -> dict:
 
 
 def measure_in_process(sides: dict) -> dict:
-    """Alternating in-process rounds of run_sandbox, minimum of the repeats per process."""
+    """Alternating in-process rounds of run_sandbox and the oracle calls, minimum of the repeats per process."""
     rounds = []
     for i in range(IN_PROCESS_ROUNDS):
         order = ["base", "candidate"] if i % 2 == 0 else ["candidate", "base"]
-        times = {side: time_run_sandbox(sides[side], IN_PROCESS_K, IN_PROCESS_T, IN_PROCESS_REPEATS) for side in order}
-        rounds.append({"first_side": order[0], **{f"{side}_min_s": min(t) for side, t in times.items()}})
+        sandbox, oracle = {}, {}
+        for side in order:
+            sandbox[side] = time_run_sandbox(sides[side], IN_PROCESS_K, IN_PROCESS_T, IN_PROCESS_REPEATS)
+            oracle[side] = time_oracle(sides[side], IN_PROCESS_PROBE_PAIRS, IN_PROCESS_REPEATS)
+        rounds.append(
+            {
+                "first_side": order[0],
+                **{f"{side}_min_s": min(t) for side, t in sandbox.items()},
+                **{call: {f"{side}_min_s": min(t[call]) for side, t in oracle.items()} for call in ORACLE_CALLS},
+            }
+        )
         print(f"in-process round {i + 1}/{IN_PROCESS_ROUNDS}: {rounds[-1]}", file=sys.stderr, flush=True)
     return {
         "protocol": {
             "call": f"run_sandbox on configs/full_grid_5x5.json at K={IN_PROCESS_K}, T={IN_PROCESS_T}, with a reference",
+            "oracle_calls": f"probe_contraction ({IN_PROCESS_PROBE_PAIRS} pairs, seed 4) and solve_bmfe on the same "
+            "grid, in a process of their own",
             "repeats_per_process": IN_PROCESS_REPEATS,
             "clock": "time.process_time, the CPU time of the process",
             "order": "alternating, base first in even rounds",
@@ -164,6 +225,10 @@ def measure_in_process(sides: dict) -> dict:
         },
         "steps_per_call": IN_PROCESS_K * IN_PROCESS_T,
         **summarize_rounds(rounds),
+        **{
+            call: {k: v for k, v in summarize_rounds([r[call] for r in rounds]).items() if k != "rounds"}
+            for call in ORACLE_CALLS
+        },
     }
 
 

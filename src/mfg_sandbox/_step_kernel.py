@@ -1,4 +1,4 @@
-"""Compiled learner step for congestion-grid runs, built on first use with cffi.
+"""Compiled learner step and value iteration, built on first use with cffi.
 
 One call of ``learner_step`` performs everything a step t > 1 of the run
 loop does except counting the transition: the refresh of the one estimate
@@ -14,12 +14,19 @@ keeps the transition estimate in a buffer of its own, row by row equal to
 the cached estimate, may project, and stores the first-step pair, is left
 to the reference step.
 
+One call of ``value_iteration`` runs value iteration to its stopping rule
+on a stack of mean-field-frozen MDPs that share one kernel, given as sparse
+rows of the discounted kernel; ``oracle._value_iteration`` documents the
+arguments and keeps the NumPy reference loop. Neither function keeps state
+between calls: scratch space comes from the caller, so two threads may run
+them at once (cffi releases the GIL during a call).
+
 The extension is compiled once into ``_kernel_build`` next to this file,
 under a name keyed by the C source, the compiler flags and the interpreter's
 extension suffix; later loads import the built module alone, without cffi's
 compiler front end. ``load`` returns None, after one warning per process,
-when the module can be neither imported nor built; the caller then runs the
-reference loop.
+when the module can be neither imported nor built; the callers then run
+their reference loops.
 """
 
 from __future__ import annotations
@@ -50,6 +57,10 @@ typedef struct {
 } step_ctx;
 
 int learner_step(step_ctx *c, int t);
+int64_t value_iteration(int num_problems, int num_states, int num_actions,
+                        const int *row_start, const int *cols, const double *vals,
+                        const double *rewards, double *q, double *v,
+                        double threshold, int64_t max_iter);
 """
 
 # Field meanings (S states, A actions, T steps per episode, row-major):
@@ -192,6 +203,54 @@ int learner_step(step_ctx *c, int t)
     c->state = next;
     return next;
 }
+
+/* Value iteration q <- rewards + K max_a q on each of num_problems (S x A)
+   problems in q, in place, until a sweep changes no entry by more than
+   threshold. K is the shared (S A x S) discounted kernel, row n holding
+   vals[k] at column cols[k] for k in row_start[n] .. row_start[n + 1] - 1,
+   its exact zeros left out; each row's sum runs in index order. v is S
+   doubles of scratch. Returns the sweeps summed over the problems, or -1
+   when a problem is still moving after max_iter sweeps. */
+int64_t value_iteration(int num_problems, int num_states, int num_actions,
+                        const int *row_start, const int *cols, const double *vals,
+                        const double *rewards, double *q, double *v,
+                        double threshold, int64_t max_iter)
+{
+    const int S = num_states, A = num_actions;
+    const size_t rows = (size_t)S * A;
+    int64_t total = 0;
+    for (int m = 0; m < num_problems; m++) {
+        const double *r_m = rewards + m * rows;
+        double *q_m = q + m * rows;
+        int64_t sweep = 0;
+        int done = 0;
+        while (!done) {
+            if (sweep == max_iter)
+                return -1;
+            sweep++;
+            for (int s = 0; s < S; s++) {
+                const double *q_s = q_m + (size_t)s * A;
+                double best = q_s[0];
+                for (int a = 1; a < A; a++)
+                    if (q_s[a] > best)
+                        best = q_s[a];
+                v[s] = best;
+            }
+            /* NaN never passes the test, as it never passes NumPy's max */
+            done = 1;
+            for (size_t n = 0; n < rows; n++) {
+                double e = 0.0;
+                for (int k = row_start[n]; k < row_start[n + 1]; k++)
+                    e += vals[k] * v[cols[k]];
+                const double next = r_m[n] + e;
+                done &= fabs(next - q_m[n]) <= threshold;
+                q_m[n] = next;
+            }
+        }
+        total += sweep;
+    }
+    return total;
+}
 """
 )
 
@@ -236,13 +295,15 @@ def _import_or_build():
 
 
 def load():
-    """(ffi, lib) of the compiled step, or None when it is unavailable."""
+    """(ffi, lib) of the compiled functions, or None when they are unavailable."""
     global _loaded
     if _loaded is None:
         try:
             _loaded = _import_or_build()
         except Exception as err:  # any build or load failure falls back
-            logger.warning("compiled learner step unavailable, using the reference loop: %s", err)
-            logger.debug("learner step build failure", exc_info=True)
+            logger.warning(
+                "compiled learner step and value iteration unavailable, using the reference loops: %s", err
+            )
+            logger.debug("step kernel build failure", exc_info=True)
             _loaded = False
     return _loaded or None

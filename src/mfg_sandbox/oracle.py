@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _step_kernel
 from .core import (
     MeanField,
     Policy,
@@ -27,9 +28,59 @@ from .core import (
 )
 from .environment import MfgEnvironment
 
-# Probe pairs drawn and solved together: 2 * PROBE_BLOCK value iterations
-# per call keep the per-sweep overhead small and memory O(PROBE_BLOCK).
+# Probe pairs drawn and scored together; the block bounds the probe's
+# memory, O(PROBE_BLOCK) whatever the number of pairs.
 PROBE_BLOCK = 16
+
+
+def _sweeps_numpy(kernel, rewards, q, threshold: float, max_iter: int) -> int:
+    """The reference loop, one problem at a time: q[m] <- rewards[m] + kernel @ max_a q[m].
+
+    kernel is the (S, A, S) discounted kernel; q is updated in place.
+    Returns the sweeps summed over the problems.
+    """
+    total = 0
+    for m in range(len(q)):
+        q_m = q[m]
+        for sweep in range(1, max_iter + 1):
+            q_next = rewards[m] + kernel @ q_m.max(axis=1)
+            delta = np.abs(q_next - q_m).max()
+            q_m = q_next
+            if delta <= threshold:
+                break
+        else:
+            return -1
+        q[m] = q_m
+        total += sweep
+    return total
+
+
+def _sweeps_compiled(ffi, lib, kernel, rewards, q, threshold: float, max_iter: int) -> int:
+    """The same loop in one C call over the stack, the kernel as sparse rows.
+
+    Skipping exact zeros leaves each row's in-order sum unchanged, so the
+    iterates are those of a dense in-order product.
+    """
+    S, A = q.shape[1:]
+    rows = kernel.reshape(S * A, S)
+    nonzero = rows != 0.0
+    row_start = np.zeros(S * A + 1, dtype=np.intc)
+    np.cumsum(nonzero.sum(axis=1), out=row_start[1:])
+    cols = np.nonzero(nonzero)[1].astype(np.intc)
+    vals = rows[nonzero]
+    return lib.value_iteration(
+        len(q),
+        S,
+        A,
+        ffi.from_buffer("int[]", row_start),
+        ffi.from_buffer("int[]", cols),
+        ffi.from_buffer("double[]", vals),
+        ffi.from_buffer("double[]", rewards),
+        ffi.from_buffer("double[]", q, require_writable=True),
+        ffi.from_buffer("double[]", np.empty(S)),
+        threshold,
+        max_iter,
+    )
 
 
 def _value_iteration(
@@ -41,60 +92,47 @@ def _value_iteration(
     iterates and the number of sweeps summed over the M problems. Successive
     iterates of the Bellman map contract by rho, so a problem stops at the
     first sweep that changes it by at most tol * (1 - rho) / rho, which
-    leaves it within tol of its fixed point from any start. A stopped
-    problem leaves the active set, so each result is the iterate the loop
-    reaches on that problem alone. q_start is the (M, S, A) starting stack;
-    by default every problem starts from Q = 0.
+    leaves it within tol of its fixed point from any start. q_start is the
+    (M, S, A) starting stack; by default every problem starts from Q = 0.
+    The discount is folded into the kernel. When every problem's kernel is
+    the same array, as for every package environment, the stack is one
+    compiled call; otherwise each problem is a call of its own. Without the
+    compiled extension, the NumPy reference loop runs instead.
     """
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
     S, A = env.dims.num_states, env.dims.num_actions
-    kernels, rewards = [], []
-    for mu in mus:
-        mu = as_probs(mu)
-        kernels.append(env.transition_kernel(mu))
-        rewards.append(env.reward_table(mu))
-    out = np.empty((len(rewards), S, A))
-    if not rewards:
-        return out, 0
-    # The loop keeps each table action-major, (A, S), so the max over
-    # actions reduces over an outer axis, which NumPy does much faster.
-    rewards = np.array(rewards).transpose(0, 2, 1)
-    # Every package environment returns one kernel array for all mu; then a
-    # single (S, A*S) matrix serves the whole stack as one product. The
-    # discount is folded into the kernel.
-    shared = all(k is kernels[0] for k in kernels)
-    if shared:
-        kernel = rho * kernels[0].transpose(2, 1, 0).reshape(S, A * S)
+    mus = [as_probs(mu) for mu in mus]
+    if q_start is None:
+        q = np.zeros((len(mus), S, A))
     else:
-        kernel = rho * np.array(kernels).transpose(0, 2, 1, 3)
-    q = np.zeros_like(rewards) if q_start is None else np.array(q_start, dtype=np.float64).transpose(0, 2, 1)
-    index = np.arange(len(out))
+        q = np.array(q_start, dtype=np.float64, order="C")
+    if not mus:
+        return q, 0
+    kernels = [env.transition_kernel(mu) for mu in mus]
+    rewards = np.array([env.reward_table(mu) for mu in mus], dtype=np.float64)
+    # the compiled loop reads these sizes through raw pointers
+    if q.shape != (len(mus), S, A) or rewards.shape != q.shape:
+        raise ValueError(f"q_start and the reward tables must have shape {(len(mus), S, A)}")
+    if any(np.shape(k) != (S, A, S) for k in kernels):
+        raise ValueError(f"transition kernels must have shape {(S, A, S)}")
+    if all(k is kernels[0] for k in kernels):
+        stacks = [(kernels[0], slice(None))]
+    else:
+        stacks = [(k, slice(m, m + 1)) for m, k in enumerate(kernels)]
+    compiled = _step_kernel.load()
     threshold = tol * (1.0 - rho) / rho
     sweeps = 0
-    for sweep in range(1, max_iter + 1):
-        v = q.max(axis=1)
-        if shared:
-            # einsum, not a BLAS matrix product: slower by a few microseconds
-            # per sweep here, but the BLAS product's code and buffers would
-            # add about 0.3 MB (1%) to a probe's peak RSS.
-            expected = np.einsum("ms,st->mt", v, kernel).reshape(q.shape)
+    for kernel, part in stacks:
+        kernel = rho * np.asarray(kernel, dtype=np.float64)
+        if compiled is None:
+            n = _sweeps_numpy(kernel, rewards[part], q[part], threshold, max_iter)
         else:
-            expected = np.matmul(kernel, v[:, None, :, None])[..., 0]
-        q_next = rewards + expected
-        delta = np.abs(q_next - q).max(axis=(1, 2))
-        q = q_next
-        if delta.min() <= threshold:
-            done = delta <= threshold
-            out[index[done]] = q[done].transpose(0, 2, 1)
-            sweeps += sweep * int(done.sum())
-            if done.all():
-                return out, sweeps
-            keep = ~done
-            index, q, rewards = index[keep], q[keep], rewards[keep]
-            if not shared:
-                kernel = kernel[keep]
-    raise ArithmeticError(f"value iteration did not converge within {max_iter} sweeps")
+            n = _sweeps_compiled(*compiled, kernel, rewards[part], q[part], threshold, max_iter)
+        if n < 0:
+            raise ArithmeticError(f"value iteration did not converge within {max_iter} sweeps")
+        sweeps += n
+    return q, sweeps
 
 
 def _clip_q(q: np.ndarray, rho: float) -> np.ndarray:
@@ -119,21 +157,32 @@ def gamma1_lambda(env: MfgEnvironment, mu, lam: float, rho: float, tol: float = 
 
 
 def induced_kernel(env: MfgEnvironment, pi, mu) -> np.ndarray:
-    """State-chain matrix P(s, s') = sum_a pi(a|s) P(s'|s, a, mu)."""
+    """State-chain matrix P(s, s') = sum_a pi(a|s) P(s'|s, a, mu).
+
+    pi (S, A) and mu (S) may also be stacks, (M, S, A) and (M, S), of M
+    pairs; the result is then the (M, S, S) stack of their chains.
+    """
     pi = as_policy_table(pi)
-    kernel = env.transition_kernel(as_probs(mu))
-    return np.einsum("sa,sat->st", pi, kernel)
+    mu = as_probs(mu)
+    if mu.ndim == 1:
+        kernel = env.transition_kernel(mu)
+    else:
+        kernels = [env.transition_kernel(m) for m in mu]
+        kernel = kernels[0] if all(k is kernels[0] for k in kernels) else np.array(kernels)
+    return np.einsum("...sa,...sat->...st", pi, kernel)
 
 
 def gamma2(env: MfgEnvironment, pi, mu) -> np.ndarray:
     """Consistency operator: the mean-field after one step of the population.
 
-    Pushes mu through the chain induced by pi at mean-field mu. Returns a
-    plain vector, not a MeanField: the solver and the probe call it in
-    their inner loops.
+    Pushes mu through the chain induced by pi at mean-field mu, pair by
+    pair over a leading stack axis as in induced_kernel. Returns a plain
+    array, not a MeanField: the solver and the probe call it in their inner
+    loops.
     """
     mu = as_probs(mu)
-    return induced_kernel(env, pi, mu).T @ mu
+    chain = induced_kernel(env, pi, mu)
+    return np.matmul(np.swapaxes(chain, -1, -2), mu[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -253,6 +302,15 @@ class ContractionEstimate:
         return self.d1_hat * self.d2_hat + self.d3_hat
 
 
+def _dirichlet_rows(e: np.ndarray) -> np.ndarray:
+    """Normalise exponential draws along the last axis into symmetric-Dirichlet(1) rows.
+
+    Bit for bit what rng.dirichlet(np.ones(K)) makes of the same K draws:
+    it sums them in index order, as cumsum does, and scales by the inverse.
+    """
+    return e * (1.0 / np.cumsum(e, axis=-1)[..., -1:])
+
+
 def probe_contraction(
     env: MfgEnvironment,
     lam: float,
@@ -265,38 +323,35 @@ def probe_contraction(
 
     Mean-fields and policy rows are drawn symmetric-Dirichlet(1), i.e.
     uniformly over the simplex, pair by pair in the order mu, mu_alt, pi,
-    pi_alt. Ratios whose denominator is below 1e-9 are skipped. Pairs are
-    drawn and solved in blocks of PROBE_BLOCK, so memory does not grow
-    with num_pairs.
+    pi_alt: the same random stream as rng.dirichlet calls in that order.
+    Ratios whose denominator is below 1e-9 are skipped. Pairs are drawn and
+    scored in blocks of PROBE_BLOCK as whole arrays, so memory does not
+    grow with num_pairs.
     """
     if num_pairs < 1:
         raise ValueError("num_pairs must be >= 1")
     S, A = env.dims.num_states, env.dims.num_actions
     d1 = d2 = d3 = 0.0
     for start in range(0, num_pairs, PROBE_BLOCK):
-        block = [
-            (
-                rng.dirichlet(np.ones(S)),
-                rng.dirichlet(np.ones(S)),
-                rng.dirichlet(np.ones(A), size=S),
-                rng.dirichlet(np.ones(A), size=S),
-            )
-            for _ in range(min(PROBE_BLOCK, num_pairs - start))
-        ]
-        dmus = [l1_norm(mu - mu_alt) for mu, mu_alt, _, _ in block]
-        moved = [m for (mu, mu_alt, _, _), dmu in zip(block, dmus) if dmu >= 1e-9 for m in (mu, mu_alt)]
-        q_star = iter(_clip_q(_value_iteration(env, moved, rho, vi_tol)[0], rho))
-        for (mu, mu_alt, pi, pi_alt), dmu in zip(block, dmus):
-            push = gamma2(env, pi, mu)
-            if dmu >= 1e-9:
-                g1 = softmax_table(next(q_star), lam)
-                g1_alt = softmax_table(next(q_star), lam)
-                d1 = max(d1, tv_norm(g1 - g1_alt) / dmu)
-                push_alt = gamma2(env, pi, mu_alt)
-                d3 = max(d3, l1_norm(push - push_alt) / dmu)
-            dpi = tv_norm(pi - pi_alt)
-            if dpi >= 1e-9:
-                push_alt = gamma2(env, pi_alt, mu)
-                d2 = max(d2, l1_norm(push - push_alt) / dpi)
+        n = min(PROBE_BLOCK, num_pairs - start)
+        e = rng.standard_exponential((n, 2 * S + 2 * S * A))
+        mu = _dirichlet_rows(e[:, :S])
+        mu_alt = _dirichlet_rows(e[:, S : 2 * S])
+        pi = _dirichlet_rows(e[:, 2 * S : 2 * S + S * A].reshape(n, S, A))
+        pi_alt = _dirichlet_rows(e[:, 2 * S + S * A :].reshape(n, S, A))
+        push = gamma2(env, pi, mu)
+        dmu = np.abs(mu - mu_alt).sum(axis=1)
+        moved = dmu >= 1e-9
+        if moved.any():
+            m = int(moved.sum())
+            q_star = _clip_q(_value_iteration(env, np.concatenate([mu[moved], mu_alt[moved]]), rho, vi_tol)[0], rho)
+            g1 = softmax_table(q_star.reshape(-1, A), lam).reshape(2 * m, S, A)
+            d1 = max(d1, float((np.abs(g1[:m] - g1[m:]).sum(axis=2).max(axis=1) / dmu[moved]).max()))
+            push_alt = gamma2(env, pi[moved], mu_alt[moved])
+            d3 = max(d3, float((np.abs(push[moved] - push_alt).sum(axis=1) / dmu[moved]).max()))
+        dpi = np.abs(pi - pi_alt).sum(axis=2).max(axis=1)
+        varied = dpi >= 1e-9
+        if varied.any():
+            push_alt = gamma2(env, pi_alt[varied], mu[varied])
+            d2 = max(d2, float((np.abs(push[varied] - push_alt).sum(axis=1) / dpi[varied]).max()))
     return ContractionEstimate(d1_hat=d1, d2_hat=d2, d3_hat=d3, num_pairs=num_pairs)
-

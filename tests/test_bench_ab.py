@@ -80,12 +80,25 @@ def test_in_process_child_times_run_sandbox_in_a_checkout(bench_ab):
     assert len(times) == 3 and all(t > 0.0 for t in times)
 
 
+def test_in_process_oracle_child_times_the_probe_and_the_solve(bench_ab):
+    times = bench_ab.time_oracle(SCRIPT.parent.parent, pairs=3, repeats=2)
+    assert set(times) == set(bench_ab.ORACLE_CALLS)
+    assert all(len(t) == 2 and all(x > 0.0 for x in t) for t in times.values())
+
+
 def test_in_process_rounds_time_cpu_not_wall(bench_ab, monkeypatch):
     # time the process spends descheduled on a shared host must not count
-    assert "time.process_time()" in bench_ab.IN_PROCESS_CHILD
-    assert "perf_counter" not in bench_ab.IN_PROCESS_CHILD
+    for child in (bench_ab.IN_PROCESS_CHILD, bench_ab.IN_PROCESS_ORACLE_CHILD):
+        assert "time.process_time()" in child
+        assert "perf_counter" not in child
     monkeypatch.setattr(bench_ab, "IN_PROCESS_ROUNDS", 2)
     monkeypatch.setattr(bench_ab, "time_run_sandbox", lambda checkout, K, T, repeats: [0.2, 0.1])
+    oracle = {"base": {"probe_contraction": [0.3, 0.4], "solve_bmfe": [0.02]}, "candidate": {}}
+    oracle["candidate"] = {"probe_contraction": [0.1, 0.2], "solve_bmfe": [0.04]}
+    monkeypatch.setattr(bench_ab, "time_oracle", lambda checkout, pairs, repeats: oracle[checkout.name])
     out = bench_ab.measure_in_process({"base": Path("base"), "candidate": Path("candidate")})
     assert out["protocol"]["clock"].startswith("time.process_time")
     assert out["speedups"] == [1.0, 1.0]
+    assert out["probe_contraction"]["speedups"] == pytest.approx([3.0, 3.0])
+    assert out["solve_bmfe"]["speedups"] == pytest.approx([0.5, 0.5])
+    assert out["rounds"][1]["probe_contraction"] == {"candidate_min_s": 0.1, "base_min_s": 0.3}

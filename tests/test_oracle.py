@@ -1,3 +1,4 @@
+import contextlib
 import math
 from unittest import mock
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfg_sandbox import oracle
+from mfg_sandbox import _step_kernel, oracle
 from mfg_sandbox.core import MeanField, StateActionDims, inf_norm, l1_norm, softmax_table, tv_norm
 from mfg_sandbox.environment import (
     CongestionGridParams,
@@ -389,10 +390,18 @@ def _oracle_env(kind, side, seed):
     return MuDependentEnv(seed, num_states=side + 1)
 
 
-# The batched product sums in another order than the per-mu loop, so the
-# iterates differ by rounding (about 1e-15). The tolerances keep the stopping
-# threshold tol * (1 - rho) / rho far above that, so both stop at the same
-# sweep; at tol = 1e-12 and rho near 0.9 they can stop one sweep apart.
+def value_iteration_paths():
+    """Contexts that put value iteration on each path this host can run: the
+    compiled sweep when the extension loads, and always the NumPy fallback."""
+    fallback = mock.patch.object(_step_kernel, "load", return_value=None)
+    return [fallback] if _step_kernel.load() is None else [contextlib.nullcontext(), fallback]
+
+
+# Both paths fold the discount into the kernel and sum in another order than
+# the per-mu loop, so the iterates differ by rounding (about 1e-15). The
+# tolerances keep the stopping threshold tol * (1 - rho) / rho far above
+# that, so both stop at the same sweep; at tol = 1e-12 and rho near 0.9
+# they can stop one sweep apart.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["congestion", "two_class", "fixed", "mu_dependent"]),
@@ -409,25 +418,93 @@ def test_batched_value_iteration_matches_per_mu_loop(kind, side, num_problems, r
     rng = np.random.default_rng(seed)
     mus = rng.dirichlet(np.ones(S), size=num_problems)
     q_start = rng.uniform(0.0, 1.0 / (1.0 - rho), size=(num_problems, S, A)) if warm else None
-    q, sweeps = oracle._value_iteration(env, mus, rho, tol, q_start=q_start)
-    assert q.shape == (num_problems, S, A)
-    expected_sweeps = 0
-    for m, mu in enumerate(mus):
-        q_ref, n = reference_value_iteration(env, mu, rho, tol, None if q_start is None else q_start[m])
-        assert np.abs(q[m] - q_ref).max() <= 1e-12
-        expected_sweeps += n
-    assert sweeps == expected_sweeps
+    expected = [
+        reference_value_iteration(env, mu, rho, tol, None if q_start is None else q_start[m])
+        for m, mu in enumerate(mus)
+    ]
+    for path in value_iteration_paths():
+        with path:
+            q, sweeps = oracle._value_iteration(env, mus, rho, tol, q_start=q_start)
+        assert q.shape == (num_problems, S, A)
+        for m, (q_ref, _) in enumerate(expected):
+            assert np.abs(q[m] - q_ref).max() <= 1e-12
+        assert sweeps == sum(n for _, n in expected)
 
 
 def test_mu_dependent_kernel_takes_the_stacked_branch():
+    # one compiled call per problem, each on its own mean-field's kernel
+    if _step_kernel.load() is None:
+        pytest.skip("the compiled extension could not be built here")
     env = MuDependentEnv(0)
     mu = np.full(4, 0.25)
     assert env.transition_kernel(mu) is not env.transition_kernel(mu)
     mus = np.random.default_rng(1).dirichlet(np.ones(4), size=3)
-    q, _ = oracle._value_iteration(env, mus, 0.8, 1e-10)
+    with mock.patch.object(oracle, "_sweeps_compiled", wraps=oracle._sweeps_compiled) as compiled:
+        q, _ = oracle._value_iteration(env, mus, 0.8, 1e-10)
+    assert [len(call.args[4]) for call in compiled.call_args_list] == [1, 1, 1]
     for m, mu in enumerate(mus):
         # a shared kernel (the first mu's) would miss these by far more
         assert np.abs(q[m] - reference_value_iteration(env, mu, 0.8, 1e-10)[0]).max() <= 1e-12
+
+
+def test_a_shared_kernel_is_one_compiled_call():
+    if _step_kernel.load() is None:
+        pytest.skip("the compiled extension could not be built here")
+    env = make_congestion_env(CongestionGridParams(side=3))
+    mus = np.random.default_rng(2).dirichlet(np.ones(9), size=5)
+    with mock.patch.object(oracle, "_sweeps_compiled", wraps=oracle._sweeps_compiled) as compiled:
+        oracle._value_iteration(env, mus, 0.7, 1e-10)
+    assert compiled.call_count == 1 and len(compiled.call_args.args[4]) == 5
+
+
+@pytest.mark.parametrize("kind", ["congestion", "two_class", "mu_dependent"])
+def test_compiled_sweep_is_an_in_order_sum(kind):
+    # Skipping the kernel's exact zeros must not move a bit: each row's sum
+    # of rho * P(s, a, j) * v(j) runs in index order, as cumsum's does.
+    if _step_kernel.load() is None:
+        pytest.skip("the compiled extension could not be built here")
+    env = _oracle_env(kind, 4, 5)
+    S, A = env.dims.num_states, env.dims.num_actions
+    mus = np.random.default_rng(6).dirichlet(np.ones(S), size=3)
+    q, sweeps = oracle._value_iteration(env, mus, 0.7, 1e-10)
+    expected_sweeps = 0
+    for m, mu in enumerate(mus):
+        rows = (0.7 * env.transition_kernel(mu)).reshape(S * A, S)
+        rewards = env.reward_table(mu).reshape(S * A)
+        q_ref = np.zeros(S * A)
+        while True:
+            expected_sweeps += 1
+            q_next = rewards + np.cumsum(rows * q_ref.reshape(S, A).max(axis=1), axis=1)[:, -1]
+            delta = np.abs(q_next - q_ref).max()
+            q_ref = q_next
+            if delta <= 1e-10 * 0.3 / 0.7:
+                break
+        assert np.array_equal(q[m], q_ref.reshape(S, A))
+    assert sweeps == expected_sweeps
+
+
+@pytest.mark.parametrize("kind", ["congestion", "mu_dependent"])
+def test_value_iteration_past_max_iter_raises(kind):
+    env = _oracle_env(kind, 3, 4)
+    mus = np.random.default_rng(3).dirichlet(np.ones(env.dims.num_states), size=3)
+    needed = max(reference_value_iteration(env, mu, 0.7, 1e-10)[1] for mu in mus)
+    for path in value_iteration_paths():
+        with path:
+            oracle._value_iteration(env, mus, 0.7, 1e-10, max_iter=needed)
+            with pytest.raises(ArithmeticError, match=f"within {needed - 1} sweeps"):
+                oracle._value_iteration(env, mus, 0.7, 1e-10, max_iter=needed - 1)
+
+
+def test_value_iteration_rejects_mis_shaped_inputs():
+    # the compiled loop would read past these arrays' ends
+    env = _random_env(0)
+    mus = np.full((2, 5), 0.2)
+    with pytest.raises(ValueError, match="q_start"):
+        oracle._value_iteration(env, mus, 0.7, 1e-10, q_start=np.zeros((1, 5, 2)))
+    short = MuDependentEnv(1, num_states=5, num_actions=2)
+    short.transition_kernel = lambda mu: np.full((5, 2, 4), 0.25)
+    with pytest.raises(ValueError, match="transition kernels"):
+        oracle._value_iteration(short, mus, 0.7, 1e-10)
 
 
 def test_value_iteration_of_no_problems():
@@ -464,6 +541,57 @@ def test_probe_single_state_skips_every_mean_field_ratio():
     env = make_congestion_env(CongestionGridParams(side=1))
     est = probe_contraction(env, lam=1.0, rho=0.7, num_pairs=PROBE_BLOCK + 1, rng=np.random.default_rng(0))
     assert est.d1_hat == 0.0 and est.d3_hat == 0.0
+
+
+def test_probe_on_the_numpy_fallback_matches_pair_by_pair_loop():
+    env = make_congestion_env(CongestionGridParams(side=3))
+    with mock.patch.object(_step_kernel, "load", return_value=None):
+        est = probe_contraction(env, lam=2.0, rho=0.7, num_pairs=PROBE_BLOCK + 3, rng=np.random.default_rng(5))
+    d1, d2, d3 = reference_probe(env, 2.0, 0.7, PROBE_BLOCK + 3, np.random.default_rng(5))
+    assert abs(est.d1_hat - d1) <= 1e-12 and abs(est.d2_hat - d2) <= 1e-12 and abs(est.d3_hat - d3) <= 1e-12
+
+
+@pytest.mark.parametrize("S, A, n", [(9, 4, 16), (25, 4, 5), (1, 1, 3)])
+def test_block_draws_are_the_dirichlet_stream(S, A, n):
+    # A numpy release that changes rng.dirichlet's draws or sum order breaks
+    # the probe's reproduction of the pair-by-pair stream; this shows it.
+    rng, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+    e = rng.standard_exponential((n, 2 * S + 2 * S * A))
+    rows = oracle._dirichlet_rows(e[:, : 2 * S].reshape(n, 2, S)).reshape(n, 2 * S)
+    policies = oracle._dirichlet_rows(e[:, 2 * S :].reshape(n, 2 * S, A)).reshape(n, 2 * S * A)
+    expected = [
+        np.concatenate(
+            [rng_ref.dirichlet(np.ones(S)), rng_ref.dirichlet(np.ones(S))]
+            + [rng_ref.dirichlet(np.ones(A)) for _ in range(2 * S)]
+        )
+        for _ in range(n)
+    ]
+    assert np.array_equal(np.hstack([rows, policies]), np.array(expected))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        make_congestion_env(CongestionGridParams(side=3)),
+        make_congestion_env(CongestionGridParams(side=5)),
+        make_two_class_env(CongestionGridParams(side=5)),
+        MuDependentEnv(23),
+    ],
+    ids=["grid3", "grid5", "two_class", "mu_dependent"],
+)
+def test_stacked_gamma2_equals_pair_by_pair(env):
+    S, A = env.dims.num_states, env.dims.num_actions
+    rng = np.random.default_rng(12)
+    mus = rng.dirichlet(np.ones(S), size=PROBE_BLOCK)
+    pis = rng.dirichlet(np.ones(A), size=(PROBE_BLOCK, S))
+    chains = induced_kernel(env, pis, mus)
+    pushes = gamma2(env, pis, mus)
+    assert chains.shape == (PROBE_BLOCK, S, S) and pushes.shape == (PROBE_BLOCK, S)
+    for m in range(PROBE_BLOCK):
+        assert np.array_equal(chains[m], induced_kernel(env, pis[m], mus[m]))
+        assert np.array_equal(pushes[m], gamma2(env, pis[m], mus[m]))
+        assert np.array_equal(pushes[m], induced_kernel(env, pis[m], mus[m]).T @ mus[m])
 
 
 @pytest.mark.parametrize(
