@@ -9,7 +9,6 @@ scores the learner against it.
 from .core import (
     MeanField,
     Policy,
-    QTable,
     StateActionDims,
     frobenius_norm,
     inf_norm,
@@ -27,9 +26,8 @@ from .estimators import QLearner, TransitionCounter
 from .oracle import (
     BmfePair,
     ContractionEstimate,
-    gamma1_lambda,
+    gamma1,
     induced_kernel,
-    induced_q_star,
     probe_contraction,
     solve_bmfe,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "NonFiniteError",
     "Policy",
     "QLearner",
-    "QTable",
     "SandboxConfig",
     "SandboxResult",
     "ScheduleParams",
@@ -74,9 +71,8 @@ __all__ = [
     "exploration_coeff",
     "exploration_floor",
     "frobenius_norm",
-    "gamma1_lambda",
+    "gamma1",
     "induced_kernel",
-    "induced_q_star",
     "inf_norm",
     "l1_norm",
     "make_congestion_env",

@@ -2,9 +2,9 @@
 
 States and actions are integer indexed. A mean-field is a point on the
 probability simplex over states, a policy is a row-stochastic state-by-action
-table, and a Q-table holds discounted returns bounded by 1/(1 - rho) when
-rewards lie in [0, 1]. The wrapper dataclasses validate on construction and
-are immutable; the operational functions below work on plain float64 arrays
+table, and a Q-table is a plain state-by-action array of discounted returns,
+bounded by 1/(1 - rho) when rewards lie in [0, 1]. The mean-field and policy
+wrapper dataclasses validate on construction and are immutable; the operational functions below work on plain float64 arrays
 so they can be reused inside hot loops.
 """
 
@@ -102,28 +102,6 @@ class Policy:
     @property
     def num_actions(self) -> int:
         return int(self.table.shape[1])
-
-
-@dataclass(frozen=True)
-class QTable:
-    """State-by-action table of discounted returns for discount rho."""
-
-    values: np.ndarray
-    rho: float
-
-    def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("discount rho must lie in (0, 1)")
-        arr = _finite_array(self.values, "Q-table").copy()
-        if arr.ndim != 2:
-            raise ValueError("Q-table must be a states-by-actions matrix")
-        bound = 1.0 / (1.0 - self.rho)
-        if arr.min() < -SIMPLEX_ATOL or arr.max() > bound + SIMPLEX_ATOL:
-            raise ValueError(
-                f"Q-table entries must lie in [0, {bound!r}] for rewards in [0, 1]"
-            )
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
 
 
 def tv_norm(f) -> float:

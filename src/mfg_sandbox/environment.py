@@ -202,7 +202,7 @@ def make_two_class_env(params: CongestionGridParams) -> CongestionGridEnv:
 class FixedMdpEnv(MfgEnvironment):
     """Mean-field-independent MDP used as a ground-truth test environment."""
 
-    def __init__(self, kernel: np.ndarray, rewards: np.ndarray, initial=None):
+    def __init__(self, kernel: np.ndarray, rewards: np.ndarray):
         kernel = np.asarray(kernel, dtype=np.float64)
         rewards = np.asarray(rewards, dtype=np.float64)
         if kernel.ndim != 3 or kernel.shape[0] != kernel.shape[2]:
@@ -216,10 +216,7 @@ class FixedMdpEnv(MfgEnvironment):
         if rewards.min() < 0.0 or rewards.max() > 1.0:
             raise ValueError("rewards must lie in [0, 1]")
         self.dims = StateActionDims(kernel.shape[0], kernel.shape[1])
-        if initial is None:
-            self.initial_distribution = MeanField.uniform(self.dims.num_states)
-        else:
-            self.initial_distribution = MeanField(as_probs(initial))
+        self.initial_distribution = MeanField.uniform(self.dims.num_states)
         kernel = kernel.copy()
         kernel.flags.writeable = False
         self._kernel = kernel
@@ -234,9 +231,9 @@ class FixedMdpEnv(MfgEnvironment):
         return self._rewards
 
 
-def make_fixed_mdp_env(kernel, rewards, initial=None) -> FixedMdpEnv:
+def make_fixed_mdp_env(kernel, rewards) -> FixedMdpEnv:
     """Wrap an explicit (S, A, S) kernel and (S, A) reward table."""
-    return FixedMdpEnv(kernel, rewards, initial)
+    return FixedMdpEnv(kernel, rewards)
 
 
 def sample_from_cdf(cdf: np.ndarray, u: float) -> int:

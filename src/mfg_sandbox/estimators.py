@@ -63,7 +63,7 @@ class QLearner:
     episode boundaries while the table itself carries over.
     """
 
-    def __init__(self, num_states, num_actions, rho, c_beta, nu, initial=None):
+    def __init__(self, num_states, num_actions, rho, c_beta, nu):
         if not 0.0 < rho < 1.0:
             raise ValueError("discount rho must lie in (0, 1)")
         if c_beta <= 0.0:
@@ -74,15 +74,7 @@ class QLearner:
         self.c_beta = float(c_beta)
         self.nu = float(nu)
         self.t = 0
-        if initial is None:
-            self.q = np.zeros((num_states, num_actions))
-        else:
-            self.q = np.array(initial, dtype=np.float64)
-            if self.q.shape != (num_states, num_actions):
-                raise ValueError("initial Q-table has the wrong shape")
-            bound = 1.0 / (1.0 - self.rho)
-            if self.q.min() < 0.0 or self.q.max() > bound:
-                raise ValueError(f"initial Q-table entries must lie in [0, {bound!r}]")
+        self.q = np.zeros((num_states, num_actions))
 
     def step_size(self) -> float:
         return min(1.0, self.c_beta / (self.t + 1.0) ** self.nu)

@@ -1,11 +1,13 @@
 """Exact operators and equilibrium solver used as ground truth.
 
 Everything here evaluates the environment's true kernel and reward, in
-contrast to the online estimators that only see the sample path. The solver
-iterates the damped composite of the two equilibrium operators: the
-Boltzmann-optimality map (mean-field -> softmax of the induced optimal
-Q-table) and the consistency map (policy, mean-field -> pushed-forward
-mean-field).
+contrast to the online estimators that only see the sample path. Each of
+the two equilibrium operators has one definition, over a stack of
+mean-fields: gamma1, the Boltzmann-optimality map (mean-field -> softmax of
+the mu-frozen MDP's optimal Q-table, by value iteration), and gamma2, the
+consistency map (policy, mean-field -> pushed-forward mean-field). The
+solver iterates their damped composite, the episode diagnostics score the
+learner against them, and the probe samples their Lipschitz ratios.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from . import _step_kernel
 from .core import (
     MeanField,
     Policy,
-    QTable,
     as_policy_table,
     as_probs,
     l1_norm,
@@ -88,8 +89,8 @@ def _value_iteration(
 ) -> tuple[np.ndarray, int]:
     """Value iteration on a stack of mu-frozen MDPs, each accurate to tol in sup norm.
 
-    mus is a sequence of M mean-fields. Returns the unclipped (M, S, A) final
-    iterates and the number of sweeps summed over the M problems. Successive
+    mus is a sequence of M mean-fields. Returns the (M, S, A) final iterates
+    and the number of sweeps summed over the M problems. Successive
     iterates of the Bellman map contract by rho, so a problem stops at the
     first sweep that changes it by at most tol * (1 - rho) / rho, which
     leaves it within tol of its fixed point from any start. q_start is the
@@ -99,6 +100,8 @@ def _value_iteration(
     compiled call; otherwise each problem is a call of its own. Without the
     compiled extension, the NumPy reference loop runs instead.
     """
+    if not 0.0 < rho < 1.0:
+        raise ValueError("rho must lie in (0, 1)")
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
     S, A = env.dims.num_states, env.dims.num_actions
@@ -135,25 +138,27 @@ def _value_iteration(
     return q, sweeps
 
 
-def _clip_q(q: np.ndarray, rho: float) -> np.ndarray:
-    return np.clip(q, 0.0, 1.0 / (1.0 - rho))
+def gamma1(env: MfgEnvironment, mu, lam: float, rho: float, tol: float = 1e-10, q_start=None):
+    """Boltzmann-optimality operator: the softmax at lam of the mu-frozen MDP's optimal Q-table.
 
-
-def _q_star_values(env: MfgEnvironment, mu, rho: float, tol: float) -> np.ndarray:
-    """Optimal Q-values of the mu-frozen MDP, within tol in sup norm, clipped to [0, 1/(1-rho)]."""
-    return _clip_q(_value_iteration(env, [mu], rho, tol)[0][0], rho)
-
-
-def induced_q_star(env: MfgEnvironment, mu, rho: float, tol: float = 1e-10) -> QTable:
-    """Optimal Q-table of the MDP induced by freezing the mean-field at mu."""
-    return QTable(_q_star_values(env, mu, rho, tol), rho)
-
-
-def gamma1_lambda(env: MfgEnvironment, mu, lam: float, rho: float, tol: float = 1e-10) -> Policy:
-    """Boltzmann-optimality operator: softmax of the induced optimal Q-table at a finite lam >= 0."""
-    if lam < 0.0:
-        raise ValueError("lambda must be >= 0")
-    return Policy(softmax_table(_q_star_values(env, mu, rho, tol), lam))
+    mu is one mean-field (S,) or a stack (M, S); the results follow it, as
+    in gamma2. Returns (policy, q, sweeps): the (S, A) or (M, S, A) policy
+    and optimal Q-table, the latter within tol in sup norm, and the
+    value-iteration sweeps summed over the stack. q_start, shaped like q,
+    warm-starts the iteration, whose stopping rule bounds the error from
+    any start.
+    """
+    mu = as_probs(mu)
+    single = mu.ndim == 1
+    if single:
+        mu = mu[None]
+        if q_start is not None:
+            q_start = np.asarray(q_start)[None]
+    q, sweeps = _value_iteration(env, mu, rho, tol, q_start=q_start)
+    policy = softmax_table(q.reshape(-1, env.dims.num_actions), lam).reshape(q.shape)
+    if single:
+        return policy[0], q[0], sweeps
+    return policy, q, sweeps
 
 
 def induced_kernel(env: MfgEnvironment, pi, mu) -> np.ndarray:
@@ -225,21 +230,19 @@ def solve_bmfe(
     """Damped fixed-point iteration for the softmax equilibrium.
 
     From the uniform mean-field, repeat mu <- (1 - damping) * mu + damping *
-    consistency(optimality(mu), mu) until the undamped composite moves mu by
+    gamma2(gamma1(mu), mu) until the undamped composite moves mu by
     at most tol in L1. The undamped composite need not contract, so damping
     (which preserves fixed points) widens the set of instances that converge.
     The damping starts at 1/2 and halves whenever that undamped residual is
     larger than on the previous iteration; the pair records the damping the
-    solve ended with. Each value iteration starts from the previous one's
-    Q-table; its stopping rule bounds the error from any start. The final
-    residual check solves again from Q = 0.
+    solve ended with. Each gamma1 call starts from the previous one's
+    Q-table; the final residual check solves again from Q = 0.
     """
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
     num_states = env.dims.num_states
     mu = np.full(num_states, 1.0 / num_states)
-    q, sweeps = _value_iteration(env, [mu], rho, vi_tol)
-    pi = softmax_table(_clip_q(q[0], rho), lam)
+    pi, q, sweeps = gamma1(env, mu, lam, rho, vi_tol)
     converged = False
     iterations = 0
     damping, previous = 0.5, math.inf
@@ -254,12 +257,11 @@ def solve_bmfe(
         previous = residual
         mu = (1.0 - damping) * mu + damping * pushed
         mu /= mu.sum()
-        q, n = _value_iteration(env, [mu], rho, vi_tol, q_start=q)
+        pi, q, n = gamma1(env, mu, lam, rho, vi_tol, q_start=q)
         sweeps += n
-        pi = softmax_table(_clip_q(q[0], rho), lam)
     residual_mu = l1_norm(gamma2(env, pi, mu) - mu)
-    q_check, n = _value_iteration(env, [mu], rho, vi_tol)
-    residual_policy = tv_norm(pi - softmax_table(_clip_q(q_check[0], rho), lam))
+    pi_check, _, n = gamma1(env, mu, lam, rho, vi_tol)
+    residual_policy = tv_norm(pi - pi_check)
     return BmfePair(
         policy=Policy(pi),
         mean_field=MeanField(mu),
@@ -344,8 +346,7 @@ def probe_contraction(
         moved = dmu >= 1e-9
         if moved.any():
             m = int(moved.sum())
-            q_star = _clip_q(_value_iteration(env, np.concatenate([mu[moved], mu_alt[moved]]), rho, vi_tol)[0], rho)
-            g1 = softmax_table(q_star.reshape(-1, A), lam).reshape(2 * m, S, A)
+            g1 = gamma1(env, np.concatenate([mu[moved], mu_alt[moved]]), lam, rho, vi_tol)[0]
             d1 = max(d1, float((np.abs(g1[:m] - g1[m:]).sum(axis=2).max(axis=1) / dmu[moved]).max()))
             push_alt = gamma2(env, pi[moved], mu_alt[moved])
             d3 = max(d3, float((np.abs(push[moved] - push_alt).sum(axis=1) / dmu[moved]).max()))

@@ -33,7 +33,7 @@ from .core import (
 )
 from .environment import CongestionGridEnv, MfgEnvironment, env_step, sample_from_cdf
 from .estimators import QLearner, TransitionCounter
-from .oracle import BmfePair, induced_kernel, induced_q_star
+from .oracle import BmfePair, gamma1, induced_kernel
 from .schedules import (
     EpsilonNet,
     ScheduleParams,
@@ -172,8 +172,7 @@ def episode_diagnostics(
         return EpisodeDiagnostics(
             k=k, e_pi=nan, e_mu=nan, eps_P=nan, eps_Q=nan, residual_mu=residual_mu, min_policy=min_policy
         )
-    q_star = induced_q_star(config.env, mu_first, config.rho, ref.vi_tol).values
-    best_response = softmax_table(q_star, config.schedule.lam)
+    best_response, q_star, _ = gamma1(config.env, mu_first, config.schedule.lam, config.rho, ref.vi_tol)
     return EpisodeDiagnostics(
         k=k,
         e_pi=tv_norm(pi_first - best_response),
@@ -221,7 +220,7 @@ class _Run:
         sched = self.config.schedule
         np.multiply(sched.c_mu / k**sched.gamma, self._inv_tz, out=self.c_mu)
         np.multiply(sched.c_pi / k**sched.theta, self._inv_tz, out=self.c_pi)
-        self.psi_tail = exploration_coeff(sched, k, 2)
+        self.psi_tail = exploration_coeff(sched, k)
 
     def reference_step(self, k: int, t: int) -> float:
         """Step t of episode k through the reference update forms.

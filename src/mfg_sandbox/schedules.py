@@ -62,14 +62,12 @@ def step_size_pi(params: ScheduleParams, k: int, t: int) -> float:
     return params.c_pi / (k**params.theta * t**params.zeta)
 
 
-def exploration_coeff(params: ScheduleParams, k: int, t: int) -> float:
-    """Weight of the uniform exploration noise in the policy update.
+def exploration_coeff(params: ScheduleParams, k: int) -> float:
+    """Weight of the uniform exploration noise in the policy update after step 1 of episode k.
 
-    0 on each episode's first step; psi / (1 - c_pi / k**theta) afterwards,
-    decreasing toward psi as k grows.
+    psi / (1 - c_pi / k**theta), decreasing toward psi as k grows; step 1
+    adds no noise.
     """
-    if t == 1:
-        return 0.0
     return params.psi / (1.0 - params.c_pi / k**params.theta)
 
 
@@ -90,7 +88,7 @@ def exploration_floor(params: ScheduleParams, num_actions: int, num_episodes: in
     floor = math.inf
     for k in range(1, num_episodes + 1):
         c = (params.c_pi / k**params.theta) * inv_tz
-        noise = np.full(steps_per_episode, exploration_coeff(params, k, 2) / num_actions)
+        noise = np.full(steps_per_episode, exploration_coeff(params, k) / num_actions)
         noise[0] = 0.0  # step 1 adds no exploration noise
         keep = 1.0 - c
         # x_t = prod(keep[1..t]) * (x_0 + sum_{l<=t} c_l * noise_l / prod(keep[1..l]))

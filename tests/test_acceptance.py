@@ -15,12 +15,7 @@ from mfg_sandbox import cli
 from mfg_sandbox.core import frobenius_norm, inf_norm, l1_norm, softmax_table, tv_norm
 from mfg_sandbox.environment import CongestionGridParams, make_congestion_env, make_fixed_mdp_env
 from mfg_sandbox.estimators import QLearner, TransitionCounter
-from mfg_sandbox.oracle import (
-    gamma1_lambda,
-    induced_kernel,
-    induced_q_star,
-    solve_bmfe,
-)
+from mfg_sandbox.oracle import gamma1, induced_kernel, solve_bmfe
 from mfg_sandbox.sandbox import SandboxConfig, run_sandbox, update_mean_field, update_policy
 from mfg_sandbox.schedules import ScheduleParams, build_epsilon_net, exploration_floor
 
@@ -150,7 +145,7 @@ def test_criterion_04_q_learning_accuracy():
     kernel = rng0.dirichlet(np.ones(5) * 2.0, size=(5, 2))
     rewards = rng0.uniform(0.0, 1.0, size=(5, 2))
     env = make_fixed_mdp_env(kernel, rewards)
-    q_star = induced_q_star(env, np.full(5, 0.2), RHO, tol=1e-10).values
+    _, q_star, _ = gamma1(env, np.full(5, 0.2), 1.0, RHO, tol=1e-10)
     cdf = np.cumsum(kernel, axis=2)
     steps = 200_000
     errors = []
@@ -208,8 +203,8 @@ def test_criterion_06_oracle_self_consistency():
         np.random.default_rng(13).uniform(0.0, 1.0, size=(5, 2)),
     )
     fixed = solve_bmfe(env, lam=1.0, rho=RHO, tol=1e-9)
-    policy = gamma1_lambda(env, fixed.mean_field.probs, 1.0, RHO)
-    chain = induced_kernel(env, policy.table, fixed.mean_field.probs)
+    policy, _, _ = gamma1(env, fixed.mean_field.probs, 1.0, RHO)
+    chain = induced_kernel(env, policy, fixed.mean_field.probs)
     a = chain.T - np.eye(5)
     a[-1] = 1.0
     b = np.zeros(5)

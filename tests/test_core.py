@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from mfg_sandbox.core import (
     MeanField,
     Policy,
-    QTable,
     StateActionDims,
     frobenius_norm,
     inf_norm,
@@ -50,14 +49,6 @@ def test_policy_validation():
         Policy(np.array([[0.5, 0.6], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         Policy(np.array([0.5, 0.5]))
-
-
-def test_qtable_bounds():
-    QTable(np.array([[0.0, 10 / 3]]), rho=0.7)
-    with pytest.raises(ValueError):
-        QTable(np.array([[0.0, 3.4]]), rho=0.7)
-    with pytest.raises(ValueError):
-        QTable(np.array([[0.0, 1.0]]), rho=1.0)
 
 
 def test_tv_norm_examples():
@@ -129,8 +120,7 @@ def test_softmax_rejects_non_finite():
 
 
 def test_softmax_policy_returns_valid_policy():
-    q = QTable(np.array([[0.0, 2.0], [3.0, 1.0]]), rho=0.7)
-    pol = Policy(softmax_table(q.values, 5.0))
+    pol = Policy(softmax_table(np.array([[0.0, 2.0], [3.0, 1.0]]), 5.0))
     assert pol.table[0, 1] > pol.table[0, 0] and pol.table[1, 0] > pol.table[1, 1]
 
 

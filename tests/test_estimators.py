@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfg_sandbox.core import QTable, frobenius_norm
+from mfg_sandbox.core import frobenius_norm
 from mfg_sandbox.estimators import QLearner, TransitionCounter
 
 
@@ -126,8 +126,6 @@ def test_qlearner_validation():
         QLearner(2, 2, rho=1.0, c_beta=5.0, nu=0.55)
     with pytest.raises(ValueError):
         QLearner(2, 2, rho=0.7, c_beta=5.0, nu=0.5)
-    with pytest.raises(ValueError):
-        QLearner(2, 2, rho=0.7, c_beta=5.0, nu=0.55, initial=np.full((2, 2), 99.0))
 
 
 def test_step_size_clamped_to_one():
@@ -180,8 +178,6 @@ def test_q_stays_in_bounds():
         )
     assert learner.q.min() >= 0.0
     assert learner.q.max() <= bound
-    table = QTable(learner.q, learner.rho)  # checks every entry against 1 / (1 - rho)
-    assert table.rho == 0.7
 
 
 def test_reset_clock_restarts_schedule_but_keeps_table():

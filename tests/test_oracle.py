@@ -20,10 +20,9 @@ from mfg_sandbox.oracle import (
     PROBE_BLOCK,
     BmfePair,
     ContractionEstimate,
-    gamma1_lambda,
+    gamma1,
     gamma2,
     induced_kernel,
-    induced_q_star,
     probe_contraction,
     solve_bmfe,
 )
@@ -48,22 +47,22 @@ def _stationary_distribution(chain):
 
 def test_q_star_single_state_geometric_series():
     env = make_fixed_mdp_env(np.ones((1, 1, 1)), np.array([[1.0]]))
-    q = induced_q_star(env, np.array([1.0]), rho=0.7, tol=1e-10)
-    assert q.values[0, 0] == pytest.approx(10 / 3, abs=1e-9)
+    _, q, _ = gamma1(env, np.array([1.0]), lam=1.0, rho=0.7, tol=1e-10)
+    assert q[0, 0] == pytest.approx(10 / 3, abs=1e-9)
 
 
 def test_q_star_zero_rewards():
     env = _random_env(0)
     env = make_fixed_mdp_env(env.transition_kernel(), np.zeros((5, 2)))
-    q = induced_q_star(env, np.full(5, 0.2), rho=0.9, tol=1e-10)
-    assert np.allclose(q.values, 0.0)
+    _, q, _ = gamma1(env, np.full(5, 0.2), lam=1.0, rho=0.9, tol=1e-10)
+    assert np.allclose(q, 0.0)
 
 
 def test_q_star_satisfies_bellman_equation():
     env = _random_env(1)
     mu = np.full(5, 0.2)
     rho, tol = 0.7, 1e-10
-    q = induced_q_star(env, mu, rho, tol).values
+    _, q, _ = gamma1(env, mu, 1.0, rho, tol)
     backed_up = env.reward_table(mu) + rho * (env.transition_kernel(mu) @ q.max(axis=1))
     assert inf_norm(q - backed_up) <= tol
 
@@ -73,19 +72,19 @@ def test_q_star_monotone_in_rewards():
     kernel = rng.dirichlet(np.ones(4), size=(4, 2))
     rewards = rng.uniform(0, 0.8, size=(4, 2))
     mu = np.full(4, 0.25)
-    base = induced_q_star(make_fixed_mdp_env(kernel, rewards), mu, 0.7, 1e-11).values
+    _, base, _ = gamma1(make_fixed_mdp_env(kernel, rewards), mu, 1.0, 0.7, 1e-11)
     for _ in range(10):
         bumped = rewards.copy()
         s, a = rng.integers(4), rng.integers(2)
         bumped[s, a] += rng.uniform(0, 0.2)
-        raised = induced_q_star(make_fixed_mdp_env(kernel, bumped), mu, 0.7, 1e-11).values
+        _, raised, _ = gamma1(make_fixed_mdp_env(kernel, bumped), mu, 1.0, 0.7, 1e-11)
         assert np.all(raised >= base - 1e-9)
 
 
 def test_gamma1_uniform_at_zero_temperature():
     env = _random_env(3)
-    pol = gamma1_lambda(env, np.full(5, 0.2), lam=0.0, rho=0.7)
-    assert np.allclose(pol.table, 0.5)
+    pol, _, _ = gamma1(env, np.full(5, 0.2), lam=0.0, rho=0.7)
+    assert np.allclose(pol, 0.5)
 
 
 def test_gamma1_two_action_example():
@@ -95,23 +94,22 @@ def test_gamma1_two_action_example():
     kernel = np.ones((1, 2, 1))
     rewards = np.array([[0.3, 0.0]])
     env = make_fixed_mdp_env(kernel, rewards)
-    q = induced_q_star(env, np.array([1.0]), rho=0.7, tol=1e-12).values
+    pol, q, _ = gamma1(env, np.array([1.0]), lam=math.log(3) / 0.3, rho=0.7, tol=1e-12)
     # Q*(a) = r(a) + 0.7 * max Q = r(a) + 0.7 * Q*(best): gap is exactly 0.3
     assert q[0, 0] - q[0, 1] == pytest.approx(0.3, abs=1e-9)
-    pol = gamma1_lambda(env, np.array([1.0]), lam=math.log(3) / 0.3, rho=0.7, tol=1e-12)
-    assert pol.table[0, 0] == pytest.approx(0.75, abs=1e-6)
+    assert pol[0, 0] == pytest.approx(0.75, abs=1e-6)
 
 
 def test_gamma1_concentrates_with_temperature():
     env = _random_env(4)
     mu = np.full(5, 0.2)
-    q = induced_q_star(env, mu, 0.7, 1e-10).values
+    _, q, _ = gamma1(env, mu, 1.0, 0.7, 1e-10)
     best = q.argmax(axis=1)
     separated = (q.max(axis=1) - np.sort(q, axis=1)[:, -2]) > 0.1
     assert separated.any()
     prev_mass = np.zeros(5)
     for lam in (1.0, 10.0, 100.0):
-        pol = gamma1_lambda(env, mu, lam, 0.7).table
+        pol, _, _ = gamma1(env, mu, lam, 0.7)
         mass = pol[np.arange(5), best]
         assert np.all(mass >= prev_mass - 1e-12)
         prev_mass = mass
@@ -197,8 +195,8 @@ def test_solve_bmfe_matches_stationary_distribution():
     assert pair.converged
     # mu-independent env: the equilibrium policy is constant, so mu* is the
     # stationary distribution of its chain
-    pol = gamma1_lambda(env, pair.mean_field.probs, 1.0, 0.7)
-    expected = _stationary_distribution(induced_kernel(env, pol.table, pair.mean_field.probs))
+    pol, _, _ = gamma1(env, pair.mean_field.probs, 1.0, 0.7)
+    expected = _stationary_distribution(induced_kernel(env, pol, pair.mean_field.probs))
     assert l1_norm(pair.mean_field.probs - expected) <= 1e-7
 
 
@@ -210,7 +208,7 @@ def test_solve_bmfe_congestion_fixed_point_contract():
     assert pair.residual_policy <= tol
     assert pair.residual_mu <= tol
     # reapplying the composite map moves mu* by at most 2 * tol
-    moved = gamma2(env, gamma1_lambda(env, pair.mean_field.probs, 1.0, 0.7).table, pair.mean_field.probs)
+    moved = gamma2(env, gamma1(env, pair.mean_field.probs, 1.0, 0.7)[0], pair.mean_field.probs)
     assert l1_norm(moved - pair.mean_field.probs) <= 2 * tol
 
 
@@ -592,6 +590,85 @@ def test_stacked_gamma2_equals_pair_by_pair(env):
         assert np.array_equal(chains[m], induced_kernel(env, pis[m], mus[m]))
         assert np.array_equal(pushes[m], gamma2(env, pis[m], mus[m]))
         assert np.array_equal(pushes[m], induced_kernel(env, pis[m], mus[m]).T @ mus[m])
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        make_congestion_env(CongestionGridParams(side=3)),
+        make_congestion_env(CongestionGridParams(side=5)),
+        make_two_class_env(CongestionGridParams(side=5)),
+        MuDependentEnv(24),
+    ],
+    ids=["grid3", "grid5", "two_class", "mu_dependent"],
+)
+def test_stacked_gamma1_equals_per_mu_calls(env):
+    S, A = env.dims.num_states, env.dims.num_actions
+    mus = np.random.default_rng(13).dirichlet(np.ones(S), size=5)
+    policies, qs, sweeps = gamma1(env, mus, 2.0, 0.8)
+    assert policies.shape == qs.shape == (5, S, A)
+    total = 0
+    for m, mu in enumerate(mus):
+        policy, q, n = gamma1(env, mu, 2.0, 0.8)
+        assert np.array_equal(policies[m], policy) and np.array_equal(qs[m], q)
+        total += n
+    assert sweeps == total
+    # a warm start shaped like q follows the same convention
+    _, q_warm, _ = gamma1(env, mus[0], 2.0, 0.8, q_start=qs[0])
+    assert np.abs(q_warm - qs[0]).max() <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["congestion", "two_class", "fixed", "mu_dependent"])
+def test_gamma1_compiled_and_fallback_agree(kind):
+    env = _oracle_env(kind, 3, 7)
+    mus = np.random.default_rng(8).dirichlet(np.ones(env.dims.num_states), size=4)
+    results = []
+    for path in value_iteration_paths():
+        with path:
+            results.append(gamma1(env, mus, 3.0, 0.9))
+    for policy, q, sweeps in results[1:]:
+        assert np.abs(policy - results[0][0]).max() <= 1e-12
+        assert np.abs(q - results[0][1]).max() <= 1e-12
+        assert sweeps == results[0][2]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    num_states=st.integers(1, 6),
+    num_actions=st.integers(1, 4),
+    rho=st.floats(0.01, 0.99),
+    ones_share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gamma1_q_stays_in_the_discounted_reward_box(num_states, num_actions, rho, ones_share, seed):
+    # Value iteration from Q = 0 on rewards in [0, 1] stays in [0, 1/(1-rho)]
+    # and stops below its fixed point; rewards of exactly 1.0 reach the top.
+    rng = np.random.default_rng(seed)
+    kernel = rng.dirichlet(np.ones(num_states), size=(num_states, num_actions))
+    rewards = rng.uniform(0.0, 1.0, size=(num_states, num_actions))
+    rewards[rng.random((num_states, num_actions)) < ones_share] = 1.0
+    env = make_fixed_mdp_env(kernel, rewards)
+    mus = rng.dirichlet(np.ones(num_states), size=2)
+    for path in value_iteration_paths():
+        with path:
+            _, q, _ = gamma1(env, mus, 1.0, rho)
+        assert q.min() >= 0.0
+        assert q.max() <= 1.0 / (1.0 - rho)
+
+
+@pytest.mark.parametrize("rho", [-0.1, 0.0, 1.0, 1.5])
+def test_a_discount_outside_the_unit_interval_is_rejected_before_any_sweep(rho):
+    env = make_congestion_env(CongestionGridParams(side=5))
+    with (
+        mock.patch.object(oracle, "_sweeps_numpy", side_effect=AssertionError),
+        mock.patch.object(oracle, "_sweeps_compiled", side_effect=AssertionError),
+    ):
+        with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\)"):
+            gamma1(env, np.full(25, 0.04), 1.0, rho)
+        with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\)"):
+            solve_bmfe(env, lam=1.0, rho=rho)
+        with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\)"):
+            probe_contraction(env, lam=1.0, rho=rho, num_pairs=4, rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize(

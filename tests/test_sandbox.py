@@ -25,7 +25,7 @@ from mfg_sandbox.environment import (
     sample_from_cdf,
 )
 from mfg_sandbox.estimators import QLearner, TransitionCounter
-from mfg_sandbox.oracle import gamma1_lambda, gamma2, induced_kernel, induced_q_star, solve_bmfe
+from mfg_sandbox.oracle import gamma1, gamma2, induced_kernel, solve_bmfe
 from mfg_sandbox.sandbox import (
     NonFiniteError,
     SandboxConfig,
@@ -202,7 +202,7 @@ def test_the_learner_and_the_oracle_play_one_game():
     assert len(rewards) == K * T and set(rewards) == {0.5}
     # a constant reward r makes every optimal Q-value r / (1 - rho)
     mu = np.random.default_rng(0).dirichlet(np.ones(env.dims.num_states))
-    q_star = induced_q_star(env, mu, 0.7, tol=1e-12).values
+    _, q_star, _ = gamma1(env, mu, 1.0, 0.7, tol=1e-12)
     np.testing.assert_allclose(q_star, 0.5 / (1.0 - 0.7), rtol=0.0, atol=1e-11)
 
 
@@ -271,9 +271,8 @@ def reference_first_steps(config):
             p_hat = counter.cached_estimate if t == 1 else counter.estimate()
             net = config.net if t == 1 else None
             mu = update_mean_field(mu, p_hat, step_size_mu(sched, k, t), net)
-            pi = update_policy(
-                pi, learner.q, step_size_pi(sched, k, t), exploration_coeff(sched, k, t), sched.lam
-            )
+            psi = 0.0 if t == 1 else exploration_coeff(sched, k)
+            pi = update_policy(pi, learner.q, step_size_pi(sched, k, t), psi, sched.lam)
             if t == 1:
                 mu_first[k - 1], pi_first[k - 1] = mu, pi
             action = sample_from_cdf(np.cumsum(pi[state]), rng.random())
@@ -372,7 +371,7 @@ def test_episode_diagnostics_zero_cases():
     mu_star = pair.mean_field.probs
     pi_star = pair.policy.table
     chain = induced_kernel(env, pi_star, mu_star)
-    q_star = induced_q_star(env, mu_star, 0.7, pair.vi_tol).values
+    _, q_star, _ = gamma1(env, mu_star, 1.0, 0.7, pair.vi_tol)
     config = small_config(env, reference=pair)
     diag = episode_diagnostics(5, mu_star, pi_star, chain, q_star, config, min_policy=0.1)
     assert diag.k == 5
@@ -412,8 +411,8 @@ def test_diagnostics_score_at_the_run_temperature():
     config = small_config(env, schedule=ScheduleParams(lam=3.0), reference=pair)
     result = run_sandbox(config)
     for diag, mu1, pi1 in zip(result.per_episode, result.mu_first_steps, result.pi_first_steps):
-        at_run = tv_norm(pi1 - gamma1_lambda(env, mu1, 3.0, 0.7).table)
-        at_default = tv_norm(pi1 - gamma1_lambda(env, mu1, 1.0, 0.7).table)
+        at_run = tv_norm(pi1 - gamma1(env, mu1, 3.0, 0.7)[0])
+        at_default = tv_norm(pi1 - gamma1(env, mu1, 1.0, 0.7)[0])
         assert diag.e_pi == pytest.approx(at_run, abs=1e-12)
         assert abs(at_run - at_default) > 1e-3
         assert diag.e_mu == pytest.approx(l1_norm(mu1 - pair.mean_field.probs), abs=1e-12)

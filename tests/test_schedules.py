@@ -82,12 +82,10 @@ def test_within_episode_summability():
 
 def test_exploration_coeff_schedule():
     p = ScheduleParams(psi=0.2, c_pi=0.5, theta=0.55)
-    assert exploration_coeff(p, 1, 1) == 0.0
-    assert exploration_coeff(p, 50, 1) == 0.0
-    assert exploration_coeff(p, 1, 2) == pytest.approx(0.4)
+    assert exploration_coeff(p, 1) == pytest.approx(0.4)
     prev = math.inf
     for k in (1, 2, 5, 20, 100):
-        value = exploration_coeff(p, k, 3)
+        value = exploration_coeff(p, k)
         assert 0.0 <= value < 1.0
         assert value <= prev
         prev = value
@@ -99,7 +97,8 @@ def _naive_floor(params, num_actions, num_episodes, steps):
     for k in range(1, num_episodes + 1):
         for t in range(1, steps + 1):
             c = step_size_pi(params, k, t)
-            x = (1 - c) * x + c * exploration_coeff(params, k, t) / num_actions
+            psi = 0.0 if t == 1 else exploration_coeff(params, k)
+            x = (1 - c) * x + c * psi / num_actions
             if t > 1:
                 floor = min(floor, x)
     return floor
