@@ -15,11 +15,13 @@ the cached estimate, may project, and stores the first-step pair, is left
 to the reference step.
 
 One call of ``value_iteration`` runs value iteration to its stopping rule
-on a stack of mean-field-frozen MDPs that share one kernel, given as sparse
-rows of the discounted kernel; ``oracle._value_iteration`` documents the
-arguments and keeps the NumPy reference loop. Neither function keeps state
-between calls: scratch space comes from the caller, so two threads may run
-them at once (cffi releases the GIL during a call).
+on a stack of mean-field-frozen MDPs that share one kernel: it writes the
+discounted kernel as sparse rows into scratch space, then sweeps up to
+LANES problems in lockstep, each with its own sweep count and stopping
+test, so every problem ends as it would alone. ``oracle._value_iteration``
+documents the arguments and keeps the NumPy reference loop. Neither
+function keeps state between calls: scratch space comes from the caller,
+so two threads may run them at once (cffi releases the GIL during a call).
 
 The extension is compiled once into ``_kernel_build`` next to this file,
 under a name keyed by the C source, the compiler flags and the interpreter's
@@ -45,6 +47,9 @@ NON_FINITE_REWARD = -2
 REWARD_OUT_OF_RANGE = -3
 SIMPLEX_VIOLATED = -4  # mean-field or policy left the simplex at a checked step
 
+# Value-iteration problems one compiled sweep advances together.
+LANES = 4
+
 CDEF = """
 typedef struct {
     int num_states, num_actions, state, prev, validate_every;
@@ -58,8 +63,8 @@ typedef struct {
 
 int learner_step(step_ctx *c, int t);
 int64_t value_iteration(int num_problems, int num_states, int num_actions,
-                        const int *row_start, const int *cols, const double *vals,
-                        const double *rewards, double *q, double *v,
+                        const double *kernel, double rho, const double *rewards, double *q,
+                        int *row_start, int *cols, double *vals, double *v,
                         double threshold, int64_t max_iter);
 """
 
@@ -78,6 +83,7 @@ int64_t value_iteration(int num_problems, int num_states, int num_actions,
 # (smallest policy entry over the calls so far).
 SOURCE = (
     CDEF
+    + f"#define LANES {LANES}\n"
     + r"""
 #include <math.h>
 #include <stddef.h>
@@ -206,48 +212,130 @@ int learner_step(step_ctx *c, int t)
 
 /* Value iteration q <- rewards + K max_a q on each of num_problems (S x A)
    problems in q, in place, until a sweep changes no entry by more than
-   threshold. K is the shared (S A x S) discounted kernel, row n holding
-   vals[k] at column cols[k] for k in row_start[n] .. row_start[n + 1] - 1,
-   its exact zeros left out; each row's sum runs in index order. v is S
-   doubles of scratch. Returns the sweeps summed over the problems, or -1
-   when a problem is still moving after max_iter sweeps. */
+   threshold. K = rho * kernel is the shared (S A x S) discounted kernel,
+   first written into row_start, cols and vals as sparse rows, its exact
+   zeros left out: row n holds vals[k] at column cols[k] for k in
+   row_start[n] .. row_start[n + 1] - 1. Up to LANES problems sweep in
+   lockstep, each kernel entry loaded once for all of them; a lane whose
+   problem stops takes the next pending one, and once none is pending the
+   last busy lane moves into its slot, so the sweep runs on the busy lanes
+   only. Each lane keeps its own sweep count and stopping test, and each
+   row's sum runs in index order, so every problem's iterates and sweeps
+   are those of a run on its own. v is S LANES doubles of scratch, the
+   lanes' max_a q interleaved state by state; row_start is S A + 1 ints,
+   cols and vals S A S each. Returns the sweeps summed over the problems,
+   or -1 when a problem is still moving after max_iter sweeps. */
+_Static_assert(LANES == 4, "value_iteration dispatches 1 to 4 busy lanes");
+
+typedef struct {
+    const double *r;
+    double *q;
+    int64_t sweep;
+} vi_lane;
+
+/* One sweep of lanes 0 .. L - 1; returns the mask of the lanes that stop.
+   Inlined with a constant L, its lane loops unroll into L running sums. */
+static inline __attribute__((always_inline)) int
+sweep_lanes(const int L, vi_lane *lane, int S, int A, const int *row_start,
+            const int *cols, const double *vals, double *v, double threshold)
+{
+    const size_t rows = (size_t)S * A;
+    int done[LANES];
+#pragma GCC unroll 4
+    for (int l = 0; l < L; l++) {
+        for (int s = 0; s < S; s++) {
+            const double *q_s = lane[l].q + (size_t)s * A;
+            double best = q_s[0];
+            for (int a = 1; a < A; a++)
+                if (q_s[a] > best)
+                    best = q_s[a];
+            v[(size_t)s * LANES + l] = best;
+        }
+        done[l] = 1;
+    }
+    for (size_t n = 0; n < rows; n++) {
+        double e[LANES];
+#pragma GCC unroll 4
+        for (int l = 0; l < L; l++)
+            e[l] = 0.0;
+        for (int k = row_start[n]; k < row_start[n + 1]; k++) {
+            const double x = vals[k];
+            const double *v_c = v + (size_t)cols[k] * LANES;
+#pragma GCC unroll 4
+            for (int l = 0; l < L; l++)
+                e[l] += x * v_c[l];
+        }
+        /* NaN never passes the test, as it never passes NumPy's max */
+#pragma GCC unroll 4
+        for (int l = 0; l < L; l++) {
+            const double next = lane[l].r[n] + e[l];
+            done[l] &= fabs(next - lane[l].q[n]) <= threshold;
+            lane[l].q[n] = next;
+        }
+    }
+    int mask = 0;
+#pragma GCC unroll 4
+    for (int l = 0; l < L; l++)
+        mask |= done[l] << l;
+    return mask;
+}
+
 int64_t value_iteration(int num_problems, int num_states, int num_actions,
-                        const int *row_start, const int *cols, const double *vals,
-                        const double *rewards, double *q, double *v,
+                        const double *kernel, double rho, const double *rewards, double *q,
+                        int *row_start, int *cols, double *vals, double *v,
                         double threshold, int64_t max_iter)
 {
     const int S = num_states, A = num_actions;
     const size_t rows = (size_t)S * A;
-    int64_t total = 0;
-    for (int m = 0; m < num_problems; m++) {
-        const double *r_m = rewards + m * rows;
-        double *q_m = q + m * rows;
-        int64_t sweep = 0;
-        int done = 0;
-        while (!done) {
-            if (sweep == max_iter)
-                return -1;
-            sweep++;
-            for (int s = 0; s < S; s++) {
-                const double *q_s = q_m + (size_t)s * A;
-                double best = q_s[0];
-                for (int a = 1; a < A; a++)
-                    if (q_s[a] > best)
-                        best = q_s[a];
-                v[s] = best;
-            }
-            /* NaN never passes the test, as it never passes NumPy's max */
-            done = 1;
-            for (size_t n = 0; n < rows; n++) {
-                double e = 0.0;
-                for (int k = row_start[n]; k < row_start[n + 1]; k++)
-                    e += vals[k] * v[cols[k]];
-                const double next = r_m[n] + e;
-                done &= fabs(next - q_m[n]) <= threshold;
-                q_m[n] = next;
+    int nonzero = 0;
+    for (size_t n = 0; n < rows; n++) {
+        row_start[n] = nonzero;
+        for (int j = 0; j < S; j++) {
+            const double x = rho * kernel[n * S + j];
+            if (x != 0.0) {
+                cols[nonzero] = j;
+                vals[nonzero] = x;
+                nonzero++;
             }
         }
-        total += sweep;
+    }
+    row_start[rows] = nonzero;
+
+    vi_lane lane[LANES];
+    int busy = 0, pending = 0;
+    int64_t total = 0;
+    for (; busy < LANES && pending < num_problems; busy++, pending++)
+        lane[busy] = (vi_lane){rewards + pending * rows, q + pending * rows, 0};
+    while (busy > 0) {
+        for (int l = 0; l < busy; l++)
+            if (lane[l].sweep++ == max_iter)
+                return -1;
+        int done;
+        switch (busy) {
+        case 1:
+            done = sweep_lanes(1, lane, S, A, row_start, cols, vals, v, threshold);
+            break;
+        case 2:
+            done = sweep_lanes(2, lane, S, A, row_start, cols, vals, v, threshold);
+            break;
+        case 3:
+            done = sweep_lanes(3, lane, S, A, row_start, cols, vals, v, threshold);
+            break;
+        default:
+            done = sweep_lanes(LANES, lane, S, A, row_start, cols, vals, v, threshold);
+        }
+        /* top down, so a lane moved into slot l has had its turn */
+        for (int l = busy - 1; l >= 0; l--) {
+            if (!(done >> l & 1))
+                continue;
+            total += lane[l].sweep;
+            if (pending < num_problems) {
+                lane[l] = (vi_lane){rewards + pending * rows, q + pending * rows, 0};
+                pending++;
+            } else {
+                lane[l] = lane[--busy];
+            }
+        }
     }
     return total;
 }

@@ -2,7 +2,8 @@
 
 Provides the abstract environment interface, which defines a game by two
 tables at a mean-field mu (the (S, A, S) transition kernel and the (S, A)
-reward table), the congestion grid worlds used in the experiments, and a
+reward table, each with a leading stack axis when mu is an (M, S) stack of
+mean-fields), the congestion grid worlds used in the experiments, and a
 fixed-MDP wrapper for estimator unit tests. Grid coordinates are (x, y)
 with x, y in 1..side; the flat state index is (x - 1) * side + (y - 1)
 (row major).
@@ -31,8 +32,14 @@ class MfgEnvironment(abc.ABC):
     Subclasses define the whole game through transition_kernel and
     reward_table; the learner's reference step (env_step) and every oracle
     caller read these two methods, so the game learned is the game scored.
-    Both may depend on mu. Instances are immutable after construction, and
-    both methods are pure and safe to share across concurrent runs.
+    Both may depend on mu, and both take one mean-field (S,) or a stack of
+    them (M, S): a stack in gives a stack out, one table per mean-field
+    along a leading axis, with the values of M single calls. The oracle
+    asks once per stack. A table that does not depend on mu comes back as
+    np.broadcast_to(table, (M,) + table.shape), whose zero stride on the
+    stack axis tells the oracle that one table serves the whole stack.
+    Instances are immutable after construction, and both methods are pure
+    and safe to share across concurrent runs.
     """
 
     dims: StateActionDims
@@ -40,11 +47,18 @@ class MfgEnvironment(abc.ABC):
 
     @abc.abstractmethod
     def transition_kernel(self, mu) -> np.ndarray:
-        """(S, A, S) kernel at mean-field mu; each [s, a] row is a distribution."""
+        """(S, A, S) kernel at mean-field mu, or (M, S, A, S) at a stack; each [s, a] row is a distribution."""
 
     @abc.abstractmethod
     def reward_table(self, mu) -> np.ndarray:
-        """(S, A) rewards in [0, 1] at mean-field mu."""
+        """(S, A) rewards in [0, 1] at mean-field mu, or (M, S, A) at a stack."""
+
+
+def _broadcast_over_stack(table: np.ndarray, mu) -> np.ndarray:
+    """A mu-independent table at mu: itself for one mean-field or None, a zero-stride stack for (M, S)."""
+    if mu is None or as_probs(mu).ndim == 1:
+        return table
+    return np.broadcast_to(table, (len(mu),) + table.shape)
 
 
 def state_index(x: int, y: int, side: int) -> int:
@@ -157,12 +171,11 @@ class CongestionGridEnv(MfgEnvironment):
         self.state_reward = state_reward
 
     def transition_kernel(self, mu=None):
-        return self._kernel
+        return _broadcast_over_stack(self._kernel, mu)
 
     def reward_table(self, mu):
-        mu = as_probs(mu)
-        scale = 1.0 - self.params.congestion_c * mu
-        return np.repeat((scale * self.state_reward)[:, None], self.dims.num_actions, axis=1)
+        scale = 1.0 - self.params.congestion_c * as_probs(mu)
+        return np.repeat((scale * self.state_reward)[..., None], self.dims.num_actions, axis=-1)
 
 
 def make_congestion_env(params: CongestionGridParams) -> CongestionGridEnv:
@@ -225,10 +238,10 @@ class FixedMdpEnv(MfgEnvironment):
         self._rewards = rewards
 
     def transition_kernel(self, mu=None):
-        return self._kernel
+        return _broadcast_over_stack(self._kernel, mu)
 
     def reward_table(self, mu):
-        return self._rewards
+        return _broadcast_over_stack(self._rewards, mu)
 
 
 def make_fixed_mdp_env(kernel, rewards) -> FixedMdpEnv:

@@ -7,7 +7,10 @@ mean-fields: gamma1, the Boltzmann-optimality map (mean-field -> softmax of
 the mu-frozen MDP's optimal Q-table, by value iteration), and gamma2, the
 consistency map (policy, mean-field -> pushed-forward mean-field). The
 solver iterates their damped composite, the episode diagnostics score the
-learner against them, and the probe samples their Lipschitz ratios.
+learner against them, and the probe samples their Lipschitz ratios, block
+by block. A stack costs one call of each environment table and, for a
+kernel shared by the stack, one compiled value-iteration call that sweeps
+its problems four at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .environment import MfgEnvironment
 
 # Probe pairs drawn and scored together; the block bounds the probe's
 # memory, O(PROBE_BLOCK) whatever the number of pairs.
-PROBE_BLOCK = 16
+PROBE_BLOCK = 32
 
 
 def _sweeps_numpy(kernel, rewards, q, threshold: float, max_iter: int) -> int:
@@ -56,29 +59,26 @@ def _sweeps_numpy(kernel, rewards, q, threshold: float, max_iter: int) -> int:
     return total
 
 
-def _sweeps_compiled(ffi, lib, kernel, rewards, q, threshold: float, max_iter: int) -> int:
-    """The same loop in one C call over the stack, the kernel as sparse rows.
+def _sweeps_compiled(ffi, lib, kernel, rho: float, rewards, q, threshold: float, max_iter: int) -> int:
+    """The same loop in one C call over the stack, _step_kernel.LANES problems in lockstep.
 
-    Skipping exact zeros leaves each row's in-order sum unchanged, so the
-    iterates are those of a dense in-order product.
+    The call writes rho * kernel as sparse rows, exact zeros left out;
+    skipping them leaves each row's in-order sum unchanged, so the iterates
+    are those of a dense in-order product.
     """
     S, A = q.shape[1:]
-    rows = kernel.reshape(S * A, S)
-    nonzero = rows != 0.0
-    row_start = np.zeros(S * A + 1, dtype=np.intc)
-    np.cumsum(nonzero.sum(axis=1), out=row_start[1:])
-    cols = np.nonzero(nonzero)[1].astype(np.intc)
-    vals = rows[nonzero]
     return lib.value_iteration(
         len(q),
         S,
         A,
-        ffi.from_buffer("int[]", row_start),
-        ffi.from_buffer("int[]", cols),
-        ffi.from_buffer("double[]", vals),
+        ffi.from_buffer("double[]", kernel),
+        rho,
         ffi.from_buffer("double[]", rewards),
         ffi.from_buffer("double[]", q, require_writable=True),
-        ffi.from_buffer("double[]", np.empty(S)),
+        ffi.from_buffer("int[]", np.empty(S * A + 1, dtype=np.intc)),
+        ffi.from_buffer("int[]", np.empty(S * A * S, dtype=np.intc)),
+        ffi.from_buffer("double[]", np.empty(S * A * S)),
+        ffi.from_buffer("double[]", np.empty(_step_kernel.LANES * S)),
         threshold,
         max_iter,
     )
@@ -89,49 +89,52 @@ def _value_iteration(
 ) -> tuple[np.ndarray, int]:
     """Value iteration on a stack of mu-frozen MDPs, each accurate to tol in sup norm.
 
-    mus is a sequence of M mean-fields. Returns the (M, S, A) final iterates
-    and the number of sweeps summed over the M problems. Successive
+    mus is an (M, S) stack of mean-fields. Returns the (M, S, A) final
+    iterates and the number of sweeps summed over the M problems. Successive
     iterates of the Bellman map contract by rho, so a problem stops at the
     first sweep that changes it by at most tol * (1 - rho) / rho, which
     leaves it within tol of its fixed point from any start. q_start is the
     (M, S, A) starting stack; by default every problem starts from Q = 0.
-    The discount is folded into the kernel. When every problem's kernel is
-    the same array, as for every package environment, the stack is one
-    compiled call; otherwise each problem is a call of its own. Without the
-    compiled extension, the NumPy reference loop runs instead.
+    The environment is asked once for the stack's kernels and reward
+    tables, and the discount is folded into the kernel. A kernel stack
+    whose stack axis has stride zero, as np.broadcast_to makes for every
+    package environment, is one kernel for the stack and one compiled
+    call; otherwise each problem is a call of its own. Without the compiled
+    extension, the NumPy reference loop runs instead.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
     S, A = env.dims.num_states, env.dims.num_actions
-    mus = [as_probs(mu) for mu in mus]
+    mus = as_probs(mus)
+    M = len(mus)
     if q_start is None:
-        q = np.zeros((len(mus), S, A))
+        q = np.zeros((M, S, A))
     else:
         q = np.array(q_start, dtype=np.float64, order="C")
-    if not mus:
+    if M == 0:
         return q, 0
-    kernels = [env.transition_kernel(mu) for mu in mus]
-    rewards = np.array([env.reward_table(mu) for mu in mus], dtype=np.float64)
+    kernels = np.asarray(env.transition_kernel(mus), dtype=np.float64)
+    rewards = np.ascontiguousarray(env.reward_table(mus), dtype=np.float64)
     # the compiled loop reads these sizes through raw pointers
-    if q.shape != (len(mus), S, A) or rewards.shape != q.shape:
-        raise ValueError(f"q_start and the reward tables must have shape {(len(mus), S, A)}")
-    if any(np.shape(k) != (S, A, S) for k in kernels):
-        raise ValueError(f"transition kernels must have shape {(S, A, S)}")
-    if all(k is kernels[0] for k in kernels):
+    if q.shape != (M, S, A) or rewards.shape != q.shape:
+        raise ValueError(f"q_start and the reward tables must have shape {(M, S, A)}")
+    if kernels.shape != (M, S, A, S):
+        raise ValueError(f"transition kernels must have shape {(M, S, A, S)}")
+    if kernels.strides[0] == 0:
         stacks = [(kernels[0], slice(None))]
     else:
-        stacks = [(k, slice(m, m + 1)) for m, k in enumerate(kernels)]
+        stacks = [(kernels[m], slice(m, m + 1)) for m in range(M)]
     compiled = _step_kernel.load()
     threshold = tol * (1.0 - rho) / rho
     sweeps = 0
     for kernel, part in stacks:
-        kernel = rho * np.asarray(kernel, dtype=np.float64)
         if compiled is None:
-            n = _sweeps_numpy(kernel, rewards[part], q[part], threshold, max_iter)
+            n = _sweeps_numpy(rho * kernel, rewards[part], q[part], threshold, max_iter)
         else:
-            n = _sweeps_compiled(*compiled, kernel, rewards[part], q[part], threshold, max_iter)
+            kernel = np.ascontiguousarray(kernel)
+            n = _sweeps_compiled(*compiled, kernel, rho, rewards[part], q[part], threshold, max_iter)
         if n < 0:
             raise ArithmeticError(f"value iteration did not converge within {max_iter} sweeps")
         sweeps += n
@@ -165,15 +168,18 @@ def induced_kernel(env: MfgEnvironment, pi, mu) -> np.ndarray:
     """State-chain matrix P(s, s') = sum_a pi(a|s) P(s'|s, a, mu).
 
     pi (S, A) and mu (S) may also be stacks, (M, S, A) and (M, S), of M
-    pairs; the result is then the (M, S, S) stack of their chains.
+    pairs; the result is then the (M, S, S) stack of their chains. The
+    environment is asked once for the kernel or the stack of kernels; a
+    stack axis of stride zero is one kernel for every pair.
     """
     pi = as_policy_table(pi)
     mu = as_probs(mu)
-    if mu.ndim == 1:
-        kernel = env.transition_kernel(mu)
-    else:
-        kernels = [env.transition_kernel(m) for m in mu]
-        kernel = kernels[0] if all(k is kernels[0] for k in kernels) else np.array(kernels)
+    kernel = np.asarray(env.transition_kernel(mu))
+    S, A = env.dims.num_states, env.dims.num_actions
+    if kernel.shape != mu.shape[:-1] + (S, A, S):
+        raise ValueError(f"transition kernels must have shape {mu.shape[:-1] + (S, A, S)}")
+    if mu.ndim == 2 and kernel.strides[0] == 0:
+        kernel = kernel[0]  # one kernel for the stack
     return np.einsum("...sa,...sat->...st", pi, kernel)
 
 
@@ -332,6 +338,9 @@ def probe_contraction(
     """
     if num_pairs < 1:
         raise ValueError("num_pairs must be >= 1")
+    # checked here too: a draw that moves no mean-field never reaches gamma1
+    if not 0.0 < rho < 1.0:
+        raise ValueError("rho must lie in (0, 1)")
     S, A = env.dims.num_states, env.dims.num_actions
     d1 = d2 = d3 = 0.0
     for start in range(0, num_pairs, PROBE_BLOCK):

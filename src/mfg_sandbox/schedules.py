@@ -4,6 +4,8 @@ Step sizes have the form c / (k**exponent * t**zeta): summable within an
 episode (zeta > 1, so the agent's chain varies slowly inside an episode) and
 non-summable across episodes. The policy exponent theta is smaller than the
 mean-field exponent gamma, so the policy moves on the faster timescale.
+The run loop fills each episode's step sizes from ScheduleParams as whole
+arrays (sandbox._Run.start_episode).
 """
 
 from __future__ import annotations
@@ -50,16 +52,6 @@ class ScheduleParams:
             raise ValueError("psi must lie in (0, 1 - c_pi)")
         if self.lam <= 0.0 or not math.isfinite(self.lam):
             raise ValueError("lambda must be a finite positive real")
-
-
-def step_size_mu(params: ScheduleParams, k: int, t: int) -> float:
-    """Mean-field step size c_mu / (k**gamma * t**zeta) for k, t >= 1."""
-    return params.c_mu / (k**params.gamma * t**params.zeta)
-
-
-def step_size_pi(params: ScheduleParams, k: int, t: int) -> float:
-    """Policy step size c_pi / (k**theta * t**zeta) for k, t >= 1."""
-    return params.c_pi / (k**params.theta * t**params.zeta)
 
 
 def exploration_coeff(params: ScheduleParams, k: int) -> float:

@@ -140,27 +140,68 @@ def test_criterion_03_transition_estimation_rate():
     )
 
 
-def test_criterion_04_q_learning_accuracy():
-    rng0 = np.random.default_rng(7)
-    kernel = rng0.dirichlet(np.ones(5) * 2.0, size=(5, 2))
-    rewards = rng0.uniform(0.0, 1.0, size=(5, 2))
-    env = make_fixed_mdp_env(kernel, rewards)
-    _, q_star, _ = gamma1(env, np.full(5, 0.2), 1.0, RHO, tol=1e-10)
+# Criterion 4's MDP, its 20 seeds and its step count: a uniform behavior
+# policy (floor 1/2) on a fixed 5-state, 2-action MDP.
+Q_SEEDS = range(1000, 1020)
+Q_STEPS = 200_000
+
+
+def _q_criterion_mdp():
+    rng = np.random.default_rng(7)
+    kernel = rng.dirichlet(np.ones(5) * 2.0, size=(5, 2))
+    rewards = rng.uniform(0.0, 1.0, size=(5, 2))
+    return kernel, rewards
+
+
+def _q_learning_by_update(kernel, rewards, seed, steps):
+    """One seed's path through QLearner.update, one call per step."""
     cdf = np.cumsum(kernel, axis=2)
-    steps = 200_000
-    errors = []
-    for seed in range(20):
-        rng = np.random.default_rng(1000 + seed)
-        learner = QLearner(5, 2, rho=RHO, c_beta=5.0, nu=0.55)
-        state = 0
-        actions = rng.integers(0, 2, steps)  # uniform behavior policy, floor 1/2
-        draws = rng.random(steps)
-        for i in range(steps):
-            a = actions[i]
-            nxt = min(int(cdf[state, a].searchsorted(draws[i], side="right")), 4)
-            learner.update(state, a, rewards[state, a], nxt)
-            state = nxt
-        errors.append(inf_norm(learner.q - q_star))
+    rng = np.random.default_rng(seed)
+    learner = QLearner(5, 2, rho=RHO, c_beta=5.0, nu=0.55)
+    state = 0
+    actions = rng.integers(0, 2, Q_STEPS)
+    draws = rng.random(Q_STEPS)
+    for i in range(steps):
+        a = actions[i]
+        nxt = min(int(cdf[state, a].searchsorted(draws[i], side="right")), 4)
+        learner.update(state, a, rewards[state, a], nxt)
+        state = nxt
+    return learner.q
+
+
+def _q_learning_batched(kernel, rewards, seeds, steps):
+    """The same paths and updates for every seed at once, one array step per step.
+
+    Each seed draws its actions and uniforms as _q_learning_by_update does;
+    the next state is the count of cdf entries at or below the uniform,
+    which is searchsorted(side="right"). All seeds share the clock, so the
+    step size is QLearner.step_size's Python float, and the update is its
+    expression in its order.
+    """
+    cdf = np.cumsum(kernel, axis=2)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    actions, uniforms = zip(*((rng.integers(0, 2, Q_STEPS), rng.random(Q_STEPS)) for rng in rngs))
+    actions, uniforms = np.array(actions).T.copy(), np.array(uniforms).T.copy()
+    learner = QLearner(5, 2, rho=RHO, c_beta=5.0, nu=0.55)
+    q = np.zeros((len(seeds), 5, 2))
+    lanes = np.arange(len(seeds))
+    state = np.zeros(len(seeds), dtype=np.intp)
+    for i in range(steps):
+        a = actions[i]
+        nxt = np.minimum((cdf[state, a] <= uniforms[i, :, None]).sum(axis=1), 4)
+        beta = learner.step_size()
+        target = rewards[state, a] + learner.rho * q[lanes, nxt].max(axis=1)
+        q[lanes, state, a] = (1.0 - beta) * q[lanes, state, a] + beta * target
+        learner.t += 1
+        state = nxt
+    return q
+
+
+def test_criterion_04_q_learning_accuracy():
+    kernel, rewards = _q_criterion_mdp()
+    _, q_star, _ = gamma1(make_fixed_mdp_env(kernel, rewards), np.full(5, 0.2), 1.0, RHO, tol=1e-10)
+    q = _q_learning_batched(kernel, rewards, Q_SEEDS, Q_STEPS)
+    errors = [inf_norm(q_seed - q_star) for q_seed in q]
     passes = sum(e <= 0.05 for e in errors)
     _report(
         4,
@@ -168,6 +209,16 @@ def test_criterion_04_q_learning_accuracy():
         passes >= 18,
         f"{passes}/20 seeds within 0.05 (median {np.median(errors):.4f}, max {max(errors):.4f})",
     )
+
+
+def test_criterion_04_batched_steps_are_q_learner_updates():
+    # criterion 4 runs its seeds as one array step; QLearner.update is the
+    # rule under test, so the two must agree bit for bit
+    kernel, rewards = _q_criterion_mdp()
+    steps = 20_000
+    batched = _q_learning_batched(kernel, rewards, Q_SEEDS, steps)
+    for q_seed, seed in zip(batched, Q_SEEDS):
+        assert np.array_equal(q_seed, _q_learning_by_update(kernel, rewards, seed, steps))
 
 
 def test_criterion_05_exploration_floor():

@@ -224,3 +224,27 @@ def test_one_state_one_action_env():
 def test_an_environment_is_its_two_tables():
     # the learner's env_step and every oracle caller read these two methods
     assert MfgEnvironment.__abstractmethods__ == {"transition_kernel", "reward_table"}
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        make_congestion_env(CongestionGridParams(side=3)),
+        make_congestion_env(CongestionGridParams(side=1)),
+        make_two_class_env(CongestionGridParams(side=5)),
+        make_fixed_mdp_env(np.full((2, 3, 2), 0.5), np.arange(6.0).reshape(2, 3) / 5.0),
+    ],
+    ids=["grid3", "grid1", "two_class", "fixed"],
+)
+@pytest.mark.parametrize("M", [1, 4])
+def test_a_stack_of_mean_fields_gets_a_stack_of_tables(env, M):
+    S, A = env.dims.num_states, env.dims.num_actions
+    mus = np.random.default_rng(M).dirichlet(np.ones(S), size=M)
+    kernels, rewards = env.transition_kernel(mus), env.reward_table(mus)
+    assert kernels.shape == (M, S, A, S) and rewards.shape == (M, S, A)
+    # a kernel that ignores mu is one array seen M times, through a zero stride
+    assert kernels.strides[0] == 0 and np.shares_memory(kernels, env.transition_kernel(None))
+    for m, mu in enumerate(mus):
+        assert np.array_equal(kernels[m], env.transition_kernel(mu))
+        assert np.array_equal(rewards[m], env.reward_table(mu))
+    assert env.transition_kernel(mus[0]).shape == (S, A, S) and env.reward_table(mus[0]).shape == (S, A)

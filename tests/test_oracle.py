@@ -286,8 +286,9 @@ def test_solve_bmfe_records_its_inputs():
 
 
 class MuDependentEnv(MfgEnvironment):
-    """Kernel and reward both move with mu; transition_kernel returns a fresh
-    array per call, so value iteration stacks the kernels."""
+    """Kernel and reward both move with mu; a stack of mean-fields gets a
+    stack of distinct kernels, so value iteration solves one problem per
+    call."""
 
     def __init__(self, seed, num_states=4, num_actions=3):
         rng = np.random.default_rng(seed)
@@ -297,10 +298,18 @@ class MuDependentEnv(MfgEnvironment):
         self._rewards = rng.uniform(0.0, 1.0, size=(num_states, num_actions))
 
     def transition_kernel(self, mu):
-        return 0.7 * self._base + 0.3 * np.asarray(mu)
+        return 0.7 * self._base + 0.3 * np.asarray(mu)[..., None, None, :]
 
     def reward_table(self, mu):
-        return self._rewards * (1.0 - 0.5 * np.asarray(mu))[:, None]
+        return self._rewards * (1.0 - 0.5 * np.asarray(mu))[..., None]
+
+
+class MisStackedEnv(MuDependentEnv):
+    """Right for one mean-field, but a stack of M = A mean-fields broadcasts
+    against the kernel's action axis into one wrong (S, A, S) table."""
+
+    def transition_kernel(self, mu):
+        return 0.7 * self._base + 0.3 * np.asarray(mu)
 
 
 def reference_value_iteration(env, mu, rho, tol, q_start=None):
@@ -434,9 +443,8 @@ def test_mu_dependent_kernel_takes_the_stacked_branch():
     if _step_kernel.load() is None:
         pytest.skip("the compiled extension could not be built here")
     env = MuDependentEnv(0)
-    mu = np.full(4, 0.25)
-    assert env.transition_kernel(mu) is not env.transition_kernel(mu)
     mus = np.random.default_rng(1).dirichlet(np.ones(4), size=3)
+    assert env.transition_kernel(mus).strides[0] != 0
     with mock.patch.object(oracle, "_sweeps_compiled", wraps=oracle._sweeps_compiled) as compiled:
         q, _ = oracle._value_iteration(env, mus, 0.8, 1e-10)
     assert [len(call.args[4]) for call in compiled.call_args_list] == [1, 1, 1]
@@ -450,9 +458,79 @@ def test_a_shared_kernel_is_one_compiled_call():
         pytest.skip("the compiled extension could not be built here")
     env = make_congestion_env(CongestionGridParams(side=3))
     mus = np.random.default_rng(2).dirichlet(np.ones(9), size=5)
+    assert env.transition_kernel(mus).strides[0] == 0
     with mock.patch.object(oracle, "_sweeps_compiled", wraps=oracle._sweeps_compiled) as compiled:
         oracle._value_iteration(env, mus, 0.7, 1e-10)
     assert compiled.call_count == 1 and len(compiled.call_args.args[4]) == 5
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.7, 0.95])
+@pytest.mark.parametrize(
+    "env",
+    [
+        make_congestion_env(CongestionGridParams(side=3)),
+        make_congestion_env(CongestionGridParams(side=5)),
+        make_two_class_env(CongestionGridParams(side=5)),
+    ],
+    ids=["grid3", "grid5", "two_class"],
+)
+def test_lockstep_stacks_equal_one_problem_calls(env, rho):
+    # Stacks below, at and past the lane count, with lanes retiring at
+    # different sweeps: each problem's iterates and sweeps are its own.
+    if _step_kernel.load() is None:
+        pytest.skip("the compiled extension could not be built here")
+    S, A = env.dims.num_states, env.dims.num_actions
+    rng = np.random.default_rng(31)
+    for M in (1, 2, 3, 4, 5, 7, 9, 33):
+        mus = rng.dirichlet(np.ones(S), size=M)
+        for q_start in (None, rng.uniform(0.0, 1.0 / (1.0 - rho), size=(M, S, A))):
+            q, sweeps = oracle._value_iteration(env, mus, rho, 1e-10, q_start=q_start)
+            total = 0
+            for m in range(M):
+                warm = None if q_start is None else q_start[m : m + 1]
+                q_m, n = oracle._value_iteration(env, mus[m : m + 1], rho, 1e-10, q_start=warm)
+                assert np.array_equal(q[m], q_m[0])
+                total += n
+            assert sweeps == total
+
+
+def test_max_iter_counts_each_lane_on_its_own():
+    # Six problems start at their fixed points and stop within a sweep or
+    # two; the middle one starts cold and alone needs the full count.
+    env = make_congestion_env(CongestionGridParams(side=3))
+    mus = np.random.default_rng(32).dirichlet(np.ones(9), size=7)
+    q_start, _ = oracle._value_iteration(env, mus, 0.7, 1e-10)
+    q_start[3] = 0.0
+    needed = [oracle._value_iteration(env, mus[m : m + 1], 0.7, 1e-10, q_start[m : m + 1])[1] for m in range(7)]
+    assert max(needed[:3] + needed[4:]) < needed[3] - 1
+    for path in value_iteration_paths():
+        with path:
+            oracle._value_iteration(env, mus, 0.7, 1e-10, q_start=q_start, max_iter=needed[3])
+            with pytest.raises(ArithmeticError, match=f"within {needed[3] - 1} sweeps"):
+                oracle._value_iteration(env, mus, 0.7, 1e-10, q_start=q_start, max_iter=needed[3] - 1)
+
+
+def test_a_stack_of_mean_fields_gets_a_stack_of_tables():
+    env = MuDependentEnv(33)
+    mus = np.random.default_rng(34).dirichlet(np.ones(4), size=3)
+    kernels, rewards = env.transition_kernel(mus), env.reward_table(mus)
+    assert kernels.shape == (3, 4, 3, 4) and rewards.shape == (3, 4, 3)
+    for m, mu in enumerate(mus):
+        assert np.array_equal(kernels[m], env.transition_kernel(mu))
+        assert np.array_equal(rewards[m], env.reward_table(mu))
+
+
+def test_a_wrongly_broadcast_kernel_stack_fails_the_shape_check():
+    # S = 4, A = 3, M = 3: the stack (3, 4) broadcasts against (4, 3, 4)
+    # into one (4, 3, 4) table, which must not pass as a shared kernel.
+    env = MisStackedEnv(35)
+    mus = np.random.default_rng(36).dirichlet(np.ones(4), size=3)
+    pis = np.random.default_rng(37).dirichlet(np.ones(3), size=(3, 4))
+    assert env.transition_kernel(mus).shape == (4, 3, 4)
+    with pytest.raises(ValueError, match="transition kernels"):
+        gamma1(env, mus, 1.0, 0.7)
+    with pytest.raises(ValueError, match="transition kernels"):
+        gamma2(env, pis, mus)
 
 
 @pytest.mark.parametrize("kind", ["congestion", "two_class", "mu_dependent"])
@@ -512,7 +590,7 @@ def test_value_iteration_of_no_problems():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("num_pairs", [1, PROBE_BLOCK - 1, PROBE_BLOCK, 2 * PROBE_BLOCK + 5])
+@pytest.mark.parametrize("num_pairs", sorted({1, 15, 16, 37, PROBE_BLOCK - 1, PROBE_BLOCK, 2 * PROBE_BLOCK + 5}))
 def test_probe_matches_pair_by_pair_loop(seed, num_pairs):
     env = make_congestion_env(CongestionGridParams(side=3))
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -658,17 +736,21 @@ def test_gamma1_q_stays_in_the_discounted_reward_box(num_states, num_actions, rh
 
 @pytest.mark.parametrize("rho", [-0.1, 0.0, 1.0, 1.5])
 def test_a_discount_outside_the_unit_interval_is_rejected_before_any_sweep(rho):
-    env = make_congestion_env(CongestionGridParams(side=5))
-    with (
-        mock.patch.object(oracle, "_sweeps_numpy", side_effect=AssertionError),
-        mock.patch.object(oracle, "_sweeps_compiled", side_effect=AssertionError),
-    ):
-        with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\)"):
-            gamma1(env, np.full(25, 0.04), 1.0, rho)
-        with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\)"):
-            solve_bmfe(env, lam=1.0, rho=rho)
-        with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\)"):
-            probe_contraction(env, lam=1.0, rho=rho, num_pairs=4, rng=np.random.default_rng(0))
+    # On the 1-state grid no drawn pair moves the mean-field, so the probe
+    # never reaches gamma1's check and must make its own.
+    for side in (5, 1):
+        env = make_congestion_env(CongestionGridParams(side=side))
+        S = env.dims.num_states
+        with (
+            mock.patch.object(oracle, "_sweeps_numpy", side_effect=AssertionError),
+            mock.patch.object(oracle, "_sweeps_compiled", side_effect=AssertionError),
+        ):
+            with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\)"):
+                gamma1(env, np.full(S, 1.0 / S), 1.0, rho)
+            with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\)"):
+                solve_bmfe(env, lam=1.0, rho=rho)
+            with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\)"):
+                probe_contraction(env, lam=1.0, rho=rho, num_pairs=4, rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize(

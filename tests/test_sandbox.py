@@ -39,10 +39,9 @@ from mfg_sandbox.schedules import (
     build_epsilon_net,
     exploration_coeff,
     exploration_floor,
-    step_size_mu,
-    step_size_pi,
 )
 from mfg_sandbox import _step_kernel, sandbox, snapshots
+from test_schedules import step_size_mu, step_size_pi
 
 
 def small_env(side=2, **kw):
@@ -187,7 +186,7 @@ class FlatRewardGridEnv(CongestionGridEnv):
     """A congestion grid whose one override is a constant reward table."""
 
     def reward_table(self, mu):
-        return np.full((self.dims.num_states, self.dims.num_actions), 0.5)
+        return np.full(np.shape(mu)[:-1] + (self.dims.num_states, self.dims.num_actions), 0.5)
 
 
 def test_the_learner_and_the_oracle_play_one_game():
@@ -324,8 +323,28 @@ class NanRewardEnv(MfgEnvironment):
     def reward_table(self, mu):
         self.count += 1
         if self.count > self.bad_after:
-            return np.full((self.dims.num_states, self.dims.num_actions), math.nan)
+            return np.full(np.shape(mu)[:-1] + (self.dims.num_states, self.dims.num_actions), math.nan)
         return self.inner.reward_table(mu)
+
+
+@pytest.mark.parametrize(
+    "make_env",
+    [
+        lambda: PlainGridEnv(small_env(side=3)),
+        lambda: FlatRewardGridEnv(small_env(side=3).params, small_env(side=3).transition_kernel()),
+        lambda: NanRewardEnv(small_env(side=3), bad_after=10),
+        lambda: NanRewardEnv(small_env(side=3), bad_after=0),
+    ],
+    ids=["plain", "flat_reward", "nan_reward_before", "nan_reward_after"],
+)
+def test_test_environments_give_stacked_tables(make_env):
+    env = make_env()
+    mus = np.random.default_rng(3).dirichlet(np.ones(env.dims.num_states), size=3)
+    kernels, rewards = env.transition_kernel(mus), env.reward_table(mus)
+    assert kernels.shape == (3, 9, 4, 9) and rewards.shape == (3, 9, 4)
+    for m, mu in enumerate(mus):
+        assert np.array_equal(kernels[m], env.transition_kernel(mu))
+        assert np.array_equal(rewards[m], env.reward_table(mu), equal_nan=True)
 
 
 def test_non_finite_reward_aborts_with_snapshot():

@@ -15,9 +15,19 @@ from mfg_sandbox.schedules import (
     exploration_coeff,
     exploration_floor,
     project_to_net,
-    step_size_mu,
-    step_size_pi,
 )
+
+
+# The step sizes in closed form, one (k, t) at a time: the reference for the
+# run loop, which fills a whole episode's sizes at once.
+def step_size_mu(params: ScheduleParams, k: int, t: int) -> float:
+    """Mean-field step size c_mu / (k**gamma * t**zeta) for k, t >= 1."""
+    return params.c_mu / (k**params.gamma * t**params.zeta)
+
+
+def step_size_pi(params: ScheduleParams, k: int, t: int) -> float:
+    """Policy step size c_pi / (k**theta * t**zeta) for k, t >= 1."""
+    return params.c_pi / (k**params.theta * t**params.zeta)
 
 
 def test_params_constraints():
