@@ -19,7 +19,6 @@ from .environment import (
     CongestionGridParams,
     MfgEnvironment,
     make_congestion_env,
-    make_fixed_mdp_env,
     make_two_class_env,
 )
 from .estimators import QLearner, TransitionCounter
@@ -76,7 +75,6 @@ __all__ = [
     "inf_norm",
     "l1_norm",
     "make_congestion_env",
-    "make_fixed_mdp_env",
     "make_two_class_env",
     "probe_contraction",
     "project_to_net",

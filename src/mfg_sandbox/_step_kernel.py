@@ -18,21 +18,26 @@ One call of ``value_iteration`` runs value iteration to its stopping rule
 on a stack of mean-field-frozen MDPs that share one kernel: it writes the
 discounted kernel as sparse rows into scratch space, then sweeps up to
 LANES problems in lockstep, each with its own sweep count and stopping
-test, so every problem ends as it would alone. ``oracle._value_iteration``
-documents the arguments and keeps the NumPy reference loop. Neither
+test, so every problem ends as it would alone. Each sweep is in place: it
+visits the states in index order, and a state's rows read the values
+max_a q that the states before it wrote in the same sweep.
+``oracle._value_iteration`` documents the arguments and keeps the NumPy
+reference loop. Neither
 function keeps state between calls: scratch space comes from the caller,
 so two threads may run them at once (cffi releases the GIL during a call).
 
 The extension is compiled once into ``_kernel_build`` next to this file,
 under a name keyed by the C source, the compiler flags and the interpreter's
 extension suffix; later loads import the built module alone, without cffi's
-compiler front end. ``load`` returns None, after one warning per process,
-when the module can be neither imported nor built; the callers then run
-their reference loops.
+compiler front end. A new build deletes the other builds in that directory
+with the same extension suffix, left there by earlier sources or flags.
+``load`` returns None, after one warning per process, when the module can
+be neither imported nor built; the callers then run their reference loops.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.machinery
 import importlib.util
 import logging
@@ -215,16 +220,20 @@ int learner_step(step_ctx *c, int t)
    threshold. K = rho * kernel is the shared (S A x S) discounted kernel,
    first written into row_start, cols and vals as sparse rows, its exact
    zeros left out: row n holds vals[k] at column cols[k] for k in
-   row_start[n] .. row_start[n + 1] - 1. Up to LANES problems sweep in
-   lockstep, each kernel entry loaded once for all of them; a lane whose
-   problem stops takes the next pending one, and once none is pending the
-   last busy lane moves into its slot, so the sweep runs on the busy lanes
-   only. Each lane keeps its own sweep count and stopping test, and each
-   row's sum runs in index order, so every problem's iterates and sweeps
-   are those of a run on its own. v is S LANES doubles of scratch, the
-   lanes' max_a q interleaved state by state; row_start is S A + 1 ints,
-   cols and vals S A S each. Returns the sweeps summed over the problems,
-   or -1 when a problem is still moving after max_iter sweeps. */
+   row_start[n] .. row_start[n + 1] - 1. A sweep is in place (Gauss-Seidel):
+   it visits the states in index order, and once state s's A rows are done
+   it writes v(s) = max_a q(s, a), so the rows of later states in the same
+   sweep read it. Up to LANES problems sweep in lockstep, each kernel entry
+   loaded once for all of them; a lane whose problem stops takes the next
+   pending one, and once none is pending the last busy lane moves into its
+   slot, so the sweep runs on the busy lanes only. Each lane keeps its own
+   sweep count and stopping test, and each row's sum runs in index order,
+   so every problem's iterates and sweeps are those of a run on its own.
+   v is S LANES doubles of scratch, the lanes' max_a q interleaved state by
+   state; a lane computes its column from q only when it takes a problem or
+   moves to another slot. row_start is S A + 1 ints, cols and vals S A S
+   each. Returns the sweeps summed over the problems, or -1 when a problem
+   is still moving after max_iter sweeps. */
 _Static_assert(LANES == 4, "value_iteration dispatches 1 to 4 busy lanes");
 
 typedef struct {
@@ -233,45 +242,61 @@ typedef struct {
     int64_t sweep;
 } vi_lane;
 
-/* One sweep of lanes 0 .. L - 1; returns the mask of the lanes that stop.
-   Inlined with a constant L, its lane loops unroll into L running sums. */
+/* Column l of v: max_a q(s, a), state by state. */
+static void load_lane(double *v, int l, const double *q, int S, int A)
+{
+    for (int s = 0; s < S; s++) {
+        const double *q_s = q + (size_t)s * A;
+        double best = q_s[0];
+        for (int a = 1; a < A; a++)
+            if (q_s[a] > best)
+                best = q_s[a];
+        v[(size_t)s * LANES + l] = best;
+    }
+}
+
+/* One in-place sweep of lanes 0 .. L - 1; returns the mask of the lanes
+   that stop. Inlined with a constant L, its lane loops unroll into L
+   running sums. */
 static inline __attribute__((always_inline)) int
 sweep_lanes(const int L, vi_lane *lane, int S, int A, const int *row_start,
             const int *cols, const double *vals, double *v, double threshold)
 {
-    const size_t rows = (size_t)S * A;
     int done[LANES];
 #pragma GCC unroll 4
-    for (int l = 0; l < L; l++) {
-        for (int s = 0; s < S; s++) {
-            const double *q_s = lane[l].q + (size_t)s * A;
-            double best = q_s[0];
-            for (int a = 1; a < A; a++)
-                if (q_s[a] > best)
-                    best = q_s[a];
-            v[(size_t)s * LANES + l] = best;
-        }
+    for (int l = 0; l < L; l++)
         done[l] = 1;
-    }
-    for (size_t n = 0; n < rows; n++) {
-        double e[LANES];
+    for (int s = 0; s < S; s++) {
+        double best[LANES];
 #pragma GCC unroll 4
         for (int l = 0; l < L; l++)
-            e[l] = 0.0;
-        for (int k = row_start[n]; k < row_start[n + 1]; k++) {
-            const double x = vals[k];
-            const double *v_c = v + (size_t)cols[k] * LANES;
+            best[l] = -INFINITY;
+        for (int a = 0; a < A; a++) {
+            const size_t n = (size_t)s * A + a;
+            double e[LANES];
 #pragma GCC unroll 4
             for (int l = 0; l < L; l++)
-                e[l] += x * v_c[l];
-        }
-        /* NaN never passes the test, as it never passes NumPy's max */
+                e[l] = 0.0;
+            for (int k = row_start[n]; k < row_start[n + 1]; k++) {
+                const double x = vals[k];
+                const double *v_c = v + (size_t)cols[k] * LANES;
 #pragma GCC unroll 4
-        for (int l = 0; l < L; l++) {
-            const double next = lane[l].r[n] + e[l];
-            done[l] &= fabs(next - lane[l].q[n]) <= threshold;
-            lane[l].q[n] = next;
+                for (int l = 0; l < L; l++)
+                    e[l] += x * v_c[l];
+            }
+            /* NaN never passes the test, as it never passes NumPy's max */
+#pragma GCC unroll 4
+            for (int l = 0; l < L; l++) {
+                const double next = lane[l].r[n] + e[l];
+                done[l] &= fabs(next - lane[l].q[n]) <= threshold;
+                lane[l].q[n] = next;
+                if (next > best[l])
+                    best[l] = next;
+            }
         }
+#pragma GCC unroll 4
+        for (int l = 0; l < L; l++)
+            v[(size_t)s * LANES + l] = best[l];
     }
     int mask = 0;
 #pragma GCC unroll 4
@@ -304,8 +329,10 @@ int64_t value_iteration(int num_problems, int num_states, int num_actions,
     vi_lane lane[LANES];
     int busy = 0, pending = 0;
     int64_t total = 0;
-    for (; busy < LANES && pending < num_problems; busy++, pending++)
+    for (; busy < LANES && pending < num_problems; busy++, pending++) {
         lane[busy] = (vi_lane){rewards + pending * rows, q + pending * rows, 0};
+        load_lane(v, busy, lane[busy].q, S, A);
+    }
     while (busy > 0) {
         for (int l = 0; l < busy; l++)
             if (lane[l].sweep++ == max_iter)
@@ -335,6 +362,8 @@ int64_t value_iteration(int num_problems, int num_states, int num_actions,
             } else {
                 lane[l] = lane[--busy];
             }
+            if (l < busy)
+                load_lane(v, l, lane[l].q, S, A);
         }
     }
     return total;
@@ -372,10 +401,19 @@ def _build(path: Path) -> None:
         os.replace(ffi.compile(tmpdir=tmp), path)
 
 
+def _remove_stale_builds(keep: Path) -> None:
+    """Delete this interpreter's builds of other sources or flags; one that cannot go stays."""
+    for old in BUILD_DIR.glob(f"_learner_step_*{_SUFFIX}"):
+        if old != keep:
+            with contextlib.suppress(OSError):
+                old.unlink()
+
+
 def _import_or_build():
     path = _module_path()
     if not path.exists():
         _build(path)
+        _remove_stale_builds(path)
     spec = importlib.util.spec_from_file_location(path.name.removesuffix(_SUFFIX), path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

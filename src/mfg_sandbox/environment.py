@@ -244,11 +244,6 @@ class FixedMdpEnv(MfgEnvironment):
         return _broadcast_over_stack(self._rewards, mu)
 
 
-def make_fixed_mdp_env(kernel, rewards) -> FixedMdpEnv:
-    """Wrap an explicit (S, A, S) kernel and (S, A) reward table."""
-    return FixedMdpEnv(kernel, rewards)
-
-
 def sample_from_cdf(cdf: np.ndarray, u: float) -> int:
     """Inverse-CDF draw: smallest index whose cumulative mass exceeds u."""
     idx = int(np.searchsorted(cdf, u, side="right"))

@@ -38,25 +38,32 @@ PROBE_BLOCK = 32
 
 
 def _sweeps_numpy(kernel, rewards, q, threshold: float, max_iter: int) -> int:
-    """The reference loop, one problem at a time: q[m] <- rewards[m] + kernel @ max_a q[m].
+    """The reference loop, the problems of the stack together, in place.
 
-    kernel is the (S, A, S) discounted kernel; q is updated in place.
-    Returns the sweeps summed over the problems.
+    kernel is the (S, A, S) discounted kernel; q is updated in place. A
+    sweep visits the states in index order: state s's rows become
+    rewards[:, s] + kernel[s] @ v, each sum in index order (cumsum), and
+    v[:, s] = max_a q[:, s] is written before the next state reads it. A
+    problem leaves the stack after its first sweep that changes no entry by
+    more than threshold. Returns the sweeps summed over the problems, or -1
+    when one is still moving after max_iter sweeps.
     """
+    live = np.arange(len(q))
+    q_live, r_live = q.copy(), rewards
+    v = q_live.max(axis=2)
     total = 0
-    for m in range(len(q)):
-        q_m = q[m]
-        for sweep in range(1, max_iter + 1):
-            q_next = rewards[m] + kernel @ q_m.max(axis=1)
-            delta = np.abs(q_next - q_m).max()
-            q_m = q_next
-            if delta <= threshold:
-                break
-        else:
-            return -1
-        q[m] = q_m
-        total += sweep
-    return total
+    for sweep in range(1, max_iter + 1):
+        q_before = q_live.copy()
+        for s in range(q.shape[1]):
+            q_live[:, s] = r_live[:, s] + (kernel[s] * v[:, None, :]).cumsum(axis=2)[:, :, -1]
+            v[:, s] = q_live[:, s].max(axis=1)
+        done = np.abs(q_live - q_before).max(axis=(1, 2)) <= threshold
+        q[live[done]] = q_live[done]
+        total += sweep * int(done.sum())
+        live, q_live, r_live, v = live[~done], q_live[~done], r_live[~done], v[~done]
+        if not len(live):
+            return total
+    return -1
 
 
 def _sweeps_compiled(ffi, lib, kernel, rho: float, rewards, q, threshold: float, max_iter: int) -> int:
@@ -64,7 +71,7 @@ def _sweeps_compiled(ffi, lib, kernel, rho: float, rewards, q, threshold: float,
 
     The call writes rho * kernel as sparse rows, exact zeros left out;
     skipping them leaves each row's in-order sum unchanged, so the iterates
-    are those of a dense in-order product.
+    and sweep counts are bit for bit those of the reference loop.
     """
     S, A = q.shape[1:]
     return lib.value_iteration(
@@ -90,11 +97,27 @@ def _value_iteration(
     """Value iteration on a stack of mu-frozen MDPs, each accurate to tol in sup norm.
 
     mus is an (M, S) stack of mean-fields. Returns the (M, S, A) final
-    iterates and the number of sweeps summed over the M problems. Successive
-    iterates of the Bellman map contract by rho, so a problem stops at the
-    first sweep that changes it by at most tol * (1 - rho) / rho, which
-    leaves it within tol of its fixed point from any start. q_start is the
-    (M, S, A) starting stack; by default every problem starts from Q = 0.
+    iterates and the number of sweeps summed over the M problems. q_start is
+    the (M, S, A) starting stack; by default every problem starts from Q = 0.
+
+    A sweep G is in place (Gauss-Seidel): it visits the states in index
+    order and sets q'(s, a) = r(s, a) + rho * sum_j P(s, a, j) w(j), where
+    w(j) = max_a q'(j, a) for the states j < s it has already swept and
+    max_a q(j, a) for the rest. Two facts carry over from the Bellman map T:
+
+    - G contracts by rho in the sup norm. Let d = |q - p|. By induction over
+      s, every value w(j) that the sweeps of q and p read differ by at most
+      d: max_a is 1-Lipschitz, and an entry already swept differs by at most
+      rho * d <= d. A row of P sums to 1, so |q'(s, a) - p'(s, a)| <= rho * d.
+      The fixed point of T is one of G, hence G's only one, q*. From
+      |q_k+1 - q*| <= rho |q_k - q*| <= rho (delta + |q_k+1 - q*|), where
+      delta = |q_k+1 - q_k|, a problem that stops at the first sweep with
+      delta <= tol * (1 - rho) / rho is within tol of q* from any start.
+    - G is monotone: q <= p entrywise gives q' <= p', since P >= 0 and max
+      is monotone. With rewards r >= 0, the iterates from Q = 0 rise
+      (q_1 = G(0) >= 0) and stay below q* = G^k(q*) >= G^k(0), so with r in
+      [0, 1] they stay in [0, 1/(1-rho)] and need no clip.
+
     The environment is asked once for the stack's kernels and reward
     tables, and the discount is folded into the kernel. A kernel stack
     whose stack axis has stride zero, as np.broadcast_to makes for every

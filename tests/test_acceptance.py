@@ -13,7 +13,7 @@ import pytest
 
 from mfg_sandbox import cli
 from mfg_sandbox.core import frobenius_norm, inf_norm, l1_norm, softmax_table, tv_norm
-from mfg_sandbox.environment import CongestionGridParams, make_congestion_env, make_fixed_mdp_env
+from mfg_sandbox.environment import CongestionGridParams, FixedMdpEnv, make_congestion_env
 from mfg_sandbox.estimators import QLearner, TransitionCounter
 from mfg_sandbox.oracle import gamma1, induced_kernel, solve_bmfe
 from mfg_sandbox.sandbox import SandboxConfig, run_sandbox, update_mean_field, update_policy
@@ -199,7 +199,7 @@ def _q_learning_batched(kernel, rewards, seeds, steps):
 
 def test_criterion_04_q_learning_accuracy():
     kernel, rewards = _q_criterion_mdp()
-    _, q_star, _ = gamma1(make_fixed_mdp_env(kernel, rewards), np.full(5, 0.2), 1.0, RHO, tol=1e-10)
+    _, q_star, _ = gamma1(FixedMdpEnv(kernel, rewards), np.full(5, 0.2), 1.0, RHO, tol=1e-10)
     q = _q_learning_batched(kernel, rewards, Q_SEEDS, Q_STEPS)
     errors = [inf_norm(q_seed - q_star) for q_seed in q]
     passes = sum(e <= 0.05 for e in errors)
@@ -249,7 +249,7 @@ def test_criterion_06_oracle_self_consistency():
     pair = solve_bmfe(_desk_env(), lam=1.0, rho=RHO, tol=1e-8)
     ok_grid = pair.converged and pair.residual_policy <= 1e-8 and pair.residual_mu <= 1e-8
 
-    env = make_fixed_mdp_env(
+    env = FixedMdpEnv(
         np.random.default_rng(12).dirichlet(np.ones(5) * 2.0, size=(5, 2)),
         np.random.default_rng(13).uniform(0.0, 1.0, size=(5, 2)),
     )

@@ -5,10 +5,10 @@ from mfg_sandbox.core import MeanField
 from mfg_sandbox.environment import (
     TWO_CLASS_OPEN_STATES,
     CongestionGridParams,
+    FixedMdpEnv,
     MfgEnvironment,
     env_step,
     make_congestion_env,
-    make_fixed_mdp_env,
     make_two_class_env,
     state_coords,
     state_index,
@@ -194,7 +194,7 @@ def test_fixed_mdp_round_trip_and_mu_independence():
     rng = np.random.default_rng(11)
     kernel = rng.dirichlet(np.ones(5), size=(5, 2))
     rewards = rng.uniform(0, 1, size=(5, 2))
-    env = make_fixed_mdp_env(kernel, rewards)
+    env = FixedMdpEnv(kernel, rewards)
     assert np.array_equal(env.transition_kernel(), kernel)
     mu1 = rng.dirichlet(np.ones(5))
     mu2 = rng.dirichlet(np.ones(5))
@@ -207,14 +207,14 @@ def test_fixed_mdp_round_trip_and_mu_independence():
 def test_fixed_mdp_validation():
     bad_kernel = np.ones((2, 1, 2))
     with pytest.raises(ValueError):
-        make_fixed_mdp_env(bad_kernel, np.zeros((2, 1)))
+        FixedMdpEnv(bad_kernel, np.zeros((2, 1)))
     kernel = np.tile(np.array([[0.5, 0.5]]), (2, 1, 1))
     with pytest.raises(ValueError):
-        make_fixed_mdp_env(kernel, np.array([[1.5], [0.0]]))
+        FixedMdpEnv(kernel, np.array([[1.5], [0.0]]))
 
 
 def test_one_state_one_action_env():
-    env = make_fixed_mdp_env(np.ones((1, 1, 1)), np.array([[0.4]]))
+    env = FixedMdpEnv(np.ones((1, 1, 1)), np.array([[0.4]]))
     rng = np.random.default_rng(0)
     nxt, r = env_step(env, 0, 0, np.array([1.0]), rng)
     assert nxt == 0 and r == 0.4
@@ -232,7 +232,7 @@ def test_an_environment_is_its_two_tables():
         make_congestion_env(CongestionGridParams(side=3)),
         make_congestion_env(CongestionGridParams(side=1)),
         make_two_class_env(CongestionGridParams(side=5)),
-        make_fixed_mdp_env(np.full((2, 3, 2), 0.5), np.arange(6.0).reshape(2, 3) / 5.0),
+        FixedMdpEnv(np.full((2, 3, 2), 0.5), np.arange(6.0).reshape(2, 3) / 5.0),
     ],
     ids=["grid3", "grid1", "two_class", "fixed"],
 )

@@ -11,9 +11,9 @@ from mfg_sandbox import _step_kernel, oracle
 from mfg_sandbox.core import MeanField, StateActionDims, inf_norm, l1_norm, softmax_table, tv_norm
 from mfg_sandbox.environment import (
     CongestionGridParams,
+    FixedMdpEnv,
     MfgEnvironment,
     make_congestion_env,
-    make_fixed_mdp_env,
     make_two_class_env,
 )
 from mfg_sandbox.oracle import (
@@ -32,7 +32,7 @@ def _random_env(seed, num_states=5, num_actions=2, concentration=2.0):
     rng = np.random.default_rng(seed)
     kernel = rng.dirichlet(np.ones(num_states) * concentration, size=(num_states, num_actions))
     rewards = rng.uniform(0, 1, size=(num_states, num_actions))
-    return make_fixed_mdp_env(kernel, rewards)
+    return FixedMdpEnv(kernel, rewards)
 
 
 def _stationary_distribution(chain):
@@ -46,14 +46,14 @@ def _stationary_distribution(chain):
 
 
 def test_q_star_single_state_geometric_series():
-    env = make_fixed_mdp_env(np.ones((1, 1, 1)), np.array([[1.0]]))
+    env = FixedMdpEnv(np.ones((1, 1, 1)), np.array([[1.0]]))
     _, q, _ = gamma1(env, np.array([1.0]), lam=1.0, rho=0.7, tol=1e-10)
     assert q[0, 0] == pytest.approx(10 / 3, abs=1e-9)
 
 
 def test_q_star_zero_rewards():
     env = _random_env(0)
-    env = make_fixed_mdp_env(env.transition_kernel(), np.zeros((5, 2)))
+    env = FixedMdpEnv(env.transition_kernel(), np.zeros((5, 2)))
     _, q, _ = gamma1(env, np.full(5, 0.2), lam=1.0, rho=0.9, tol=1e-10)
     assert np.allclose(q, 0.0)
 
@@ -72,12 +72,12 @@ def test_q_star_monotone_in_rewards():
     kernel = rng.dirichlet(np.ones(4), size=(4, 2))
     rewards = rng.uniform(0, 0.8, size=(4, 2))
     mu = np.full(4, 0.25)
-    _, base, _ = gamma1(make_fixed_mdp_env(kernel, rewards), mu, 1.0, 0.7, 1e-11)
+    _, base, _ = gamma1(FixedMdpEnv(kernel, rewards), mu, 1.0, 0.7, 1e-11)
     for _ in range(10):
         bumped = rewards.copy()
         s, a = rng.integers(4), rng.integers(2)
         bumped[s, a] += rng.uniform(0, 0.2)
-        _, raised, _ = gamma1(make_fixed_mdp_env(kernel, bumped), mu, 1.0, 0.7, 1e-11)
+        _, raised, _ = gamma1(FixedMdpEnv(kernel, bumped), mu, 1.0, 0.7, 1e-11)
         assert np.all(raised >= base - 1e-9)
 
 
@@ -93,7 +93,7 @@ def test_gamma1_two_action_example():
     # simpler to check composition directly on an engineered instance.
     kernel = np.ones((1, 2, 1))
     rewards = np.array([[0.3, 0.0]])
-    env = make_fixed_mdp_env(kernel, rewards)
+    env = FixedMdpEnv(kernel, rewards)
     pol, q, _ = gamma1(env, np.array([1.0]), lam=math.log(3) / 0.3, rho=0.7, tol=1e-12)
     # Q*(a) = r(a) + 0.7 * max Q = r(a) + 0.7 * Q*(best): gap is exactly 0.3
     assert q[0, 0] - q[0, 1] == pytest.approx(0.3, abs=1e-9)
@@ -121,7 +121,7 @@ def test_gamma2_identity_kernel_fixes_everything():
     kernel = np.zeros((3, 2, 3))
     for s in range(3):
         kernel[s, :, s] = 1.0
-    env = make_fixed_mdp_env(kernel, np.zeros((3, 2)))
+    env = FixedMdpEnv(kernel, np.zeros((3, 2)))
     rng = np.random.default_rng(5)
     for _ in range(10):
         mu = rng.dirichlet(np.ones(3))
@@ -132,7 +132,7 @@ def test_gamma2_identity_kernel_fixes_everything():
 def test_gamma2_absorbing_kernel():
     kernel = np.zeros((2, 2, 2))
     kernel[:, :, 0] = 1.0
-    env = make_fixed_mdp_env(kernel, np.zeros((2, 2)))
+    env = FixedMdpEnv(kernel, np.zeros((2, 2)))
     out = gamma2(env, np.full((2, 2), 0.5), np.array([0.3, 0.7]))
     assert np.allclose(out, [1.0, 0.0])
 
@@ -183,7 +183,7 @@ def test_induced_kernel_matches_sampled_frequencies():
 
 
 def test_solve_bmfe_single_state():
-    env = make_fixed_mdp_env(np.ones((1, 1, 1)), np.array([[0.5]]))
+    env = FixedMdpEnv(np.ones((1, 1, 1)), np.array([[0.5]]))
     pair = solve_bmfe(env, lam=1.0, rho=0.7)
     assert pair.converged and pair.iterations == 1
     assert np.allclose(pair.mean_field.probs, [1.0])
@@ -312,40 +312,68 @@ class MisStackedEnv(MuDependentEnv):
         return 0.7 * self._base + 0.3 * np.asarray(mu)
 
 
-def reference_value_iteration(env, mu, rho, tol, q_start=None):
-    """The per-mean-field loop: unclipped final iterate and its sweep count."""
-    kernel = env.transition_kernel(mu)
-    rewards = env.reward_table(mu)
+def reference_value_iteration(env, mus, rho, tol, q_start=None):
+    """The in-place loop on a stack of mean-fields: unclipped final iterates and each one's sweep count.
+
+    A sweep visits the states in index order; each of state s's rows sums
+    rho * P(s, a, j) * v(j) in index order (cumsum), and v(s) = max_a q(s, a)
+    is written before state s + 1 reads it. The problems sweep side by side,
+    each on the table of its own mean-field, and each stops after its own
+    first sweep that changes no entry by more than tol * (1 - rho) / rho.
+    """
+    rows = rho * np.stack([env.transition_kernel(mu) for mu in mus])
+    rewards = np.stack([env.reward_table(mu) for mu in mus])
     threshold = tol * (1.0 - rho) / rho
-    q = np.zeros_like(rewards) if q_start is None else q_start.copy()
-    sweeps = 0
+    q = np.zeros_like(rewards) if q_start is None else np.array(q_start, dtype=np.float64)
+    v = q.max(axis=2)
+    sweeps = np.zeros(len(q), dtype=int)
+    moving = np.ones(len(q), dtype=bool)
+    while moving.any():
+        live = np.flatnonzero(moving)
+        sweeps[live] += 1
+        q_live, v_live, rows_live, r_live = q[live], v[live], rows[live], rewards[live]
+        for s in range(q.shape[1]):
+            q_live[:, s] = r_live[:, s] + (rows_live[:, s] * v_live[:, None, :]).cumsum(axis=2)[:, :, -1]
+            v_live[:, s] = q_live[:, s].max(axis=1)
+        moving[live] = np.abs(q_live - q[live]).max(axis=(1, 2)) > threshold
+        q[live], v[live] = q_live, v_live
+    return q, sweeps
+
+
+def greedy_fixed_point(env, mu, rho):
+    """q* by policy iteration: evaluate the greedy policy with np.linalg.solve until it repeats."""
+    kernel, rewards = env.transition_kernel(mu), env.reward_table(mu)
+    states = np.arange(len(rewards))
+    greedy = np.zeros(len(rewards), dtype=int)
     while True:
-        q_next = rewards + rho * (kernel @ q.max(axis=1))
-        sweeps += 1
-        delta = float(np.abs(q_next - q).max())
-        q = q_next
-        if delta <= threshold:
-            return q, sweeps
-
-
-def reference_q_star(env, mu, rho, tol):
-    return np.clip(reference_value_iteration(env, mu, rho, tol)[0], 0.0, 1.0 / (1.0 - rho))
+        v = np.linalg.solve(np.eye(len(states)) - rho * kernel[states, greedy], rewards[states, greedy])
+        q = rewards + rho * kernel @ v
+        # keep the current action on ties, so the loop cannot cycle
+        better = q.max(axis=1) > q[states, greedy] + 1e-12
+        if not better.any():
+            return q
+        greedy = np.where(better, q.argmax(axis=1), greedy)
 
 
 def reference_probe(env, lam, rho, num_pairs, rng, vi_tol=1e-10):
     """Pair-by-pair probe: one row draw per policy row, two cold solves per pair."""
     S, A = env.dims.num_states, env.dims.num_actions
-    d1 = d2 = d3 = 0.0
+    pairs = []
     for _ in range(num_pairs):
         mu = rng.dirichlet(np.ones(S))
         mu_alt = rng.dirichlet(np.ones(S))
         pi = np.vstack([rng.dirichlet(np.ones(A)) for _ in range(S)])
         pi_alt = np.vstack([rng.dirichlet(np.ones(A)) for _ in range(S)])
+        pairs.append((mu, mu_alt, pi, pi_alt))
+    # the cold solves of every pair's two mean-fields, problem by problem
+    q, _ = reference_value_iteration(env, [mu for pair in pairs for mu in pair[:2]], rho, vi_tol)
+    d1 = d2 = d3 = 0.0
+    for i, (mu, mu_alt, pi, pi_alt) in enumerate(pairs):
         push = induced_kernel(env, pi, mu).T @ mu
         dmu = l1_norm(mu - mu_alt)
         if dmu >= 1e-9:
-            g1 = softmax_table(reference_q_star(env, mu, rho, vi_tol), lam)
-            g1_alt = softmax_table(reference_q_star(env, mu_alt, rho, vi_tol), lam)
+            g1 = softmax_table(q[2 * i], lam)
+            g1_alt = softmax_table(q[2 * i + 1], lam)
             d1 = max(d1, tv_norm(g1 - g1_alt) / dmu)
             push_alt = induced_kernel(env, pi, mu_alt).T @ mu_alt
             d3 = max(d3, l1_norm(push - push_alt) / dmu)
@@ -356,19 +384,19 @@ def reference_probe(env, lam, rho, num_pairs, rng, vi_tol=1e-10):
     return d1, d2, d3
 
 
-def reference_solve_bmfe(env, lam, rho, tol=1e-8, max_iter=10_000, vi_tol=1e-10):
-    """Damped iteration with every value iteration cold: (mu, iterations, sweeps, damping).
+def reference_solve_bmfe(env, lam, rho, tol=1e-8, max_iter=10_000):
+    """Damped iteration on exact best responses: (mu, iterations, visited, damping).
 
-    The damping starts at 1/2 and halves whenever the undamped residual rises.
+    Each best response is the softmax of q* by policy iteration; visited
+    lists the mean-fields whose best response the iteration took. The
+    damping starts at 1/2 and halves whenever the undamped residual rises.
     """
     mu = np.full(env.dims.num_states, 1.0 / env.dims.num_states)
-    sweeps = 0
+    visited = []
 
     def best_response(mu):
-        nonlocal sweeps
-        q, n = reference_value_iteration(env, mu, rho, vi_tol)
-        sweeps += n
-        return softmax_table(np.clip(q, 0.0, 1.0 / (1.0 - rho)), lam)
+        visited.append(mu)
+        return softmax_table(greedy_fixed_point(env, mu, rho), lam)
 
     pi = best_response(mu)
     damping, previous = 0.5, math.inf
@@ -384,7 +412,7 @@ def reference_solve_bmfe(env, lam, rho, tol=1e-8, max_iter=10_000, vi_tol=1e-10)
         mu /= mu.sum()
         pi = best_response(mu)
     best_response(mu)  # the residual check
-    return mu, iterations, sweeps, damping
+    return mu, iterations, visited, damping
 
 
 def _oracle_env(kind, side, seed):
@@ -404,11 +432,8 @@ def value_iteration_paths():
     return [fallback] if _step_kernel.load() is None else [contextlib.nullcontext(), fallback]
 
 
-# Both paths fold the discount into the kernel and sum in another order than
-# the per-mu loop, so the iterates differ by rounding (about 1e-15). The
-# tolerances keep the stopping threshold tol * (1 - rho) / rho far above
-# that, so both stop at the same sweep; at tol = 1e-12 and rho near 0.9
-# they can stop one sweep apart.
+# Both paths and the reference fold the discount into the kernel and sum
+# each row in index order, so iterates and sweep counts agree bit for bit.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["congestion", "two_class", "fixed", "mu_dependent"]),
@@ -425,17 +450,13 @@ def test_batched_value_iteration_matches_per_mu_loop(kind, side, num_problems, r
     rng = np.random.default_rng(seed)
     mus = rng.dirichlet(np.ones(S), size=num_problems)
     q_start = rng.uniform(0.0, 1.0 / (1.0 - rho), size=(num_problems, S, A)) if warm else None
-    expected = [
-        reference_value_iteration(env, mu, rho, tol, None if q_start is None else q_start[m])
-        for m, mu in enumerate(mus)
-    ]
+    q_ref, sweeps_ref = reference_value_iteration(env, mus, rho, tol, q_start)
     for path in value_iteration_paths():
         with path:
             q, sweeps = oracle._value_iteration(env, mus, rho, tol, q_start=q_start)
         assert q.shape == (num_problems, S, A)
-        for m, (q_ref, _) in enumerate(expected):
-            assert np.abs(q[m] - q_ref).max() <= 1e-12
-        assert sweeps == sum(n for _, n in expected)
+        assert np.array_equal(q, q_ref)
+        assert sweeps == sweeps_ref.sum()
 
 
 def test_mu_dependent_kernel_takes_the_stacked_branch():
@@ -448,9 +469,8 @@ def test_mu_dependent_kernel_takes_the_stacked_branch():
     with mock.patch.object(oracle, "_sweeps_compiled", wraps=oracle._sweeps_compiled) as compiled:
         q, _ = oracle._value_iteration(env, mus, 0.8, 1e-10)
     assert [len(call.args[4]) for call in compiled.call_args_list] == [1, 1, 1]
-    for m, mu in enumerate(mus):
-        # a shared kernel (the first mu's) would miss these by far more
-        assert np.abs(q[m] - reference_value_iteration(env, mu, 0.8, 1e-10)[0]).max() <= 1e-12
+    # a shared kernel (the first mu's) would miss these by far more
+    assert np.abs(q - reference_value_iteration(env, mus, 0.8, 1e-10)[0]).max() <= 1e-12
 
 
 def test_a_shared_kernel_is_one_compiled_call():
@@ -536,34 +556,64 @@ def test_a_wrongly_broadcast_kernel_stack_fails_the_shape_check():
 @pytest.mark.parametrize("kind", ["congestion", "two_class", "mu_dependent"])
 def test_compiled_sweep_is_an_in_order_sum(kind):
     # Skipping the kernel's exact zeros must not move a bit: each row's sum
-    # of rho * P(s, a, j) * v(j) runs in index order, as cumsum's does.
-    if _step_kernel.load() is None:
-        pytest.skip("the compiled extension could not be built here")
+    # of rho * P(s, a, j) * v(j) runs in index order, as cumsum's does, and
+    # a state's rows read the values the states before it wrote this sweep.
     env = _oracle_env(kind, 4, 5)
+    mus = np.random.default_rng(6).dirichlet(np.ones(env.dims.num_states), size=3)
+    q_ref, sweeps_ref = reference_value_iteration(env, mus, 0.7, 1e-10)
+    for path in value_iteration_paths():
+        with path:
+            q, sweeps = oracle._value_iteration(env, mus, 0.7, 1e-10)
+        assert np.array_equal(q, q_ref)
+        assert sweeps == sweeps_ref.sum()
+
+
+@pytest.mark.parametrize("kind", ["congestion", "two_class", "fixed", "mu_dependent"])
+def test_in_place_sweeps_stop_within_tol_of_the_fixed_point(kind):
+    # The stopping rule's guarantee, from cold and from random warm starts,
+    # checked against q* computed without value iteration.
+    env = _oracle_env(kind, 3, 9)
     S, A = env.dims.num_states, env.dims.num_actions
-    mus = np.random.default_rng(6).dirichlet(np.ones(S), size=3)
-    q, sweeps = oracle._value_iteration(env, mus, 0.7, 1e-10)
-    expected_sweeps = 0
-    for m, mu in enumerate(mus):
-        rows = (0.7 * env.transition_kernel(mu)).reshape(S * A, S)
-        rewards = env.reward_table(mu).reshape(S * A)
-        q_ref = np.zeros(S * A)
+    rng = np.random.default_rng(10)
+    mu = rng.dirichlet(np.ones(S))
+    mus = np.stack([mu, mu])
+    for rho in (0.5, 0.7, 0.95):
+        q_star = greedy_fixed_point(env, mu, rho)
+        # the first problem starts from Q = 0, the second at random
+        q_start = rng.uniform(0.0, 1.0 / (1.0 - rho), size=(2, S, A))
+        q_start[0] = 0.0
+        for tol in (1e-6, 1e-10):
+            for path in value_iteration_paths():
+                with path:
+                    q, _ = oracle._value_iteration(env, mus, rho, tol, q_start=q_start)
+                assert np.abs(q - q_star).max() <= tol
+
+
+def test_in_place_sweeps_beat_jacobi_sweeps_on_5x5():
+    # The same stopping rule on Jacobi sweeps, q <- r + rho P max_a q all at
+    # once, needs more sweeps: an in-place sweep reads values already swept.
+    env = make_congestion_env(CongestionGridParams(side=5))
+    mus = np.random.default_rng(14).dirichlet(np.ones(25), size=4)
+    _, sweeps = oracle._value_iteration(env, mus, 0.7, 1e-10)
+    jacobi = 0
+    for mu in mus:
+        kernel, rewards = 0.7 * env.transition_kernel(mu), env.reward_table(mu)
+        q = np.zeros_like(rewards)
         while True:
-            expected_sweeps += 1
-            q_next = rewards + np.cumsum(rows * q_ref.reshape(S, A).max(axis=1), axis=1)[:, -1]
-            delta = np.abs(q_next - q_ref).max()
-            q_ref = q_next
+            jacobi += 1
+            q_next = rewards + kernel @ q.max(axis=1)
+            delta = np.abs(q_next - q).max()
+            q = q_next
             if delta <= 1e-10 * 0.3 / 0.7:
                 break
-        assert np.array_equal(q[m], q_ref.reshape(S, A))
-    assert sweeps == expected_sweeps
+    assert sweeps < jacobi
 
 
 @pytest.mark.parametrize("kind", ["congestion", "mu_dependent"])
 def test_value_iteration_past_max_iter_raises(kind):
     env = _oracle_env(kind, 3, 4)
     mus = np.random.default_rng(3).dirichlet(np.ones(env.dims.num_states), size=3)
-    needed = max(reference_value_iteration(env, mu, 0.7, 1e-10)[1] for mu in mus)
+    needed = reference_value_iteration(env, mus, 0.7, 1e-10)[1].max()
     for path in value_iteration_paths():
         with path:
             oracle._value_iteration(env, mus, 0.7, 1e-10, max_iter=needed)
@@ -725,7 +775,7 @@ def test_gamma1_q_stays_in_the_discounted_reward_box(num_states, num_actions, rh
     kernel = rng.dirichlet(np.ones(num_states), size=(num_states, num_actions))
     rewards = rng.uniform(0.0, 1.0, size=(num_states, num_actions))
     rewards[rng.random((num_states, num_actions)) < ones_share] = 1.0
-    env = make_fixed_mdp_env(kernel, rewards)
+    env = FixedMdpEnv(kernel, rewards)
     mus = rng.dirichlet(np.ones(num_states), size=2)
     for path in value_iteration_paths():
         with path:
@@ -775,6 +825,8 @@ def test_warm_started_solve_matches_cold_loop(env):
 def test_warm_start_halves_the_sweeps_on_5x5():
     env = make_congestion_env(CongestionGridParams(side=5))
     pair = solve_bmfe(env, lam=1.0, rho=0.7)
-    _, iterations, cold_sweeps, _ = reference_solve_bmfe(env, lam=1.0, rho=0.7)
+    _, iterations, visited, _ = reference_solve_bmfe(env, lam=1.0, rho=0.7)
     assert pair.iterations == iterations
+    # what value iteration from Q = 0 needs at the same mean-fields
+    cold_sweeps = reference_value_iteration(env, visited, 0.7, 1e-10)[1].sum()
     assert 0 < pair.vi_sweeps < cold_sweeps / 2

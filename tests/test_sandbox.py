@@ -3,6 +3,7 @@ import itertools
 import logging
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,10 +18,10 @@ from mfg_sandbox.core import l1_norm, tv_norm
 from mfg_sandbox.environment import (
     CongestionGridEnv,
     CongestionGridParams,
+    FixedMdpEnv,
     MfgEnvironment,
     env_step,
     make_congestion_env,
-    make_fixed_mdp_env,
     make_two_class_env,
     sample_from_cdf,
 )
@@ -118,7 +119,7 @@ def test_update_policy_examples():
 
 
 def test_run_single_state_environment():
-    env = make_fixed_mdp_env(np.ones((1, 2, 1)), np.array([[0.9, 0.1]]))
+    env = FixedMdpEnv(np.ones((1, 2, 1)), np.array([[0.9, 0.1]]))
     config = SandboxConfig(
         env=env, schedule=ScheduleParams(), num_episodes=3, steps_per_episode=400, rho=0.7, seed=0
     )
@@ -287,7 +288,7 @@ def reference_first_steps(config):
 def _fixed_mdp():
     rng = np.random.default_rng(11)
     kernel = rng.dirichlet(np.ones(3), size=(3, 2))
-    return make_fixed_mdp_env(kernel, rng.uniform(0.0, 1.0, size=(3, 2)))
+    return FixedMdpEnv(kernel, rng.uniform(0.0, 1.0, size=(3, 2)))
 
 
 @pytest.mark.parametrize(
@@ -726,3 +727,21 @@ def test_cached_kernel_loads_without_cffi(step_kernel):
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_a_new_build_removes_the_older_builds(step_kernel, tmp_path, monkeypatch):
+    # Builds of other sources for this interpreter go; another interpreter's
+    # build and files of other names stay. The new build is a copy of the
+    # module already built, so no compiler runs here.
+    built = _step_kernel._module_path()
+    monkeypatch.setattr(_step_kernel, "BUILD_DIR", tmp_path)
+    monkeypatch.setattr(_step_kernel, "_build", lambda path: shutil.copyfile(built, path))
+    suffix = _step_kernel._SUFFIX
+    for name in (f"_learner_step_{'0' * 16}{suffix}", f"_learner_step_{'f' * 16}{suffix}"):
+        (tmp_path / name).write_bytes(b"")
+    kept = [f"_learner_step_{'1' * 16}.abi3.so", "notes.txt"]
+    for name in kept:
+        (tmp_path / name).write_bytes(b"")
+    _, lib = _step_kernel._import_or_build()
+    assert lib.value_iteration
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted([built.name, *kept])
