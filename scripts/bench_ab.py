@@ -10,10 +10,12 @@ candidate is the working tree. Each side runs its own, unmodified
 ``run_seconds`` of the candidate's ``BENCHMARK.json``, on every workload
 listed there. For each workload, pair i of the 10 pairs runs both sides
 with workload seed ``--seed + i``, the side that goes first alternating
-from pair to pair. Before the pairs, each side runs its tier-1 tests once
-(``python -m pytest -q --continue-on-collection-errors`` with its own
-``src`` on ``PYTHONPATH``) and the benchmark once untimed, so lazy set-up
-such as the step-kernel build does not fall into a timed run.
+from pair to pair. Before the pairs, each side runs the benchmark once
+untimed, so lazy set-up such as the step-kernel build does not fall into a
+timed run, and then its tier-1 tests (``python -m pytest -q
+--continue-on-collection-errors`` with its own ``src`` on ``PYTHONPATH``)
+``TIER1_RUNS`` times, the side that goes first alternating, since the
+wall time of one run spreads too widely on a shared host to compare.
 
 A second, in-process section times the step loop and the oracle without
 the CLI's process start, imports and I/O, which on this kind of host
@@ -21,12 +23,17 @@ spread more than a 10% change. On the 5x5 grid of
 ``configs/full_grid_5x5.json`` it times ``run_sandbox`` cut to K = 4,
 T = 10k, scored against a reference solved once per process, and in a
 second process ``probe_contraction`` over ``IN_PROCESS_PROBE_PAIRS`` pairs
-(seed 4) and ``solve_bmfe``. Each call is timed with
+(seed 4), ``solve_bmfe`` and value iteration alone: one cold call on a
+stack of ``VI_STACK`` mean-fields and one on a single mean-field, at the
+checkout's own lane width and, where the checkout has lane widths
+(``_step_kernel.lane_widths``), at each width this CPU runs, every one
+against the base at its own width. Each call is timed with
 ``time.process_time()``, the CPU time of the process, so time the process
 spends descheduled on a shared host does not count. Each of
 ``IN_PROCESS_ROUNDS`` rounds starts these processes for each side, the side
 that goes first alternating, and each process reports the minimum of
-``IN_PROCESS_REPEATS`` timed calls of each call it times.
+``IN_PROCESS_REPEATS`` timed calls of each call it times
+(``VI_REPEATS`` for the value-iteration calls).
 
 Writes ``BENCH_<number>.json`` at the repository root: per workload and
 end-to-end metric (names and directions from the candidate's
@@ -34,8 +41,9 @@ end-to-end metric (names and directions from the candidate's
 candidate's wins out of the pairs (ties count for neither), the distance
 between the base's quartiles, each side's attempted and failed
 invocations; the in-process rounds with each round's speedup (base time
-over candidate time); each side's tier-1 counts and wall time (a measured
-number, not a gate), and the machine facts.
+over candidate time); each side's tier-1 runs, with their counts and wall
+times and the median and range of the wall times (measured numbers, not a
+gate), and the machine facts.
 """
 
 from __future__ import annotations
@@ -59,7 +67,10 @@ IN_PROCESS_ROUNDS = 5
 IN_PROCESS_REPEATS = 7
 IN_PROCESS_K, IN_PROCESS_T = 4, 10_000
 IN_PROCESS_PROBE_PAIRS = 600
-ORACLE_CALLS = ("probe_contraction", "solve_bmfe")
+VI_STACK, VI_REPEATS = 64, 100
+# suffix of a value-iteration call timed at a lane width other than the checkout's own
+AT_WIDTH = " at width "
+TIER1_RUNS = 3
 
 # Run with ``python -c`` in a checkout; argv: src dir, config, K, T, repeats.
 # Prints the CPU time of each run_sandbox call as one JSON line.
@@ -90,13 +101,14 @@ print(json.dumps(times))
 """
 
 # Run with ``python -c`` in a checkout; argv: src dir, config, probe pairs,
-# repeats. Prints the CPU times of each oracle call as one JSON object.
+# repeats, value-iteration stack, value-iteration repeats. Prints the CPU
+# times of each oracle call as one JSON object.
 IN_PROCESS_ORACLE_CHILD = """
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from mfg_sandbox import cli
-from mfg_sandbox.oracle import probe_contraction, solve_bmfe
+from mfg_sandbox import _step_kernel, cli
+from mfg_sandbox.oracle import _value_iteration, probe_contraction, solve_bmfe
 
 cfg = cli.load_config(sys.argv[2])
 env = cli.build_environment(cfg)
@@ -111,8 +123,21 @@ for _ in range(int(sys.argv[4])):
         started = time.process_time()
         call()
         times[name].append(time.process_time() - started)
+mus = np.random.default_rng(5).dirichlet(np.ones(env.dims.num_states), size=int(sys.argv[5]))
+# the checkout's own width first, then each width it has, if any
+widths = [("", None)] + [(f"AT_WIDTH{w}", w) for w in getattr(_step_kernel, "lane_widths", tuple)()]
+for suffix, width in widths:
+    if width is not None:
+        _step_kernel.lane_width = lambda num_problems=None, width=width: width
+    for size in (len(mus), 1):
+        name = f"value_iteration_{size}{suffix}"
+        times[name] = []
+        for _ in range(int(sys.argv[6])):
+            started = time.process_time()
+            _value_iteration(env, mus[:size], rho, 1e-10)
+            times[name].append(time.process_time() - started)
 print(json.dumps(times))
-"""
+""".replace("AT_WIDTH", AT_WIDTH)
 
 
 def export(ref: str, dest: Path) -> str:
@@ -164,8 +189,8 @@ def time_run_sandbox(checkout: Path, K: int, T: int, repeats: int) -> list[float
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def time_oracle(checkout: Path, pairs: int, repeats: int) -> dict[str, list[float]]:
-    """CPU times of repeated probe_contraction and solve_bmfe calls in one process on checkout's code."""
+def time_oracle(checkout: Path, pairs: int, repeats: int, vi_repeats: int = VI_REPEATS) -> dict[str, list[float]]:
+    """CPU times of repeated oracle calls in one process on checkout's code, by call name."""
     proc = subprocess.run(
         [
             sys.executable,
@@ -175,6 +200,8 @@ def time_oracle(checkout: Path, pairs: int, repeats: int) -> dict[str, list[floa
             str(checkout / "configs" / "full_grid_5x5.json"),
             str(pairs),
             str(repeats),
+            str(VI_STACK),
+            str(vi_repeats),
         ],
         cwd=checkout,
         capture_output=True,
@@ -197,7 +224,11 @@ def summarize_rounds(rounds: list[dict]) -> dict:
 
 
 def measure_in_process(sides: dict) -> dict:
-    """Alternating in-process rounds of run_sandbox and the oracle calls, minimum of the repeats per process."""
+    """Alternating in-process rounds of run_sandbox and the oracle calls, minimum of the repeats per process.
+
+    Each oracle call the candidate times is compared with the base's call of
+    the same name at the base's own lane width.
+    """
     rounds = []
     for i in range(IN_PROCESS_ROUNDS):
         order = ["base", "candidate"] if i % 2 == 0 else ["candidate", "base"]
@@ -209,16 +240,25 @@ def measure_in_process(sides: dict) -> dict:
             {
                 "first_side": order[0],
                 **{f"{side}_min_s": min(t) for side, t in sandbox.items()},
-                **{call: {f"{side}_min_s": min(t[call]) for side, t in oracle.items()} for call in ORACLE_CALLS},
+                **{
+                    call: {
+                        "base_min_s": min(oracle["base"][call.split(AT_WIDTH)[0]]),
+                        "candidate_min_s": min(oracle["candidate"][call]),
+                    }
+                    for call in oracle["candidate"]
+                },
             }
         )
         print(f"in-process round {i + 1}/{IN_PROCESS_ROUNDS}: {rounds[-1]}", file=sys.stderr, flush=True)
     return {
         "protocol": {
             "call": f"run_sandbox on configs/full_grid_5x5.json at K={IN_PROCESS_K}, T={IN_PROCESS_T}, with a reference",
-            "oracle_calls": f"probe_contraction ({IN_PROCESS_PROBE_PAIRS} pairs, seed 4) and solve_bmfe on the same "
-            "grid, in a process of their own",
+            "oracle_calls": f"probe_contraction ({IN_PROCESS_PROBE_PAIRS} pairs, seed 4), solve_bmfe and cold "
+            f"_value_iteration calls on {VI_STACK} and on 1 mean-field (value_iteration_{VI_STACK}, "
+            "value_iteration_1) on the same grid, in a process of their own; a call named "
+            f"'<call>{AT_WIDTH}<w>' runs the candidate at lane width w against the base at its own width",
             "repeats_per_process": IN_PROCESS_REPEATS,
+            "value_iteration_repeats_per_process": VI_REPEATS,
             "clock": "time.process_time, the CPU time of the process",
             "order": "alternating, base first in even rounds",
             "speedup": "base minimum over candidate minimum, per round",
@@ -227,7 +267,8 @@ def measure_in_process(sides: dict) -> dict:
         **summarize_rounds(rounds),
         **{
             call: {k: v for k, v in summarize_rounds([r[call] for r in rounds]).items() if k != "rounds"}
-            for call in ORACLE_CALLS
+            for call in rounds[0]
+            if call not in ("first_side", "base_min_s", "candidate_min_s")
         },
     }
 
@@ -256,6 +297,26 @@ def run_tier1(checkout: Path) -> dict:
     )
     wall_s = time.perf_counter() - started
     return {**parse_pytest_summary(proc.stdout), "exit_code": proc.returncode, "wall_s": wall_s}
+
+
+def measure_tier1(sides: dict) -> dict:
+    """TIER1_RUNS tier-1 runs per side, the side that goes first alternating; each side's runs and wall-time spread."""
+    runs = {side: [] for side in sides}
+    for i in range(TIER1_RUNS):
+        order = list(sides) if i % 2 == 0 else list(sides)[::-1]
+        for side in order:
+            print(f"tier-1 tests {side}, run {i + 1}/{TIER1_RUNS}", file=sys.stderr, flush=True)
+            runs[side].append(run_tier1(sides[side]))
+    out = {}
+    for side, side_runs in runs.items():
+        walls = [r["wall_s"] for r in side_runs]
+        out[side] = {
+            "runs": side_runs,
+            "wall_s_median": statistics.median(walls),
+            "wall_s_min": min(walls),
+            "wall_s_max": max(walls),
+        }
+    return out
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -341,13 +402,10 @@ def main(argv=None) -> int:
         workloads = [w["name"] for w in spec["workloads"]]
         sides = {"base": base_dir, "candidate": ROOT}
 
-        tier1 = {}
         for name, checkout in sides.items():
-            print(f"tier-1 tests {name}", file=sys.stderr, flush=True)
-            tier1[name] = run_tier1(checkout)
             print(f"warm-up {name}", file=sys.stderr, flush=True)
             run_bench(checkout, workloads[0], args.seed, 0)
-
+        tier1 = measure_tier1(sides)
         in_process = measure_in_process(sides)
         report = {}
         for workload in workloads:
@@ -387,6 +445,7 @@ def main(argv=None) -> int:
             "pairs": PAIRS,
             "order": "alternating, base first in even pairs",
             "wins": "pairs where the candidate is better by the metric's direction; ties count for neither",
+            "tier1": f"{TIER1_RUNS} runs per side, alternating, base first in the first run",
         },
         "tier1": tier1,
         "in_process": in_process,

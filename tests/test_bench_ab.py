@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from mfg_sandbox import _step_kernel
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_ab.py"
 
 
@@ -81,9 +83,14 @@ def test_in_process_child_times_run_sandbox_in_a_checkout(bench_ab):
 
 
 def test_in_process_oracle_child_times_the_probe_and_the_solve(bench_ab):
-    times = bench_ab.time_oracle(SCRIPT.parent.parent, pairs=3, repeats=2)
-    assert set(times) == set(bench_ab.ORACLE_CALLS)
-    assert all(len(t) == 2 and all(x > 0.0 for x in t) for t in times.values())
+    # and value iteration alone, at the checkout's own width and at each width
+    times = bench_ab.time_oracle(SCRIPT.parent.parent, pairs=3, repeats=2, vi_repeats=3)
+    vi_calls = [f"value_iteration_{bench_ab.VI_STACK}", "value_iteration_1"]
+    widths = [""] + [f"{bench_ab.AT_WIDTH}{w}" for w in _step_kernel.lane_widths()]
+    assert set(times) == {"probe_contraction", "solve_bmfe"} | {call + w for call in vi_calls for w in widths}
+    assert all(len(times[call]) == 2 for call in ("probe_contraction", "solve_bmfe"))
+    assert all(len(times[call + w]) == 3 for call in vi_calls for w in widths)
+    assert all(x > 0.0 for t in times.values() for x in t)
 
 
 def test_in_process_rounds_time_cpu_not_wall(bench_ab, monkeypatch):
@@ -93,12 +100,35 @@ def test_in_process_rounds_time_cpu_not_wall(bench_ab, monkeypatch):
         assert "perf_counter" not in child
     monkeypatch.setattr(bench_ab, "IN_PROCESS_ROUNDS", 2)
     monkeypatch.setattr(bench_ab, "time_run_sandbox", lambda checkout, K, T, repeats: [0.2, 0.1])
-    oracle = {"base": {"probe_contraction": [0.3, 0.4], "solve_bmfe": [0.02]}, "candidate": {}}
-    oracle["candidate"] = {"probe_contraction": [0.1, 0.2], "solve_bmfe": [0.04]}
+    oracle = {"base": {"probe_contraction": [0.3, 0.4], "solve_bmfe": [0.02], "value_iteration_1": [0.06]}}
+    oracle["candidate"] = {"probe_contraction": [0.1, 0.2], "solve_bmfe": [0.04], "value_iteration_1": [0.03]}
+    # a call at another lane width is compared with the base's call at its own width
+    oracle["candidate"][f"value_iteration_1{bench_ab.AT_WIDTH}2"] = [0.05, 0.04]
     monkeypatch.setattr(bench_ab, "time_oracle", lambda checkout, pairs, repeats: oracle[checkout.name])
     out = bench_ab.measure_in_process({"base": Path("base"), "candidate": Path("candidate")})
     assert out["protocol"]["clock"].startswith("time.process_time")
     assert out["speedups"] == [1.0, 1.0]
     assert out["probe_contraction"]["speedups"] == pytest.approx([3.0, 3.0])
     assert out["solve_bmfe"]["speedups"] == pytest.approx([0.5, 0.5])
+    assert out["value_iteration_1"]["speedups"] == pytest.approx([2.0, 2.0])
+    assert out[f"value_iteration_1{bench_ab.AT_WIDTH}2"]["speedups"] == pytest.approx([1.5, 1.5])
     assert out["rounds"][1]["probe_contraction"] == {"candidate_min_s": 0.1, "base_min_s": 0.3}
+
+
+def test_tier1_runs_alternate_and_report_their_spread(bench_ab, monkeypatch):
+    calls = []
+    walls = {"base": iter([30.0, 25.0, 40.0]), "candidate": iter([20.0, 38.0, 22.0])}
+
+    def run_tier1(checkout):
+        calls.append(checkout.name)
+        return {"passed": 3, "wall_s": next(walls[checkout.name])}
+
+    monkeypatch.setattr(bench_ab, "TIER1_RUNS", 3)
+    monkeypatch.setattr(bench_ab, "run_tier1", run_tier1)
+    out = bench_ab.measure_tier1({"base": Path("base"), "candidate": Path("candidate")})
+    assert calls == ["base", "candidate", "candidate", "base", "base", "candidate"]
+    assert [r["wall_s"] for r in out["base"]["runs"]] == [30.0, 25.0, 40.0]
+    assert out["base"]["wall_s_median"] == 30.0
+    assert (out["base"]["wall_s_min"], out["base"]["wall_s_max"]) == (25.0, 40.0)
+    assert out["candidate"]["wall_s_median"] == 22.0
+    assert (out["candidate"]["wall_s_min"], out["candidate"]["wall_s_max"]) == (20.0, 38.0)

@@ -1,4 +1,3 @@
-import contextlib
 import math
 from unittest import mock
 
@@ -425,11 +424,38 @@ def _oracle_env(kind, side, seed):
     return MuDependentEnv(seed, num_states=side + 1)
 
 
+def at_width(width):
+    """A context that runs the compiled value iteration at this lane width."""
+    return mock.patch.object(_step_kernel, "lane_width", return_value=width)
+
+
 def value_iteration_paths():
     """Contexts that put value iteration on each path this host can run: the
-    compiled sweep when the extension loads, and always the NumPy fallback."""
+    compiled sweep at every lane width the CPU supports, and always the NumPy
+    fallback."""
     fallback = mock.patch.object(_step_kernel, "load", return_value=None)
-    return [fallback] if _step_kernel.load() is None else [contextlib.nullcontext(), fallback]
+    return [at_width(width) for width in _step_kernel.lane_widths()] + [fallback]
+
+
+def compiled_value_iteration(width, kernel, rewards, q, scratch):
+    """One C call at rho 0.7 and tol 1e-10 on a stack of problems that share
+    kernel, with the caller's double scratch."""
+    ffi, lib = _step_kernel.load()
+    S, A = q.shape[1:]
+    return lib.value_iteration(
+        width,
+        len(q),
+        S,
+        A,
+        ffi.from_buffer("double[]", np.ascontiguousarray(kernel)),
+        0.7,
+        ffi.from_buffer("double[]", rewards),
+        ffi.from_buffer("double[]", q, require_writable=True),
+        ffi.from_buffer("int[]", np.empty(S * A + 1 + S * A * S, dtype=np.intc)),
+        ffi.from_buffer("double[]", scratch, require_writable=True),
+        1e-10 * 0.3 / 0.7,
+        10**6,
+    )
 
 
 # Both paths and the reference fold the discount into the kernel and sum
@@ -495,39 +521,99 @@ def test_a_shared_kernel_is_one_compiled_call():
     ids=["grid3", "grid5", "two_class"],
 )
 def test_lockstep_stacks_equal_one_problem_calls(env, rho):
-    # Stacks below, at and past the lane count, with lanes retiring at
-    # different sweeps: each problem's iterates and sweeps are its own.
+    # At every lane width, stacks below, at and past the width, with lanes
+    # retiring at different sweeps: each problem's iterates and sweeps are
+    # its own.
     if _step_kernel.load() is None:
         pytest.skip("the compiled extension could not be built here")
     S, A = env.dims.num_states, env.dims.num_actions
     rng = np.random.default_rng(31)
-    for M in (1, 2, 3, 4, 5, 7, 9, 33):
-        mus = rng.dirichlet(np.ones(S), size=M)
-        for q_start in (None, rng.uniform(0.0, 1.0 / (1.0 - rho), size=(M, S, A))):
-            q, sweeps = oracle._value_iteration(env, mus, rho, 1e-10, q_start=q_start)
-            total = 0
-            for m in range(M):
-                warm = None if q_start is None else q_start[m : m + 1]
-                q_m, n = oracle._value_iteration(env, mus[m : m + 1], rho, 1e-10, q_start=warm)
-                assert np.array_equal(q[m], q_m[0])
-                total += n
-            assert sweeps == total
+    for width in _step_kernel.lane_widths():
+        with at_width(width):
+            for M in sorted({1, width - 1, width, width + 1, 2 * width + 3, 33}):
+                mus = rng.dirichlet(np.ones(S), size=M)
+                for q_start in (None, rng.uniform(0.0, 1.0 / (1.0 - rho), size=(M, S, A))):
+                    q, sweeps = oracle._value_iteration(env, mus, rho, 1e-10, q_start=q_start)
+                    total = 0
+                    for m in range(M):
+                        warm = None if q_start is None else q_start[m : m + 1]
+                        q_m, n = oracle._value_iteration(env, mus[m : m + 1], rho, 1e-10, q_start=warm)
+                        assert np.array_equal(q[m], q_m[0])
+                        total += n
+                    assert sweeps == total
 
 
 def test_max_iter_counts_each_lane_on_its_own():
-    # Six problems start at their fixed points and stop within a sweep or
-    # two; the middle one starts cold and alone needs the full count.
+    # All problems but one start at their fixed points and stop within a
+    # sweep or two; the one just past the first lanes starts cold and alone
+    # needs the full count, from the sweep its lane takes it. At every lane
+    # width, and on the fallback with the stack of the narrowest.
     env = make_congestion_env(CongestionGridParams(side=3))
-    mus = np.random.default_rng(32).dirichlet(np.ones(9), size=7)
-    q_start, _ = oracle._value_iteration(env, mus, 0.7, 1e-10)
-    q_start[3] = 0.0
-    needed = [oracle._value_iteration(env, mus[m : m + 1], 0.7, 1e-10, q_start[m : m + 1])[1] for m in range(7)]
-    assert max(needed[:3] + needed[4:]) < needed[3] - 1
-    for path in value_iteration_paths():
+    fallback = mock.patch.object(_step_kernel, "load", return_value=None)
+    for width, path in [(w, at_width(w)) for w in _step_kernel.lane_widths()] + [(2, fallback)]:
+        M, cold = 2 * width + 3, width + 1
+        mus = np.random.default_rng(32).dirichlet(np.ones(9), size=M)
+        q_start, _ = oracle._value_iteration(env, mus, 0.7, 1e-10)
+        q_start[cold] = 0.0
+        needed = [oracle._value_iteration(env, mus[m : m + 1], 0.7, 1e-10, q_start[m : m + 1])[1] for m in range(M)]
+        assert max(needed[:cold] + needed[cold + 1 :]) < needed[cold] - 1
         with path:
-            oracle._value_iteration(env, mus, 0.7, 1e-10, q_start=q_start, max_iter=needed[3])
-            with pytest.raises(ArithmeticError, match=f"within {needed[3] - 1} sweeps"):
-                oracle._value_iteration(env, mus, 0.7, 1e-10, q_start=q_start, max_iter=needed[3] - 1)
+            _, sweeps = oracle._value_iteration(env, mus, 0.7, 1e-10, q_start=q_start, max_iter=needed[cold])
+            assert sweeps == sum(needed)
+            with pytest.raises(ArithmeticError, match=f"within {needed[cold] - 1} sweeps"):
+                oracle._value_iteration(env, mus, 0.7, 1e-10, q_start=q_start, max_iter=needed[cold] - 1)
+
+
+def test_idle_lanes_hold_zeros():
+    # Scratch space full of NaN must change no bit of q and no sweep count:
+    # a lane without a problem is zeroed before the first sweep, and every
+    # lane holds zeros once its last problem is out.
+    if _step_kernel.load() is None:
+        pytest.skip("the compiled extension could not be built here")
+    env = make_congestion_env(CongestionGridParams(side=5))
+    S, A = env.dims.num_states, env.dims.num_actions
+    for width in _step_kernel.lane_widths():
+        mus = np.random.default_rng(38).dirichlet(np.ones(S), size=width + 1)
+        for M in (1, width + 1):
+            rewards = np.ascontiguousarray(env.reward_table(mus[:M]))
+            with at_width(width):
+                q_ref, sweeps_ref = oracle._value_iteration(env, mus[:M], 0.7, 1e-10)
+            q = np.zeros((M, S, A))
+            scratch = np.full(S * A * S + (2 * S * A + S) * width, np.nan)
+            assert compiled_value_iteration(width, env.transition_kernel(mus[0]), rewards, q, scratch) == sweeps_ref
+            assert np.array_equal(q, q_ref)
+            assert not scratch[S * A * S :].any()
+
+
+def test_a_stack_sweeps_at_the_narrowest_width_that_holds_it():
+    if _step_kernel.load() is None:
+        pytest.skip("the compiled extension could not be built here")
+    widths = _step_kernel.lane_widths()
+    assert _step_kernel.lane_width() == widths[-1]
+    for M in range(1, 2 * widths[-1] + 2):
+        assert _step_kernel.lane_width(M) == min([w for w in widths if w >= M] or [widths[-1]])
+    env = make_congestion_env(CongestionGridParams(side=3))
+    mus = np.random.default_rng(40).dirichlet(np.ones(9), size=3)
+    with mock.patch.object(_step_kernel, "lane_width", wraps=_step_kernel.lane_width) as width:
+        oracle._value_iteration(env, mus, 0.7, 1e-10)
+    width.assert_called_once_with(3)
+
+
+def test_a_width_the_cpu_lacks_is_rejected_before_any_sweep():
+    if _step_kernel.load() is None:
+        pytest.skip("the compiled extension could not be built here")
+    assert _step_kernel.lane_widths()[0] == 2
+    env = make_congestion_env(CongestionGridParams(side=3))
+    mus = np.random.default_rng(39).dirichlet(np.ones(9), size=3)
+    lacking = [1, 3, 16] + [w for w in _step_kernel.LANE_WIDTHS if w not in _step_kernel.lane_widths()]
+    for width in lacking:
+        q = np.full((3, 9, 2), 0.5)
+        scratch = np.zeros(9 * 2 * 9 + (2 * 9 * 2 + 9) * width)
+        code = compiled_value_iteration(width, env.transition_kernel(mus[0]), env.reward_table(mus), q, scratch)
+        assert code == _step_kernel.UNSUPPORTED_WIDTH
+        assert (q == 0.5).all()
+        with at_width(width), pytest.raises(ValueError, match=f"no {width}-lane value iteration"):
+            oracle._value_iteration(env, mus, 0.7, 1e-10)
 
 
 def test_a_stack_of_mean_fields_gets_a_stack_of_tables():
