@@ -24,10 +24,8 @@ spread more than a 10% change. On the 5x5 grid of
 T = 10k, scored against a reference solved once per process, and in a
 second process ``probe_contraction`` over ``IN_PROCESS_PROBE_PAIRS`` pairs
 (seed 4), ``solve_bmfe`` and value iteration alone: one cold call on a
-stack of ``VI_STACK`` mean-fields and one on a single mean-field, at the
-checkout's own lane width and, where the checkout has lane widths
-(``_step_kernel.lane_widths``), at each width this CPU runs, every one
-against the base at its own width. Each call is timed with
+stack of ``VI_STACK`` mean-fields and one on a single mean-field, each at
+the lane width the checkout picks for it. Each call is timed with
 ``time.process_time()``, the CPU time of the process, so time the process
 spends descheduled on a shared host does not count. Each of
 ``IN_PROCESS_ROUNDS`` rounds starts these processes for each side, the side
@@ -68,8 +66,6 @@ IN_PROCESS_REPEATS = 7
 IN_PROCESS_K, IN_PROCESS_T = 4, 10_000
 IN_PROCESS_PROBE_PAIRS = 600
 VI_STACK, VI_REPEATS = 64, 100
-# suffix of a value-iteration call timed at a lane width other than the checkout's own
-AT_WIDTH = " at width "
 TIER1_RUNS = 3
 
 # Run with ``python -c`` in a checkout; argv: src dir, config, K, T, repeats.
@@ -107,7 +103,7 @@ IN_PROCESS_ORACLE_CHILD = """
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from mfg_sandbox import _step_kernel, cli
+from mfg_sandbox import cli
 from mfg_sandbox.oracle import _value_iteration, probe_contraction, solve_bmfe
 
 cfg = cli.load_config(sys.argv[2])
@@ -124,20 +120,15 @@ for _ in range(int(sys.argv[4])):
         call()
         times[name].append(time.process_time() - started)
 mus = np.random.default_rng(5).dirichlet(np.ones(env.dims.num_states), size=int(sys.argv[5]))
-# the checkout's own width first, then each width it has, if any
-widths = [("", None)] + [(f"AT_WIDTH{w}", w) for w in getattr(_step_kernel, "lane_widths", tuple)()]
-for suffix, width in widths:
-    if width is not None:
-        _step_kernel.lane_width = lambda num_problems=None, width=width: width
-    for size in (len(mus), 1):
-        name = f"value_iteration_{size}{suffix}"
-        times[name] = []
-        for _ in range(int(sys.argv[6])):
-            started = time.process_time()
-            _value_iteration(env, mus[:size], rho, 1e-10)
-            times[name].append(time.process_time() - started)
+for size in (len(mus), 1):
+    name = f"value_iteration_{size}"
+    times[name] = []
+    for _ in range(int(sys.argv[6])):
+        started = time.process_time()
+        _value_iteration(env, mus[:size], rho, 1e-10)
+        times[name].append(time.process_time() - started)
 print(json.dumps(times))
-""".replace("AT_WIDTH", AT_WIDTH)
+"""
 
 
 def export(ref: str, dest: Path) -> str:
@@ -224,11 +215,7 @@ def summarize_rounds(rounds: list[dict]) -> dict:
 
 
 def measure_in_process(sides: dict) -> dict:
-    """Alternating in-process rounds of run_sandbox and the oracle calls, minimum of the repeats per process.
-
-    Each oracle call the candidate times is compared with the base's call of
-    the same name at the base's own lane width.
-    """
+    """Alternating in-process rounds of run_sandbox and the oracle calls, minimum of the repeats per process."""
     rounds = []
     for i in range(IN_PROCESS_ROUNDS):
         order = ["base", "candidate"] if i % 2 == 0 else ["candidate", "base"]
@@ -242,7 +229,7 @@ def measure_in_process(sides: dict) -> dict:
                 **{f"{side}_min_s": min(t) for side, t in sandbox.items()},
                 **{
                     call: {
-                        "base_min_s": min(oracle["base"][call.split(AT_WIDTH)[0]]),
+                        "base_min_s": min(oracle["base"][call]),
                         "candidate_min_s": min(oracle["candidate"][call]),
                     }
                     for call in oracle["candidate"]
@@ -255,8 +242,7 @@ def measure_in_process(sides: dict) -> dict:
             "call": f"run_sandbox on configs/full_grid_5x5.json at K={IN_PROCESS_K}, T={IN_PROCESS_T}, with a reference",
             "oracle_calls": f"probe_contraction ({IN_PROCESS_PROBE_PAIRS} pairs, seed 4), solve_bmfe and cold "
             f"_value_iteration calls on {VI_STACK} and on 1 mean-field (value_iteration_{VI_STACK}, "
-            "value_iteration_1) on the same grid, in a process of their own; a call named "
-            f"'<call>{AT_WIDTH}<w>' runs the candidate at lane width w against the base at its own width",
+            "value_iteration_1) on the same grid, in a process of their own",
             "repeats_per_process": IN_PROCESS_REPEATS,
             "value_iteration_repeats_per_process": VI_REPEATS,
             "clock": "time.process_time, the CPU time of the process",

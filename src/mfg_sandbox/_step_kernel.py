@@ -21,17 +21,17 @@ problems in lockstep, one per lane of a SIMD register, each with its own
 sweep count and stopping test, so every problem ends as it would alone.
 Each sweep is in place: it visits the states in index order, and a state's
 rows read the values max_a q that the states before it wrote in the same
-sweep. The lane width, the number of problems one sweep advances, is
-picked from the CPU at run time (``lane_width``): 8 under AVX-512, 4 under
-AVX2, 2 otherwise, or the narrowest of these that holds a smaller stack.
-The sweep is compiled once for each width in
-``LANE_WIDTHS``, each copy for the instruction set it needs, and
-``__builtin_cpu_supports`` decides which copies may run; no flag tunes the
-build to the building CPU, so a cached build runs on any CPU of its
-architecture. ``oracle._value_iteration`` documents the arguments and keeps
-the NumPy reference loop. Neither function keeps state between calls:
-scratch space comes from the caller, so two threads may run them at once
-(cffi releases the GIL during a call).
+sweep. The call picks its lane width, the number of problems one sweep
+advances, from the CPU and the stack: the narrowest of 2, 4 (AVX2) and 8
+(AVX-512) lanes that the CPU runs and that holds the stack, else the widest
+it runs. The sweep is compiled once for each width, each copy for the
+instruction set it needs, and ``__builtin_cpu_supports`` decides which
+copies may run; no flag tunes the build to the building CPU, so a cached
+build runs on any CPU of its architecture. The caller sizes the lane
+scratch for ``MAX_LANES``. ``oracle._value_iteration`` documents the
+arguments and keeps the NumPy reference loop. Neither function keeps state
+between calls: scratch space comes from the caller, so two threads may run
+them at once (cffi releases the GIL during a call).
 
 The extension is compiled once into ``_kernel_build`` next to this file,
 under a name keyed by the C source, the compiler flags and the interpreter's
@@ -45,7 +45,6 @@ be neither imported nor built; the callers then run their reference loops.
 from __future__ import annotations
 
 import contextlib
-import functools
 import importlib.machinery
 import importlib.util
 import logging
@@ -60,11 +59,9 @@ NON_FINITE_REWARD = -2
 REWARD_OUT_OF_RANGE = -3
 SIMPLEX_VIOLATED = -4  # mean-field or policy left the simplex at a checked step
 
-# Lane widths of value_iteration: the problems one sweep advances together,
-# one per lane of a SIMD register. The sweep has a copy for each: 8 under
-# AVX-512, 4 under AVX2, 2 on any CPU.
-LANE_WIDTHS = (2, 4, 8)
-UNSUPPORTED_WIDTH = -2  # value_iteration's return for a width this CPU has no copy for
+# The widest lane width of value_iteration: callers size its lane scratch
+# for this many problems.
+MAX_LANES = 8
 
 CDEF = """
 typedef struct {
@@ -78,8 +75,7 @@ typedef struct {
 } step_ctx;
 
 int learner_step(step_ctx *c, int t);
-int lane_width_supported(int width);
-int64_t value_iteration(int width, int num_problems, int num_states, int num_actions,
+int64_t value_iteration(int num_problems, int num_states, int num_actions,
                         const double *kernel, double rho, const double *rewards, double *q,
                         int *int_scratch, double *scratch, double threshold, int64_t max_iter);
 """
@@ -147,7 +143,7 @@ def _sweep_copy(width: int, target: str) -> str:
 # (smallest policy entry over the calls so far).
 SOURCE = (
     CDEF
-    + f"#define MAX_WIDTH {max(LANE_WIDTHS)}\n"
+    + f"#define MAX_WIDTH {MAX_LANES}\n"
     + r"""
 #include <math.h>
 #include <stddef.h>
@@ -284,20 +280,20 @@ int learner_step(step_ctx *c, int t)
    it writes v(s) = max_a q(s, a), so the rows of later states in the same
    sweep read it.
 
-   width problems sweep together, one per lane of a SIMD register. The
-   lanes' rewards lane_r and Q-tables lane_q (S A width doubles each) and
-   their values v (S width) are interleaved, lane l of entry n at
-   n * width + l, so each kernel entry is one vector multiply and one
-   vector add across the lanes. A lane whose problem stops copies its
-   Q-table out and takes the next pending problem; once none is pending it
-   holds zeros. Each lane keeps its own sweep count and stopping test, and
-   each row's sum runs in index order, so every problem's iterates and
-   sweeps are those of a run on its own, whatever the width. The caller
-   owns the scratch space: int_scratch holds row_start (S A + 1 ints) and
-   cols (S A S); scratch holds vals (S A S doubles), lane_r, lane_q and v,
-   in that order. Returns the sweeps summed over the problems, -1 when a
-   problem is still moving after max_iter sweeps, or -2, before any sweep,
-   when this CPU has no copy of the sweep for width. */
+   W problems sweep together, one per lane of a SIMD register; the call
+   picks W itself (pick_sweep). The lanes' rewards lane_r and Q-tables
+   lane_q (S A W doubles each) and their values v (S W) are interleaved,
+   lane l of entry n at n * W + l, so each kernel entry is one vector
+   multiply and one vector add across the lanes. A lane whose problem stops
+   copies its Q-table out and takes the next pending problem; once none is
+   pending it holds zeros. Each lane keeps its own sweep count and stopping
+   test, and each row's sum runs in index order, so every problem's
+   iterates and sweeps are those of a run on its own, whatever the width.
+   The caller owns the scratch space: int_scratch holds row_start (S A + 1
+   ints) and cols (S A S); scratch holds vals (S A S doubles), then lane_r,
+   lane_q and v for up to MAX_WIDTH lanes, in that order. Returns the
+   sweeps summed over the problems, or -1 when a problem is still moving
+   after max_iter sweeps. */
 typedef int (*sweep_fn)(int S, int A, const int *row_start, const int *cols, const double *vals,
                         const double *r, double *q, double *v, double threshold);
 """
@@ -310,21 +306,29 @@ typedef int (*sweep_fn)(int S, int A, const int *row_start, const int *cols, con
     + "#endif\n"
     + _sweep_copy(2, "")
     + r"""
-static sweep_fn pick_sweep(int width)
+/* The copy of the sweep for num_problems problems, its width in *width: the
+   narrowest this CPU runs that holds them all, else the widest it runs. A
+   wider register gains a smaller stack nothing: on an AVX-512 host a
+   one-problem 5x5 oracle._value_iteration call took 34 us of CPU time at
+   2 lanes against 39 us at 8. */
+static sweep_fn pick_sweep(int num_problems, int *width)
 {
 #if defined(__x86_64__) || defined(__i386__)
-    __builtin_cpu_init();
-    if (width == 8 && __builtin_cpu_supports("avx512f"))
-        return sweep8;
-    if (width == 4 && __builtin_cpu_supports("avx2"))
-        return sweep4;
+    if (num_problems > 2) {
+        __builtin_cpu_init();
+        const int avx2 = __builtin_cpu_supports("avx2"), avx512 = __builtin_cpu_supports("avx512f");
+        if (avx2 && (num_problems <= 4 || !avx512)) {
+            *width = 4;
+            return sweep4;
+        }
+        if (avx512) {
+            *width = 8;
+            return sweep8;
+        }
+    }
 #endif
-    return width == 2 ? sweep2 : NULL;
-}
-
-int lane_width_supported(int width)
-{
-    return pick_sweep(width) != NULL;
+    *width = 2;
+    return sweep2;
 }
 
 /* Lane l takes problem m: its rewards, its Q-table and, as its column of
@@ -347,14 +351,13 @@ static void load_lane(int W, int l, int m, int S, int A, const double *rewards, 
     }
 }
 
-int64_t value_iteration(int width, int num_problems, int num_states, int num_actions,
+int64_t value_iteration(int num_problems, int num_states, int num_actions,
                         const double *kernel, double rho, const double *rewards, double *q,
                         int *int_scratch, double *scratch, double threshold, int64_t max_iter)
 {
-    const sweep_fn sweep = pick_sweep(width);
-    if (sweep == NULL)
-        return -2;
-    const int S = num_states, A = num_actions, W = width;
+    int W;
+    const sweep_fn sweep = pick_sweep(num_problems, &W);
+    const int S = num_states, A = num_actions;
     const size_t rows = (size_t)S * A;
     int *row_start = int_scratch, *cols = int_scratch + rows + 1;
     double *vals = scratch, *lane_r = vals + rows * S, *lane_q = lane_r + rows * W, *v = lane_q + rows * W;
@@ -466,31 +469,3 @@ def load():
             _loaded = False
     return _loaded or None
 
-
-def lane_widths() -> tuple[int, ...]:
-    """The lane widths of value_iteration this CPU runs, narrowest first; () without the extension."""
-    compiled = load()
-    return () if compiled is None else _supported_widths(compiled[1])
-
-
-@functools.cache
-def _supported_widths(lib) -> tuple[int, ...]:
-    return tuple(width for width in LANE_WIDTHS if lib.lane_width_supported(width))
-
-
-def lane_width(num_problems: int | None = None) -> int | None:
-    """The lane width value iteration sweeps num_problems problems at; None without the extension.
-
-    The narrowest width this CPU runs that holds them all, else (and without
-    num_problems) the widest. A wider register gains such a stack nothing:
-    on an AVX-512 host a one-problem 5x5 call took 34 us at 2 lanes against
-    39 us at 8 (CPU time, best of 100 calls).
-    """
-    widths = lane_widths()
-    if not widths:
-        return None
-    if num_problems is not None:
-        for width in widths:
-            if width >= num_problems:
-                return width
-    return widths[-1]

@@ -11,7 +11,7 @@ learner against them, and the probe samples their Lipschitz ratios, block
 by block. A stack costs one call of each environment table and, for a
 kernel shared by the stack, one compiled value-iteration call that sweeps
 its problems together, one per lane of a SIMD register: up to 8 at a time
-under AVX-512, 4 under AVX2, 2 on other CPUs (``_step_kernel.lane_width``).
+under AVX-512, 4 under AVX2, 2 on other CPUs, a width the call picks itself.
 """
 
 from __future__ import annotations
@@ -68,17 +68,15 @@ def _sweeps_numpy(kernel, rewards, q, threshold: float, max_iter: int) -> int:
 
 
 def _sweeps_compiled(ffi, lib, kernel, rho: float, rewards, q, threshold: float, max_iter: int) -> int:
-    """The same loop in one C call over the stack, _step_kernel.lane_width(M) problems in lockstep.
+    """The same loop in one C call over the stack, its problems in lockstep in SIMD lanes.
 
     The call writes rho * kernel as sparse rows, exact zeros left out;
     skipping them leaves each row's in-order sum unchanged, so the iterates
     and sweep counts are bit for bit those of the reference loop, at every
-    lane width.
+    lane width the call picks.
     """
     S, A = q.shape[1:]
-    width = _step_kernel.lane_width(len(q))
-    sweeps = lib.value_iteration(
-        width,
+    return lib.value_iteration(
         len(q),
         S,
         A,
@@ -87,13 +85,10 @@ def _sweeps_compiled(ffi, lib, kernel, rho: float, rewards, q, threshold: float,
         ffi.from_buffer("double[]", rewards),
         ffi.from_buffer("double[]", q, require_writable=True),
         ffi.from_buffer("int[]", np.empty(S * A + 1 + S * A * S, dtype=np.intc)),
-        ffi.from_buffer("double[]", np.empty(S * A * S + (2 * S * A + S) * width)),
+        ffi.from_buffer("double[]", np.empty(S * A * S + (2 * S * A + S) * _step_kernel.MAX_LANES)),
         threshold,
         max_iter,
     )
-    if sweeps == _step_kernel.UNSUPPORTED_WIDTH:
-        raise ValueError(f"this CPU has no {width}-lane value iteration")
-    return sweeps
 
 
 def _value_iteration(

@@ -3,8 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from mfg_sandbox import _step_kernel
-
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_ab.py"
 
 
@@ -83,13 +81,12 @@ def test_in_process_child_times_run_sandbox_in_a_checkout(bench_ab):
 
 
 def test_in_process_oracle_child_times_the_probe_and_the_solve(bench_ab):
-    # and value iteration alone, at the checkout's own width and at each width
+    # and value iteration alone, on a stack and on one problem
     times = bench_ab.time_oracle(SCRIPT.parent.parent, pairs=3, repeats=2, vi_repeats=3)
     vi_calls = [f"value_iteration_{bench_ab.VI_STACK}", "value_iteration_1"]
-    widths = [""] + [f"{bench_ab.AT_WIDTH}{w}" for w in _step_kernel.lane_widths()]
-    assert set(times) == {"probe_contraction", "solve_bmfe"} | {call + w for call in vi_calls for w in widths}
+    assert set(times) == {"probe_contraction", "solve_bmfe", *vi_calls}
     assert all(len(times[call]) == 2 for call in ("probe_contraction", "solve_bmfe"))
-    assert all(len(times[call + w]) == 3 for call in vi_calls for w in widths)
+    assert all(len(times[call]) == 3 for call in vi_calls)
     assert all(x > 0.0 for t in times.values() for x in t)
 
 
@@ -102,8 +99,6 @@ def test_in_process_rounds_time_cpu_not_wall(bench_ab, monkeypatch):
     monkeypatch.setattr(bench_ab, "time_run_sandbox", lambda checkout, K, T, repeats: [0.2, 0.1])
     oracle = {"base": {"probe_contraction": [0.3, 0.4], "solve_bmfe": [0.02], "value_iteration_1": [0.06]}}
     oracle["candidate"] = {"probe_contraction": [0.1, 0.2], "solve_bmfe": [0.04], "value_iteration_1": [0.03]}
-    # a call at another lane width is compared with the base's call at its own width
-    oracle["candidate"][f"value_iteration_1{bench_ab.AT_WIDTH}2"] = [0.05, 0.04]
     monkeypatch.setattr(bench_ab, "time_oracle", lambda checkout, pairs, repeats: oracle[checkout.name])
     out = bench_ab.measure_in_process({"base": Path("base"), "candidate": Path("candidate")})
     assert out["protocol"]["clock"].startswith("time.process_time")
@@ -111,7 +106,6 @@ def test_in_process_rounds_time_cpu_not_wall(bench_ab, monkeypatch):
     assert out["probe_contraction"]["speedups"] == pytest.approx([3.0, 3.0])
     assert out["solve_bmfe"]["speedups"] == pytest.approx([0.5, 0.5])
     assert out["value_iteration_1"]["speedups"] == pytest.approx([2.0, 2.0])
-    assert out[f"value_iteration_1{bench_ab.AT_WIDTH}2"]["speedups"] == pytest.approx([1.5, 1.5])
     assert out["rounds"][1]["probe_contraction"] == {"candidate_min_s": 0.1, "base_min_s": 0.3}
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from unittest import mock
 
@@ -5,6 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
 
 from mfg_sandbox import _step_kernel, oracle
 from mfg_sandbox.core import MeanField, StateActionDims, inf_norm, l1_norm, softmax_table, tv_norm
@@ -263,6 +269,67 @@ def test_probe_d3_bounded_for_mu_independent_kernel():
     assert est.num_pairs == 50
 
 
+@pytest.mark.parametrize(
+    "env",
+    [
+        make_congestion_env(CongestionGridParams(side=3)),
+        make_congestion_env(CongestionGridParams(side=5)),
+        make_two_class_env(CongestionGridParams(side=5)),
+    ],
+    ids=["grid3", "grid5", "two_class"],
+)
+def test_probe_ratios_stay_below_the_kernel_suprema(env):
+    # For a kernel that does not move with mu, the push-forward's ratios are
+    # bounded by total-variation distances between kernel rows:
+    # d2 <= max_s 1/2 max_{a,a'} |P(s,a) - P(s,a')|_1 (pi and pi' differ by
+    # a signed measure of mass |pi(s) - pi'(s)|_1 / 2 on each side), and
+    # d3 <= max_{s!=s',a,a'} 1/2 |P(s,a) - P(s',a')|_1 (Dobrushin's
+    # coefficient of a chain whose rows mix the kernel's rows).
+    S, A = env.dims.num_states, env.dims.num_actions
+    P = env.transition_kernel(np.full(S, 1.0 / S))
+    gaps = 0.5 * np.abs(P[:, :, None, None, :] - P[None, None, :, :, :]).sum(axis=-1)  # (s, a, s', a')
+    same_state = np.eye(S, dtype=bool)[:, None, :, None]
+    d2 = gaps.max(axis=(1, 3), where=same_state, initial=0.0).max()
+    d3 = gaps.max(where=~same_state, initial=0.0)
+    est = probe_contraction(env, lam=1.0, rho=0.7, num_pairs=256, rng=np.random.default_rng(17))
+    assert est.d2_hat <= d2 + 1e-12
+    assert est.d3_hat <= d3 + 1e-12
+
+
+def _damped_solve(env, mu, lam, rho, tol=1e-8):
+    """solve_bmfe's damped loop over gamma1 and gamma2, from the mean-field mu."""
+    pi, q, _ = gamma1(env, mu, lam, rho)
+    damping, previous = 0.5, math.inf
+    for _ in range(10_000):
+        pushed = gamma2(env, pi, mu)
+        residual = l1_norm(pushed - mu)
+        if residual <= tol:
+            return mu
+        if residual > previous:
+            damping /= 2.0
+        previous = residual
+        mu = (1.0 - damping) * mu + damping * pushed
+        mu /= mu.sum()
+        pi, q, _ = gamma1(env, mu, lam, rho, q_start=q)
+    raise AssertionError(f"no convergence from {mu}")
+
+
+@pytest.mark.parametrize("lam", [1.0, 10.0])
+def test_the_3x3_equilibrium_is_reached_from_every_start(lam):
+    # No contraction certificate holds on the shipped worlds (d2 = d3 = 1
+    # there), so uniqueness is checked directly: the damped iteration from
+    # every vertex of the simplex and from random mean-fields ends at the
+    # mean-field solve_bmfe finds from the uniform one.
+    env = make_congestion_env(CongestionGridParams(side=3))
+    tol = 1e-8
+    reference = solve_bmfe(env, lam=lam, rho=0.7, tol=tol)
+    assert reference.converged
+    starts = list(np.eye(9)) + list(np.random.default_rng(18).dirichlet(np.ones(9), size=5))
+    for start in starts:
+        mu = _damped_solve(env, start, lam, 0.7, tol)
+        assert l1_norm(mu - reference.mean_field.probs) <= 10 * tol
+
+
 def test_contraction_estimate_validation():
     with pytest.raises(ValueError):
         ContractionEstimate(d1_hat=-0.1, d2_hat=0.0, d3_hat=0.0, num_pairs=1)
@@ -424,26 +491,19 @@ def _oracle_env(kind, side, seed):
     return MuDependentEnv(seed, num_states=side + 1)
 
 
-def at_width(width):
-    """A context that runs the compiled value iteration at this lane width."""
-    return mock.patch.object(_step_kernel, "lane_width", return_value=width)
-
-
 def value_iteration_paths():
     """Contexts that put value iteration on each path this host can run: the
-    compiled sweep at every lane width the CPU supports, and always the NumPy
-    fallback."""
-    fallback = mock.patch.object(_step_kernel, "load", return_value=None)
-    return [at_width(width) for width in _step_kernel.lane_widths()] + [fallback]
+    compiled sweep, which picks its lane width from the stack size, and
+    always the NumPy fallback."""
+    return [contextlib.nullcontext(), mock.patch.object(_step_kernel, "load", return_value=None)]
 
 
-def compiled_value_iteration(width, kernel, rewards, q, scratch):
+def compiled_value_iteration(kernel, rewards, q, scratch):
     """One C call at rho 0.7 and tol 1e-10 on a stack of problems that share
     kernel, with the caller's double scratch."""
     ffi, lib = _step_kernel.load()
     S, A = q.shape[1:]
     return lib.value_iteration(
-        width,
         len(q),
         S,
         A,
@@ -521,99 +581,78 @@ def test_a_shared_kernel_is_one_compiled_call():
     ids=["grid3", "grid5", "two_class"],
 )
 def test_lockstep_stacks_equal_one_problem_calls(env, rho):
-    # At every lane width, stacks below, at and past the width, with lanes
-    # retiring at different sweeps: each problem's iterates and sweeps are
-    # its own.
+    # Stacks below, at and past each lane width, with lanes retiring at
+    # different sweeps: each problem's iterates and sweeps are its own. The
+    # call picks its width from the stack size, so on an AVX-512 host 1-2
+    # problems sweep 2 lanes, 3-4 sweep 4 and 5 or more sweep 8: every
+    # compiled copy of the sweep is checked against one-problem calls.
     if _step_kernel.load() is None:
         pytest.skip("the compiled extension could not be built here")
     S, A = env.dims.num_states, env.dims.num_actions
     rng = np.random.default_rng(31)
-    for width in _step_kernel.lane_widths():
-        with at_width(width):
-            for M in sorted({1, width - 1, width, width + 1, 2 * width + 3, 33}):
-                mus = rng.dirichlet(np.ones(S), size=M)
-                for q_start in (None, rng.uniform(0.0, 1.0 / (1.0 - rho), size=(M, S, A))):
-                    q, sweeps = oracle._value_iteration(env, mus, rho, 1e-10, q_start=q_start)
-                    total = 0
-                    for m in range(M):
-                        warm = None if q_start is None else q_start[m : m + 1]
-                        q_m, n = oracle._value_iteration(env, mus[m : m + 1], rho, 1e-10, q_start=warm)
-                        assert np.array_equal(q[m], q_m[0])
-                        total += n
-                    assert sweeps == total
+    for M in (1, 2, 3, 4, 5, 7, 8, 9, 19, 33):
+        mus = rng.dirichlet(np.ones(S), size=M)
+        for q_start in (None, rng.uniform(0.0, 1.0 / (1.0 - rho), size=(M, S, A))):
+            q, sweeps = oracle._value_iteration(env, mus, rho, 1e-10, q_start=q_start)
+            total = 0
+            for m in range(M):
+                warm = None if q_start is None else q_start[m : m + 1]
+                q_m, n = oracle._value_iteration(env, mus[m : m + 1], rho, 1e-10, q_start=warm)
+                assert np.array_equal(q[m], q_m[0])
+                total += n
+            assert sweeps == total
 
 
 def test_max_iter_counts_each_lane_on_its_own():
     # All problems but one start at their fixed points and stop within a
-    # sweep or two; the one just past the first lanes starts cold and alone
-    # needs the full count, from the sweep its lane takes it. At every lane
-    # width, and on the fallback with the stack of the narrowest.
+    # sweep or two; the one past the first lane starts cold and alone needs
+    # the full count, from the sweep its lane takes it. Stacks of 2 and 4
+    # fill the 2- and 4-lane copies; in the largest stack the cold problem
+    # waits for a lane at every width. On both paths.
     env = make_congestion_env(CongestionGridParams(side=3))
-    fallback = mock.patch.object(_step_kernel, "load", return_value=None)
-    for width, path in [(w, at_width(w)) for w in _step_kernel.lane_widths()] + [(2, fallback)]:
-        M, cold = 2 * width + 3, width + 1
+    for M in (2, 4, 2 * _step_kernel.MAX_LANES + 3):
+        cold = min(M - 1, _step_kernel.MAX_LANES + 1)
         mus = np.random.default_rng(32).dirichlet(np.ones(9), size=M)
         q_start, _ = oracle._value_iteration(env, mus, 0.7, 1e-10)
         q_start[cold] = 0.0
         needed = [oracle._value_iteration(env, mus[m : m + 1], 0.7, 1e-10, q_start[m : m + 1])[1] for m in range(M)]
         assert max(needed[:cold] + needed[cold + 1 :]) < needed[cold] - 1
-        with path:
-            _, sweeps = oracle._value_iteration(env, mus, 0.7, 1e-10, q_start=q_start, max_iter=needed[cold])
-            assert sweeps == sum(needed)
-            with pytest.raises(ArithmeticError, match=f"within {needed[cold] - 1} sweeps"):
-                oracle._value_iteration(env, mus, 0.7, 1e-10, q_start=q_start, max_iter=needed[cold] - 1)
+        for path in value_iteration_paths():
+            with path:
+                _, sweeps = oracle._value_iteration(env, mus, 0.7, 1e-10, q_start=q_start, max_iter=needed[cold])
+                assert sweeps == sum(needed)
+                with pytest.raises(ArithmeticError, match=f"within {needed[cold] - 1} sweeps"):
+                    oracle._value_iteration(env, mus, 0.7, 1e-10, q_start=q_start, max_iter=needed[cold] - 1)
 
 
 def test_idle_lanes_hold_zeros():
     # Scratch space full of NaN must change no bit of q and no sweep count:
     # a lane without a problem is zeroed before the first sweep, and every
-    # lane holds zeros once its last problem is out.
+    # lane holds zeros once its last problem is out. The lanes the call
+    # swept are the zeroed prefix of the lane scratch, which shows its
+    # width: the narrowest the CPU runs that holds the stack, else the
+    # widest. numpy's CPU dispatch reads the same CPU features.
     if _step_kernel.load() is None:
         pytest.skip("the compiled extension could not be built here")
     env = make_congestion_env(CongestionGridParams(side=5))
     S, A = env.dims.num_states, env.dims.num_actions
-    for width in _step_kernel.lane_widths():
-        mus = np.random.default_rng(38).dirichlet(np.ones(S), size=width + 1)
-        for M in (1, width + 1):
-            rewards = np.ascontiguousarray(env.reward_table(mus[:M]))
-            with at_width(width):
-                q_ref, sweeps_ref = oracle._value_iteration(env, mus[:M], 0.7, 1e-10)
-            q = np.zeros((M, S, A))
-            scratch = np.full(S * A * S + (2 * S * A + S) * width, np.nan)
-            assert compiled_value_iteration(width, env.transition_kernel(mus[0]), rewards, q, scratch) == sweeps_ref
-            assert np.array_equal(q, q_ref)
-            assert not scratch[S * A * S :].any()
-
-
-def test_a_stack_sweeps_at_the_narrowest_width_that_holds_it():
-    if _step_kernel.load() is None:
-        pytest.skip("the compiled extension could not be built here")
-    widths = _step_kernel.lane_widths()
-    assert _step_kernel.lane_width() == widths[-1]
-    for M in range(1, 2 * widths[-1] + 2):
-        assert _step_kernel.lane_width(M) == min([w for w in widths if w >= M] or [widths[-1]])
-    env = make_congestion_env(CongestionGridParams(side=3))
-    mus = np.random.default_rng(40).dirichlet(np.ones(9), size=3)
-    with mock.patch.object(_step_kernel, "lane_width", wraps=_step_kernel.lane_width) as width:
-        oracle._value_iteration(env, mus, 0.7, 1e-10)
-    width.assert_called_once_with(3)
-
-
-def test_a_width_the_cpu_lacks_is_rejected_before_any_sweep():
-    if _step_kernel.load() is None:
-        pytest.skip("the compiled extension could not be built here")
-    assert _step_kernel.lane_widths()[0] == 2
-    env = make_congestion_env(CongestionGridParams(side=3))
-    mus = np.random.default_rng(39).dirichlet(np.ones(9), size=3)
-    lacking = [1, 3, 16] + [w for w in _step_kernel.LANE_WIDTHS if w not in _step_kernel.lane_widths()]
-    for width in lacking:
-        q = np.full((3, 9, 2), 0.5)
-        scratch = np.zeros(9 * 2 * 9 + (2 * 9 * 2 + 9) * width)
-        code = compiled_value_iteration(width, env.transition_kernel(mus[0]), env.reward_table(mus), q, scratch)
-        assert code == _step_kernel.UNSUPPORTED_WIDTH
-        assert (q == 0.5).all()
-        with at_width(width), pytest.raises(ValueError, match=f"no {width}-lane value iteration"):
-            oracle._value_iteration(env, mus, 0.7, 1e-10)
+    lane = 2 * S * A + S  # lane scratch doubles per lane
+    mus = np.random.default_rng(38).dirichlet(np.ones(S), size=9)
+    widths = []
+    for M in (1, 3, 5, 9):
+        rewards = np.ascontiguousarray(env.reward_table(mus[:M]))
+        q_ref, sweeps_ref = oracle._value_iteration(env, mus[:M], 0.7, 1e-10)
+        q = np.zeros((M, S, A))
+        scratch = np.full(S * A * S + lane * _step_kernel.MAX_LANES, np.nan)
+        assert compiled_value_iteration(env.transition_kernel(mus[0]), rewards, q, scratch) == sweeps_ref
+        assert np.array_equal(q, q_ref)
+        lanes = scratch[S * A * S :]
+        swept = int((~np.isnan(lanes)).sum())
+        assert swept % lane == 0 and swept // lane in (2, 4, 8)
+        assert not lanes[:swept].any() and np.isnan(lanes[swept:]).all()
+        widths.append(swept // lane)
+    runs = [2] + [w for w, feature in ((4, "AVX2"), (8, "AVX512F")) if __cpu_features__.get(feature)]
+    assert widths == [min([w for w in runs if w >= M] or [runs[-1]]) for M in (1, 3, 5, 9)]
 
 
 def test_a_stack_of_mean_fields_gets_a_stack_of_tables():
