@@ -31,15 +31,22 @@ spends descheduled on a shared host does not count. Each of
 ``IN_PROCESS_ROUNDS`` rounds starts these processes for each side, the side
 that goes first alternating, and each process reports the minimum of
 ``IN_PROCESS_REPEATS`` timed calls of each call it times
-(``VI_REPEATS`` for the value-iteration calls).
+(``VI_REPEATS`` for the value-iteration calls). The oracle process also
+times ``gamma2`` alone, ``VI_REPEATS`` times each, on a seeded stack of
+``PUSH_STACK`` pairs, the size of a probe block's push, and on one pair.
 
 Writes ``BENCH_<number>.json`` at the repository root: per workload and
 end-to-end metric (names and directions from the candidate's
 ``BENCHMARK.json``), each side's median and quartiles, the pair count, the
 candidate's wins out of the pairs (ties count for neither), the distance
 between the base's quartiles, each side's attempted and failed
-invocations; the in-process rounds with each round's speedup (base time
-over candidate time); each side's tier-1 runs, with their counts and wall
+invocations, and each side's ``exit_after_main_s``: the median and
+quartiles of the time from a child's ``end`` stamp, taken when
+``cli.main`` returned, to its exit, one value per config from its last
+invocation in each run (``wall_s - setup_s - (end - first_step)``, from
+run.py's stderr lines and the timing files it leaves in
+``.perfbench_work``, read only); the in-process rounds with each round's
+speedup (base time over candidate time); each side's tier-1 runs, with their counts and wall
 times and the median and range of the wall times (measured numbers, not a
 gate), and the machine facts.
 """
@@ -66,7 +73,12 @@ IN_PROCESS_REPEATS = 7
 IN_PROCESS_K, IN_PROCESS_T = 4, 10_000
 IN_PROCESS_PROBE_PAIRS = 600
 VI_STACK, VI_REPEATS = 64, 100
+PUSH_STACK = 96  # a probe block's pairs and their moved and varied variants
 TIER1_RUNS = 3
+
+# run.py's stderr line for each passing invocation, and for each failing one
+INVOCATION_LINE = re.compile(r"(\S+) trace=0 wall_s=([\d.]+) setup_s=([\d.]+)$")
+FAIL_LINE = re.compile(r"FAIL (\S+): ")
 
 # Run with ``python -c`` in a checkout; argv: src dir, config, K, T, repeats.
 # Prints the CPU time of each run_sandbox call as one JSON line.
@@ -97,14 +109,14 @@ print(json.dumps(times))
 """
 
 # Run with ``python -c`` in a checkout; argv: src dir, config, probe pairs,
-# repeats, value-iteration stack, value-iteration repeats. Prints the CPU
-# times of each oracle call as one JSON object.
+# repeats, value-iteration stack, value-iteration and push repeats, push
+# stack. Prints the CPU times of each oracle call as one JSON object.
 IN_PROCESS_ORACLE_CHILD = """
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from mfg_sandbox import cli
-from mfg_sandbox.oracle import _value_iteration, probe_contraction, solve_bmfe
+from mfg_sandbox.oracle import _value_iteration, gamma2, probe_contraction, solve_bmfe
 
 cfg = cli.load_config(sys.argv[2])
 env = cli.build_environment(cfg)
@@ -126,6 +138,16 @@ for size in (len(mus), 1):
     for _ in range(int(sys.argv[6])):
         started = time.process_time()
         _value_iteration(env, mus[:size], rho, 1e-10)
+        times[name].append(time.process_time() - started)
+rng = np.random.default_rng(6)
+S, A = env.dims.num_states, env.dims.num_actions
+mus = rng.dirichlet(np.ones(S), size=int(sys.argv[7]))
+pis = rng.dirichlet(np.ones(A), size=(len(mus), S))
+for name, pi, mu in ((f"gamma2_{len(mus)}", pis, mus), ("gamma2_1", pis[0], mus[0])):
+    times[name] = []
+    for _ in range(int(sys.argv[6])):
+        started = time.process_time()
+        gamma2(env, pi, mu)
         times[name].append(time.process_time() - started)
 print(json.dumps(times))
 """
@@ -155,7 +177,31 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{checkout}: run.py printed no result (exit {proc.returncode}):\n{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
     result["exit_code"] = proc.returncode
+    result["exit_after_main_s"] = exit_after_main(proc.stderr, checkout / ".perfbench_work" / workload)
     return result
+
+
+def exit_after_main(stderr: str, workdir: Path) -> list[float]:
+    """Per config, the seconds from the child's ``end`` stamp, after ``cli.main`` returned, to its exit.
+
+    For each config name, wall_s and setup_s come from its last
+    ``"<name> trace=0 wall_s=... setup_s=..."`` line in run.py's stderr, and
+    the ``first_step`` and ``end`` stamps from the ``<name>.timing.json``
+    that invocation left in workdir; the exit is wall_s - setup_s - (end -
+    first_step). A config whose last invocation failed is left out, since
+    its timing file is not the passing one's.
+    """
+    last = {}
+    for line in stderr.splitlines():
+        if match := INVOCATION_LINE.match(line):
+            last[match[1]] = float(match[2]), float(match[3])
+        elif match := FAIL_LINE.match(line):
+            last.pop(match[1], None)
+    out = []
+    for name, (wall_s, setup_s) in sorted(last.items()):
+        stamps = json.loads((workdir / f"{name}.timing.json").read_text(encoding="utf-8"))["stamps"]
+        out.append(wall_s - setup_s - (stamps["end"] - stamps["first_step"]))
+    return out
 
 
 def time_run_sandbox(checkout: Path, K: int, T: int, repeats: int) -> list[float]:
@@ -193,6 +239,7 @@ def time_oracle(checkout: Path, pairs: int, repeats: int, vi_repeats: int = VI_R
             str(repeats),
             str(VI_STACK),
             str(vi_repeats),
+            str(PUSH_STACK),
         ],
         cwd=checkout,
         capture_output=True,
@@ -242,9 +289,10 @@ def measure_in_process(sides: dict) -> dict:
             "call": f"run_sandbox on configs/full_grid_5x5.json at K={IN_PROCESS_K}, T={IN_PROCESS_T}, with a reference",
             "oracle_calls": f"probe_contraction ({IN_PROCESS_PROBE_PAIRS} pairs, seed 4), solve_bmfe and cold "
             f"_value_iteration calls on {VI_STACK} and on 1 mean-field (value_iteration_{VI_STACK}, "
-            "value_iteration_1) on the same grid, in a process of their own",
+            f"value_iteration_1) and gamma2 on a seeded stack of {PUSH_STACK} pairs and on 1 pair "
+            f"(gamma2_{PUSH_STACK}, gamma2_1) on the same grid, in a process of their own",
             "repeats_per_process": IN_PROCESS_REPEATS,
-            "value_iteration_repeats_per_process": VI_REPEATS,
+            "value_iteration_and_gamma2_repeats_per_process": VI_REPEATS,
             "clock": "time.process_time, the CPU time of the process",
             "order": "alternating, base first in even rounds",
             "speedup": "base minimum over candidate minimum, per round",
@@ -310,6 +358,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def summarize_values(values: list[float]) -> dict:
+    """Median and quartiles of a sample, with its size."""
+    if not values:
+        return {"count": 0}
+    q1, median, q3 = quartiles(values)
+    return {"median": median, "q1": q1, "q3": q3, "count": len(values)}
 
 
 def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> dict:
@@ -410,6 +466,10 @@ def main(argv=None) -> int:
                 pairs.append((result["base"], result["candidate"]))
             report[workload] = {
                 "metrics": summarize(spec["end_to_end"], pairs),
+                "exit_after_main_s": {
+                    side: summarize_values([x for r in side_runs for x in r["exit_after_main_s"]])
+                    for side, side_runs in runs.items()
+                },
                 "first_side": ["base" if i % 2 == 0 else "candidate" for i in range(PAIRS)],
                 "seeds": [args.seed + i for i in range(PAIRS)],
                 **{
@@ -432,6 +492,9 @@ def main(argv=None) -> int:
             "order": "alternating, base first in even pairs",
             "wins": "pairs where the candidate is better by the metric's direction; ties count for neither",
             "tier1": f"{TIER1_RUNS} runs per side, alternating, base first in the first run",
+            "exit_after_main_s": "per side, over every config's last passing invocation in every pair: "
+            "wall_s - setup_s - (end - first_step), the time from the child's end stamp, after cli.main "
+            "returned, to the exit run.py waits for",
         },
         "tier1": tier1,
         "in_process": in_process,

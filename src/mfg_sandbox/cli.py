@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import logging
 import math
@@ -354,6 +355,20 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
 
 def main(argv=None) -> int:
+    """Command-line entry: parse argv, load and override the config, run it; returns the exit code.
+
+    The mfg-sandbox console script and python -m mfg_sandbox.cli enter here.
+    After a run, main freezes the garbage collector's heap (gc.freeze)
+    before it returns. At exit the interpreter otherwise collects every
+    container still alive, some 23k objects, most of them from numpy's and
+    the package's imports: about 30 ms after a 600-pair 5x5 probe, longer
+    than the probe. Frozen objects are skipped, and the exit takes about 9
+    ms, near a bare interpreter's. main does not call gc.collect() first,
+    which costs more than it saves, nor gc.disable(), os._exit or an atexit
+    hook, so other exit handlers, and code that runs after main returns,
+    are unaffected. A usage error freezes nothing; run_experiment and
+    library callers leave the collector as it is.
+    """
     parser = argparse.ArgumentParser(
         prog="mfg-sandbox",
         description="Learn and verify Boltzmann mean-field equilibria on grid congestion games.",
@@ -383,7 +398,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    return run_experiment(cfg)
+    code = run_experiment(cfg)
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

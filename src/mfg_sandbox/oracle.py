@@ -5,7 +5,8 @@ contrast to the online estimators that only see the sample path. Each of
 the two equilibrium operators has one definition, over a stack of
 mean-fields: gamma1, the Boltzmann-optimality map (mean-field -> softmax of
 the mu-frozen MDP's optimal Q-table, by value iteration), and gamma2, the
-consistency map (policy, mean-field -> pushed-forward mean-field). The
+consistency map (policy, mean-field -> pushed-forward mean-field: the
+state-action flow mu(s) pi(a|s) pushed through the kernel). The
 solver iterates their damped composite, the episode diagnostics score the
 learner against them, and the probe samples their Lipschitz ratios, block
 by block. A stack costs one call of each environment table and, for a
@@ -187,6 +188,22 @@ def gamma1(env: MfgEnvironment, mu, lam: float, rho: float, tol: float = 1e-10, 
     return policy, q, sweeps
 
 
+def _kernels(env: MfgEnvironment, mu) -> np.ndarray:
+    """The (S, A, S) kernel at mu (S), or the kernels of a stack mu (M, S).
+
+    A stack's kernels come from one environment call: an (M, S, A, S) stack,
+    or one (S, A, S) kernel for every pair when the stack axis has stride
+    zero.
+    """
+    kernel = np.asarray(env.transition_kernel(mu))
+    S, A = env.dims.num_states, env.dims.num_actions
+    if kernel.shape != mu.shape[:-1] + (S, A, S):
+        raise ValueError(f"transition kernels must have shape {mu.shape[:-1] + (S, A, S)}")
+    if mu.ndim == 2 and kernel.strides[0] == 0:
+        return kernel[0]  # one kernel for the stack
+    return kernel
+
+
 def induced_kernel(env: MfgEnvironment, pi, mu) -> np.ndarray:
     """State-chain matrix P(s, s') = sum_a pi(a|s) P(s'|s, a, mu).
 
@@ -197,26 +214,27 @@ def induced_kernel(env: MfgEnvironment, pi, mu) -> np.ndarray:
     """
     pi = as_policy_table(pi)
     mu = as_probs(mu)
-    kernel = np.asarray(env.transition_kernel(mu))
-    S, A = env.dims.num_states, env.dims.num_actions
-    if kernel.shape != mu.shape[:-1] + (S, A, S):
-        raise ValueError(f"transition kernels must have shape {mu.shape[:-1] + (S, A, S)}")
-    if mu.ndim == 2 and kernel.strides[0] == 0:
-        kernel = kernel[0]  # one kernel for the stack
-    return np.einsum("...sa,...sat->...st", pi, kernel)
+    return np.einsum("...sa,...sat->...st", pi, _kernels(env, mu))
 
 
 def gamma2(env: MfgEnvironment, pi, mu) -> np.ndarray:
     """Consistency operator: the mean-field after one step of the population.
 
-    Pushes mu through the chain induced by pi at mean-field mu, pair by
-    pair over a leading stack axis as in induced_kernel. Returns a plain
-    array, not a MeanField: the solver and the probe call it in their inner
-    loops.
+    Pushes the state-action flow x(s, a) = mu(s) pi(a|s) through the kernel:
+    mu'(t) = sum_{s,a} x(s, a) P(t|s, a, mu), each sum in index order over
+    (s, a), without building the chain induced_kernel returns. pi and mu may
+    be stacks of pairs, as in induced_kernel: the environment is asked once
+    for the stack's kernels, and a stack axis of stride zero is one kernel
+    for every pair. Returns a plain array, not a MeanField: the solver and
+    the probe call it in their inner loops.
     """
+    pi = as_policy_table(pi)
     mu = as_probs(mu)
-    chain = induced_kernel(env, pi, mu)
-    return np.matmul(np.swapaxes(chain, -1, -2), mu[..., None])[..., 0]
+    kernel = _kernels(env, mu)
+    S, A = env.dims.num_states, env.dims.num_actions
+    flow = mu[..., None] * pi
+    flow = flow.reshape(flow.shape[:-2] + (S * A,))
+    return np.einsum("...k,...kt->...t", flow, kernel.reshape(kernel.shape[:-3] + (S * A, S)))
 
 
 @dataclass(frozen=True)
@@ -357,7 +375,8 @@ def probe_contraction(
     pi_alt: the same random stream as rng.dirichlet calls in that order.
     Ratios whose denominator is below 1e-9 are skipped. Pairs are drawn and
     scored in blocks of PROBE_BLOCK as whole arrays, so memory does not
-    grow with num_pairs.
+    grow with num_pairs; a block's pushes, of its pairs and of their moved
+    and varied variants, are one gamma2 call.
     """
     if num_pairs < 1:
         raise ValueError("num_pairs must be >= 1")
@@ -373,18 +392,21 @@ def probe_contraction(
         mu_alt = _dirichlet_rows(e[:, S : 2 * S])
         pi = _dirichlet_rows(e[:, 2 * S : 2 * S + S * A].reshape(n, S, A))
         pi_alt = _dirichlet_rows(e[:, 2 * S + S * A :].reshape(n, S, A))
-        push = gamma2(env, pi, mu)
         dmu = np.abs(mu - mu_alt).sum(axis=1)
         moved = dmu >= 1e-9
-        if moved.any():
-            m = int(moved.sum())
-            g1 = gamma1(env, np.concatenate([mu[moved], mu_alt[moved]]), lam, rho, vi_tol)[0]
-            d1 = max(d1, float((np.abs(g1[:m] - g1[m:]).sum(axis=2).max(axis=1) / dmu[moved]).max()))
-            push_alt = gamma2(env, pi[moved], mu_alt[moved])
-            d3 = max(d3, float((np.abs(push[moved] - push_alt).sum(axis=1) / dmu[moved]).max()))
+        m = int(moved.sum())
         dpi = np.abs(pi - pi_alt).sum(axis=2).max(axis=1)
         varied = dpi >= 1e-9
+        pushes = gamma2(
+            env,
+            np.concatenate([pi, pi[moved], pi_alt[varied]]),
+            np.concatenate([mu, mu_alt[moved], mu[varied]]),
+        )
+        push, push_moved, push_varied = pushes[:n], pushes[n : n + m], pushes[n + m :]
+        if m:
+            g1 = gamma1(env, np.concatenate([mu[moved], mu_alt[moved]]), lam, rho, vi_tol)[0]
+            d1 = max(d1, float((np.abs(g1[:m] - g1[m:]).sum(axis=2).max(axis=1) / dmu[moved]).max()))
+            d3 = max(d3, float((np.abs(push[moved] - push_moved).sum(axis=1) / dmu[moved]).max()))
         if varied.any():
-            push_alt = gamma2(env, pi_alt[varied], mu[varied])
-            d2 = max(d2, float((np.abs(push[varied] - push_alt).sum(axis=1) / dpi[varied]).max()))
+            d2 = max(d2, float((np.abs(push[varied] - push_varied).sum(axis=1) / dpi[varied]).max()))
     return ContractionEstimate(d1_hat=d1, d2_hat=d2, d3_hat=d3, num_pairs=num_pairs)

@@ -33,7 +33,7 @@ from .core import (
 )
 from .environment import CongestionGridEnv, MfgEnvironment, env_step, sample_from_cdf
 from .estimators import QLearner, TransitionCounter
-from .oracle import BmfePair, gamma1, induced_kernel
+from .oracle import BmfePair, gamma1, gamma2, induced_kernel
 from .schedules import (
     EpsilonNet,
     ScheduleParams,
@@ -158,15 +158,15 @@ def episode_diagnostics(
 
     The temperature, discount and environment come from config, the
     reference mean-field and value-iteration tolerance from its reference
-    pair, which config has checked was solved for the same game. An
-    unscored episode needs no reference: its oracle-backed fields are NaN
-    and only residual_mu is computed.
+    pair, which config has checked was solved for the same game. residual_mu
+    is the L1 gap to gamma2's push; the induced chain is built only for a
+    scored episode's eps_P. An unscored episode needs no reference: its
+    oracle-backed fields are NaN and only residual_mu is computed.
     """
     ref = config.reference
     if scored and ref is None:
         raise ValueError("episode diagnostics require a reference equilibrium")
-    chain = induced_kernel(config.env, pi_first, mu_first)
-    residual_mu = l1_norm(mu_first - chain.T @ mu_first)
+    residual_mu = l1_norm(mu_first - gamma2(config.env, pi_first, mu_first))
     if not scored:
         nan = math.nan
         return EpisodeDiagnostics(
@@ -177,7 +177,7 @@ def episode_diagnostics(
         k=k,
         e_pi=tv_norm(pi_first - best_response),
         e_mu=l1_norm(mu_first - ref.mean_field.probs),
-        eps_P=frobenius_norm(p_hat_end - chain),
+        eps_P=frobenius_norm(p_hat_end - induced_kernel(config.env, pi_first, mu_first)),
         eps_Q=inf_norm(q_end - q_star),
         residual_mu=residual_mu,
         min_policy=min_policy,

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -81,12 +82,13 @@ def test_in_process_child_times_run_sandbox_in_a_checkout(bench_ab):
 
 
 def test_in_process_oracle_child_times_the_probe_and_the_solve(bench_ab):
-    # and value iteration alone, on a stack and on one problem
+    # and value iteration and the push alone, on a stack and on one problem
     times = bench_ab.time_oracle(SCRIPT.parent.parent, pairs=3, repeats=2, vi_repeats=3)
     vi_calls = [f"value_iteration_{bench_ab.VI_STACK}", "value_iteration_1"]
-    assert set(times) == {"probe_contraction", "solve_bmfe", *vi_calls}
+    push_calls = [f"gamma2_{bench_ab.PUSH_STACK}", "gamma2_1"]
+    assert set(times) == {"probe_contraction", "solve_bmfe", *vi_calls, *push_calls}
     assert all(len(times[call]) == 2 for call in ("probe_contraction", "solve_bmfe"))
-    assert all(len(times[call]) == 3 for call in vi_calls)
+    assert all(len(times[call]) == 3 for call in vi_calls + push_calls)
     assert all(x > 0.0 for t in times.values() for x in t)
 
 
@@ -126,3 +128,27 @@ def test_tier1_runs_alternate_and_report_their_spread(bench_ab, monkeypatch):
     assert (out["base"]["wall_s_min"], out["base"]["wall_s_max"]) == (25.0, 40.0)
     assert out["candidate"]["wall_s_median"] == 22.0
     assert (out["candidate"]["wall_s_min"], out["candidate"]["wall_s_max"]) == (20.0, 38.0)
+
+
+def test_exit_after_main_reads_each_configs_last_passing_invocation(bench_ab, tmp_path):
+    def timing(name, first_step, end):
+        stamps = {"main": 100.0, "first_step": first_step, "end": end}
+        (tmp_path / f"{name}.timing.json").write_text(json.dumps({"exit_code": 0, "stamps": stamps}))
+
+    timing("primary0", 100.2, 100.25)
+    timing("companion0", 100.1, 100.4)
+    timing("primary1", 100.3, 100.31)
+    stderr = (
+        "machine: nproc=2 python=3.11.7 workload=probe5 seed=3\n"
+        "primary0 trace=0 wall_s=0.5000 setup_s=0.2000\n"
+        "companion0 trace=0 wall_s=0.9000 setup_s=0.1000\n"
+        "primary0 trace=0 wall_s=0.3000 setup_s=0.2000\n"
+        "primary1 trace=0 wall_s=0.3500 setup_s=0.3000\n"
+        "FAIL primary1: exit code 1 (log: primary1.log)\n"
+    )
+    out = bench_ab.exit_after_main(stderr, tmp_path)
+    # companion0: 0.9 - 0.1 - 0.3; primary0's last line: 0.3 - 0.2 - 0.05;
+    # primary1's last invocation failed, so its timing file is not the pass's
+    assert out == pytest.approx([0.5, 0.05])
+    assert bench_ab.summarize_values(out) == pytest.approx({"median": 0.275, "q1": 0.1625, "q3": 0.3875, "count": 2})
+    assert bench_ab.summarize_values([]) == {"count": 0}

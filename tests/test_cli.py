@@ -1,8 +1,12 @@
 import dataclasses
+import gc
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +26,14 @@ BASE_CONFIG = {
     "seed": 5,
     "output_dir": "out",
 }
+
+
+@pytest.fixture(autouse=True)
+def unfreeze_after_main():
+    # cli.main freezes the collector's heap for the exit; the rest of the
+    # suite runs in this process and must collect as usual
+    yield
+    gc.unfreeze()
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -253,6 +265,7 @@ def test_main_flag_overrides(tmp_path, capsys):
     assert code == cli.EXIT_OK
     doc = snapshots.read_json(out / "contraction.json")
     assert doc["seed"] == 9
+    assert gc.get_freeze_count() > 0  # frozen for the exit after a run
 
 
 def test_main_rejects_bad_config(tmp_path, capsys):
@@ -273,6 +286,25 @@ def test_main_rejects_bad_config(tmp_path, capsys):
 
 def test_main_missing_file(tmp_path, capsys):
     assert cli.main(["--config", str(tmp_path / "none.json"), "--quiet"]) == cli.EXIT_USAGE
+    assert gc.get_freeze_count() == 0  # no run, nothing frozen
+
+
+def test_console_entry_writes_what_run_experiment_writes(tmp_path):
+    # the real entry, whose exit runs on a frozen heap, in a process of its own
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "probe_3x3.json"
+    config = tmp_path / "probe.json"
+    config.write_text(json.dumps({**json.loads(shipped.read_text(encoding="utf-8")), "probe_pairs": 50}))
+    src = Path(mfg_sandbox.__file__).resolve().parent.parent
+    console, in_process = tmp_path / "console", tmp_path / "in_process"
+    subprocess.run(
+        [sys.executable, "-m", "mfg_sandbox.cli", "--config", str(config), "--output-dir", str(console), "--quiet"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        check=True,
+        timeout=120,
+    )
+    cfg = dataclasses.replace(cli.load_config(config), output_dir=str(in_process))
+    assert cli.run_experiment(cfg) == cli.EXIT_OK
+    assert (console / "contraction.json").read_bytes() == (in_process / "contraction.json").read_bytes()
 
 
 def test_non_finite_abort_writes_snapshot_and_exit_code(tmp_path, monkeypatch):

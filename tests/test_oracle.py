@@ -421,6 +421,18 @@ def greedy_fixed_point(env, mu, rho):
         greedy = np.where(better, q.argmax(axis=1), greedy)
 
 
+def reference_push(env, pi, mu):
+    """One pair's push, summed explicitly over (s, a) in index order."""
+    kernel = env.transition_kernel(mu)
+    S, A = pi.shape
+    push = np.zeros(S)
+    for t in range(S):
+        for s in range(S):
+            for a in range(A):
+                push[t] += mu[s] * pi[s, a] * kernel[s, a, t]
+    return push
+
+
 def reference_probe(env, lam, rho, num_pairs, rng, vi_tol=1e-10):
     """Pair-by-pair probe: one row draw per policy row, two cold solves per pair."""
     S, A = env.dims.num_states, env.dims.num_actions
@@ -788,6 +800,13 @@ def test_probe_matches_pair_by_pair_loop(seed, num_pairs):
     assert max(batch_sizes) <= 2 * PROBE_BLOCK
 
 
+def test_probe_pushes_once_per_block():
+    env = make_congestion_env(CongestionGridParams(side=5))
+    with mock.patch.object(oracle, "gamma2", wraps=oracle.gamma2) as push:
+        probe_contraction(env, lam=2.0, rho=0.7, num_pairs=600, rng=np.random.default_rng(3))
+    assert push.call_count == -(-600 // PROBE_BLOCK) == 19
+
+
 def test_probe_single_state_skips_every_mean_field_ratio():
     env = make_congestion_env(CongestionGridParams(side=1))
     est = probe_contraction(env, lam=1.0, rho=0.7, num_pairs=PROBE_BLOCK + 1, rng=np.random.default_rng(0))
@@ -842,7 +861,10 @@ def test_stacked_gamma2_equals_pair_by_pair(env):
     for m in range(PROBE_BLOCK):
         assert np.array_equal(chains[m], induced_kernel(env, pis[m], mus[m]))
         assert np.array_equal(pushes[m], gamma2(env, pis[m], mus[m]))
-        assert np.array_equal(pushes[m], induced_kernel(env, pis[m], mus[m]).T @ mus[m])
+        # the flow push sums in index order over (s, a); the chain's product
+        # sums over a first, then s, so the two agree to rounding only
+        assert np.array_equal(pushes[m], reference_push(env, pis[m], mus[m]))
+        assert np.abs(pushes[m] - induced_kernel(env, pis[m], mus[m]).T @ mus[m]).max() <= 1e-15
 
 
 @pytest.mark.parametrize(
