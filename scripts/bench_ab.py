@@ -131,7 +131,9 @@ for _ in range(int(sys.argv[4])):
         started = time.process_time()
         call()
         times[name].append(time.process_time() - started)
-mus = np.random.default_rng(5).dirichlet(np.ones(env.dims.num_states), size=int(sys.argv[5]))
+# S and A from the kernel's shape, which every tree's environment answers.
+S, A = env.transition_kernel(None).shape[:2]
+mus = np.random.default_rng(5).dirichlet(np.ones(S), size=int(sys.argv[5]))
 for size in (len(mus), 1):
     name = f"value_iteration_{size}"
     times[name] = []
@@ -140,7 +142,6 @@ for size in (len(mus), 1):
         _value_iteration(env, mus[:size], rho, 1e-10)
         times[name].append(time.process_time() - started)
 rng = np.random.default_rng(6)
-S, A = env.dims.num_states, env.dims.num_actions
 mus = rng.dirichlet(np.ones(S), size=int(sys.argv[7]))
 pis = rng.dirichlet(np.ones(A), size=(len(mus), S))
 for name, pi, mu in ((f"gamma2_{len(mus)}", pis, mus), ("gamma2_1", pis[0], mus[0])):

@@ -6,15 +6,7 @@ exact-operator subsystem solves for the reference Boltzmann equilibrium and
 scores the learner against it.
 """
 
-from .core import (
-    MeanField,
-    Policy,
-    StateActionDims,
-    frobenius_norm,
-    inf_norm,
-    l1_norm,
-    tv_norm,
-)
+from .core import frobenius_norm, inf_norm, l1_norm, tv_norm
 from .environment import (
     CongestionGridParams,
     MfgEnvironment,
@@ -55,15 +47,12 @@ __all__ = [
     "ContractionEstimate",
     "EpisodeDiagnostics",
     "EpsilonNet",
-    "MeanField",
     "MfgEnvironment",
     "NonFiniteError",
-    "Policy",
     "QLearner",
     "SandboxConfig",
     "SandboxResult",
     "ScheduleParams",
-    "StateActionDims",
     "TransitionCounter",
     "build_epsilon_net",
     "episode_diagnostics",

@@ -236,7 +236,7 @@ def _solve_reference(cfg: ExperimentConfig, env, out_dir: Path) -> BmfePair:
 def _run_one_seed(cfg: ExperimentConfig, env, reference: BmfePair, seed: int, out_dir: Path):
     net = None
     if cfg.epsilon_net_mesh is not None:
-        net = build_epsilon_net(env.dims.num_states, cfg.epsilon_net_mesh)
+        net = build_epsilon_net(env.num_states, cfg.epsilon_net_mesh)
     run_config = SandboxConfig(
         env=env,
         schedule=cfg.schedule,
@@ -259,8 +259,8 @@ def _run_one_seed(cfg: ExperimentConfig, env, reference: BmfePair, seed: int, ou
         "seed": seed,
         "num_episodes": cfg.K,
         "steps_per_episode": cfg.T,
-        "avg_mean_field": result.avg_mean_field.probs.tolist(),
-        "avg_policy": result.avg_policy.table.tolist(),
+        "avg_mean_field": result.avg_mean_field.tolist(),
+        "avg_policy": result.avg_policy.tolist(),
         "min_policy_entry": result.min_policy_entry,
     }
     snapshots.write_json(out_dir / f"summary_seed{seed}.json", summary)
@@ -307,8 +307,8 @@ def _run_compare_mode(cfg: ExperimentConfig, out_dir: Path) -> int:
     per_seed = [
         {
             "seed": seed,
-            "l1_mean_field": l1_norm(res.avg_mean_field.probs - pair.mean_field.probs),
-            "tv_policy": tv_norm(res.avg_policy.table - pair.policy.table),
+            "l1_mean_field": l1_norm(res.avg_mean_field - pair.mean_field),
+            "tv_policy": tv_norm(res.avg_policy - pair.policy),
         }
         for seed, res in zip(seeds, results)
     ]

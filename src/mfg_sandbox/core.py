@@ -3,15 +3,15 @@
 States and actions are integer indexed. A mean-field is a point on the
 probability simplex over states, a policy is a row-stochastic state-by-action
 table, and a Q-table is a plain state-by-action array of discounted returns,
-bounded by 1/(1 - rho) when rewards lie in [0, 1]. The mean-field and policy
-wrapper dataclasses validate on construction and are immutable; the operational functions below work on plain float64 arrays
-so they can be reused inside hot loops.
+bounded by 1/(1 - rho) when rewards lie in [0, 1]. All three are plain
+float64 arrays, so the functions below can be reused inside hot loops;
+check_simplex guards the mean-field and policy where the package hands
+them out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,82 +26,23 @@ def _finite_array(values, name: str) -> np.ndarray:
     return arr
 
 
-def as_probs(mu) -> np.ndarray:
-    """Unwrap a MeanField (or accept a plain vector) into a float64 array."""
-    if isinstance(mu, MeanField):
-        return mu.probs
-    return np.asarray(mu, dtype=np.float64)
+def check_simplex(mu, pi, where: str) -> None:
+    """Raise RuntimeError unless mu is a distribution over states and each row of pi one over actions.
 
-
-def as_policy_table(pi) -> np.ndarray:
-    """Unwrap a Policy (or accept a plain matrix) into a float64 array."""
-    if isinstance(pi, Policy):
-        return pi.table
-    return np.asarray(pi, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class StateActionDims:
-    """Sizes of the finite state and action spaces."""
-
-    num_states: int
-    num_actions: int
-
-    def __post_init__(self):
-        if self.num_states < 1 or self.num_actions < 1:
-            raise ValueError("num_states and num_actions must both be >= 1")
-
-
-@dataclass(frozen=True)
-class MeanField:
-    """A probability distribution over states (a point on the simplex)."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        arr = _finite_array(self.probs, "mean-field").copy()
-        if arr.ndim != 1:
-            raise ValueError("mean-field must be a one-dimensional vector")
-        if arr.min() < -SIMPLEX_ATOL or arr.max() > 1.0 + SIMPLEX_ATOL:
-            raise ValueError("mean-field entries must lie in [0, 1]")
-        if abs(float(arr.sum()) - 1.0) > SIMPLEX_ATOL:
-            raise ValueError("mean-field entries must sum to 1")
-        arr.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
-
-    @property
-    def num_states(self) -> int:
-        return int(self.probs.shape[0])
-
-    @staticmethod
-    def uniform(num_states: int) -> "MeanField":
-        return MeanField(np.full(num_states, 1.0 / num_states))
-
-
-@dataclass(frozen=True)
-class Policy:
-    """Row-stochastic table; row s is the action distribution in state s."""
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        arr = _finite_array(self.table, "policy").copy()
-        if arr.ndim != 2:
-            raise ValueError("policy must be a states-by-actions matrix")
-        if arr.min() < -SIMPLEX_ATOL or arr.max() > 1.0 + SIMPLEX_ATOL:
-            raise ValueError("policy entries must lie in [0, 1]")
-        if np.abs(arr.sum(axis=1) - 1.0).max() > SIMPLEX_ATOL:
-            raise ValueError("policy rows must each sum to 1")
-        arr.flags.writeable = False
-        object.__setattr__(self, "table", arr)
-
-    @property
-    def num_states(self) -> int:
-        return int(self.table.shape[0])
-
-    @property
-    def num_actions(self) -> int:
-        return int(self.table.shape[1])
+    Every entry must be finite and at least -SIMPLEX_ATOL, and mu and each
+    row of pi must sum to 1 within SIMPLEX_ATOL. Finiteness is tested
+    first: a comparison with NaN is false, so the sum and sign tests alone
+    would let NaN through. where ends the message, e.g. "at episode 3,
+    step 200".
+    """
+    if (
+        not (np.isfinite(mu).all() and np.isfinite(pi).all())
+        or mu.min() < -SIMPLEX_ATOL
+        or abs(float(mu.sum()) - 1.0) > SIMPLEX_ATOL
+        or pi.min() < -SIMPLEX_ATOL
+        or np.abs(pi.sum(axis=1) - 1.0).max() > SIMPLEX_ATOL
+    ):
+        raise RuntimeError(f"simplex invariant violated {where}")
 
 
 def tv_norm(f) -> float:

@@ -3,10 +3,9 @@
 Provides the abstract environment interface, which defines a game by two
 tables at a mean-field mu (the (S, A, S) transition kernel and the (S, A)
 reward table, each with a leading stack axis when mu is an (M, S) stack of
-mean-fields), the congestion grid worlds used in the experiments, and a
-fixed-MDP wrapper for estimator unit tests. Grid coordinates are (x, y)
-with x, y in 1..side; the flat state index is (x - 1) * side + (y - 1)
-(row major).
+mean-fields), and the congestion grid worlds used in the experiments. Grid
+coordinates are (x, y) with x, y in 1..side; the flat state index is
+(x - 1) * side + (y - 1) (row major).
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core import SIMPLEX_ATOL, MeanField, StateActionDims, as_probs
 
 # Diagonal moves; each action shifts both coordinates by +-1 before clamping.
 GRID_ACTIONS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -39,11 +36,12 @@ class MfgEnvironment(abc.ABC):
     np.broadcast_to(table, (M,) + table.shape), whose zero stride on the
     stack axis tells the oracle that one table serves the whole stack.
     Instances are immutable after construction, and both methods are pure
-    and safe to share across concurrent runs.
+    and safe to share across concurrent runs. num_states and num_actions
+    are S and A.
     """
 
-    dims: StateActionDims
-    initial_distribution: MeanField
+    num_states: int
+    num_actions: int
 
     @abc.abstractmethod
     def transition_kernel(self, mu) -> np.ndarray:
@@ -56,7 +54,7 @@ class MfgEnvironment(abc.ABC):
 
 def _broadcast_over_stack(table: np.ndarray, mu) -> np.ndarray:
     """A mu-independent table at mu: itself for one mean-field or None, a zero-stride stack for (M, S)."""
-    if mu is None or as_probs(mu).ndim == 1:
+    if mu is None or np.ndim(mu) == 1:
         return table
     return np.broadcast_to(table, (len(mu),) + table.shape)
 
@@ -159,12 +157,11 @@ class CongestionGridEnv(MfgEnvironment):
     def __init__(self, params: CongestionGridParams, kernel: np.ndarray):
         side = params.side
         self.params = params
-        self.dims = StateActionDims(side * side, len(GRID_ACTIONS))
-        self.initial_distribution = MeanField.uniform(self.dims.num_states)
+        self.num_states, self.num_actions = side * side, len(GRID_ACTIONS)
         kernel = np.ascontiguousarray(kernel)
         kernel.flags.writeable = False
         self._kernel = kernel
-        state_reward = np.full(self.dims.num_states, params.baseline_reward)
+        state_reward = np.full(self.num_states, params.baseline_reward)
         for x, y in params.resolved_favorable_states():
             state_reward[state_index(x, y, side)] = params.favorable_reward
         state_reward.flags.writeable = False
@@ -174,8 +171,8 @@ class CongestionGridEnv(MfgEnvironment):
         return _broadcast_over_stack(self._kernel, mu)
 
     def reward_table(self, mu):
-        scale = 1.0 - self.params.congestion_c * as_probs(mu)
-        return np.repeat((scale * self.state_reward)[..., None], self.dims.num_actions, axis=-1)
+        scale = 1.0 - self.params.congestion_c * np.asarray(mu, dtype=np.float64)
+        return np.repeat((scale * self.state_reward)[..., None], self.num_actions, axis=-1)
 
 
 def make_congestion_env(params: CongestionGridParams) -> CongestionGridEnv:
@@ -212,38 +209,6 @@ def make_two_class_env(params: CongestionGridParams) -> CongestionGridEnv:
     return CongestionGridEnv(params, kernel)
 
 
-class FixedMdpEnv(MfgEnvironment):
-    """Mean-field-independent MDP used as a ground-truth test environment."""
-
-    def __init__(self, kernel: np.ndarray, rewards: np.ndarray):
-        kernel = np.asarray(kernel, dtype=np.float64)
-        rewards = np.asarray(rewards, dtype=np.float64)
-        if kernel.ndim != 3 or kernel.shape[0] != kernel.shape[2]:
-            raise ValueError("kernel must have shape (S, A, S)")
-        if rewards.shape != kernel.shape[:2]:
-            raise ValueError("rewards must have shape (S, A)")
-        if kernel.min() < -SIMPLEX_ATOL:
-            raise ValueError("kernel entries must be nonnegative")
-        if np.abs(kernel.sum(axis=2) - 1.0).max() > SIMPLEX_ATOL:
-            raise ValueError("kernel rows must each sum to 1")
-        if rewards.min() < 0.0 or rewards.max() > 1.0:
-            raise ValueError("rewards must lie in [0, 1]")
-        self.dims = StateActionDims(kernel.shape[0], kernel.shape[1])
-        self.initial_distribution = MeanField.uniform(self.dims.num_states)
-        kernel = kernel.copy()
-        kernel.flags.writeable = False
-        self._kernel = kernel
-        rewards = rewards.copy()
-        rewards.flags.writeable = False
-        self._rewards = rewards
-
-    def transition_kernel(self, mu=None):
-        return _broadcast_over_stack(self._kernel, mu)
-
-    def reward_table(self, mu):
-        return _broadcast_over_stack(self._rewards, mu)
-
-
 def sample_from_cdf(cdf: np.ndarray, u: float) -> int:
     """Inverse-CDF draw: smallest index whose cumulative mass exceeds u."""
     idx = int(np.searchsorted(cdf, u, side="right"))
@@ -257,9 +222,9 @@ def env_step(env: MfgEnvironment, s: int, a: int, mu, rng) -> tuple[int, float]:
     transition_kernel(mu), the reward entry [s, a] of reward_table(mu), both
     at the current mean-field.
     """
-    if not 0 <= s < env.dims.num_states:
-        raise IndexError(f"state {s} out of range for {env.dims.num_states} states")
-    if not 0 <= a < env.dims.num_actions:
-        raise IndexError(f"action {a} out of range for {env.dims.num_actions} actions")
+    if not 0 <= s < env.num_states:
+        raise IndexError(f"state {s} out of range for {env.num_states} states")
+    if not 0 <= a < env.num_actions:
+        raise IndexError(f"action {a} out of range for {env.num_actions} actions")
     next_state = sample_from_cdf(np.cumsum(env.transition_kernel(mu)[s, a]), rng.random())
     return next_state, float(env.reward_table(mu)[s, a])

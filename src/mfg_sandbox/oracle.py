@@ -23,15 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _step_kernel
-from .core import (
-    MeanField,
-    Policy,
-    as_policy_table,
-    as_probs,
-    l1_norm,
-    softmax_table,
-    tv_norm,
-)
+from .core import check_simplex, l1_norm, softmax_table, tv_norm
 from .environment import MfgEnvironment
 
 # Probe pairs drawn and scored together; the block bounds the probe's
@@ -130,8 +122,8 @@ def _value_iteration(
         raise ValueError("rho must lie in (0, 1)")
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
-    S, A = env.dims.num_states, env.dims.num_actions
-    mus = as_probs(mus)
+    S, A = env.num_states, env.num_actions
+    mus = np.asarray(mus, dtype=np.float64)
     M = len(mus)
     if q_start is None:
         q = np.zeros((M, S, A))
@@ -175,14 +167,14 @@ def gamma1(env: MfgEnvironment, mu, lam: float, rho: float, tol: float = 1e-10, 
     warm-starts the iteration, whose stopping rule bounds the error from
     any start.
     """
-    mu = as_probs(mu)
+    mu = np.asarray(mu, dtype=np.float64)
     single = mu.ndim == 1
     if single:
         mu = mu[None]
         if q_start is not None:
             q_start = np.asarray(q_start)[None]
     q, sweeps = _value_iteration(env, mu, rho, tol, q_start=q_start)
-    policy = softmax_table(q.reshape(-1, env.dims.num_actions), lam).reshape(q.shape)
+    policy = softmax_table(q.reshape(-1, env.num_actions), lam).reshape(q.shape)
     if single:
         return policy[0], q[0], sweeps
     return policy, q, sweeps
@@ -196,7 +188,7 @@ def _kernels(env: MfgEnvironment, mu) -> np.ndarray:
     zero.
     """
     kernel = np.asarray(env.transition_kernel(mu))
-    S, A = env.dims.num_states, env.dims.num_actions
+    S, A = env.num_states, env.num_actions
     if kernel.shape != mu.shape[:-1] + (S, A, S):
         raise ValueError(f"transition kernels must have shape {mu.shape[:-1] + (S, A, S)}")
     if mu.ndim == 2 and kernel.strides[0] == 0:
@@ -212,8 +204,8 @@ def induced_kernel(env: MfgEnvironment, pi, mu) -> np.ndarray:
     environment is asked once for the kernel or the stack of kernels; a
     stack axis of stride zero is one kernel for every pair.
     """
-    pi = as_policy_table(pi)
-    mu = as_probs(mu)
+    pi = np.asarray(pi, dtype=np.float64)
+    mu = np.asarray(mu, dtype=np.float64)
     return np.einsum("...sa,...sat->...st", pi, _kernels(env, mu))
 
 
@@ -225,13 +217,12 @@ def gamma2(env: MfgEnvironment, pi, mu) -> np.ndarray:
     (s, a), without building the chain induced_kernel returns. pi and mu may
     be stacks of pairs, as in induced_kernel: the environment is asked once
     for the stack's kernels, and a stack axis of stride zero is one kernel
-    for every pair. Returns a plain array, not a MeanField: the solver and
-    the probe call it in their inner loops.
+    for every pair.
     """
-    pi = as_policy_table(pi)
-    mu = as_probs(mu)
+    pi = np.asarray(pi, dtype=np.float64)
+    mu = np.asarray(mu, dtype=np.float64)
     kernel = _kernels(env, mu)
-    S, A = env.dims.num_states, env.dims.num_actions
+    S, A = env.num_states, env.num_actions
     flow = mu[..., None] * pi
     flow = flow.reshape(flow.shape[:-2] + (S * A,))
     return np.einsum("...k,...kt->...t", flow, kernel.reshape(kernel.shape[:-3] + (S * A, S)))
@@ -241,6 +232,7 @@ def gamma2(env: MfgEnvironment, pi, mu) -> np.ndarray:
 class BmfePair:
     """Softmax-equilibrium pair, its two defining residuals and the inputs it was solved from.
 
+    policy (S, A) and mean_field (S,) are read-only float64 arrays.
     residual_policy is the TV gap between policy and the optimality operator
     applied to mean_field; residual_mu is the L1 gap between mean_field and
     its own push-forward under policy. converged is False when the solver
@@ -251,8 +243,8 @@ class BmfePair:
     the same game; damping is the damping the solve ended with.
     """
 
-    policy: Policy
-    mean_field: MeanField
+    policy: np.ndarray
+    mean_field: np.ndarray
     residual_policy: float
     residual_mu: float
     converged: bool
@@ -287,7 +279,7 @@ def solve_bmfe(
     """
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
-    num_states = env.dims.num_states
+    num_states = env.num_states
     mu = np.full(num_states, 1.0 / num_states)
     pi, q, sweeps = gamma1(env, mu, lam, rho, vi_tol)
     converged = False
@@ -309,9 +301,11 @@ def solve_bmfe(
     residual_mu = l1_norm(gamma2(env, pi, mu) - mu)
     pi_check, _, n = gamma1(env, mu, lam, rho, vi_tol)
     residual_policy = tv_norm(pi - pi_check)
+    check_simplex(mu, pi, "in the solved equilibrium")
+    mu.flags.writeable = pi.flags.writeable = False
     return BmfePair(
-        policy=Policy(pi),
-        mean_field=MeanField(mu),
+        policy=pi,
+        mean_field=mu,
         residual_policy=residual_policy,
         residual_mu=residual_mu,
         converged=converged,
@@ -383,7 +377,7 @@ def probe_contraction(
     # checked here too: a draw that moves no mean-field never reaches gamma1
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
-    S, A = env.dims.num_states, env.dims.num_actions
+    S, A = env.num_states, env.num_actions
     d1 = d2 = d3 = 0.0
     for start in range(0, num_pairs, PROBE_BLOCK):
         n = min(PROBE_BLOCK, num_pairs - start)

@@ -23,8 +23,7 @@ import numpy as np
 
 from .core import (
     SIMPLEX_ATOL,
-    MeanField,
-    Policy,
+    check_simplex,
     frobenius_norm,
     inf_norm,
     l1_norm,
@@ -106,10 +105,10 @@ class EpisodeDiagnostics:
 
 @dataclass
 class SandboxResult:
-    """Outputs of one learning run."""
+    """Outputs of one learning run; avg_policy and avg_mean_field are read-only arrays."""
 
-    avg_policy: Policy
-    avg_mean_field: MeanField
+    avg_policy: np.ndarray
+    avg_mean_field: np.ndarray
     per_episode: list[EpisodeDiagnostics]
     mu_first_steps: np.ndarray
     pi_first_steps: np.ndarray
@@ -176,7 +175,7 @@ def episode_diagnostics(
     return EpisodeDiagnostics(
         k=k,
         e_pi=tv_norm(pi_first - best_response),
-        e_mu=l1_norm(mu_first - ref.mean_field.probs),
+        e_mu=l1_norm(mu_first - ref.mean_field),
         eps_P=frobenius_norm(p_hat_end - induced_kernel(config.env, pi_first, mu_first)),
         eps_Q=inf_norm(q_end - q_star),
         residual_mu=residual_mu,
@@ -184,22 +183,12 @@ def episode_diagnostics(
     )
 
 
-def _validate_state(mu, pi, k, t):
-    if (
-        mu.min() < -SIMPLEX_ATOL
-        or abs(float(mu.sum()) - 1.0) > SIMPLEX_ATOL
-        or pi.min() < -SIMPLEX_ATOL
-        or np.abs(pi.sum(axis=1) - 1.0).max() > SIMPLEX_ATOL
-    ):
-        raise RuntimeError(f"simplex invariant violated at episode {k}, step {t}")
-
-
 class _Run:
     """Everything one learning run mutates; either step loop advances it."""
 
     def __init__(self, config: SandboxConfig):
         env, sched = config.env, config.schedule
-        num_states, num_actions = env.dims.num_states, env.dims.num_actions
+        num_states, num_actions = env.num_states, env.num_actions
         K, T = config.num_episodes, config.steps_per_episode
         self.config = config
         self.rng = np.random.default_rng(config.seed)
@@ -207,7 +196,7 @@ class _Run:
         self.pi = np.full((num_states, num_actions), 1.0 / num_actions)
         self.counter = TransitionCounter(num_states)
         self.learner = QLearner(num_states, num_actions, config.rho, sched.c_beta, sched.nu)
-        self.state = sample_from_cdf(np.cumsum(env.initial_distribution.probs), self.rng.random())
+        self.state = sample_from_cdf(np.cumsum(np.full(num_states, 1.0 / num_states)), self.rng.random())
         self.mu_first = np.empty((K, num_states))
         self.pi_first = np.empty((K, num_states, num_actions))
         self._inv_tz = np.arange(1, T + 1, dtype=np.float64) ** (-sched.zeta)
@@ -248,7 +237,7 @@ class _Run:
         if not (math.isfinite(self.mu.sum()) and math.isfinite(self.pi.sum())):
             raise self.non_finite(k, t, rng.bit_generator.state)
         if t % VALIDATE_EVERY == 0:
-            _validate_state(self.mu, self.pi, k, t)
+            check_simplex(self.mu, self.pi, f"at episode {k}, step {t}")
         if first:
             self.mu_first[k - 1], self.pi_first[k - 1] = self.mu, self.pi
             min_policy = math.inf
@@ -307,7 +296,7 @@ class _KernelLoop:
             raise ValueError(f"VALIDATE_EVERY must be >= 1, got {VALIDATE_EVERY}")
         config, env = run.config, run.config.env
         sched, learner = config.schedule, run.learner
-        S, A, T = env.dims.num_states, env.dims.num_actions, config.steps_per_episode
+        S, A, T = env.num_states, env.num_actions, config.steps_per_episode
         self.run, self._step = run, lib.learner_step
         self._u = np.empty(2 * (T - 1))
         self._soft = np.empty((S, A))
@@ -425,9 +414,11 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
 
     avg_mu = run.mu_first[: K - 1].mean(axis=0)
     avg_pi = run.pi_first[: K - 1].mean(axis=0)
+    check_simplex(avg_mu, avg_pi, "in the averaged first-step pair")
+    avg_mu.flags.writeable = avg_pi.flags.writeable = False
     return SandboxResult(
-        avg_policy=Policy(avg_pi),
-        avg_mean_field=MeanField(avg_mu),
+        avg_policy=avg_pi,
+        avg_mean_field=avg_mu,
         per_episode=diagnostics,
         mu_first_steps=run.mu_first,
         pi_first_steps=run.pi_first,

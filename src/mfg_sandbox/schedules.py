@@ -16,8 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import as_probs
-
 
 @dataclass(frozen=True)
 class ScheduleParams:
@@ -132,7 +130,7 @@ def project_to_net(net: EpsilonNet, mu) -> np.ndarray:
     unit, which makes the result the lexicographically smallest of the
     minimisers. Idempotent: lattice points map to themselves.
     """
-    scaled = [Fraction(float(x)) * net.resolution for x in as_probs(mu)]
+    scaled = [Fraction(float(x)) * net.resolution for x in np.asarray(mu, dtype=np.float64)]
     counts = [math.floor(x) for x in scaled]
     leftover = net.resolution - sum(counts)
     if not 0 <= leftover <= len(counts):

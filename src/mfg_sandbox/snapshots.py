@@ -57,8 +57,8 @@ def equilibrium_snapshot(pair) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "equilibrium",
-        "mean_field": pair.mean_field.probs.tolist(),
-        "policy": pair.policy.table.tolist(),
+        "mean_field": pair.mean_field.tolist(),
+        "policy": pair.policy.tolist(),
         "residual_policy": float(pair.residual_policy),
         "residual_mu": float(pair.residual_mu),
         "converged": bool(pair.converged),

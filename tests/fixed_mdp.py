@@ -1,0 +1,37 @@
+"""FixedMdpEnv: a mean-field-independent MDP, the ground-truth environment of the tests."""
+
+import numpy as np
+
+from mfg_sandbox.core import SIMPLEX_ATOL
+from mfg_sandbox.environment import MfgEnvironment, _broadcast_over_stack
+
+
+class FixedMdpEnv(MfgEnvironment):
+    """Mean-field-independent MDP used as a ground-truth test environment."""
+
+    def __init__(self, kernel: np.ndarray, rewards: np.ndarray):
+        kernel = np.asarray(kernel, dtype=np.float64)
+        rewards = np.asarray(rewards, dtype=np.float64)
+        if kernel.ndim != 3 or kernel.shape[0] != kernel.shape[2]:
+            raise ValueError("kernel must have shape (S, A, S)")
+        if rewards.shape != kernel.shape[:2]:
+            raise ValueError("rewards must have shape (S, A)")
+        if kernel.min() < -SIMPLEX_ATOL:
+            raise ValueError("kernel entries must be nonnegative")
+        if np.abs(kernel.sum(axis=2) - 1.0).max() > SIMPLEX_ATOL:
+            raise ValueError("kernel rows must each sum to 1")
+        if rewards.min() < 0.0 or rewards.max() > 1.0:
+            raise ValueError("rewards must lie in [0, 1]")
+        self.num_states, self.num_actions = kernel.shape[:2]
+        kernel = kernel.copy()
+        kernel.flags.writeable = False
+        self._kernel = kernel
+        rewards = rewards.copy()
+        rewards.flags.writeable = False
+        self._rewards = rewards
+
+    def transition_kernel(self, mu=None):
+        return _broadcast_over_stack(self._kernel, mu)
+
+    def reward_table(self, mu):
+        return _broadcast_over_stack(self._rewards, mu)

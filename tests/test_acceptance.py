@@ -13,11 +13,12 @@ import pytest
 
 from mfg_sandbox import cli
 from mfg_sandbox.core import frobenius_norm, inf_norm, l1_norm, softmax_table, tv_norm
-from mfg_sandbox.environment import CongestionGridParams, FixedMdpEnv, make_congestion_env
+from mfg_sandbox.environment import CongestionGridParams, make_congestion_env
 from mfg_sandbox.estimators import QLearner, TransitionCounter
 from mfg_sandbox.oracle import gamma1, induced_kernel, solve_bmfe
 from mfg_sandbox.sandbox import SandboxConfig, run_sandbox, update_mean_field, update_policy
 from mfg_sandbox.schedules import ScheduleParams, build_epsilon_net, exploration_floor
+from fixed_mdp import FixedMdpEnv
 
 RHO = 0.7
 
@@ -225,7 +226,7 @@ def test_criterion_05_exploration_floor():
     env = _desk_env()
     schedule = ScheduleParams(**GRID_SCHEDULE, psi=0.2)
     num_episodes, steps = 100, 10_000
-    floor = exploration_floor(schedule, env.dims.num_actions, num_episodes, steps)
+    floor = exploration_floor(schedule, env.num_actions, num_episodes, steps)
     result = run_sandbox(
         SandboxConfig(
             env=env,
@@ -254,14 +255,14 @@ def test_criterion_06_oracle_self_consistency():
         np.random.default_rng(13).uniform(0.0, 1.0, size=(5, 2)),
     )
     fixed = solve_bmfe(env, lam=1.0, rho=RHO, tol=1e-9)
-    policy, _, _ = gamma1(env, fixed.mean_field.probs, 1.0, RHO)
-    chain = induced_kernel(env, policy, fixed.mean_field.probs)
+    policy, _, _ = gamma1(env, fixed.mean_field, 1.0, RHO)
+    chain = induced_kernel(env, policy, fixed.mean_field)
     a = chain.T - np.eye(5)
     a[-1] = 1.0
     b = np.zeros(5)
     b[-1] = 1.0
     stationary = np.linalg.solve(a, b)
-    gap = l1_norm(fixed.mean_field.probs - stationary)
+    gap = l1_norm(fixed.mean_field - stationary)
     _report(
         6,
         "oracle self-consistency",
@@ -287,8 +288,8 @@ def test_criterion_07_desk_scale_convergence():
                 seed=seed,
             )
         )
-        mu_gaps.append(l1_norm(result.avg_mean_field.probs - pair.mean_field.probs))
-        pi_gaps.append(tv_norm(result.avg_policy.table - pair.policy.table))
+        mu_gaps.append(l1_norm(result.avg_mean_field - pair.mean_field))
+        pi_gaps.append(tv_norm(result.avg_policy - pair.policy))
     mu_med = float(np.median(mu_gaps))
     pi_med = float(np.median(pi_gaps))
     _report(

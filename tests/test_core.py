@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mfg_sandbox.core import (
-    MeanField,
-    Policy,
-    StateActionDims,
+    check_simplex,
     frobenius_norm,
     inf_norm,
     l1_norm,
@@ -18,37 +16,34 @@ from mfg_sandbox.core import (
 )
 
 
-def test_dims_validation():
-    StateActionDims(1, 1)
-    with pytest.raises(ValueError):
-        StateActionDims(0, 2)
-    with pytest.raises(ValueError):
-        StateActionDims(3, 0)
+MU_OK = np.array([0.25, 0.75])
+PI_OK = np.array([[0.5, 0.5], [1.0, 0.0]])
 
 
-def test_mean_field_validation():
-    mf = MeanField(np.array([0.25, 0.75]))
-    assert mf.num_states == 2
-    with pytest.raises(ValueError):
-        MeanField(np.array([0.5, 0.6]))
-    with pytest.raises(ValueError):
-        MeanField(np.array([-0.1, 1.1]))
-    with pytest.raises(ValueError):
-        MeanField(np.array([np.nan, 1.0]))
+def test_check_simplex_accepts_distributions():
+    check_simplex(MU_OK, PI_OK, "in a test")
+    check_simplex(np.array([1.0]), np.array([[1.0]]), "in a test")
 
 
-def test_mean_field_is_immutable():
-    mf = MeanField.uniform(3)
-    with pytest.raises(ValueError):
-        mf.probs[0] = 0.9
+@pytest.mark.parametrize(
+    "mu",
+    [[np.nan, 1.0], [np.inf, 1.0], [-0.1, 1.1], [0.5, 0.6]],
+    ids=["nan", "inf", "negative", "off-sum"],
+)
+def test_check_simplex_rejects_bad_mean_field(mu):
+    # NaN passes every sign and sum comparison, so only the finiteness test catches it
+    with pytest.raises(RuntimeError, match="simplex invariant violated in a test"):
+        check_simplex(np.array(mu), PI_OK, "in a test")
 
 
-def test_policy_validation():
-    Policy(np.array([[0.5, 0.5], [1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        Policy(np.array([[0.5, 0.6], [1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        Policy(np.array([0.5, 0.5]))
+@pytest.mark.parametrize(
+    "row",
+    [[np.nan, 1.0], [np.inf, 0.0], [-0.1, 1.1], [0.5, 0.6]],
+    ids=["nan", "inf", "negative", "off-sum"],
+)
+def test_check_simplex_rejects_bad_policy_row(row):
+    with pytest.raises(RuntimeError, match="simplex invariant violated in a test"):
+        check_simplex(MU_OK, np.array([[1.0, 0.0], row]), "in a test")
 
 
 def test_tv_norm_examples():
@@ -120,8 +115,9 @@ def test_softmax_rejects_non_finite():
 
 
 def test_softmax_policy_returns_valid_policy():
-    pol = Policy(softmax_table(np.array([[0.0, 2.0], [3.0, 1.0]]), 5.0))
-    assert pol.table[0, 1] > pol.table[0, 0] and pol.table[1, 0] > pol.table[1, 1]
+    pol = softmax_table(np.array([[0.0, 2.0], [3.0, 1.0]]), 5.0)
+    check_simplex(np.array([0.5, 0.5]), pol, "in a test")
+    assert pol[0, 1] > pol[0, 0] and pol[1, 0] > pol[1, 1]
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from mfg_sandbox.core import MeanField
 from mfg_sandbox.environment import (
     TWO_CLASS_OPEN_STATES,
     CongestionGridParams,
-    FixedMdpEnv,
     MfgEnvironment,
     env_step,
     make_congestion_env,
@@ -13,6 +11,7 @@ from mfg_sandbox.environment import (
     state_coords,
     state_index,
 )
+from fixed_mdp import FixedMdpEnv
 
 
 def uniform_mu(n):
@@ -72,13 +71,13 @@ def test_kernel_rows_are_stochastic_and_rewards_bounded():
         make_congestion_env(CongestionGridParams(side=5, jostle_p=0.3)),
         make_two_class_env(CongestionGridParams(side=5)),
     ):
-        kernel = env.transition_kernel(uniform_mu(env.dims.num_states))
+        kernel = env.transition_kernel(uniform_mu(env.num_states))
         assert np.abs(kernel.sum(axis=2) - 1.0).max() < 1e-9
         assert kernel.min() >= 0.0
         rng = np.random.default_rng(0)
         for _ in range(20):
-            rewards = env.reward_table(rng.dirichlet(np.ones(env.dims.num_states)))
-            assert rewards.shape == (env.dims.num_states, env.dims.num_actions)
+            rewards = env.reward_table(rng.dirichlet(np.ones(env.num_states)))
+            assert rewards.shape == (env.num_states, env.num_actions)
             assert 0.0 <= rewards.min() and rewards.max() <= 1.0
 
 
@@ -218,7 +217,7 @@ def test_one_state_one_action_env():
     rng = np.random.default_rng(0)
     nxt, r = env_step(env, 0, 0, np.array([1.0]), rng)
     assert nxt == 0 and r == 0.4
-    assert isinstance(env.initial_distribution, MeanField)
+    assert (env.num_states, env.num_actions) == (1, 1)
 
 
 def test_an_environment_is_its_two_tables():
@@ -238,7 +237,7 @@ def test_an_environment_is_its_two_tables():
 )
 @pytest.mark.parametrize("M", [1, 4])
 def test_a_stack_of_mean_fields_gets_a_stack_of_tables(env, M):
-    S, A = env.dims.num_states, env.dims.num_actions
+    S, A = env.num_states, env.num_actions
     mus = np.random.default_rng(M).dirichlet(np.ones(S), size=M)
     kernels, rewards = env.transition_kernel(mus), env.reward_table(mus)
     assert kernels.shape == (M, S, A, S) and rewards.shape == (M, S, A)

@@ -13,10 +13,9 @@ except ImportError:  # numpy < 2
     from numpy.core._multiarray_umath import __cpu_features__
 
 from mfg_sandbox import _step_kernel, oracle
-from mfg_sandbox.core import MeanField, StateActionDims, inf_norm, l1_norm, softmax_table, tv_norm
+from mfg_sandbox.core import inf_norm, l1_norm, softmax_table, tv_norm
 from mfg_sandbox.environment import (
     CongestionGridParams,
-    FixedMdpEnv,
     MfgEnvironment,
     make_congestion_env,
     make_two_class_env,
@@ -31,6 +30,7 @@ from mfg_sandbox.oracle import (
     probe_contraction,
     solve_bmfe,
 )
+from fixed_mdp import FixedMdpEnv
 
 
 def _random_env(seed, num_states=5, num_actions=2, concentration=2.0):
@@ -191,7 +191,7 @@ def test_solve_bmfe_single_state():
     env = FixedMdpEnv(np.ones((1, 1, 1)), np.array([[0.5]]))
     pair = solve_bmfe(env, lam=1.0, rho=0.7)
     assert pair.converged and pair.iterations == 1
-    assert np.allclose(pair.mean_field.probs, [1.0])
+    assert np.allclose(pair.mean_field, [1.0])
 
 
 def test_solve_bmfe_matches_stationary_distribution():
@@ -200,9 +200,9 @@ def test_solve_bmfe_matches_stationary_distribution():
     assert pair.converged
     # mu-independent env: the equilibrium policy is constant, so mu* is the
     # stationary distribution of its chain
-    pol, _, _ = gamma1(env, pair.mean_field.probs, 1.0, 0.7)
-    expected = _stationary_distribution(induced_kernel(env, pol, pair.mean_field.probs))
-    assert l1_norm(pair.mean_field.probs - expected) <= 1e-7
+    pol, _, _ = gamma1(env, pair.mean_field, 1.0, 0.7)
+    expected = _stationary_distribution(induced_kernel(env, pol, pair.mean_field))
+    assert l1_norm(pair.mean_field - expected) <= 1e-7
 
 
 def test_solve_bmfe_congestion_fixed_point_contract():
@@ -213,8 +213,8 @@ def test_solve_bmfe_congestion_fixed_point_contract():
     assert pair.residual_policy <= tol
     assert pair.residual_mu <= tol
     # reapplying the composite map moves mu* by at most 2 * tol
-    moved = gamma2(env, gamma1(env, pair.mean_field.probs, 1.0, 0.7)[0], pair.mean_field.probs)
-    assert l1_norm(moved - pair.mean_field.probs) <= 2 * tol
+    moved = gamma2(env, gamma1(env, pair.mean_field, 1.0, 0.7)[0], pair.mean_field)
+    assert l1_norm(moved - pair.mean_field) <= 2 * tol
 
 
 def test_solve_bmfe_flags_non_convergence():
@@ -251,7 +251,7 @@ def test_damping_back_off_converges_where_half_stalls():
     assert (pair.iterations, pair.damping) == (41, 0.25)
     mu_ref, iterations, _, damping = reference_solve_bmfe(env, lam=10.0, rho=0.9, max_iter=100)
     assert (iterations, damping) == (41, 0.25)
-    assert l1_norm(pair.mean_field.probs - mu_ref) <= 1e-10
+    assert l1_norm(pair.mean_field - mu_ref) <= 1e-10
 
 
 def test_probe_zero_temperature_has_constant_gamma1():
@@ -285,7 +285,7 @@ def test_probe_ratios_stay_below_the_kernel_suprema(env):
     # a signed measure of mass |pi(s) - pi'(s)|_1 / 2 on each side), and
     # d3 <= max_{s!=s',a,a'} 1/2 |P(s,a) - P(s',a')|_1 (Dobrushin's
     # coefficient of a chain whose rows mix the kernel's rows).
-    S, A = env.dims.num_states, env.dims.num_actions
+    S, A = env.num_states, env.num_actions
     P = env.transition_kernel(np.full(S, 1.0 / S))
     gaps = 0.5 * np.abs(P[:, :, None, None, :] - P[None, None, :, :, :]).sum(axis=-1)  # (s, a, s', a')
     same_state = np.eye(S, dtype=bool)[:, None, :, None]
@@ -327,7 +327,7 @@ def test_the_3x3_equilibrium_is_reached_from_every_start(lam):
     starts = list(np.eye(9)) + list(np.random.default_rng(18).dirichlet(np.ones(9), size=5))
     for start in starts:
         mu = _damped_solve(env, start, lam, 0.7, tol)
-        assert l1_norm(mu - reference.mean_field.probs) <= 10 * tol
+        assert l1_norm(mu - reference.mean_field) <= 10 * tol
 
 
 def test_contraction_estimate_validation():
@@ -358,8 +358,7 @@ class MuDependentEnv(MfgEnvironment):
 
     def __init__(self, seed, num_states=4, num_actions=3):
         rng = np.random.default_rng(seed)
-        self.dims = StateActionDims(num_states, num_actions)
-        self.initial_distribution = MeanField.uniform(num_states)
+        self.num_states, self.num_actions = num_states, num_actions
         self._base = rng.dirichlet(np.ones(num_states), size=(num_states, num_actions))
         self._rewards = rng.uniform(0.0, 1.0, size=(num_states, num_actions))
 
@@ -435,7 +434,7 @@ def reference_push(env, pi, mu):
 
 def reference_probe(env, lam, rho, num_pairs, rng, vi_tol=1e-10):
     """Pair-by-pair probe: one row draw per policy row, two cold solves per pair."""
-    S, A = env.dims.num_states, env.dims.num_actions
+    S, A = env.num_states, env.num_actions
     pairs = []
     for _ in range(num_pairs):
         mu = rng.dirichlet(np.ones(S))
@@ -469,7 +468,7 @@ def reference_solve_bmfe(env, lam, rho, tol=1e-8, max_iter=10_000):
     lists the mean-fields whose best response the iteration took. The
     damping starts at 1/2 and halves whenever the undamped residual rises.
     """
-    mu = np.full(env.dims.num_states, 1.0 / env.dims.num_states)
+    mu = np.full(env.num_states, 1.0 / env.num_states)
     visited = []
 
     def best_response(mu):
@@ -544,7 +543,7 @@ def compiled_value_iteration(kernel, rewards, q, scratch):
 )
 def test_batched_value_iteration_matches_per_mu_loop(kind, side, num_problems, rho, tol, warm, seed):
     env = _oracle_env(kind, side, seed)
-    S, A = env.dims.num_states, env.dims.num_actions
+    S, A = env.num_states, env.num_actions
     rng = np.random.default_rng(seed)
     mus = rng.dirichlet(np.ones(S), size=num_problems)
     q_start = rng.uniform(0.0, 1.0 / (1.0 - rho), size=(num_problems, S, A)) if warm else None
@@ -600,7 +599,7 @@ def test_lockstep_stacks_equal_one_problem_calls(env, rho):
     # compiled copy of the sweep is checked against one-problem calls.
     if _step_kernel.load() is None:
         pytest.skip("the compiled extension could not be built here")
-    S, A = env.dims.num_states, env.dims.num_actions
+    S, A = env.num_states, env.num_actions
     rng = np.random.default_rng(31)
     for M in (1, 2, 3, 4, 5, 7, 8, 9, 19, 33):
         mus = rng.dirichlet(np.ones(S), size=M)
@@ -647,7 +646,7 @@ def test_idle_lanes_hold_zeros():
     if _step_kernel.load() is None:
         pytest.skip("the compiled extension could not be built here")
     env = make_congestion_env(CongestionGridParams(side=5))
-    S, A = env.dims.num_states, env.dims.num_actions
+    S, A = env.num_states, env.num_actions
     lane = 2 * S * A + S  # lane scratch doubles per lane
     mus = np.random.default_rng(38).dirichlet(np.ones(S), size=9)
     widths = []
@@ -696,7 +695,7 @@ def test_compiled_sweep_is_an_in_order_sum(kind):
     # of rho * P(s, a, j) * v(j) runs in index order, as cumsum's does, and
     # a state's rows read the values the states before it wrote this sweep.
     env = _oracle_env(kind, 4, 5)
-    mus = np.random.default_rng(6).dirichlet(np.ones(env.dims.num_states), size=3)
+    mus = np.random.default_rng(6).dirichlet(np.ones(env.num_states), size=3)
     q_ref, sweeps_ref = reference_value_iteration(env, mus, 0.7, 1e-10)
     for path in value_iteration_paths():
         with path:
@@ -710,7 +709,7 @@ def test_in_place_sweeps_stop_within_tol_of_the_fixed_point(kind):
     # The stopping rule's guarantee, from cold and from random warm starts,
     # checked against q* computed without value iteration.
     env = _oracle_env(kind, 3, 9)
-    S, A = env.dims.num_states, env.dims.num_actions
+    S, A = env.num_states, env.num_actions
     rng = np.random.default_rng(10)
     mu = rng.dirichlet(np.ones(S))
     mus = np.stack([mu, mu])
@@ -749,7 +748,7 @@ def test_in_place_sweeps_beat_jacobi_sweeps_on_5x5():
 @pytest.mark.parametrize("kind", ["congestion", "mu_dependent"])
 def test_value_iteration_past_max_iter_raises(kind):
     env = _oracle_env(kind, 3, 4)
-    mus = np.random.default_rng(3).dirichlet(np.ones(env.dims.num_states), size=3)
+    mus = np.random.default_rng(3).dirichlet(np.ones(env.num_states), size=3)
     needed = reference_value_iteration(env, mus, 0.7, 1e-10)[1].max()
     for path in value_iteration_paths():
         with path:
@@ -851,7 +850,7 @@ def test_block_draws_are_the_dirichlet_stream(S, A, n):
     ids=["grid3", "grid5", "two_class", "mu_dependent"],
 )
 def test_stacked_gamma2_equals_pair_by_pair(env):
-    S, A = env.dims.num_states, env.dims.num_actions
+    S, A = env.num_states, env.num_actions
     rng = np.random.default_rng(12)
     mus = rng.dirichlet(np.ones(S), size=PROBE_BLOCK)
     pis = rng.dirichlet(np.ones(A), size=(PROBE_BLOCK, S))
@@ -878,7 +877,7 @@ def test_stacked_gamma2_equals_pair_by_pair(env):
     ids=["grid3", "grid5", "two_class", "mu_dependent"],
 )
 def test_stacked_gamma1_equals_per_mu_calls(env):
-    S, A = env.dims.num_states, env.dims.num_actions
+    S, A = env.num_states, env.num_actions
     mus = np.random.default_rng(13).dirichlet(np.ones(S), size=5)
     policies, qs, sweeps = gamma1(env, mus, 2.0, 0.8)
     assert policies.shape == qs.shape == (5, S, A)
@@ -896,7 +895,7 @@ def test_stacked_gamma1_equals_per_mu_calls(env):
 @pytest.mark.parametrize("kind", ["congestion", "two_class", "fixed", "mu_dependent"])
 def test_gamma1_compiled_and_fallback_agree(kind):
     env = _oracle_env(kind, 3, 7)
-    mus = np.random.default_rng(8).dirichlet(np.ones(env.dims.num_states), size=4)
+    mus = np.random.default_rng(8).dirichlet(np.ones(env.num_states), size=4)
     results = []
     for path in value_iteration_paths():
         with path:
@@ -937,7 +936,7 @@ def test_a_discount_outside_the_unit_interval_is_rejected_before_any_sweep(rho):
     # never reaches gamma1's check and must make its own.
     for side in (5, 1):
         env = make_congestion_env(CongestionGridParams(side=side))
-        S = env.dims.num_states
+        S = env.num_states
         with (
             mock.patch.object(oracle, "_sweeps_numpy", side_effect=AssertionError),
             mock.patch.object(oracle, "_sweeps_compiled", side_effect=AssertionError),
@@ -966,7 +965,7 @@ def test_warm_started_solve_matches_cold_loop(env):
     mu_ref, iterations, _, damping = reference_solve_bmfe(env, lam=1.0, rho=0.7)
     assert pair.converged
     assert (pair.iterations, pair.damping) == (iterations, damping)
-    assert l1_norm(pair.mean_field.probs - mu_ref) <= 1e-10
+    assert l1_norm(pair.mean_field - mu_ref) <= 1e-10
 
 
 def test_warm_start_halves_the_sweeps_on_5x5():

@@ -18,7 +18,6 @@ from mfg_sandbox.core import l1_norm, tv_norm
 from mfg_sandbox.environment import (
     CongestionGridEnv,
     CongestionGridParams,
-    FixedMdpEnv,
     MfgEnvironment,
     env_step,
     make_congestion_env,
@@ -42,6 +41,7 @@ from mfg_sandbox.schedules import (
     exploration_floor,
 )
 from mfg_sandbox import _step_kernel, sandbox, snapshots
+from fixed_mdp import FixedMdpEnv
 from test_schedules import step_size_mu, step_size_pi
 
 
@@ -125,9 +125,9 @@ def test_run_single_state_environment():
     )
     result = run_sandbox(config)
     assert np.allclose(result.mu_first_steps, 1.0)
-    assert np.allclose(result.avg_mean_field.probs, [1.0])
+    assert np.allclose(result.avg_mean_field, [1.0])
     # the policy should have drifted toward the better action's softmax weight
-    assert result.avg_policy.table[0, 0] > 0.5
+    assert result.avg_policy[0, 0] > 0.5
 
 
 def test_run_is_deterministic():
@@ -135,12 +135,21 @@ def test_run_is_deterministic():
     config = small_config(env)
     r1 = run_sandbox(config)
     r2 = run_sandbox(config)
-    assert np.array_equal(r1.avg_mean_field.probs, r2.avg_mean_field.probs)
-    assert np.array_equal(r1.avg_policy.table, r2.avg_policy.table)
+    assert np.array_equal(r1.avg_mean_field, r2.avg_mean_field)
+    assert np.array_equal(r1.avg_policy, r2.avg_policy)
     assert np.array_equal(r1.mu_first_steps, r2.mu_first_steps)
     assert r1.min_policy_entry == r2.min_policy_entry
     for a, b in zip(r1.per_episode, r2.per_episode):
         assert a == b
+
+
+def test_result_arrays_are_read_only():
+    env = small_env(side=3)
+    pair = solve_bmfe(env, lam=1.0, rho=0.7)
+    result = run_sandbox(small_config(env))
+    for array in (pair.mean_field, pair.policy, result.avg_mean_field, result.avg_policy):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
 
 
 class PlainGridEnv(MfgEnvironment):
@@ -148,8 +157,7 @@ class PlainGridEnv(MfgEnvironment):
 
     def __init__(self, inner):
         self.inner = inner
-        self.dims = inner.dims
-        self.initial_distribution = inner.initial_distribution
+        self.num_states, self.num_actions = inner.num_states, inner.num_actions
 
     def transition_kernel(self, mu):
         return self.inner.transition_kernel(mu)
@@ -187,7 +195,7 @@ class FlatRewardGridEnv(CongestionGridEnv):
     """A congestion grid whose one override is a constant reward table."""
 
     def reward_table(self, mu):
-        return np.full(np.shape(mu)[:-1] + (self.dims.num_states, self.dims.num_actions), 0.5)
+        return np.full(np.shape(mu)[:-1] + (self.num_states, self.num_actions), 0.5)
 
 
 def test_the_learner_and_the_oracle_play_one_game():
@@ -201,7 +209,7 @@ def test_the_learner_and_the_oracle_play_one_game():
     rewards = [call.args[3] for call in update.call_args_list]
     assert len(rewards) == K * T and set(rewards) == {0.5}
     # a constant reward r makes every optimal Q-value r / (1 - rho)
-    mu = np.random.default_rng(0).dirichlet(np.ones(env.dims.num_states))
+    mu = np.random.default_rng(0).dirichlet(np.ones(env.num_states))
     _, q_star, _ = gamma1(env, mu, 1.0, 0.7, tol=1e-12)
     np.testing.assert_allclose(q_star, 0.5 / (1.0 - 0.7), rtol=0.0, atol=1e-11)
 
@@ -210,8 +218,8 @@ def test_averaging_matches_first_step_snapshots():
     env = small_env(side=3)
     K = 5
     result = run_sandbox(small_config(env, num_episodes=K))
-    assert np.allclose(result.avg_mean_field.probs, result.mu_first_steps[: K - 1].mean(axis=0))
-    assert np.allclose(result.avg_policy.table, result.pi_first_steps[: K - 1].mean(axis=0))
+    assert np.allclose(result.avg_mean_field, result.mu_first_steps[: K - 1].mean(axis=0))
+    assert np.allclose(result.avg_policy, result.pi_first_steps[: K - 1].mean(axis=0))
     # every stored snapshot is a valid distribution pair
     assert np.abs(result.mu_first_steps.sum(axis=1) - 1.0).max() < 1e-9
     assert np.abs(result.pi_first_steps.sum(axis=2) - 1.0).max() < 1e-9
@@ -228,7 +236,7 @@ def test_exploration_floor_holds_on_small_run():
     sched = ScheduleParams()
     K, T = 8, 200
     result = run_sandbox(small_config(env, schedule=sched, num_episodes=K, steps_per_episode=T))
-    floor = exploration_floor(sched, env.dims.num_actions, K, T)
+    floor = exploration_floor(sched, env.num_actions, K, T)
     assert result.min_policy_entry >= floor - 1e-12
     for d in result.per_episode:
         assert d.min_policy >= floor - 1e-12
@@ -257,14 +265,14 @@ def reference_first_steps(config):
     one for the action and one for the transition at every step.
     """
     env, sched = config.env, config.schedule
-    S, A = env.dims.num_states, env.dims.num_actions
+    S, A = env.num_states, env.num_actions
     K, T = config.num_episodes, config.steps_per_episode
     rng = np.random.default_rng(config.seed)
     mu = np.full(S, 1.0 / S)
     pi = np.full((S, A), 1.0 / A)
     counter = TransitionCounter(S)
     learner = QLearner(S, A, config.rho, sched.c_beta, sched.nu)
-    state = sample_from_cdf(np.cumsum(env.initial_distribution.probs), rng.random())
+    state = sample_from_cdf(np.cumsum(np.full(S, 1.0 / S)), rng.random())
     mu_first, pi_first = np.empty((K, S)), np.empty((K, S, A))
     for k in range(1, K + 1):
         for t in range(1, T + 1):
@@ -313,8 +321,7 @@ def test_run_loop_matches_reference_updates(make_env, overrides):
 class NanRewardEnv(MfgEnvironment):
     def __init__(self, inner, bad_after):
         self.inner = inner
-        self.dims = inner.dims
-        self.initial_distribution = inner.initial_distribution
+        self.num_states, self.num_actions = inner.num_states, inner.num_actions
         self.bad_after = bad_after
         self.count = 0
 
@@ -324,7 +331,7 @@ class NanRewardEnv(MfgEnvironment):
     def reward_table(self, mu):
         self.count += 1
         if self.count > self.bad_after:
-            return np.full(np.shape(mu)[:-1] + (self.dims.num_states, self.dims.num_actions), math.nan)
+            return np.full(np.shape(mu)[:-1] + (self.num_states, self.num_actions), math.nan)
         return self.inner.reward_table(mu)
 
 
@@ -340,7 +347,7 @@ class NanRewardEnv(MfgEnvironment):
 )
 def test_test_environments_give_stacked_tables(make_env):
     env = make_env()
-    mus = np.random.default_rng(3).dirichlet(np.ones(env.dims.num_states), size=3)
+    mus = np.random.default_rng(3).dirichlet(np.ones(env.num_states), size=3)
     kernels, rewards = env.transition_kernel(mus), env.reward_table(mus)
     assert kernels.shape == (3, 9, 4, 9) and rewards.shape == (3, 9, 4)
     for m, mu in enumerate(mus):
@@ -388,8 +395,8 @@ def test_snapshot_file_round_trip(tmp_path):
 def test_episode_diagnostics_zero_cases():
     env = small_env(side=2)
     pair = solve_bmfe(env, lam=1.0, rho=0.7, tol=1e-9)
-    mu_star = pair.mean_field.probs
-    pi_star = pair.policy.table
+    mu_star = pair.mean_field
+    pi_star = pair.policy
     chain = induced_kernel(env, pi_star, mu_star)
     _, q_star, _ = gamma1(env, mu_star, 1.0, 0.7, pair.vi_tol)
     config = small_config(env, reference=pair)
@@ -435,8 +442,8 @@ def test_diagnostics_score_at_the_run_temperature():
         at_default = tv_norm(pi1 - gamma1(env, mu1, 1.0, 0.7)[0])
         assert diag.e_pi == pytest.approx(at_run, abs=1e-12)
         assert abs(at_run - at_default) > 1e-3
-        assert diag.e_mu == pytest.approx(l1_norm(mu1 - pair.mean_field.probs), abs=1e-12)
-    assert l1_norm(pair.mean_field.probs - pair_at_1.mean_field.probs) > 1e-3
+        assert diag.e_mu == pytest.approx(l1_norm(mu1 - pair.mean_field), abs=1e-12)
+    assert l1_norm(pair.mean_field - pair_at_1.mean_field) > 1e-3
 
 
 def test_diagnostics_during_run_decrease_on_average():
@@ -550,7 +557,7 @@ _TIED_PROJECTION = dict(
 @example(env=make_congestion_env(CongestionGridParams(side=5)), **_TIED_PROJECTION)
 @example(env=make_two_class_env(CongestionGridParams(side=5)), **_TIED_PROJECTION)
 def test_kernel_matches_reference_loop(step_kernel, env, schedule, K, T, rho, seed, mesh):
-    net = None if mesh is None else build_epsilon_net(env.dims.num_states, mesh)
+    net = None if mesh is None else build_epsilon_net(env.num_states, mesh)
     config = SandboxConfig(
         env=env, schedule=schedule, num_episodes=K, steps_per_episode=T, rho=rho, seed=seed, net=net
     )
