@@ -18,22 +18,20 @@ timed run, and then its tier-1 tests (``python -m pytest -q
 wall time of one run spreads too widely on a shared host to compare.
 
 A second, in-process section times the step loop and the oracle without
-the CLI's process start, imports and I/O, which on this kind of host
-spread more than a 10% change. On the 5x5 grid of
-``configs/full_grid_5x5.json`` it times ``run_sandbox`` cut to K = 4,
-T = 10k, scored against a reference solved once per process, and in a
-second process ``probe_contraction`` over ``IN_PROCESS_PROBE_PAIRS`` pairs
-(seed 4), ``solve_bmfe`` and value iteration alone: one cold call on a
-stack of ``VI_STACK`` mean-fields and one on a single mean-field, each at
-the lane width the checkout picks for it. Each call is timed with
-``time.process_time()``, the CPU time of the process, so time the process
-spends descheduled on a shared host does not count. Each of
-``IN_PROCESS_ROUNDS`` rounds starts these processes for each side, the side
-that goes first alternating, and each process reports the minimum of
-``IN_PROCESS_REPEATS`` timed calls of each call it times
-(``VI_REPEATS`` for the value-iteration calls). The oracle process also
-times ``gamma2`` alone, ``VI_REPEATS`` times each, on a seeded stack of
-``PUSH_STACK`` pairs, the size of a probe block's push, and on one pair.
+the CLI's process start, imports and I/O. It loads both trees into this one
+interpreter as two package names (``load_tree``), so a swing in the host's
+speed lands on both sides alike, and builds from each tree's own ``cli`` on
+``configs/full_grid_5x5.json`` the same seven calls (``tree_calls``):
+``run_sandbox`` cut to K = 4, T = 10k with a reference, ``probe_contraction``
+over ``IN_PROCESS_PROBE_PAIRS`` pairs, ``solve_bmfe``, and value iteration
+and ``gamma2`` alone, each on a stack and on one problem. Each call runs once
+untimed. In each of ``IN_PROCESS_ROUNDS`` rounds the side that goes first
+alternates, and the sides take turns call by call, ``IN_PROCESS_REPEATS``
+times (``VI_REPEATS`` for value iteration and ``gamma2``); each side keeps
+its minimum ``time.process_time()``, CPU time, so time spent descheduled
+does not count, and the round's ratio is base over candidate. Import time,
+exit time and RSS need processes of their own; they come from the perfbench
+pairs (``setup_s``, ``exit_after_main_s``, ``peak_rss_mb``).
 
 Writes ``BENCH_<number>.json`` at the repository root: per workload and
 end-to-end metric (names and directions from the candidate's
@@ -45,30 +43,38 @@ quartiles of the time from a child's ``end`` stamp, taken when
 ``cli.main`` returned, to its exit, one value per config from its last
 invocation in each run (``wall_s - setup_s - (end - first_step)``, from
 run.py's stderr lines and the timing files it leaves in
-``.perfbench_work``, read only); the in-process rounds with each round's
-speedup (base time over candidate time); each side's tier-1 runs, with their counts and wall
-times and the median and range of the wall times (measured numbers, not a
-gate), and the machine facts.
+``.perfbench_work``, read only); per in-process call, every round's
+ratio and each side's minimum, and the ratios' median and quartiles; each
+side's tier-1 runs, with their counts, wall times and user+sys CPU times
+and the median and range of each (measured numbers, not a gate), and the
+machine facts.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import importlib.util
 import json
+import math
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+import types
+from collections.abc import Callable
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
-IN_PROCESS_ROUNDS = 5
+IN_PROCESS_ROUNDS = 11
 IN_PROCESS_REPEATS = 7
 IN_PROCESS_K, IN_PROCESS_T = 4, 10_000
 IN_PROCESS_PROBE_PAIRS = 600
@@ -79,79 +85,6 @@ TIER1_RUNS = 3
 # run.py's stderr line for each passing invocation, and for each failing one
 INVOCATION_LINE = re.compile(r"(\S+) trace=0 wall_s=([\d.]+) setup_s=([\d.]+)$")
 FAIL_LINE = re.compile(r"FAIL (\S+): ")
-
-# Run with ``python -c`` in a checkout; argv: src dir, config, K, T, repeats.
-# Prints the CPU time of each run_sandbox call as one JSON line.
-IN_PROCESS_CHILD = """
-import json, sys, time
-sys.path.insert(0, sys.argv[1])
-from mfg_sandbox import cli
-from mfg_sandbox.oracle import solve_bmfe
-from mfg_sandbox.sandbox import SandboxConfig, run_sandbox
-
-cfg = cli.load_config(sys.argv[2])
-env = cli.build_environment(cfg)
-config = SandboxConfig(
-    env=env,
-    schedule=cfg.schedule,
-    num_episodes=int(sys.argv[3]),
-    steps_per_episode=int(sys.argv[4]),
-    rho=cfg.rho,
-    seed=cfg.seed,
-    reference=solve_bmfe(env, lam=cfg.schedule.lam, rho=cfg.rho),
-)
-times = []
-for _ in range(int(sys.argv[5])):
-    started = time.process_time()
-    run_sandbox(config)
-    times.append(time.process_time() - started)
-print(json.dumps(times))
-"""
-
-# Run with ``python -c`` in a checkout; argv: src dir, config, probe pairs,
-# repeats, value-iteration stack, value-iteration and push repeats, push
-# stack. Prints the CPU times of each oracle call as one JSON object.
-IN_PROCESS_ORACLE_CHILD = """
-import json, sys, time
-sys.path.insert(0, sys.argv[1])
-import numpy as np
-from mfg_sandbox import cli
-from mfg_sandbox.oracle import _value_iteration, gamma2, probe_contraction, solve_bmfe
-
-cfg = cli.load_config(sys.argv[2])
-env = cli.build_environment(cfg)
-lam, rho, pairs = cfg.schedule.lam, cfg.rho, int(sys.argv[3])
-calls = {
-    "probe_contraction": lambda: probe_contraction(env, lam, rho, pairs, np.random.default_rng(4)),
-    "solve_bmfe": lambda: solve_bmfe(env, lam=lam, rho=rho),
-}
-times = {name: [] for name in calls}
-for _ in range(int(sys.argv[4])):
-    for name, call in calls.items():
-        started = time.process_time()
-        call()
-        times[name].append(time.process_time() - started)
-# S and A from the kernel's shape, which every tree's environment answers.
-S, A = env.transition_kernel(None).shape[:2]
-mus = np.random.default_rng(5).dirichlet(np.ones(S), size=int(sys.argv[5]))
-for size in (len(mus), 1):
-    name = f"value_iteration_{size}"
-    times[name] = []
-    for _ in range(int(sys.argv[6])):
-        started = time.process_time()
-        _value_iteration(env, mus[:size], rho, 1e-10)
-        times[name].append(time.process_time() - started)
-rng = np.random.default_rng(6)
-mus = rng.dirichlet(np.ones(S), size=int(sys.argv[7]))
-pis = rng.dirichlet(np.ones(A), size=(len(mus), S))
-for name, pi, mu in ((f"gamma2_{len(mus)}", pis, mus), ("gamma2_1", pis[0], mus[0])):
-    times[name] = []
-    for _ in range(int(sys.argv[6])):
-        started = time.process_time()
-        gamma2(env, pi, mu)
-        times[name].append(time.process_time() - started)
-print(json.dumps(times))
-"""
 
 
 def export(ref: str, dest: Path) -> str:
@@ -205,107 +138,101 @@ def exit_after_main(stderr: str, workdir: Path) -> list[float]:
     return out
 
 
-def time_run_sandbox(checkout: Path, K: int, T: int, repeats: int) -> list[float]:
-    """CPU times of repeated run_sandbox calls in one process on checkout's code."""
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            IN_PROCESS_CHILD,
-            str(checkout / "src"),
-            str(checkout / "configs" / "full_grid_5x5.json"),
-            str(K),
-            str(T),
-            str(repeats),
-        ],
-        cwd=checkout,
-        capture_output=True,
-        text=True,
+def load_tree(name: str, src: Path) -> types.ModuleType:
+    """Import the package in src/mfg_sandbox under the name name.
+
+    The package is registered in sys.modules before it runs, so its relative
+    imports resolve to its own submodules (name.cli, name.oracle, ...) and
+    leave sys.modules["mfg_sandbox"] as it is.
+    """
+    package_dir = src / "mfg_sandbox"
+    spec = importlib.util.spec_from_file_location(
+        name, package_dir / "__init__.py", submodule_search_locations=[str(package_dir)]
     )
-    if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: in-process timing failed (exit {proc.returncode}):\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
 
 
-def time_oracle(checkout: Path, pairs: int, repeats: int, vi_repeats: int = VI_REPEATS) -> dict[str, list[float]]:
-    """CPU times of repeated oracle calls in one process on checkout's code, by call name."""
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            IN_PROCESS_ORACLE_CHILD,
-            str(checkout / "src"),
-            str(checkout / "configs" / "full_grid_5x5.json"),
-            str(pairs),
-            str(repeats),
-            str(VI_STACK),
-            str(vi_repeats),
-            str(PUSH_STACK),
-        ],
-        cwd=checkout,
-        capture_output=True,
-        text=True,
+def tree_calls(name: str, checkout: Path) -> dict[str, Callable[[], object]]:
+    """The in-process calls, by name, on checkout's code loaded as the package name."""
+    load_tree(name, checkout / "src")
+    cli = importlib.import_module(f"{name}.cli")
+    oracle = importlib.import_module(f"{name}.oracle")
+    sandbox = importlib.import_module(f"{name}.sandbox")
+    cfg = cli.load_config(checkout / "configs" / "full_grid_5x5.json")
+    env = cli.build_environment(cfg)
+    lam, rho = cfg.schedule.lam, cfg.rho
+    config = sandbox.SandboxConfig(
+        env=env,
+        schedule=cfg.schedule,
+        num_episodes=IN_PROCESS_K,
+        steps_per_episode=IN_PROCESS_T,
+        rho=rho,
+        seed=cfg.seed,
+        reference=oracle.solve_bmfe(env, lam=lam, rho=rho),
     )
-    if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: oracle timing failed (exit {proc.returncode}):\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def summarize_rounds(rounds: list[dict]) -> dict:
-    """Speedup of each in-process round, base minimum over candidate minimum."""
-    speedups = [r["base_min_s"] / r["candidate_min_s"] for r in rounds]
+    S, A = env.num_states, env.num_actions
+    vi_mus = np.random.default_rng(5).dirichlet(np.ones(S), size=VI_STACK)
+    rng = np.random.default_rng(6)
+    mus = rng.dirichlet(np.ones(S), size=PUSH_STACK)
+    pis = rng.dirichlet(np.ones(A), size=(PUSH_STACK, S))
     return {
-        "rounds": rounds,
-        "speedups": speedups,
-        "min_speedup": min(speedups),
-        "median_speedup": statistics.median(speedups),
+        "run_sandbox": lambda: sandbox.run_sandbox(config),
+        "probe_contraction": lambda: oracle.probe_contraction(
+            env, lam, rho, IN_PROCESS_PROBE_PAIRS, np.random.default_rng(4)
+        ),
+        "solve_bmfe": lambda: oracle.solve_bmfe(env, lam=lam, rho=rho),
+        f"value_iteration_{VI_STACK}": lambda: oracle._value_iteration(env, vi_mus, rho, 1e-10),
+        "value_iteration_1": lambda: oracle._value_iteration(env, vi_mus[:1], rho, 1e-10),
+        f"gamma2_{PUSH_STACK}": lambda: oracle.gamma2(env, pis, mus),
+        "gamma2_1": lambda: oracle.gamma2(env, pis[0], mus[0]),
     }
 
 
-def measure_in_process(sides: dict) -> dict:
-    """Alternating in-process rounds of run_sandbox and the oracle calls, minimum of the repeats per process."""
-    rounds = []
+def measure_in_process(calls: dict[str, dict[str, Callable[[], object]]]) -> dict:
+    """Rounds of the sides' calls ("base" and "candidate" to their tree_calls), interleaved call by call.
+
+    Per call: each round's CPU-time minimum of each side, and its ratio, base over candidate.
+    """
+    for side_calls in calls.values():
+        for call in side_calls.values():
+            call()  # untimed, so lazy set-up such as the step-kernel load falls into no round
+    rounds = {name: [] for name in calls["candidate"]}
     for i in range(IN_PROCESS_ROUNDS):
         order = ["base", "candidate"] if i % 2 == 0 else ["candidate", "base"]
-        sandbox, oracle = {}, {}
-        for side in order:
-            sandbox[side] = time_run_sandbox(sides[side], IN_PROCESS_K, IN_PROCESS_T, IN_PROCESS_REPEATS)
-            oracle[side] = time_oracle(sides[side], IN_PROCESS_PROBE_PAIRS, IN_PROCESS_REPEATS)
-        rounds.append(
-            {
-                "first_side": order[0],
-                **{f"{side}_min_s": min(t) for side, t in sandbox.items()},
-                **{
-                    call: {
-                        "base_min_s": min(oracle["base"][call]),
-                        "candidate_min_s": min(oracle["candidate"][call]),
-                    }
-                    for call in oracle["candidate"]
-                },
-            }
-        )
-        print(f"in-process round {i + 1}/{IN_PROCESS_ROUNDS}: {rounds[-1]}", file=sys.stderr, flush=True)
-    return {
+        for name, call_rounds in rounds.items():
+            best = dict.fromkeys(order, math.inf)
+            for _ in range(VI_REPEATS if name.startswith(("value_iteration", "gamma2")) else IN_PROCESS_REPEATS):
+                for side in order:
+                    call = calls[side][name]
+                    started = time.process_time()
+                    call()
+                    best[side] = min(best[side], time.process_time() - started)
+            call_rounds.append({"first_side": order[0], **{f"{side}_min_s": best[side] for side in order}})
+        print(f"in-process round {i + 1}/{IN_PROCESS_ROUNDS} done", file=sys.stderr, flush=True)
+    out = {
         "protocol": {
-            "call": f"run_sandbox on configs/full_grid_5x5.json at K={IN_PROCESS_K}, T={IN_PROCESS_T}, with a reference",
-            "oracle_calls": f"probe_contraction ({IN_PROCESS_PROBE_PAIRS} pairs, seed 4), solve_bmfe and cold "
-            f"_value_iteration calls on {VI_STACK} and on 1 mean-field (value_iteration_{VI_STACK}, "
-            f"value_iteration_1) and gamma2 on a seeded stack of {PUSH_STACK} pairs and on 1 pair "
-            f"(gamma2_{PUSH_STACK}, gamma2_1) on the same grid, in a process of their own",
-            "repeats_per_process": IN_PROCESS_REPEATS,
-            "value_iteration_and_gamma2_repeats_per_process": VI_REPEATS,
+            "process": "one interpreter, the base export and the working tree loaded as two package names",
+            "calls": f"run_sandbox at K={IN_PROCESS_K}, T={IN_PROCESS_T} with a reference, probe_contraction "
+            f"({IN_PROCESS_PROBE_PAIRS} pairs, seed 4), solve_bmfe, cold _value_iteration on {VI_STACK} and on 1 "
+            f"mean-field, gamma2 on {PUSH_STACK} pairs and on 1, on configs/full_grid_5x5.json; each untimed once",
+            "repeats": f"{IN_PROCESS_REPEATS} per side and round, {VI_REPEATS} for value_iteration_* and gamma2_*",
             "clock": "time.process_time, the CPU time of the process",
-            "order": "alternating, base first in even rounds",
-            "speedup": "base minimum over candidate minimum, per round",
-        },
-        "steps_per_call": IN_PROCESS_K * IN_PROCESS_T,
-        **summarize_rounds(rounds),
-        **{
-            call: {k: v for k, v in summarize_rounds([r[call] for r in rounds]).items() if k != "rounds"}
-            for call in rounds[0]
-            if call not in ("first_side", "base_min_s", "candidate_min_s")
+            "order": "the sides take turns call by call, base first in even rounds",
+            "ratio": "base minimum over candidate minimum, per round",
         },
     }
+    for name, call_rounds in rounds.items():
+        ratios = [r["base_min_s"] / r["candidate_min_s"] for r in call_rounds]
+        out[name] = {
+            "rounds": call_rounds,
+            "ratios": ratios,
+            "ratio": summarize_values(ratios),
+            **{f"{side}_min_s": min(r[f"{side}_min_s"] for r in call_rounds) for side in ("base", "candidate")},
+        }
+    return out
 
 
 def parse_pytest_summary(output: str) -> dict:
@@ -320,8 +247,9 @@ def parse_pytest_summary(output: str) -> dict:
 
 
 def run_tier1(checkout: Path) -> dict:
-    """One tier-1 test run in checkout: outcome counts, exit code and wall time."""
+    """One tier-1 test run in checkout: outcome counts, exit code, wall time and user+sys CPU time."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     started = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
@@ -331,11 +259,13 @@ def run_tier1(checkout: Path) -> dict:
         text=True,
     )
     wall_s = time.perf_counter() - started
-    return {**parse_pytest_summary(proc.stdout), "exit_code": proc.returncode, "wall_s": wall_s}
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu_s = after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime
+    return {**parse_pytest_summary(proc.stdout), "exit_code": proc.returncode, "wall_s": wall_s, "cpu_s": cpu_s}
 
 
 def measure_tier1(sides: dict) -> dict:
-    """TIER1_RUNS tier-1 runs per side, the side that goes first alternating; each side's runs and wall-time spread."""
+    """TIER1_RUNS tier-1 runs per side, the side that goes first alternating; each side's runs and their spread."""
     runs = {side: [] for side in sides}
     for i in range(TIER1_RUNS):
         order = list(sides) if i % 2 == 0 else list(sides)[::-1]
@@ -344,13 +274,12 @@ def measure_tier1(sides: dict) -> dict:
             runs[side].append(run_tier1(sides[side]))
     out = {}
     for side, side_runs in runs.items():
-        walls = [r["wall_s"] for r in side_runs]
-        out[side] = {
-            "runs": side_runs,
-            "wall_s_median": statistics.median(walls),
-            "wall_s_min": min(walls),
-            "wall_s_max": max(walls),
-        }
+        out[side] = {"runs": side_runs}
+        for key in ("wall_s", "cpu_s"):
+            values = [r[key] for r in side_runs]
+            out[side].update(
+                {f"{key}_median": statistics.median(values), f"{key}_min": min(values), f"{key}_max": max(values)}
+            )
     return out
 
 
@@ -407,12 +336,7 @@ def machine_facts() -> dict:
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
-    try:
-        import numpy
-
-        facts["numpy"] = numpy.__version__
-    except ImportError:
-        pass
+    facts["numpy"] = np.__version__
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
             if line.startswith("model name"):
@@ -449,7 +373,7 @@ def main(argv=None) -> int:
             print(f"warm-up {name}", file=sys.stderr, flush=True)
             run_bench(checkout, workloads[0], args.seed, 0)
         tier1 = measure_tier1(sides)
-        in_process = measure_in_process(sides)
+        in_process = measure_in_process({side: tree_calls(f"mfg_ab_{side}", path) for side, path in sides.items()})
         report = {}
         for workload in workloads:
             pairs, runs = [], {"base": [], "candidate": []}
@@ -492,7 +416,8 @@ def main(argv=None) -> int:
             "pairs": PAIRS,
             "order": "alternating, base first in even pairs",
             "wins": "pairs where the candidate is better by the metric's direction; ties count for neither",
-            "tier1": f"{TIER1_RUNS} runs per side, alternating, base first in the first run",
+            "tier1": f"{TIER1_RUNS} runs per side, alternating, base first in the first run; cpu_s is the "
+            "user+sys CPU of the run's processes (getrusage RUSAGE_CHILDREN)",
             "exit_after_main_s": "per side, over every config's last passing invocation in every pair: "
             "wall_s - setup_s - (end - first_step), the time from the child's end stamp, after cli.main "
             "returned, to the exit run.py waits for",

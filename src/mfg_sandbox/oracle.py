@@ -131,15 +131,13 @@ def _value_iteration(
         q = np.array(q_start, dtype=np.float64, order="C")
     if M == 0:
         return q, 0
-    kernels = np.asarray(env.transition_kernel(mus), dtype=np.float64)
+    kernels = _kernels(env, mus)
     rewards = np.ascontiguousarray(env.reward_table(mus), dtype=np.float64)
     # the compiled loop reads these sizes through raw pointers
     if q.shape != (M, S, A) or rewards.shape != q.shape:
         raise ValueError(f"q_start and the reward tables must have shape {(M, S, A)}")
-    if kernels.shape != (M, S, A, S):
-        raise ValueError(f"transition kernels must have shape {(M, S, A, S)}")
-    if kernels.strides[0] == 0:
-        stacks = [(kernels[0], slice(None))]
+    if kernels.ndim == 3:
+        stacks = [(kernels, slice(None))]
     else:
         stacks = [(kernels[m], slice(m, m + 1)) for m in range(M)]
     compiled = _step_kernel.load()
@@ -187,7 +185,7 @@ def _kernels(env: MfgEnvironment, mu) -> np.ndarray:
     or one (S, A, S) kernel for every pair when the stack axis has stride
     zero.
     """
-    kernel = np.asarray(env.transition_kernel(mu))
+    kernel = np.asarray(env.transition_kernel(mu), dtype=np.float64)
     S, A = env.num_states, env.num_actions
     if kernel.shape != mu.shape[:-1] + (S, A, S):
         raise ValueError(f"transition kernels must have shape {mu.shape[:-1] + (S, A, S)}")
@@ -360,7 +358,6 @@ def probe_contraction(
     rho: float,
     num_pairs: int,
     rng,
-    vi_tol: float = 1e-10,
 ) -> ContractionEstimate:
     """Sample Lipschitz ratios of the two operators over random pairs.
 
@@ -398,7 +395,7 @@ def probe_contraction(
         )
         push, push_moved, push_varied = pushes[:n], pushes[n : n + m], pushes[n + m :]
         if m:
-            g1 = gamma1(env, np.concatenate([mu[moved], mu_alt[moved]]), lam, rho, vi_tol)[0]
+            g1 = gamma1(env, np.concatenate([mu[moved], mu_alt[moved]]), lam, rho)[0]
             d1 = max(d1, float((np.abs(g1[:m] - g1[m:]).sum(axis=2).max(axis=1) / dmu[moved]).max()))
             d3 = max(d3, float((np.abs(push[moved] - push_moved).sum(axis=1) / dmu[moved]).max()))
         if varied.any():

@@ -1,10 +1,16 @@
+import dataclasses
 import importlib.util
+import itertools
 import json
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_ab.py"
+REPO = Path(__file__).resolve().parent.parent
+SCRIPT = REPO / "scripts" / "bench_ab.py"
 
 
 @pytest.fixture(scope="module")
@@ -13,6 +19,15 @@ def bench_ab():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def tree_names():
+    # two package names for load_tree, and their modules out of sys.modules afterwards
+    names = ["ab_tree_one", "ab_tree_two"]
+    yield names
+    for key in [key for key in sys.modules if key.split(".")[0] in names]:
+        del sys.modules[key]
 
 
 def _run(**values):
@@ -63,61 +78,138 @@ def test_parse_pytest_summary_reads_the_final_line(bench_ab, output, expected):
     assert bench_ab.parse_pytest_summary(output) == expected
 
 
-def test_summarize_rounds_reports_base_over_candidate(bench_ab):
-    rounds = [
-        {"first_side": "base", "base_min_s": 0.09, "candidate_min_s": 0.06},
-        {"first_side": "candidate", "base_min_s": 0.08, "candidate_min_s": 0.05},
-        {"first_side": "base", "base_min_s": 0.06, "candidate_min_s": 0.06},
-    ]
-    out = bench_ab.summarize_rounds(rounds)
-    assert out["rounds"] == rounds
-    assert out["speedups"] == pytest.approx([1.5, 1.6, 1.0])
-    assert out["min_speedup"] == pytest.approx(1.0)
-    assert out["median_speedup"] == pytest.approx(1.5)
+def _write_tree(root: Path, value: int) -> Path:
+    # a package laid out like mfg_sandbox, its submodules reached by relative imports
+    package = root / "src" / "mfg_sandbox"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("from .constants import VALUE\n")
+    (package / "constants.py").write_text(f"VALUE = {value}\n")
+    (package / "reader.py").write_text("from .constants import VALUE\n\n\ndef read():\n    return VALUE\n")
+    return root / "src"
 
 
-def test_in_process_child_times_run_sandbox_in_a_checkout(bench_ab):
-    times = bench_ab.time_run_sandbox(SCRIPT.parent.parent, K=2, T=20, repeats=3)
-    assert len(times) == 3 and all(t > 0.0 for t in times)
+def test_load_tree_keeps_two_trees_apart(bench_ab, tree_names, tmp_path):
+    installed = importlib.import_module("mfg_sandbox")
+    one = bench_ab.load_tree(tree_names[0], _write_tree(tmp_path / "one", 1))
+    two = bench_ab.load_tree(tree_names[1], _write_tree(tmp_path / "two", 2))
+    assert (one.VALUE, two.VALUE) == (1, 2)
+    # a submodule the package did not import resolves inside its own tree
+    assert importlib.import_module(f"{tree_names[0]}.reader").read() == 1
+    assert importlib.import_module(f"{tree_names[1]}.reader").read() == 2
+    assert sys.modules[f"{tree_names[1]}.constants"].VALUE == 2
+    assert sys.modules["mfg_sandbox"] is installed
 
 
-def test_in_process_oracle_child_times_the_probe_and_the_solve(bench_ab):
-    # and value iteration and the push alone, on a stack and on one problem
-    times = bench_ab.time_oracle(SCRIPT.parent.parent, pairs=3, repeats=2, vi_repeats=3)
-    vi_calls = [f"value_iteration_{bench_ab.VI_STACK}", "value_iteration_1"]
-    push_calls = [f"gamma2_{bench_ab.PUSH_STACK}", "gamma2_1"]
-    assert set(times) == {"probe_contraction", "solve_bmfe", *vi_calls, *push_calls}
-    assert all(len(times[call]) == 2 for call in ("probe_contraction", "solve_bmfe"))
-    assert all(len(times[call]) == 3 for call in vi_calls + push_calls)
-    assert all(x > 0.0 for t in times.values() for x in t)
+def test_the_repo_tree_loaded_twice_runs_run_sandbox_alike(bench_ab, tree_names):
+    results = []
+    for name in tree_names:
+        bench_ab.load_tree(name, REPO / "src")
+        cli = importlib.import_module(f"{name}.cli")
+        oracle = importlib.import_module(f"{name}.oracle")
+        sandbox = importlib.import_module(f"{name}.sandbox")
+        cfg = cli.load_config(REPO / "configs" / "full_grid_5x5.json")
+        env = cli.build_environment(cfg)
+        reference = oracle.solve_bmfe(env, lam=cfg.schedule.lam, rho=cfg.rho)
+        config = sandbox.SandboxConfig(
+            env=env, schedule=cfg.schedule, num_episodes=2, steps_per_episode=20, rho=cfg.rho, reference=reference
+        )
+        results.append(sandbox.run_sandbox(config))
+    one, two = results
+    # each tree has its own classes, so == between them is False; compare fields
+    assert type(one) is not type(two)
+    for field in dataclasses.fields(one):
+        a, b = getattr(one, field.name), getattr(two, field.name)
+        if field.name == "per_episode":
+            assert [dataclasses.astuple(d) for d in a] == [dataclasses.astuple(d) for d in b]
+        else:
+            assert np.array_equal(a, b)
+
+
+def test_tree_calls_build_the_seven_calls(bench_ab, tree_names):
+    calls = bench_ab.tree_calls(tree_names[0], REPO)
+    assert set(calls) == {
+        "run_sandbox",
+        "probe_contraction",
+        "solve_bmfe",
+        f"value_iteration_{bench_ab.VI_STACK}",
+        "value_iteration_1",
+        f"gamma2_{bench_ab.PUSH_STACK}",
+        "gamma2_1",
+    }
+    q, _ = calls["value_iteration_1"]()
+    assert q.shape == (1, 25, 4)
+    assert calls[f"gamma2_{bench_ab.PUSH_STACK}"]().shape == (bench_ab.PUSH_STACK, 25)
+
+
+def _fake_calls(costs: dict, clock: list, log: list) -> dict:
+    # each call advances the fake CPU clock by its side's next cost and logs itself
+    def call(side, name, cycle):
+        def run():
+            log.append((side, name))
+            clock[0] += next(cycle)
+
+        return run
+
+    return {
+        side: {name: call(side, name, itertools.cycle(c)) for name, c in by_name.items()}
+        for side, by_name in costs.items()
+    }
 
 
 def test_in_process_rounds_time_cpu_not_wall(bench_ab, monkeypatch):
-    # time the process spends descheduled on a shared host must not count
-    for child in (bench_ab.IN_PROCESS_CHILD, bench_ab.IN_PROCESS_ORACLE_CHILD):
-        assert "time.process_time()" in child
-        assert "perf_counter" not in child
+    # time the process spends descheduled on a shared host must not count:
+    # only the fake CPU clock moves, so only it can give these ratios
+    clock, log = [0.0], []
+    monkeypatch.setattr(bench_ab.time, "process_time", lambda: clock[0])
     monkeypatch.setattr(bench_ab, "IN_PROCESS_ROUNDS", 2)
-    monkeypatch.setattr(bench_ab, "time_run_sandbox", lambda checkout, K, T, repeats: [0.2, 0.1])
-    oracle = {"base": {"probe_contraction": [0.3, 0.4], "solve_bmfe": [0.02], "value_iteration_1": [0.06]}}
-    oracle["candidate"] = {"probe_contraction": [0.1, 0.2], "solve_bmfe": [0.04], "value_iteration_1": [0.03]}
-    monkeypatch.setattr(bench_ab, "time_oracle", lambda checkout, pairs, repeats: oracle[checkout.name])
-    out = bench_ab.measure_in_process({"base": Path("base"), "candidate": Path("candidate")})
+    monkeypatch.setattr(bench_ab, "IN_PROCESS_REPEATS", 2)
+    monkeypatch.setattr(bench_ab, "VI_REPEATS", 3)
+    costs = {
+        "base": {"probe_contraction": [0.4, 0.3], "solve_bmfe": [0.02], "value_iteration_1": [0.06]},
+        "candidate": {"probe_contraction": [0.2, 0.1], "solve_bmfe": [0.04], "value_iteration_1": [0.03]},
+    }
+    out = bench_ab.measure_in_process(_fake_calls(costs, clock, log))
     assert out["protocol"]["clock"].startswith("time.process_time")
-    assert out["speedups"] == [1.0, 1.0]
-    assert out["probe_contraction"]["speedups"] == pytest.approx([3.0, 3.0])
-    assert out["solve_bmfe"]["speedups"] == pytest.approx([0.5, 0.5])
-    assert out["value_iteration_1"]["speedups"] == pytest.approx([2.0, 2.0])
-    assert out["rounds"][1]["probe_contraction"] == {"candidate_min_s": 0.1, "base_min_s": 0.3}
+    assert out["probe_contraction"]["ratios"] == pytest.approx([3.0, 3.0])
+    assert out["solve_bmfe"]["ratios"] == pytest.approx([0.5, 0.5])
+    assert out["value_iteration_1"]["ratios"] == pytest.approx([2.0, 2.0])
+    assert out["probe_contraction"]["rounds"][1] == {
+        "first_side": "candidate",
+        "candidate_min_s": pytest.approx(0.1),
+        "base_min_s": pytest.approx(0.3),
+    }
+    assert (out["probe_contraction"]["base_min_s"], out["probe_contraction"]["candidate_min_s"]) == pytest.approx(
+        (0.3, 0.1)
+    )
+    # one untimed call each, then value iteration at VI_REPEATS and the rest at IN_PROCESS_REPEATS
+    counts = {name: sum(1 for _, n in log if n == name) for name in costs["base"]}
+    assert counts == {"probe_contraction": 10, "solve_bmfe": 10, "value_iteration_1": 14}
+
+
+def test_in_process_sides_alternate_call_by_call_and_ratios_are_summarised(bench_ab, monkeypatch):
+    clock, log = [0.0], []
+    monkeypatch.setattr(bench_ab.time, "process_time", lambda: clock[0])
+    monkeypatch.setattr(bench_ab, "IN_PROCESS_ROUNDS", 4)
+    monkeypatch.setattr(bench_ab, "IN_PROCESS_REPEATS", 1)
+    # the candidate's first call is the untimed one
+    costs = {"base": {"run_sandbox": [1.0]}, "candidate": {"run_sandbox": [9.0, 0.5, 1.0, 2.0, 4.0]}}
+    out = bench_ab.measure_in_process(_fake_calls(costs, clock, log))
+    sides = [side for side, _ in log]
+    assert sides == ["base", "candidate"] + ["base", "candidate", "candidate", "base"] * 2
+    assert [r["first_side"] for r in out["run_sandbox"]["rounds"]] == ["base", "candidate"] * 2
+    assert out["run_sandbox"]["ratios"] == pytest.approx([2.0, 1.0, 0.5, 0.25])
+    assert out["run_sandbox"]["ratio"] == pytest.approx({"median": 0.75, "q1": 0.4375, "q3": 1.25, "count": 4})
+    assert (out["run_sandbox"]["base_min_s"], out["run_sandbox"]["candidate_min_s"]) == (1.0, 0.5)
 
 
 def test_tier1_runs_alternate_and_report_their_spread(bench_ab, monkeypatch):
     calls = []
     walls = {"base": iter([30.0, 25.0, 40.0]), "candidate": iter([20.0, 38.0, 22.0])}
+    cpus = {"base": iter([50.0, 45.0, 52.0]), "candidate": iter([44.0, 47.0, 46.0])}
 
     def run_tier1(checkout):
         calls.append(checkout.name)
-        return {"passed": 3, "wall_s": next(walls[checkout.name])}
+        return {"passed": 3, "wall_s": next(walls[checkout.name]), "cpu_s": next(cpus[checkout.name])}
 
     monkeypatch.setattr(bench_ab, "TIER1_RUNS", 3)
     monkeypatch.setattr(bench_ab, "run_tier1", run_tier1)
@@ -128,6 +220,21 @@ def test_tier1_runs_alternate_and_report_their_spread(bench_ab, monkeypatch):
     assert (out["base"]["wall_s_min"], out["base"]["wall_s_max"]) == (25.0, 40.0)
     assert out["candidate"]["wall_s_median"] == 22.0
     assert (out["candidate"]["wall_s_min"], out["candidate"]["wall_s_max"]) == (20.0, 38.0)
+    assert (out["base"]["cpu_s_median"], out["base"]["cpu_s_min"], out["base"]["cpu_s_max"]) == (50.0, 45.0, 52.0)
+    assert out["candidate"]["cpu_s_median"] == 46.0
+
+
+def test_run_tier1_records_the_cpu_time_of_its_processes(bench_ab, monkeypatch, tmp_path):
+    # in place of pytest, a child that burns 0.2 s of CPU and prints pytest's summary line
+    child = (
+        "import time\nend = time.process_time() + 0.2\nwhile time.process_time() < end:\n    pass\n"
+        "print('1 passed in 0.20s')\n"
+    )
+    run = subprocess.run
+    monkeypatch.setattr(bench_ab.subprocess, "run", lambda command, **kw: run([sys.executable, "-c", child], **kw))
+    out = bench_ab.run_tier1(tmp_path)
+    assert (out["passed"], out["failed"], out["exit_code"]) == (1, 0, 0)
+    assert out["cpu_s"] >= 0.2 and out["wall_s"] >= 0.2
 
 
 def test_exit_after_main_reads_each_configs_last_passing_invocation(bench_ab, tmp_path):
