@@ -17,6 +17,13 @@ timed run, and then its tier-1 tests (``python -m pytest -q
 ``TIER1_RUNS`` times, the side that goes first alternating, since the
 wall time of one run spreads too widely on a shared host to compare.
 
+Before the tier-1 runs, each side runs every shipped config
+(``SHIPPED_CONFIGS``) at full size through its own CLI, and the candidate
+runs them once more (``measure_identity``). Per output file,
+``compare_outputs`` records whether the candidate's copy is byte-identical
+to the base's, the largest absolute difference over its numeric fields if
+it is not, and whether the candidate's rerun reproduced it byte for byte.
+
 A second, in-process section times the step loop and the oracle without
 the CLI's process start, imports and I/O. It loads both trees into this one
 interpreter as two package names (``load_tree``), so a swing in the host's
@@ -31,7 +38,8 @@ times (``VI_REPEATS`` for value iteration and ``gamma2``); each side keeps
 its minimum ``time.process_time()``, CPU time, so time spent descheduled
 does not count, and the round's ratio is base over candidate. Import time,
 exit time and RSS need processes of their own; they come from the perfbench
-pairs (``setup_s``, ``exit_after_main_s``, ``peak_rss_mb``).
+pairs (``setup_s``, ``exit_after_main_s``, ``peak_rss_mb``). ``run_sandbox``'s
+per-round minima are also given as CPU nanoseconds per learner step.
 
 Writes ``BENCH_<number>.json`` at the repository root: per workload and
 end-to-end metric (names and directions from the candidate's
@@ -46,13 +54,15 @@ run.py's stderr lines and the timing files it leaves in
 ``.perfbench_work``, read only); per in-process call, every round's
 ratio and each side's minimum, and the ratios' median and quartiles; each
 side's tier-1 runs, with their counts, wall times and user+sys CPU times
-and the median and range of each (measured numbers, not a gate), and the
-machine facts.
+and the median and range of each (measured numbers, not a gate); the
+output-identity table; and the machine facts. Exits with 1 when an
+invocation failed perfbench's output gate or a rerun changed an output.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime
 import importlib.util
 import json
@@ -81,6 +91,7 @@ IN_PROCESS_PROBE_PAIRS = 600
 VI_STACK, VI_REPEATS = 64, 100
 PUSH_STACK = 96  # a probe block's pairs and their moved and varied variants
 TIER1_RUNS = 3
+SHIPPED_CONFIGS = ("desk_3x3_compare", "full_grid_5x5", "probe_3x3", "two_class_5x5")
 
 # run.py's stderr line for each passing invocation, and for each failing one
 INVOCATION_LINE = re.compile(r"(\S+) trace=0 wall_s=([\d.]+) setup_s=([\d.]+)$")
@@ -232,7 +243,134 @@ def measure_in_process(calls: dict[str, dict[str, Callable[[], object]]]) -> dic
             "ratio": summarize_values(ratios),
             **{f"{side}_min_s": min(r[f"{side}_min_s"] for r in call_rounds) for side in ("base", "candidate")},
         }
+        if name == "run_sandbox":
+            steps = IN_PROCESS_K * IN_PROCESS_T
+            for side in ("base", "candidate"):
+                out[name][f"{side}_ns_per_step"] = [r[f"{side}_min_s"] / steps * 1e9 for r in call_rounds]
     return out
+
+
+def run_config(checkout: Path, config: str, out_dir: Path) -> None:
+    """One run of checkout's configs/<config>.json through its own CLI, writing into out_dir."""
+    subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "mfg_sandbox.cli",
+            "--config",
+            str(checkout / "configs" / f"{config}.json"),
+            "--output-dir",
+            str(out_dir),
+            "--quiet",
+        ],
+        cwd=checkout,
+        env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
+        check=True,
+        capture_output=True,
+    )
+
+
+def output_fields(path: Path) -> list:
+    """The fields of an output file in order: a float for each number, the value itself otherwise.
+
+    JSON documents are walked depth first, keys in file order; CSV files
+    cell by cell. A key is a field, so two documents whose keys differ have
+    fields that differ.
+    """
+    if path.suffix == ".csv":
+        cells = [cell for row in csv.reader(path.read_text(encoding="utf-8").splitlines()) for cell in row]
+        fields = []
+        for cell in cells:
+            try:
+                fields.append(float(cell))
+            except ValueError:
+                fields.append(cell)
+        return fields
+    fields = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                fields.append(key)
+                walk(value)
+        elif isinstance(node, list):
+            fields.append(len(node))  # a length, so nested lists of other shapes differ
+            for value in node:
+                walk(value)
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            fields.append(float(node))
+        else:
+            fields.append(node)
+
+    walk(json.loads(path.read_text(encoding="utf-8")))
+    return fields
+
+
+def max_abs_difference(a: Path, b: Path) -> float | None:
+    """The largest absolute difference between the numeric fields of a and b.
+
+    None when the files do not line up: a different number of fields, or a
+    non-numeric field that differs. A NaN against a NaN counts as no
+    difference, a NaN against a number as an infinite one.
+    """
+    fields_a, fields_b = output_fields(a), output_fields(b)
+    if len(fields_a) != len(fields_b):
+        return None
+    largest = 0.0
+    for x, y in zip(fields_a, fields_b):
+        if isinstance(x, float) and isinstance(y, float):
+            if math.isnan(x) or math.isnan(y):
+                largest = largest if math.isnan(x) and math.isnan(y) else math.inf
+            elif x != y:
+                largest = max(largest, abs(x - y))
+        elif type(x) is not type(y) or x != y:  # True == 1.0, but a flag is not a number
+            return None
+    return largest
+
+
+def compare_outputs(base: Path, candidate: Path, rerun: Path) -> dict:
+    """Per output file under the three trees, by its path relative to them: identity to the base and of the rerun.
+
+    For each file either side wrote: whether the candidate's copy is
+    byte-identical to the base's; when it is not, the largest absolute
+    difference over the numeric fields (max_abs_difference), or which side
+    lacks the file; and whether the candidate's rerun wrote the same bytes
+    as the candidate (criterion 10).
+    """
+
+    def files(root: Path) -> set[str]:
+        return {str(path.relative_to(root)) for path in root.rglob("*") if path.is_file()}
+
+    out = {}
+    for name in sorted(files(base) | files(candidate) | files(rerun)):
+        b, c, r = base / name, candidate / name, rerun / name
+        entry = {}
+        if not (b.exists() and c.exists()):
+            entry["byte_identical"] = False
+            entry["missing_on"] = [side for side, path in (("base", b), ("candidate", c)) if not path.exists()]
+        else:
+            entry["byte_identical"] = b.read_bytes() == c.read_bytes()
+            if not entry["byte_identical"]:
+                entry["max_abs_difference"] = max_abs_difference(b, c)
+        entry["rerun_identical"] = c.exists() and r.exists() and c.read_bytes() == r.read_bytes()
+        out[name] = entry
+    return out
+
+
+def measure_identity(sides: dict, root: Path) -> dict:
+    """Every shipped config run on each side, and once more on the candidate; their outputs compared file by file."""
+    runs = {"base": sides["base"], "candidate": sides["candidate"], "candidate_rerun": sides["candidate"]}
+    for config in SHIPPED_CONFIGS:
+        for name, checkout in runs.items():
+            print(f"output identity: {config} on {name}", file=sys.stderr, flush=True)
+            run_config(checkout, config, root / name / config)
+    files = compare_outputs(root / "base", root / "candidate", root / "candidate_rerun")
+    return {
+        "configs": list(SHIPPED_CONFIGS),
+        "files": files,
+        "all_byte_identical": all(f["byte_identical"] for f in files.values()),
+        "all_rerun_identical": all(f["rerun_identical"] for f in files.values()),
+    }
 
 
 def parse_pytest_summary(output: str) -> dict:
@@ -372,6 +510,7 @@ def main(argv=None) -> int:
         for name, checkout in sides.items():
             print(f"warm-up {name}", file=sys.stderr, flush=True)
             run_bench(checkout, workloads[0], args.seed, 0)
+        identity = measure_identity(sides, Path(tmp) / "outputs")
         tier1 = measure_tier1(sides)
         in_process = measure_in_process({side: tree_calls(f"mfg_ab_{side}", path) for side, path in sides.items()})
         report = {}
@@ -418,11 +557,14 @@ def main(argv=None) -> int:
             "wins": "pairs where the candidate is better by the metric's direction; ties count for neither",
             "tier1": f"{TIER1_RUNS} runs per side, alternating, base first in the first run; cpu_s is the "
             "user+sys CPU of the run's processes (getrusage RUSAGE_CHILDREN)",
+            "output_identity": f"{', '.join(SHIPPED_CONFIGS)} at full size through each side's own CLI, "
+            "then once more through the candidate's; per output file, identity to the base and of the rerun",
             "exit_after_main_s": "per side, over every config's last passing invocation in every pair: "
             "wall_s - setup_s - (end - first_step), the time from the child's end stamp, after cli.main "
             "returned, to the exit run.py waits for",
         },
         "tier1": tier1,
+        "output_identity": identity,
         "in_process": in_process,
         "machine": machine_facts(),
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
@@ -432,7 +574,7 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
     all_correct = all(w[f"{side}_invocations"]["all_correct"] for w in report.values() for side in sides)
-    return 0 if all_correct else 1
+    return 0 if all_correct and identity["all_rerun_identical"] else 1
 
 
 if __name__ == "__main__":

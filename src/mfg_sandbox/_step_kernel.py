@@ -14,6 +14,18 @@ keeps the transition estimate in a buffer of its own, row by row equal to
 the cached estimate, may project, and stores the first-step pair, is left
 to the reference step.
 
+The step's S- and S*A-long work runs in SIMD lanes: the row refresh, the
+push P^T mu, and the mean-field and policy updates with their sums and the
+policy minimum. The rows of the step's estimate, and its push, are padded
+with zero columns to a multiple of ``MAX_LANES``, so the push needs no
+scalar tail: each push[j] still sums over i in index order, one
+accumulator per column, and so equals the reference's sum bit for bit. The
+sums and the minimum, which feed only the finiteness test and the simplex
+check's tolerance, add lane by lane. Like the sweep below, the step is
+compiled once per width, 2, 4 (AVX2) and 8 (AVX-512) lanes; its first call
+on a context picks the copy from S and the CPU (2 lanes at S <= 2, 4 at
+S <= 4, else the widest the CPU runs) and keeps it in the context.
+
 One call of ``value_iteration`` runs value iteration to its stopping rule
 on a stack of mean-field-frozen MDPs that share one kernel: it writes the
 discounted kernel as sparse rows into scratch space, then sweeps the
@@ -30,8 +42,10 @@ copies may run; no flag tunes the build to the building CPU, so a cached
 build runs on any CPU of its architecture. The caller sizes the lane
 scratch for ``MAX_LANES``. ``oracle._value_iteration`` documents the
 arguments and keeps the NumPy reference loop. Neither function keeps state
-between calls: scratch space comes from the caller, so two threads may run
-them at once (cffi releases the GIL during a call).
+of its own between calls: the step's lives in the caller's context, and
+value iteration's scratch space comes from the caller, so two threads may
+run them at once on contexts and scratch of their own (cffi releases the
+GIL during a call).
 
 The extension is compiled once into ``_kernel_build`` next to this file,
 under a name keyed by the C source, the compiler flags and the interpreter's
@@ -59,12 +73,14 @@ NON_FINITE_REWARD = -2
 REWARD_OUT_OF_RANGE = -3
 SIMPLEX_VIOLATED = -4  # mean-field or policy left the simplex at a checked step
 
-# The widest lane width of value_iteration: callers size its lane scratch
-# for this many problems.
+# The widest lane width of the step and of value_iteration: callers size
+# value_iteration's lane scratch for this many problems, and pad the rows of
+# the step's estimate and its push to a multiple of it.
 MAX_LANES = 8
 
 CDEF = """
-typedef struct {
+typedef struct step_ctx step_ctx;
+struct step_ctx {
     int num_states, num_actions, state, prev, validate_every;
     double *mu, *pi, *q, *soft, *push, *estimate;
     const int64_t *pair_counts, *state_counts;
@@ -72,7 +88,8 @@ typedef struct {
     const double *c_mu, *c_pi, *u;
     double congestion_c, lam, rho, psi, c_beta, nu, simplex_atol;
     double min_policy, reward;
-} step_ctx;
+    int (*copy)(step_ctx *c, int t);
+};
 
 int learner_step(step_ctx *c, int t);
 int64_t value_iteration(int num_problems, int num_states, int num_actions,
@@ -120,27 +137,159 @@ static TARGET int SWEEP(int S, int A, const int *row_start, const int *cols, con
 }
 """
 
+# The S- and S*A-long updates of one learner step in W lanes of GCC vector
+# extensions, for the macros W (the width), STEP and PASS (the functions'
+# names) and TARGET (their instruction set).
+STEP = r"""
+/* push[0 .. NV W) <- the sums over i in index order of mu[i] est[i * S_pad + j],
+   one accumulator per column, all NV vectors of them live in one pass over
+   i: est and push start at the pass's first column. */
+static inline __attribute__((always_inline)) TARGET void PASS(int S, int S_pad, const double *mu,
+                                                              const double *est, double *push,
+                                                              const int NV)
+{
+    typedef double vec __attribute__((vector_size(8 * W)));
+    vec acc[PASS_VECTORS] = {{0}};
+    for (int i = 0; i < S; i++) {
+        const double *row = est + (size_t)i * S_pad;
+#pragma GCC unroll 8
+        for (int b = 0; b < NV; b++) {
+            vec x;
+            __builtin_memcpy(&x, row + b * W, sizeof x);
+            acc[b] += mu[i] * x;
+        }
+    }
+#pragma GCC unroll 8
+    for (int b = 0; b < NV; b++)
+        __builtin_memcpy(push + b * W, &acc[b], sizeof acc[b]);
+}
 
-def _sweep_copy(width: int, target: str) -> str:
-    """SWEEP as the C function sweep<width>, compiled with the function attribute target."""
-    macros = {"W": width, "SWEEP": f"sweep{width}", "TARGET": target}
+static TARGET int STEP(step_ctx *c, int t)
+{
+    typedef double vec __attribute__((vector_size(8 * W)));
+    typedef int64_t ivec __attribute__((vector_size(8 * W)));
+    const int S = c->num_states, A = c->num_actions, S_pad = PADDED(S);
+    const double c_mu = c->c_mu[t - 1], c_pi = c->c_pi[t - 1];
+    const double w_soft = c_pi * (1.0 - c->psi), w_unif = c_pi * c->psi * (1.0 / A);
+    const vec zero = {0};
+    double *mu = c->mu, *pi = c->pi, *push = c->push;
+
+    /* estimate row prev <- (N(prev, j) + 1/S) / (N(prev) + 1); the pad
+       columns keep their zeros */
+    {
+        const int64_t *n_row = c->pair_counts + (size_t)c->prev * S;
+        const double n_prev = (double)c->state_counts[c->prev] + 1.0, inv_s = 1.0 / S;
+        double *row = c->estimate + (size_t)c->prev * S_pad;
+        int j = 0;
+        for (; j + W <= S; j += W) {
+            ivec n;
+            __builtin_memcpy(&n, n_row + j, sizeof n);
+            const vec x = (__builtin_convertvector(n, vec) + inv_s) / n_prev;
+            __builtin_memcpy(row + j, &x, sizeof x);
+        }
+        for (; j < S; j++)
+            row[j] = ((double)n_row[j] + inv_s) / n_prev;
+    }
+
+    /* mu <- (1 - c_mu) mu + c_mu P^T mu */
+    int j = 0;
+    for (; j + PASS_VECTORS * W <= S_pad; j += PASS_VECTORS * W)
+        PASS(S, S_pad, mu, c->estimate + j, push + j, PASS_VECTORS);
+    switch ((S_pad - j) / W) {
+#define PASS_CASE(n) case n: PASS(S, S_pad, mu, c->estimate + j, push + j, n); break;
+        PASS_CASE(1) PASS_CASE(2) PASS_CASE(3) PASS_CASE(4) PASS_CASE(5) PASS_CASE(6) PASS_CASE(7)
+#undef PASS_CASE
+    }
+    vec sums = zero;
+    for (j = 0; j + W <= S; j += W) {
+        vec m, p;
+        __builtin_memcpy(&m, mu + j, sizeof m);
+        __builtin_memcpy(&p, push + j, sizeof p);
+        m = m * (1.0 - c_mu) + p * c_mu;
+        __builtin_memcpy(mu + j, &m, sizeof m);
+        sums += m;
+    }
+    double mu_sum = 0.0;
+    for (int l = 0; l < W; l++)
+        mu_sum += sums[l];
+    for (; j < S; j++) {
+        mu[j] = mu[j] * (1.0 - c_mu) + push[j] * c_mu;
+        mu_sum += mu[j];
+    }
+
+    /* pi <- (1 - c_pi) pi + c_pi ((1 - psi) softmax(lam q) + psi / A) */
+    const int n_pi = S * A;
+    vec mins = zero + INFINITY;
+    sums = zero;
+    int n = 0;
+    for (; n + W <= n_pi; n += W) {
+        vec p, q;
+        __builtin_memcpy(&p, pi + n, sizeof p);
+        __builtin_memcpy(&q, c->soft + n, sizeof q);
+        p = p * (1.0 - c_pi) + w_soft * q + w_unif;
+        __builtin_memcpy(pi + n, &p, sizeof p);
+        sums += p;
+        const ivec lower = (ivec)(p < mins);
+        mins = (vec)((lower & (ivec)p) | (~lower & (ivec)mins));
+    }
+    double pi_sum = 0.0, pi_min = INFINITY;
+    for (int l = 0; l < W; l++) {
+        pi_sum += sums[l];
+        if (mins[l] < pi_min)
+            pi_min = mins[l];
+    }
+    for (; n < n_pi; n++) {
+        const double v = pi[n] * (1.0 - c_pi) + w_soft * c->soft[n] + w_unif;
+        pi[n] = v;
+        pi_sum += v;
+        if (v < pi_min)
+            pi_min = v;
+    }
+    return finish_step(c, t, mu_sum, pi_sum, pi_min);
+}
+"""
+
+
+def _copy(template: str, width: int, target: str, **names: str) -> str:
+    """template at width lanes under the function attribute target, each macro in names naming name + width."""
+    macros = {"W": width, "TARGET": target, **{macro: f"{name}{width}" for macro, name in names.items()}}
     define = "".join(f"#define {name} {value}\n" for name, value in macros.items())
-    return define + SWEEP + "".join(f"#undef {name}\n" for name in macros)
+    return define + template + "".join(f"#undef {name}\n" for name in macros)
 
 
-# Field meanings (S states, A actions, T steps per episode, row-major):
-# mu (S), pi and soft (S x A, soft = softmax(lam * q) row by row), q (S x A),
-# push (S, holds P^T mu), estimate (S x S, the smoothed transition estimate
-# of the counts pair_counts (S x S) and state_counts (S), the counter's own
-# arrays), prev (the one state whose estimate row the counts may have moved
-# since the last refresh),
+def _copies(template: str, **names: str) -> str:
+    """template at 8 (AVX-512) and 4 (AVX2) lanes, only on x86, and at 2 lanes with no target.
+
+    A build tuned to the building CPU could stop with SIGILL on another CPU
+    that loads the same cached build, so the wider copies are picked at run
+    time with __builtin_cpu_supports.
+    """
+    return (
+        "#if defined(__x86_64__) || defined(__i386__)\n"
+        + _copy(template, 8, '__attribute__((target("avx512f")))', **names)
+        + _copy(template, 4, '__attribute__((target("avx2")))', **names)
+        + "#endif\n"
+        + _copy(template, 2, "", **names)
+    )
+
+
+# Field meanings (S states, A actions, T steps per episode, S_pad = S
+# rounded up to a multiple of MAX_LANES, row-major): mu (S), pi and soft
+# (S x A, soft = softmax(lam * q) row by row), q (S x A), push (S_pad, holds
+# P^T mu, zeros from column S on), estimate (S x S_pad, the smoothed
+# transition estimate of the counts pair_counts (S x S) and state_counts
+# (S), the counter's own arrays, in the first S columns of each row and
+# zeros in the rest), prev
+# (the one state whose estimate row the counts may have moved since the
+# last refresh),
 # cdf (S x A x S, cumulative transition kernel), state_reward (S),
 # c_mu / c_pi (T step sizes, indexed by t - 1), psi (exploration weight of
 # steps t > 1), c_beta and nu (the Q step size at step t is
 # min(1, c_beta / t**nu), QLearner.step_size at clock t - 1), u (2(T - 1)
 # uniforms of steps 2..T: action, next state), validate_every and
 # simplex_atol (stride and tolerance of the simplex check), min_policy
-# (smallest policy entry over the calls so far).
+# (smallest policy entry over the calls so far), copy (the step's copy for
+# this CPU and S, picked by the first call; the caller leaves it NULL).
 SOURCE = (
     CDEF
     + f"#define MAX_WIDTH {MAX_LANES}\n"
@@ -149,61 +298,37 @@ SOURCE = (
 #include <stddef.h>
 #include <stdint.h>
 
-int learner_step(step_ctx *c, int t)
+/* The columns of the step's estimate rows and push: S rounded up to a
+   multiple of every copy's width, the columns from S on zero. */
+#define PADDED(S) (((S) + MAX_WIDTH - 1) / MAX_WIDTH * MAX_WIDTH)
+/* The most vectors of columns one pass of the push keeps live */
+#define PASS_VECTORS 8
+
+/* The lane width of a copy for n items, problems or states: the narrowest
+   of 2, 4 (AVX2) and 8 (AVX-512) lanes that this CPU runs and that holds
+   them all, else the widest it runs. */
+static int pick_width(int n)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    if (n > 2) {
+        __builtin_cpu_init();
+        const int avx2 = __builtin_cpu_supports("avx2"), avx512 = __builtin_cpu_supports("avx512f");
+        if (avx2 && (n <= 4 || !avx512))
+            return 4;
+        if (avx512)
+            return 8;
+    }
+#endif
+    return 2;
+}
+
+/* Step t from its finiteness check on, once mu and pi are updated; every
+   copy ends here. mu_sum, pi_sum and pi_min are the sums of mu and pi and
+   the smallest entry of pi. */
+static int finish_step(step_ctx *c, int t, double mu_sum, double pi_sum, double pi_min)
 {
     const int S = c->num_states, A = c->num_actions, s = c->state;
-    const double c_mu = c->c_mu[t - 1], c_pi = c->c_pi[t - 1];
-    const double w_soft = c_pi * (1.0 - c->psi), w_unif = c_pi * c->psi * (1.0 / A);
-    const double *u = c->u + 2 * (size_t)(t - 2);
-    double *mu = c->mu, *pi = c->pi, *push = c->push;
-
-    /* estimate row prev <- (N(prev, j) + 1/S) / (N(prev) + 1) */
-    {
-        const int64_t *n_row = c->pair_counts + (size_t)c->prev * S;
-        const double n_prev = (double)c->state_counts[c->prev] + 1.0;
-        double *row = c->estimate + (size_t)c->prev * S;
-        for (int j = 0; j < S; j++)
-            row[j] = ((double)n_row[j] + 1.0 / S) / n_prev;
-    }
-
-    /* mu <- (1 - c_mu) mu + c_mu P^T mu. Each push[j] sums over i in index
-       order; four columns at a time keep their sums in registers. */
-    int j0 = 0;
-    for (; j0 + 4 <= S; j0 += 4) {
-        double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-        for (int i = 0; i < S; i++) {
-            const double m = mu[i], *row = c->estimate + (size_t)i * S + j0;
-            a0 += m * row[0];
-            a1 += m * row[1];
-            a2 += m * row[2];
-            a3 += m * row[3];
-        }
-        push[j0] = a0;
-        push[j0 + 1] = a1;
-        push[j0 + 2] = a2;
-        push[j0 + 3] = a3;
-    }
-    for (; j0 < S; j0++) {
-        double a0 = 0.0;
-        for (int i = 0; i < S; i++)
-            a0 += mu[i] * c->estimate[(size_t)i * S + j0];
-        push[j0] = a0;
-    }
-    double mu_sum = 0.0;
-    for (int j = 0; j < S; j++) {
-        mu[j] = mu[j] * (1.0 - c_mu) + push[j] * c_mu;
-        mu_sum += mu[j];
-    }
-
-    /* pi <- (1 - c_pi) pi + c_pi ((1 - psi) softmax(lam q) + psi / A) */
-    double pi_sum = 0.0, pi_min = INFINITY;
-    for (int n = 0; n < S * A; n++) {
-        const double v = pi[n] * (1.0 - c_pi) + w_soft * c->soft[n] + w_unif;
-        pi[n] = v;
-        pi_sum += v;
-        if (v < pi_min)
-            pi_min = v;
-    }
+    const double *u = c->u + 2 * (size_t)(t - 2), *mu = c->mu, *pi = c->pi;
     if (!isfinite(mu_sum) || !isfinite(pi_sum))
         return -1; /* NON_FINITE_PAIR */
     /* the reference step's simplex check; its sums round in another order */
@@ -269,6 +394,31 @@ int learner_step(step_ctx *c, int t)
     c->state = next;
     return next;
 }
+"""
+    + _copies(STEP, STEP="step", PASS="push_pass")
+    + r"""
+typedef int (*step_fn)(step_ctx *c, int t);
+
+/* The copy of the step for S states (pick_width) */
+static step_fn pick_step(int S)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    switch (pick_width(S)) {
+    case 8:
+        return step8;
+    case 4:
+        return step4;
+    }
+#endif
+    return step2;
+}
+
+int learner_step(step_ctx *c, int t)
+{
+    if (!c->copy)
+        c->copy = pick_step(c->num_states);
+    return c->copy(c, t);
+}
 
 /* Value iteration q <- rewards + K max_a q on each of num_problems (S x A)
    problems in q, in place, until a sweep changes no entry by more than
@@ -297,40 +447,25 @@ int learner_step(step_ctx *c, int t)
 typedef int (*sweep_fn)(int S, int A, const int *row_start, const int *cols, const double *vals,
                         const double *r, double *q, double *v, double threshold);
 """
-    # Copies for wider registers only on x86, picked at run time with
-    # __builtin_cpu_supports: a build tuned to the building CPU could stop
-    # with SIGILL on another CPU that loads the same cached build.
-    + "#if defined(__x86_64__) || defined(__i386__)\n"
-    + _sweep_copy(8, '__attribute__((target("avx512f")))')
-    + _sweep_copy(4, '__attribute__((target("avx2")))')
-    + "#endif\n"
-    + _sweep_copy(2, "")
+    + _copies(SWEEP, SWEEP="sweep")
     + r"""
-/* The copy of the sweep for num_problems problems, its width in *width: the
-   narrowest this CPU runs that holds them all, else the widest it runs. A
-   wider register gains a smaller stack nothing: on an AVX-512 host a
-   one-problem 5x5 oracle._value_iteration call took 34 us of CPU time at
-   2 lanes against 39 us at 8. */
+/* The copy of the sweep for num_problems problems (pick_width), its width
+   in *width. A wider register gains a smaller stack nothing: on an AVX-512
+   host a one-problem 5x5 oracle._value_iteration call took 34 us of CPU
+   time at 2 lanes against 39 us at 8. */
 static sweep_fn pick_sweep(int num_problems, int *width)
 {
+    *width = pick_width(num_problems);
 #if defined(__x86_64__) || defined(__i386__)
-    if (num_problems > 2) {
-        __builtin_cpu_init();
-        const int avx2 = __builtin_cpu_supports("avx2"), avx512 = __builtin_cpu_supports("avx512f");
-        if (avx2 && (num_problems <= 4 || !avx512)) {
-            *width = 4;
-            return sweep4;
-        }
-        if (avx512) {
-            *width = 8;
-            return sweep8;
-        }
+    switch (*width) {
+    case 8:
+        return sweep8;
+    case 4:
+        return sweep4;
     }
 #endif
-    *width = 2;
     return sweep2;
 }
-
 /* Lane l takes problem m: its rewards, its Q-table and, as its column of
    v, max_a q. With m = -1 the lane is idle and holds zeros. */
 static void load_lane(int W, int l, int m, int S, int A, const double *rewards, const double *q,

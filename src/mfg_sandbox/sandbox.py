@@ -286,9 +286,12 @@ class _KernelLoop:
     TransitionCounter.record call. The kernel keeps its own copy of the
     transition estimate: loaded from the counter at the start of each
     episode, it refreshes on entry the row of the state the previous step
-    left, the only row whose counts have moved since. The 2(T - 1) uniforms
-    of steps 2..T are drawn as one block, the same stream as that many
-    scalar draws.
+    left, the only row whose counts have moved since. That copy and the
+    kernel's push P^T mu have their rows padded with zero columns to a
+    multiple of _step_kernel.MAX_LANES, so the kernel's SIMD lanes never
+    need a scalar tail in the push; the counter's estimate() stays S x S.
+    The 2(T - 1) uniforms of steps 2..T are drawn as one block, the same
+    stream as that many scalar draws.
     """
 
     def __init__(self, run: _Run, ffi, lib):
@@ -297,10 +300,11 @@ class _KernelLoop:
         config, env = run.config, run.config.env
         sched, learner = config.schedule, run.learner
         S, A, T = env.num_states, env.num_actions, config.steps_per_episode
+        S_pad = -(-S // _step_kernel.MAX_LANES) * _step_kernel.MAX_LANES
         self.run, self._step = run, lib.learner_step
         self._u = np.empty(2 * (T - 1))
         self._soft = np.empty((S, A))
-        self._estimate = np.empty((S, S))
+        self._estimate = np.zeros((S, S_pad))
         ctx = self.ctx = ffi.new("step_ctx *")
         ctx.num_states, ctx.num_actions = S, A
         ctx.congestion_c = env.params.congestion_c
@@ -313,8 +317,8 @@ class _KernelLoop:
             ("pi", run.pi, S * A),
             ("q", learner.q, S * A),
             ("soft", self._soft, S * A),
-            ("push", np.empty(S), S),
-            ("estimate", self._estimate, S * S),
+            ("push", np.zeros(S_pad), S_pad),
+            ("estimate", self._estimate, S * S_pad),
             ("cdf", np.cumsum(env.transition_kernel(None), axis=2), S * A * S),
             ("state_reward", env.state_reward, S),
             ("c_mu", run.c_mu, T),
@@ -335,7 +339,7 @@ class _KernelLoop:
         run, ctx = self.run, self.ctx
         # The counts were reset since the last episode; step 1 counts the
         # transition out of the current state, which the kernel refreshes first.
-        self._estimate[:] = run.counter.estimate()
+        self._estimate[:, : ctx.num_states] = run.counter.estimate()
         ctx.prev = run.state
         run.reference_step(k, 1)
         # Step 1 updated one Q entry in Python.

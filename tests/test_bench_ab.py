@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import itertools
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -259,3 +260,85 @@ def test_exit_after_main_reads_each_configs_last_passing_invocation(bench_ab, tm
     assert out == pytest.approx([0.5, 0.05])
     assert bench_ab.summarize_values(out) == pytest.approx({"median": 0.275, "q1": 0.1625, "q3": 0.3875, "count": 2})
     assert bench_ab.summarize_values([]) == {"count": 0}
+
+
+def _write_outputs(root: Path, files: dict) -> Path:
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def test_compare_outputs_reports_identity_differences_and_reruns(bench_ab, tmp_path):
+    summary = json.dumps({"seed": 0, "e_mu": [0.25, 0.5], "label": "grid"})
+    csv_text = "k,e_mu\n1,0.25\n2,nan\n"
+    base = _write_outputs(
+        tmp_path / "base",
+        {
+            "run/summary.json": summary,
+            "run/episodes.csv": csv_text,
+            "run/moved.json": json.dumps({"x": [1.0, 2.0, 3.0]}),
+            "run/relabelled.json": json.dumps({"label": "a", "x": 1.0}),
+            "run/gone.json": "{}",
+        },
+    )
+    candidate_files = {
+        "run/summary.json": summary,
+        "run/episodes.csv": "k,e_mu\n1,0.125\n2,nan\n",
+        "run/moved.json": json.dumps({"x": [1.0, 2.5, 2.75]}),
+        "run/relabelled.json": json.dumps({"label": "b", "x": 1.0}),
+        "run/new.json": "{}",
+    }
+    candidate = _write_outputs(tmp_path / "candidate", candidate_files)
+    rerun = _write_outputs(tmp_path / "rerun", {**candidate_files, "run/moved.json": json.dumps({"x": [1.0]})})
+    out = bench_ab.compare_outputs(base, candidate, rerun)
+    assert out == {
+        "run/episodes.csv": {"byte_identical": False, "max_abs_difference": 0.125, "rerun_identical": True},
+        "run/gone.json": {"byte_identical": False, "missing_on": ["candidate"], "rerun_identical": False},
+        "run/moved.json": {"byte_identical": False, "max_abs_difference": 0.5, "rerun_identical": False},
+        "run/new.json": {"byte_identical": False, "missing_on": ["base"], "rerun_identical": True},
+        "run/relabelled.json": {"byte_identical": False, "max_abs_difference": None, "rerun_identical": True},
+        "run/summary.json": {"byte_identical": True, "rerun_identical": True},
+    }
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        ({"x": [1.0, 2.0]}, {"x": [1.0, 2.0]}, 0.0),
+        ({"x": 1, "y": float("nan")}, {"x": 1.0, "y": float("nan")}, 0.0),
+        ({"x": 1.0, "y": 0.5}, {"x": 1.0, "y": float("nan")}, math.inf),
+        ({"x": [[1.0, 2.0], [3.0]]}, {"x": [[1.0], [2.0, 3.0]]}, None),
+        ({"x": 1.0}, {"y": 1.0}, None),
+        ({"ok": True}, {"ok": 1}, None),
+    ],
+    ids=["equal", "int-and-float-and-nan", "nan-against-number", "reshaped", "renamed-key", "bool-is-not-a-number"],
+)
+def test_max_abs_difference_lines_up_fields_before_comparing(bench_ab, tmp_path, a, b, expected):
+    (tmp_path / "a.json").write_text(json.dumps(a))
+    (tmp_path / "b.json").write_text(json.dumps(b))
+    assert bench_ab.max_abs_difference(tmp_path / "a.json", tmp_path / "b.json") == expected
+
+
+def test_measure_identity_runs_every_config_on_each_side_and_reruns_the_candidate(bench_ab, monkeypatch, tmp_path):
+    # in place of the CLI, each run writes its config's name, and the
+    # candidate's rerun of one config writes something else
+    runs = []
+
+    def run_config(checkout, config, out_dir):
+        runs.append((checkout.name, config, out_dir.parent.name))
+        text = "rerun" if (out_dir.parent.name, config) == ("candidate_rerun", "probe_3x3") else config
+        _write_outputs(out_dir, {"out.json": json.dumps({"name": text})})
+
+    monkeypatch.setattr(bench_ab, "run_config", run_config)
+    sides = {"base": Path("base_tree"), "candidate": Path("candidate_tree")}
+    out = bench_ab.measure_identity(sides, tmp_path)
+    assert runs == [
+        (tree, config, name)
+        for config in bench_ab.SHIPPED_CONFIGS
+        for tree, name in (("base_tree", "base"), ("candidate_tree", "candidate"), ("candidate_tree", "candidate_rerun"))
+    ]
+    assert set(out["files"]) == {f"{config}/out.json" for config in bench_ab.SHIPPED_CONFIGS}
+    assert out["all_byte_identical"] and not out["all_rerun_identical"]
+    assert [name for name, f in out["files"].items() if not f["rerun_identical"]] == ["probe_3x3/out.json"]

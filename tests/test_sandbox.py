@@ -544,6 +544,13 @@ _TIED_PROJECTION = dict(
 )
 
 
+# With the grids of sides 1 to 5 (S = 1, 4, 9, 16 and 25) the examples run
+# every compiled copy of the step on an AVX-512 host, whatever hypothesis
+# draws: 2 lanes at S <= 2, 4 at S <= 4 and 8 above. T = 250 passes two
+# simplex checks.
+_PAST_A_SIMPLEX_CHECK = dict(schedule=ScheduleParams(), K=3, T=250, rho=0.7, seed=5, mesh=None)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     env=grid_envs(),
@@ -556,12 +563,23 @@ _TIED_PROJECTION = dict(
 )
 @example(env=make_congestion_env(CongestionGridParams(side=5)), **_TIED_PROJECTION)
 @example(env=make_two_class_env(CongestionGridParams(side=5)), **_TIED_PROJECTION)
+@example(env=small_env(side=1, jostle_p=0.2), **_PAST_A_SIMPLEX_CHECK)
+@example(env=small_env(side=2, jostle_p=0.2), **_PAST_A_SIMPLEX_CHECK)
+@example(env=small_env(side=3, jostle_p=0.2), **_PAST_A_SIMPLEX_CHECK)
+@example(env=small_env(side=4, jostle_p=0.2), **_PAST_A_SIMPLEX_CHECK)
+@example(env=small_env(side=5, jostle_p=0.2), **_PAST_A_SIMPLEX_CHECK)
 def test_kernel_matches_reference_loop(step_kernel, env, schedule, K, T, rho, seed, mesh):
+    # The mean-field and the Q-table are bit for bit the reference loop's;
+    # the first-step policies only agree to rounding, since the kernel's
+    # softmax calls libm exp and NumPy's exp is SIMD code of its own.
     net = None if mesh is None else build_epsilon_net(env.num_states, mesh)
     config = SandboxConfig(
         env=env, schedule=schedule, num_episodes=K, steps_per_episode=T, rho=rho, seed=seed, net=net
     )
-    assert_runs_agree(run_sandbox(config), run_reference_loop(config))
+    fast, reference = run_sandbox(config), run_reference_loop(config)
+    assert_runs_agree(fast, reference)
+    assert np.array_equal(fast.mu_first_steps, reference.mu_first_steps)
+    assert np.array_equal(fast.q_values, reference.q_values)
 
 
 @pytest.mark.parametrize(
@@ -652,6 +670,19 @@ def test_kernel_nan_reward_abort_matches_reference(step_kernel):
     assert fast.value.snapshot["rng_state"] == replay.bit_generator.state
 
 
+def perturb_after_first_step(monkeypatch, perturb):
+    """Call perturb(run) after step 1 of episode 2, which both loops run through the reference step."""
+    reference_step = sandbox._Run.reference_step
+
+    def perturbed_step(run, k, t):
+        min_policy = reference_step(run, k, t)
+        if (k, t) == (2, 1):
+            perturb(run)
+        return min_policy
+
+    monkeypatch.setattr(sandbox._Run, "reference_step", perturbed_step)
+
+
 def test_kernel_non_finite_policy_abort_matches_reference(step_kernel):
     # lam * q overflows once a Q value exceeds about 1.8, so the softmax
     # row, then the next policy update, turns NaN.
@@ -664,8 +695,57 @@ def test_kernel_non_finite_policy_abort_matches_reference(step_kernel):
             run_sandbox(config)
         with pytest.raises(NonFiniteError) as reference:
             run_reference_loop(config)
+    assert fast.value.step > 1  # a compiled step aborted
     assert np.isnan(fast.value.snapshot["policy"]).any()
     snapshots_agree(fast.value, reference.value)
+
+
+def _poison_policy(run):
+    run.pi[0, 0] = math.nan
+
+
+def _poison_rewards(value):
+    def poison(run):
+        run.config.env.state_reward[:] = value
+
+    return poison
+
+
+def _lift_policy(run):
+    run.pi[0, 0] += 1e-6
+
+
+# Each abort's injection after step 1 of episode 2, and what both loops raise
+_ABORTS = {
+    "non-finite-pair": (_poison_policy, NonFiniteError, "non-finite value at episode 2, step 2"),
+    "nan-reward": (_poison_rewards(math.nan), NonFiniteError, "non-finite value at episode 2, step 2"),
+    "reward-out-of-range": (_poison_rewards(4.0), ValueError, r"reward .* outside \[0, 1\]"),
+    "simplex": (_lift_policy, RuntimeError, rf"^simplex invariant violated at episode 2, step {sandbox.VALIDATE_EVERY}$"),
+}
+
+
+@pytest.mark.parametrize("side", [1, 2, 5], ids=["S1", "S4", "S25"])
+@pytest.mark.parametrize("abort", list(_ABORTS))
+def test_kernel_aborts_match_reference_at_every_copy(step_kernel, monkeypatch, abort, side):
+    # One grid per compiled copy of the step on an AVX-512 host: S = 1 runs
+    # the 2-lane copy, S = 4 the 4-lane copy and S = 25 the 8-lane copy. The
+    # injection writes in place, so the compiled step reads it; a NaN or a
+    # bad reward aborts the episode's first compiled step, and a policy
+    # entry lifted by 1e-6 leaves a row sum that decays too slowly to pass
+    # the next simplex check.
+    perturb, error, message = _ABORTS[abort]
+    perturb_after_first_step(monkeypatch, perturb)
+    raised = []
+    for run in (run_sandbox, run_reference_loop):
+        env = small_env(side=side, jostle_p=0.1)
+        env.state_reward = env.state_reward.copy()  # writable, for the injection
+        with pytest.raises(error, match=message) as err:
+            run(small_config(env, num_episodes=3, steps_per_episode=150))
+        raised.append(err.value)
+    fast, reference = raised
+    assert str(fast) == str(reference)
+    if error is NonFiniteError:
+        snapshots_agree(fast, reference)
 
 
 def test_kernel_reward_out_of_range_matches_reference(step_kernel):
@@ -680,20 +760,12 @@ def test_kernel_reward_out_of_range_matches_reference(step_kernel):
 
 @pytest.mark.parametrize("stride", [sandbox.VALIDATE_EVERY, 1], ids=["default-stride", "every-step"])
 def test_kernel_simplex_abort_matches_reference(step_kernel, monkeypatch, stride):
-    # Lifting one policy entry by 1e-6 after step 1 of episode 2, which both
-    # loops run through the reference step, leaves a row sum that decays too
-    # slowly to pass the next simplex check: the compiled step's check, or
-    # the reference step's, must fail at the same step.
+    # Lifting one policy entry by 1e-6 after step 1 of episode 2 leaves a row
+    # sum that decays too slowly to pass the next simplex check: the
+    # compiled step's check, or the reference step's, must fail at the same
+    # step.
     monkeypatch.setattr(sandbox, "VALIDATE_EVERY", stride)
-    reference_step = sandbox._Run.reference_step
-
-    def perturbed_step(run, k, t):
-        min_policy = reference_step(run, k, t)
-        if (k, t) == (2, 1):
-            run.pi[0, 0] += 1e-6
-        return min_policy
-
-    monkeypatch.setattr(sandbox._Run, "reference_step", perturbed_step)
+    perturb_after_first_step(monkeypatch, _lift_policy)
     config = small_config(small_env(side=3, jostle_p=0.2), num_episodes=3, steps_per_episode=150)
     step = sandbox.VALIDATE_EVERY if stride > 1 else 2
     message = rf"^simplex invariant violated at episode 2, step {step}$"
@@ -701,6 +773,33 @@ def test_kernel_simplex_abort_matches_reference(step_kernel, monkeypatch, stride
         run_sandbox(config)
     with pytest.raises(RuntimeError, match=message):
         run_reference_loop(config)
+
+
+@pytest.mark.parametrize("side", [1, 2, 3, 4, 5])
+def test_kernel_estimate_holds_the_counters_rows_and_zero_pad(step_kernel, side):
+    # The kernel's estimate rows are padded to a multiple of MAX_LANES
+    # columns. At the end of an episode the pad still holds exact zeros, and
+    # the first S columns are the counter's estimate bit for bit, less the
+    # episode's last count: the next step would refresh that row on entry.
+    config = small_config(small_env(side=side, jostle_p=0.2), num_episodes=3, steps_per_episode=300)
+    run = sandbox._Run(config)
+    loop = sandbox._KernelLoop(run, *_step_kernel.load())
+    S = run.counter.num_states
+    for k in range(1, config.num_episodes + 1):
+        run.start_episode(k)
+        loop.episode(k)
+        estimate = loop._estimate
+        assert estimate.shape == (S, -(-S // _step_kernel.MAX_LANES) * _step_kernel.MAX_LANES)
+        pad = estimate[:, S:]
+        assert np.array_equal(pad, np.zeros_like(pad)) and not np.signbit(pad).any()
+        before_last = TransitionCounter(S)
+        before_last.pair_counts[:] = run.counter.pair_counts
+        before_last.state_counts[:] = run.counter.state_counts
+        before_last.pair_counts[loop.ctx.prev, run.state] -= 1
+        before_last.state_counts[loop.ctx.prev] -= 1
+        assert np.array_equal(estimate[:, :S], before_last.estimate())
+        run.counter.reset()
+        run.learner.reset_clock()
 
 
 @pytest.mark.parametrize("c_beta, nu", [(5.0, 0.55), (0.5, 1.0), (1.0, 0.51)])
