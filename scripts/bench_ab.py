@@ -27,11 +27,14 @@ it is not, and whether the candidate's rerun reproduced it byte for byte.
 A second, in-process section times the step loop and the oracle without
 the CLI's process start, imports and I/O. It loads both trees into this one
 interpreter as two package names (``load_tree``), so a swing in the host's
-speed lands on both sides alike, and builds from each tree's own ``cli`` on
-``configs/full_grid_5x5.json`` the same seven calls (``tree_calls``):
+speed lands on both sides alike, and builds from each tree's own ``cli`` the
+same eight calls (``tree_calls``). On ``configs/full_grid_5x5.json``:
 ``run_sandbox`` cut to K = 4, T = 10k with a reference, ``probe_contraction``
 over ``IN_PROCESS_PROBE_PAIRS`` pairs, ``solve_bmfe``, and value iteration
-and ``gamma2`` alone, each on a stack and on one problem. Each call runs once
+and ``gamma2`` alone, each on a stack and on one problem. On
+``configs/probe_3x3.json``: ``probe_contraction_3x3`` over
+``IN_PROCESS_PROBE_3X3_PAIRS`` pairs, the shape of ``desk3_compare``'s
+companion probe. Each call runs once
 untimed. In each of ``IN_PROCESS_ROUNDS`` rounds the side that goes first
 alternates, and the sides take turns call by call, ``IN_PROCESS_REPEATS``
 times (``VI_REPEATS`` for value iteration and ``gamma2``); each side keeps
@@ -88,6 +91,7 @@ IN_PROCESS_ROUNDS = 11
 IN_PROCESS_REPEATS = 7
 IN_PROCESS_K, IN_PROCESS_T = 4, 10_000
 IN_PROCESS_PROBE_PAIRS = 600
+IN_PROCESS_PROBE_3X3_PAIRS = 500
 VI_STACK, VI_REPEATS = 64, 100
 PUSH_STACK = 96  # a probe block's pairs and their moved and varied variants
 TIER1_RUNS = 3
@@ -184,6 +188,8 @@ def tree_calls(name: str, checkout: Path) -> dict[str, Callable[[], object]]:
         seed=cfg.seed,
         reference=oracle.solve_bmfe(env, lam=lam, rho=rho),
     )
+    probe_cfg = cli.load_config(checkout / "configs" / "probe_3x3.json")
+    probe_env = cli.build_environment(probe_cfg)
     S, A = env.num_states, env.num_actions
     vi_mus = np.random.default_rng(5).dirichlet(np.ones(S), size=VI_STACK)
     rng = np.random.default_rng(6)
@@ -193,6 +199,9 @@ def tree_calls(name: str, checkout: Path) -> dict[str, Callable[[], object]]:
         "run_sandbox": lambda: sandbox.run_sandbox(config),
         "probe_contraction": lambda: oracle.probe_contraction(
             env, lam, rho, IN_PROCESS_PROBE_PAIRS, np.random.default_rng(4)
+        ),
+        "probe_contraction_3x3": lambda: oracle.probe_contraction(
+            probe_env, probe_cfg.schedule.lam, probe_cfg.rho, IN_PROCESS_PROBE_3X3_PAIRS, np.random.default_rng(4)
         ),
         "solve_bmfe": lambda: oracle.solve_bmfe(env, lam=lam, rho=rho),
         f"value_iteration_{VI_STACK}": lambda: oracle._value_iteration(env, vi_mus, rho, 1e-10),
@@ -228,7 +237,8 @@ def measure_in_process(calls: dict[str, dict[str, Callable[[], object]]]) -> dic
             "process": "one interpreter, the base export and the working tree loaded as two package names",
             "calls": f"run_sandbox at K={IN_PROCESS_K}, T={IN_PROCESS_T} with a reference, probe_contraction "
             f"({IN_PROCESS_PROBE_PAIRS} pairs, seed 4), solve_bmfe, cold _value_iteration on {VI_STACK} and on 1 "
-            f"mean-field, gamma2 on {PUSH_STACK} pairs and on 1, on configs/full_grid_5x5.json; each untimed once",
+            f"mean-field, gamma2 on {PUSH_STACK} pairs and on 1, on configs/full_grid_5x5.json; probe_contraction_3x3 "
+            f"({IN_PROCESS_PROBE_3X3_PAIRS} pairs, seed 4) on configs/probe_3x3.json; each untimed once",
             "repeats": f"{IN_PROCESS_REPEATS} per side and round, {VI_REPEATS} for value_iteration_* and gamma2_*",
             "clock": "time.process_time, the CPU time of the process",
             "order": "the sides take turns call by call, base first in even rounds",

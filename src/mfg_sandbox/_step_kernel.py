@@ -1,4 +1,4 @@
-"""Compiled learner step and value iteration, built on first use with cffi.
+"""Compiled learner step, value iteration and probe block, built on first use with cffi.
 
 One call of ``learner_step`` performs everything a step t > 1 of the run
 loop does except counting the transition: the refresh of the one estimate
@@ -41,11 +41,26 @@ instruction set it needs, and ``__builtin_cpu_supports`` decides which
 copies may run; no flag tunes the build to the building CPU, so a cached
 build runs on any CPU of its architecture. The caller sizes the lane
 scratch for ``MAX_LANES``. ``oracle._value_iteration`` documents the
-arguments and keeps the NumPy reference loop. Neither function keeps state
-of its own between calls: the step's lives in the caller's context, and
-value iteration's scratch space comes from the caller, so two threads may
-run them at once on contexts and scratch of their own (cffi releases the
-GIL during a call).
+arguments and keeps the NumPy reference loop.
+
+One call of ``probe_block`` scores one block of the contraction probe on a
+congestion grid, from the block's exponential draws to its three ratio
+maxima: the Dirichlet rows, their L1 and TV distances, the pushes of the
+pairs and of their moved and varied variants through the kernel's sparse
+rows, the congestion rewards of the moved pairs' mean-fields, value
+iteration on them (a call of ``value_iteration``, so the iterates are
+``oracle.gamma1``'s), the softmax rows with libm's ``exp`` and the ratios.
+Each sum runs in the order of the NumPy block it replaces,
+``oracle._block_ratios``: a Dirichlet row's in index order, as cumsum sums
+it, and each L1 or TV row's in the order of NumPy's add.reduce (in index
+order below 8 entries, eight partial sums from 8 on, two halves past 128),
+so d2 and d3 equal the NumPy block's bit for bit and d1 differs only where
+the two ``exp`` round apart.
+
+No function keeps state of its own between calls: the step's lives in the
+caller's context, and the scratch space of value iteration and of the probe
+block comes from the caller, so two threads may run them at once on
+contexts and scratch of their own (cffi releases the GIL during a call).
 
 The extension is compiled once into ``_kernel_build`` next to this file,
 under a name keyed by the C source, the compiler flags and the interpreter's
@@ -95,6 +110,10 @@ int learner_step(step_ctx *c, int t);
 int64_t value_iteration(int num_problems, int num_states, int num_actions,
                         const double *kernel, double rho, const double *rewards, double *q,
                         int *int_scratch, double *scratch, double threshold, int64_t max_iter);
+int probe_block(int num_pairs, int num_states, int num_actions, const double *draws,
+                const double *kernel, const double *state_reward, double congestion_c, double lam,
+                double rho, double threshold, int64_t max_iter, int *int_scratch, int64_t int_size,
+                double *scratch, int64_t size, double *ratios);
 """
 
 # One in-place sweep of W lanes in GCC vector extensions, for the macros W
@@ -538,6 +557,198 @@ int64_t value_iteration(int num_problems, int num_states, int num_actions,
     }
     return total;
 }
+
+/* The sum of a contiguous row of n doubles in the order of NumPy 2.x's
+   add.reduce (pairwise_sum): in index order below 8 entries; from 8 on,
+   eight partial sums of every eighth entry, combined as
+   ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail in
+   index order; above 128 entries, the sums of two halves split at a
+   multiple of 8. */
+static double row_sum(const double *x, ptrdiff_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (ptrdiff_t i = 0; i < n; i++)
+            res += x[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int j = 0; j < 8; j++)
+            r[j] = x[j];
+        ptrdiff_t i = 8;
+        for (; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += x[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += x[i];
+        return res;
+    }
+    ptrdiff_t half = n / 2;
+    half -= half % 8;
+    return row_sum(x, half) + row_sum(x + half, n - half);
+}
+
+/* The L1 distance of two rows of n doubles, summed as row_sum sums; tmp
+   holds n doubles. */
+static double l1_distance(const double *x, const double *y, int n, double *tmp)
+{
+    for (int i = 0; i < n; i++)
+        tmp[i] = fabs(x[i] - y[i]);
+    return row_sum(tmp, n);
+}
+
+/* out <- the flow mu(s) pi(a|s) pushed through the kernel's sparse rows:
+   out[t] sums mu(s) pi(a|s) P(t|s, a) over (s, a) in index order, as
+   oracle.gamma2's einsum does for S >= 2. */
+static void push_flow(int S, int A, const int *row_start, const int *cols, const double *vals,
+                      const double *mu, const double *pi, double *out)
+{
+    for (int t = 0; t < S; t++)
+        out[t] = 0.0;
+    for (int k = 0; k < S * A; k++) {
+        const double x = mu[k / A] * pi[k];
+        for (int m = row_start[k]; m < row_start[k + 1]; m++)
+            out[cols[m]] += x * vals[m];
+    }
+}
+
+/* Scores one probe block of n pairs on a congestion grid: the block's
+   Dirichlet rows from its exponential draws (n x (2 S + 2 S A), per pair
+   mu, mu_alt, then the S rows of pi and the S of pi_alt), their distances,
+   the pushes of the pairs and of their moved and varied variants, the
+   congestion rewards (1 - congestion_c mu(s)) R(s) of the moved pairs' 2m
+   mean-fields, value iteration on them from Q = 0 (value_iteration, at
+   threshold and max_iter), the softmax at lam of the 2m Q-tables, and the
+   three Lipschitz ratios. Writes the block's maxima of d1, d2 and d3 into
+   ratios, 0 where no ratio was taken. Every step is oracle._block_ratios
+   in C, its sums in the same order; the softmax calls libm's exp. The caller owns the scratch: int_scratch holds int_size ints and
+   scratch size doubles. Returns 0; -1 when a value iteration is still
+   moving after max_iter sweeps; -2 when the scratch is too small. */
+int probe_block(int num_pairs, int num_states, int num_actions, const double *draws,
+                const double *kernel, const double *state_reward, double congestion_c, double lam,
+                double rho, double threshold, int64_t max_iter, int *int_scratch, int64_t int_size,
+                double *scratch, int64_t size, double *ratios)
+{
+    const int n = num_pairs, S = num_states, A = num_actions, width = 2 * S + 2 * S * A;
+    const size_t rows = (size_t)S * A, entries = rows * S, tables = 2 * (size_t)n * rows;
+    const size_t vi_ints = rows + 1 + entries, vi_doubles = entries + (2 * rows + S) * MAX_WIDTH;
+    /* ints: the kernel's sparse rows, the moved pairs' indices, value_iteration's;
+       doubles: the rows, the distances, two pushes and a row, the kernel's
+       sparse values, the rewards and Q-tables, value_iteration's */
+    if ((size_t)int_size < rows + 1 + entries + n + vi_ints
+        || (size_t)size < (size_t)n * width + 2 * (size_t)n + 3 * (size_t)S + A + entries + 2 * tables + vi_doubles)
+        return -2;
+    int *row_start = int_scratch, *cols = row_start + rows + 1, *moved = cols + entries, *vi_int = moved + n;
+    double *pairs = scratch, *dmu = pairs + (size_t)n * width, *dpi = dmu + n;
+    double *push = dpi + n, *push_alt = push + S, *tmp = push_alt + S, *vals = tmp + S + A;
+    double *rewards = vals + entries, *q = rewards + tables, *vi_scratch = q + tables;
+    double d1 = 0.0, d2 = 0.0, d3 = 0.0;
+
+    /* Dirichlet rows: each segment scaled by the inverse of its in-order sum */
+    for (int i = 0; i < n; i++) {
+        const double *e = draws + (size_t)i * width;
+        double *out = pairs + (size_t)i * width;
+        for (int start = 0; start < width;) {
+            const int len = start < 2 * S ? S : A;
+            double sum = e[start];
+            for (int j = 1; j < len; j++)
+                sum += e[start + j];
+            const double inv = 1.0 / sum;
+            for (int j = 0; j < len; j++)
+                out[start + j] = e[start + j] * inv;
+            start += len;
+        }
+    }
+
+    int nonzero = 0;
+    for (size_t k = 0; k < rows; k++) {
+        row_start[k] = nonzero;
+        for (int j = 0; j < S; j++)
+            if (kernel[k * S + j] != 0.0) {
+                cols[nonzero] = j;
+                vals[nonzero] = kernel[k * S + j];
+                nonzero++;
+            }
+    }
+    row_start[rows] = nonzero;
+
+    /* distances, pushes, d2 and d3 */
+    int m = 0;
+    for (int i = 0; i < n; i++) {
+        const double *mu = pairs + (size_t)i * width, *mu_alt = mu + S, *pi = mu + 2 * S,
+                     *pi_alt = pi + rows;
+        dmu[i] = l1_distance(mu, mu_alt, S, tmp);
+        dpi[i] = -INFINITY;
+        for (int s = 0; s < S; s++) {
+            const double tv = l1_distance(pi + (size_t)s * A, pi_alt + (size_t)s * A, A, tmp);
+            if (tv > dpi[i])
+                dpi[i] = tv;
+        }
+        push_flow(S, A, row_start, cols, vals, mu, pi, push);
+        if (dmu[i] >= 1e-9) {
+            moved[m++] = i;
+            push_flow(S, A, row_start, cols, vals, mu_alt, pi, push_alt);
+            const double ratio = l1_distance(push, push_alt, S, tmp) / dmu[i];
+            if (ratio > d3)
+                d3 = ratio;
+        }
+        if (dpi[i] >= 1e-9) {
+            push_flow(S, A, row_start, cols, vals, mu, pi_alt, push_alt);
+            const double ratio = l1_distance(push, push_alt, S, tmp) / dpi[i];
+            if (ratio > d2)
+                d2 = ratio;
+        }
+    }
+
+    /* d1: the moved pairs' mu, then their mu_alt, solved and softmaxed */
+    if (m > 0) {
+        const size_t problems = 2 * (size_t)m;
+        for (size_t p = 0; p < problems; p++) {
+            const double *mu = pairs + (size_t)moved[p % m] * width + (p < (size_t)m ? 0 : S);
+            for (int s = 0; s < S; s++) {
+                const double r = (1.0 - congestion_c * mu[s]) * state_reward[s];
+                for (int a = 0; a < A; a++) {
+                    rewards[p * rows + (size_t)s * A + a] = r;
+                    q[p * rows + (size_t)s * A + a] = 0.0;
+                }
+            }
+        }
+        if (value_iteration((int)problems, S, A, kernel, rho, rewards, q, vi_int, vi_scratch, threshold,
+                            max_iter) < 0)
+            return -1;
+        for (size_t r = 0; r < problems * S; r++) {
+            double *z = q + r * A, z_max = -INFINITY;
+            for (int a = 0; a < A; a++) {
+                z[a] = lam * z[a];
+                if (z[a] > z_max)
+                    z_max = z[a];
+            }
+            for (int a = 0; a < A; a++)
+                z[a] = exp(z[a] - z_max);
+            const double z_sum = row_sum(z, A);
+            for (int a = 0; a < A; a++)
+                z[a] /= z_sum;
+        }
+        for (int j = 0; j < m; j++) {
+            const double *g = q + (size_t)j * rows, *g_alt = q + ((size_t)m + j) * rows;
+            double tv_max = -INFINITY;
+            for (int s = 0; s < S; s++) {
+                const double tv = l1_distance(g + (size_t)s * A, g_alt + (size_t)s * A, A, tmp);
+                if (tv > tv_max)
+                    tv_max = tv;
+            }
+            const double ratio = tv_max / dmu[moved[j]];
+            if (ratio > d1)
+                d1 = ratio;
+        }
+    }
+    ratios[0] = d1;
+    ratios[1] = d2;
+    ratios[2] = d3;
+    return 0;
+}
 """
 )
 
@@ -598,7 +809,8 @@ def load():
             _loaded = _import_or_build()
         except Exception as err:  # any build or load failure falls back
             logger.warning(
-                "compiled learner step and value iteration unavailable, using the reference loops: %s", err
+                "compiled learner step, value iteration and probe block unavailable, using the reference loops: %s",
+                err,
             )
             logger.debug("step kernel build failure", exc_info=True)
             _loaded = False

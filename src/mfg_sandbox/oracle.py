@@ -13,10 +13,15 @@ by block. A stack costs one call of each environment table and, for a
 kernel shared by the stack, one compiled value-iteration call that sweeps
 its problems together, one per lane of a SIMD register: up to 8 at a time
 under AVX-512, 4 under AVX2, 2 on other CPUs, a width the call picks itself.
+On a congestion grid the probe scores each block in one compiled call,
+_step_kernel.probe_block, which runs both operators, value iteration
+included, and the ratios in C; the NumPy block, _block_ratios, is its
+reference and its fallback.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +29,7 @@ import numpy as np
 
 from . import _step_kernel
 from .core import check_simplex, l1_norm, softmax_table, tv_norm
-from .environment import MfgEnvironment
+from .environment import CongestionGridEnv, MfgEnvironment
 
 # Probe pairs drawn and scored together; the block bounds the probe's
 # memory, O(PROBE_BLOCK) whatever the number of pairs.
@@ -85,7 +90,7 @@ def _sweeps_compiled(ffi, lib, kernel, rho: float, rewards, q, threshold: float,
 
 
 def _value_iteration(
-    env: MfgEnvironment, mus, rho: float, tol: float, q_start=None, max_iter: int = 1_000_000
+    env: MfgEnvironment, mus, rho: float, tol: float, q_start=None, max_iter: int = 1_000_000, kernels=None
 ) -> tuple[np.ndarray, int]:
     """Value iteration on a stack of mu-frozen MDPs, each accurate to tol in sup norm.
 
@@ -112,11 +117,13 @@ def _value_iteration(
       [0, 1] they stay in [0, 1/(1-rho)] and need no clip.
 
     The environment is asked once for the stack's kernels and reward
-    tables, and the discount is folded into the kernel. A kernel stack
-    whose stack axis has stride zero, as np.broadcast_to makes for every
-    package environment, is one kernel for the stack and one compiled
-    call; otherwise each problem is a call of its own. Without the compiled
-    extension, the NumPy reference loop runs instead.
+    tables, and the discount is folded into the kernel; a caller that has
+    fetched the kernels already passes what _kernels(env, mus) returned as
+    kernels. A kernel stack whose stack axis has stride zero, as
+    np.broadcast_to makes for every package environment, is one kernel for
+    the stack and one compiled call; otherwise each problem is a call of its
+    own. Without the compiled extension, the NumPy reference loop runs
+    instead.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
@@ -131,7 +138,8 @@ def _value_iteration(
         q = np.array(q_start, dtype=np.float64, order="C")
     if M == 0:
         return q, 0
-    kernels = _kernels(env, mus)
+    if kernels is None:
+        kernels = _kernels(env, mus)
     rewards = np.ascontiguousarray(env.reward_table(mus), dtype=np.float64)
     # the compiled loop reads these sizes through raw pointers
     if q.shape != (M, S, A) or rewards.shape != q.shape:
@@ -204,7 +212,12 @@ def induced_kernel(env: MfgEnvironment, pi, mu) -> np.ndarray:
     """
     pi = np.asarray(pi, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
-    return np.einsum("...sa,...sat->...st", pi, _kernels(env, mu))
+    return _chain(_kernels(env, mu), pi)
+
+
+def _chain(kernel: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """induced_kernel on kernel, what _kernels returns at the pairs' mean-fields."""
+    return np.einsum("...sa,...sat->...st", pi, kernel)
 
 
 def gamma2(env: MfgEnvironment, pi, mu) -> np.ndarray:
@@ -219,8 +232,12 @@ def gamma2(env: MfgEnvironment, pi, mu) -> np.ndarray:
     """
     pi = np.asarray(pi, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
-    kernel = _kernels(env, mu)
-    S, A = env.num_states, env.num_actions
+    return _push(_kernels(env, mu), pi, mu)
+
+
+def _push(kernel: np.ndarray, pi: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """gamma2 on kernel, what _kernels returns at mu."""
+    S, A = kernel.shape[-3:-1]
     flow = mu[..., None] * pi
     flow = flow.reshape(flow.shape[:-2] + (S * A,))
     return np.einsum("...k,...kt->...t", flow, kernel.reshape(kernel.shape[:-3] + (S * A, S)))
@@ -352,6 +369,91 @@ def _dirichlet_rows(e: np.ndarray) -> np.ndarray:
     return e * (1.0 / np.cumsum(e, axis=-1)[..., -1:])
 
 
+def _block_ratios(env: MfgEnvironment, lam: float, rho: float, e: np.ndarray) -> tuple[float, float, float]:
+    """The NumPy block: the maxima of d1, d2 and d3 over one block's pairs, 0 where no ratio was taken.
+
+    e is the block's (n, 2S + 2SA) exponential draws, each pair's mu,
+    mu_alt, pi and pi_alt in that order.
+    """
+    S, A = env.num_states, env.num_actions
+    n = len(e)
+    mu = _dirichlet_rows(e[:, :S])
+    mu_alt = _dirichlet_rows(e[:, S : 2 * S])
+    pi = _dirichlet_rows(e[:, 2 * S : 2 * S + S * A].reshape(n, S, A))
+    pi_alt = _dirichlet_rows(e[:, 2 * S + S * A :].reshape(n, S, A))
+    dmu = np.abs(mu - mu_alt).sum(axis=1)
+    moved = dmu >= 1e-9
+    m = int(moved.sum())
+    dpi = np.abs(pi - pi_alt).sum(axis=2).max(axis=1)
+    varied = dpi >= 1e-9
+    pushes = gamma2(
+        env,
+        np.concatenate([pi, pi[moved], pi_alt[varied]]),
+        np.concatenate([mu, mu_alt[moved], mu[varied]]),
+    )
+    push, push_moved, push_varied = pushes[:n], pushes[n : n + m], pushes[n + m :]
+    d1 = d2 = d3 = 0.0
+    if m:
+        g1 = gamma1(env, np.concatenate([mu[moved], mu_alt[moved]]), lam, rho)[0]
+        d1 = float((np.abs(g1[:m] - g1[m:]).sum(axis=2).max(axis=1) / dmu[moved]).max())
+        d3 = float((np.abs(push[moved] - push_moved).sum(axis=1) / dmu[moved]).max())
+    if varied.any():
+        d2 = float((np.abs(push[varied] - push_varied).sum(axis=1) / dpi[varied]).max())
+    return d1, d2, d3
+
+
+def _compiled_block(env: CongestionGridEnv, lam: float, rho: float, ffi, lib):
+    """_block_ratios for a congestion grid as one C call per block (_step_kernel.probe_block).
+
+    Returns a function of a block's draws. Its scratch is sized once for
+    PROBE_BLOCK pairs; value iteration stops as gamma1's defaults stop it.
+    """
+    S, A = env.num_states, env.num_actions
+    rows, width = S * A, 2 * S + 2 * S * A
+    entries = rows * S
+    # probe_block's layout, which it checks against these sizes
+    ints = np.empty(2 * (rows + 1 + entries) + PROBE_BLOCK, dtype=np.intc)
+    scratch = np.empty(
+        PROBE_BLOCK * (width + 2 + 4 * rows) + 3 * S + A + 2 * entries + (2 * rows + S) * _step_kernel.MAX_LANES
+    )
+    ratios = np.empty(3)
+    kernel = ffi.from_buffer("double[]", env.transition_kernel(None))
+    state_reward = ffi.from_buffer("double[]", env.state_reward)
+    int_buffer = ffi.from_buffer("int[]", ints, require_writable=True)
+    buffer = ffi.from_buffer("double[]", scratch, require_writable=True)
+    ratio_buffer = ffi.from_buffer("double[]", ratios, require_writable=True)
+    tol, max_iter = 1e-10, 1_000_000  # gamma1's and _value_iteration's defaults
+    threshold = tol * (1.0 - rho) / rho
+
+    def block(e: np.ndarray) -> tuple[float, float, float]:
+        code = lib.probe_block(
+            len(e),
+            S,
+            A,
+            ffi.from_buffer("double[]", e),
+            kernel,
+            state_reward,
+            env.params.congestion_c,
+            lam,
+            rho,
+            threshold,
+            max_iter,
+            int_buffer,
+            ints.size,
+            buffer,
+            scratch.size,
+            ratio_buffer,
+        )
+        if code == -1:
+            raise ArithmeticError(f"value iteration did not converge within {max_iter} sweeps")
+        if code < 0:
+            raise ValueError("probe block scratch too small")
+        d1, d2, d3 = ratios
+        return float(d1), float(d2), float(d3)
+
+    return block
+
+
 def probe_contraction(
     env: MfgEnvironment,
     lam: float,
@@ -365,39 +467,38 @@ def probe_contraction(
     uniformly over the simplex, pair by pair in the order mu, mu_alt, pi,
     pi_alt: the same random stream as rng.dirichlet calls in that order.
     Ratios whose denominator is below 1e-9 are skipped. Pairs are drawn and
-    scored in blocks of PROBE_BLOCK as whole arrays, so memory does not
-    grow with num_pairs; a block's pushes, of its pairs and of their moved
-    and varied variants, are one gamma2 call.
+    scored in blocks of PROBE_BLOCK, so memory does not grow with
+    num_pairs; a block's draws are one standard_exponential call. On a
+    congestion grid of two or more states, when the extension loads, one
+    compiled call per block, _step_kernel.probe_block, then does all of the
+    block's work: the Dirichlet rows, their distances, the pushes, the
+    rewards, value iteration, the softmax and the three ratios. Elsewhere,
+    and as its reference, _block_ratios scores the block in NumPy: one
+    gamma2 call pushes the block's pairs and their moved and varied
+    variants, and one gamma1 call solves its moved mean-fields. The two give
+    the same d2 and d3 bit for bit and the same draws; d1 may differ in the
+    last bits, since the compiled softmax calls libm's exp where NumPy calls
+    its own.
     """
     if num_pairs < 1:
         raise ValueError("num_pairs must be >= 1")
     # checked here too: a draw that moves no mean-field never reaches gamma1
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError("softmax temperature must be finite and >= 0")
     S, A = env.num_states, env.num_actions
+    # The block reads the grid's kernel array and state rewards directly, as
+    # run_sandbox's compiled step does. At S = 1 gamma2's einsum sums each
+    # push as a dot product in SIMD lanes, an order the block does not copy.
+    compiled = _step_kernel.load() if type(env) is CongestionGridEnv and S > 1 else None
+    if compiled is None:
+        score = functools.partial(_block_ratios, env, lam, rho)
+    else:
+        score = _compiled_block(env, lam, rho, *compiled)
     d1 = d2 = d3 = 0.0
     for start in range(0, num_pairs, PROBE_BLOCK):
         n = min(PROBE_BLOCK, num_pairs - start)
-        e = rng.standard_exponential((n, 2 * S + 2 * S * A))
-        mu = _dirichlet_rows(e[:, :S])
-        mu_alt = _dirichlet_rows(e[:, S : 2 * S])
-        pi = _dirichlet_rows(e[:, 2 * S : 2 * S + S * A].reshape(n, S, A))
-        pi_alt = _dirichlet_rows(e[:, 2 * S + S * A :].reshape(n, S, A))
-        dmu = np.abs(mu - mu_alt).sum(axis=1)
-        moved = dmu >= 1e-9
-        m = int(moved.sum())
-        dpi = np.abs(pi - pi_alt).sum(axis=2).max(axis=1)
-        varied = dpi >= 1e-9
-        pushes = gamma2(
-            env,
-            np.concatenate([pi, pi[moved], pi_alt[varied]]),
-            np.concatenate([mu, mu_alt[moved], mu[varied]]),
-        )
-        push, push_moved, push_varied = pushes[:n], pushes[n : n + m], pushes[n + m :]
-        if m:
-            g1 = gamma1(env, np.concatenate([mu[moved], mu_alt[moved]]), lam, rho)[0]
-            d1 = max(d1, float((np.abs(g1[:m] - g1[m:]).sum(axis=2).max(axis=1) / dmu[moved]).max()))
-            d3 = max(d3, float((np.abs(push[moved] - push_moved).sum(axis=1) / dmu[moved]).max()))
-        if varied.any():
-            d2 = max(d2, float((np.abs(push[varied] - push_varied).sum(axis=1) / dpi[varied]).max()))
+        b1, b2, b3 = score(rng.standard_exponential((n, 2 * S + 2 * S * A)))
+        d1, d2, d3 = max(d1, b1), max(d2, b2), max(d3, b3)
     return ContractionEstimate(d1_hat=d1, d2_hat=d2, d3_hat=d3, num_pairs=num_pairs)

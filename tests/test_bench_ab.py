@@ -126,11 +126,12 @@ def test_the_repo_tree_loaded_twice_runs_run_sandbox_alike(bench_ab, tree_names)
             assert np.array_equal(a, b)
 
 
-def test_tree_calls_build_the_seven_calls(bench_ab, tree_names):
+def test_tree_calls_build_the_eight_calls(bench_ab, tree_names):
     calls = bench_ab.tree_calls(tree_names[0], REPO)
     assert set(calls) == {
         "run_sandbox",
         "probe_contraction",
+        "probe_contraction_3x3",
         "solve_bmfe",
         f"value_iteration_{bench_ab.VI_STACK}",
         "value_iteration_1",
@@ -140,6 +141,7 @@ def test_tree_calls_build_the_seven_calls(bench_ab, tree_names):
     q, _ = calls["value_iteration_1"]()
     assert q.shape == (1, 25, 4)
     assert calls[f"gamma2_{bench_ab.PUSH_STACK}"]().shape == (bench_ab.PUSH_STACK, 25)
+    assert calls["probe_contraction_3x3"]().num_pairs == bench_ab.IN_PROCESS_PROBE_3X3_PAIRS
 
 
 def _fake_calls(costs: dict, clock: list, log: list) -> dict:

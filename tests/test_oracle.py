@@ -1,5 +1,6 @@
 import contextlib
 import math
+import types
 from unittest import mock
 
 import numpy as np
@@ -775,9 +776,34 @@ def test_value_iteration_of_no_problems():
     assert q.shape == (0, 5, 2) and sweeps == 0
 
 
+PROBE_PAIR_COUNTS = sorted({1, 15, 16, 37, PROBE_BLOCK - 1, PROBE_BLOCK, 2 * PROBE_BLOCK + 5})
+
+
+def numpy_probe():
+    """The probe's NumPy block loop: the extension patched off, value iteration included."""
+    return mock.patch.object(_step_kernel, "load", return_value=None)
+
+
+def recording_probe_block(block_sizes):
+    """The extension, its probe_block recording each call's number of pairs."""
+    loaded = _step_kernel.load()
+    if loaded is None:
+        pytest.skip("the compiled extension could not be built here")
+    ffi, lib = loaded
+
+    def probe_block(num_pairs, *args):
+        block_sizes.append(num_pairs)
+        return lib.probe_block(num_pairs, *args)
+
+    return mock.patch.object(
+        _step_kernel, "load", return_value=(ffi, types.SimpleNamespace(probe_block=probe_block))
+    )
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("num_pairs", sorted({1, 15, 16, 37, PROBE_BLOCK - 1, PROBE_BLOCK, 2 * PROBE_BLOCK + 5}))
+@pytest.mark.parametrize("num_pairs", PROBE_PAIR_COUNTS)
 def test_probe_matches_pair_by_pair_loop(seed, num_pairs):
+    # the NumPy block loop; test_compiled_probe_matches_pair_by_pair_loop is its compiled twin
     env = make_congestion_env(CongestionGridParams(side=3))
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     batch_sizes = []
@@ -787,7 +813,7 @@ def test_probe_matches_pair_by_pair_loop(seed, num_pairs):
         batch_sizes.append(len(mus))
         return solve(env, mus, *args, **kwargs)
 
-    with mock.patch.object(oracle, "_value_iteration", recording):
+    with numpy_probe(), mock.patch.object(oracle, "_value_iteration", recording):
         est = probe_contraction(env, lam=2.0, rho=0.7, num_pairs=num_pairs, rng=rng)
     d1, d2, d3 = reference_probe(env, 2.0, 0.7, num_pairs, rng_ref)
     assert abs(est.d1_hat - d1) <= 1e-12
@@ -799,25 +825,91 @@ def test_probe_matches_pair_by_pair_loop(seed, num_pairs):
     assert max(batch_sizes) <= 2 * PROBE_BLOCK
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("num_pairs", PROBE_PAIR_COUNTS)
+def test_compiled_probe_matches_pair_by_pair_loop(seed, num_pairs):
+    env = make_congestion_env(CongestionGridParams(side=3))
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    block_sizes = []
+    with recording_probe_block(block_sizes), mock.patch.object(oracle, "_value_iteration") as solve:
+        est = probe_contraction(env, lam=2.0, rho=0.7, num_pairs=num_pairs, rng=rng)
+    d1, d2, d3 = reference_probe(env, 2.0, 0.7, num_pairs, rng_ref)
+    assert abs(est.d1_hat - d1) <= 1e-12
+    assert abs(est.d2_hat - d2) <= 1e-12
+    assert abs(est.d3_hat - d3) <= 1e-12
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    # value iteration runs inside the block's call, which scores at most one block
+    assert solve.call_count == 0
+    assert sum(block_sizes) == num_pairs and max(block_sizes) <= PROBE_BLOCK
+
+
 def test_probe_pushes_once_per_block():
     env = make_congestion_env(CongestionGridParams(side=5))
-    with mock.patch.object(oracle, "gamma2", wraps=oracle.gamma2) as push:
+    with numpy_probe(), mock.patch.object(oracle, "gamma2", wraps=oracle.gamma2) as push:
         probe_contraction(env, lam=2.0, rho=0.7, num_pairs=600, rng=np.random.default_rng(3))
     assert push.call_count == -(-600 // PROBE_BLOCK) == 19
+
+
+def test_compiled_probe_calls_the_block_once_per_block():
+    env = make_congestion_env(CongestionGridParams(side=5))
+    block_sizes = []
+    with recording_probe_block(block_sizes), mock.patch.object(oracle, "gamma2") as push:
+        probe_contraction(env, lam=2.0, rho=0.7, num_pairs=600, rng=np.random.default_rng(3))
+    assert len(block_sizes) == -(-600 // PROBE_BLOCK) == 19 and push.call_count == 0
+    assert block_sizes == [PROBE_BLOCK] * 18 + [600 - 18 * PROBE_BLOCK]
+
+
+PROBE_WORLDS = {
+    "grid3": make_congestion_env(CongestionGridParams(side=3)),
+    "grid5": make_congestion_env(CongestionGridParams(side=5)),
+    "two_class": make_two_class_env(CongestionGridParams(side=5)),
+    "side1": make_congestion_env(CongestionGridParams(side=1)),
+}
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0, 10.0])
+@pytest.mark.parametrize("world", PROBE_WORLDS)
+def test_compiled_probe_matches_the_numpy_block_loop(world, lam):
+    # PROBE_BLOCK + 5 pairs: a full block and a partial one
+    env, num_pairs = PROBE_WORLDS[world], PROBE_BLOCK + 5
+    rng, rng_numpy, rng_ref = (np.random.default_rng(31) for _ in range(3))
+    block_sizes = []
+    with recording_probe_block(block_sizes):
+        est = probe_contraction(env, lam=lam, rho=0.7, num_pairs=num_pairs, rng=rng)
+    with numpy_probe():
+        numpy_est = probe_contraction(env, lam=lam, rho=0.7, num_pairs=num_pairs, rng=rng_numpy)
+    # the block's softmax calls libm's exp, NumPy its own
+    assert abs(est.d1_hat - numpy_est.d1_hat) <= 1e-15
+    assert (est.d2_hat, est.d3_hat) == (numpy_est.d2_hat, numpy_est.d3_hat)
+    assert rng.bit_generator.state == rng_numpy.bit_generator.state
+    d1, d2, d3 = reference_probe(env, lam, 0.7, num_pairs, rng_ref)
+    assert abs(est.d1_hat - d1) <= 1e-12 and abs(est.d2_hat - d2) <= 1e-12 and abs(est.d3_hat - d3) <= 1e-12
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    # one state: the NumPy block scores every block
+    assert block_sizes == ([] if env.num_states == 1 else [PROBE_BLOCK, 5])
+
+
+@pytest.mark.parametrize("num_pairs", [1, 17, PROBE_BLOCK])
+@pytest.mark.parametrize("lam", [1.0, 2.0, 10.0, 300.0])
+@pytest.mark.parametrize("side", [2, 3, 5, 12])
+def test_probe_block_equals_the_numpy_block(side, lam, num_pairs):
+    # 12 x 12 = 144 states: row sums past 128 entries split in two; at
+    # lam = 300, exp(lam q) overflows unless the softmax shifts by the row max
+    loaded = _step_kernel.load()
+    if loaded is None:
+        pytest.skip("the compiled extension could not be built here")
+    env = make_congestion_env(CongestionGridParams(side=side))
+    S, A = env.num_states, env.num_actions
+    e = np.random.default_rng(side).standard_exponential((num_pairs, 2 * S + 2 * S * A))
+    d1, d2, d3 = oracle._compiled_block(env, lam, 0.7, *loaded)(e)
+    numpy_d1, numpy_d2, numpy_d3 = oracle._block_ratios(env, lam, 0.7, e)
+    assert abs(d1 - numpy_d1) <= 1e-15 and (d2, d3) == (numpy_d2, numpy_d3)
 
 
 def test_probe_single_state_skips_every_mean_field_ratio():
     env = make_congestion_env(CongestionGridParams(side=1))
     est = probe_contraction(env, lam=1.0, rho=0.7, num_pairs=PROBE_BLOCK + 1, rng=np.random.default_rng(0))
     assert est.d1_hat == 0.0 and est.d3_hat == 0.0
-
-
-def test_probe_on_the_numpy_fallback_matches_pair_by_pair_loop():
-    env = make_congestion_env(CongestionGridParams(side=3))
-    with mock.patch.object(_step_kernel, "load", return_value=None):
-        est = probe_contraction(env, lam=2.0, rho=0.7, num_pairs=PROBE_BLOCK + 3, rng=np.random.default_rng(5))
-    d1, d2, d3 = reference_probe(env, 2.0, 0.7, PROBE_BLOCK + 3, np.random.default_rng(5))
-    assert abs(est.d1_hat - d1) <= 1e-12 and abs(est.d2_hat - d2) <= 1e-12 and abs(est.d3_hat - d3) <= 1e-12
 
 
 @pytest.mark.parametrize("S, A, n", [(9, 4, 16), (25, 4, 5), (1, 1, 3)])
@@ -837,6 +929,42 @@ def test_block_draws_are_the_dirichlet_stream(S, A, n):
     ]
     assert np.array_equal(np.hstack([rows, policies]), np.array(expected))
     assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def pairwise_row_sum(x: list) -> float:
+    """The sum of a row in the order _step_kernel's row_sum copies from NumPy's add.reduce.
+
+    In index order below 8 entries; from 8 up to 128, eight partial sums of
+    every eighth entry combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)), then the tail in index order; above 128, the sums of two
+    halves split at a multiple of 8.
+    """
+    n = len(x)
+    if n < 8:
+        total = -0.0
+        for value in x:
+            total += value
+        return total
+    if n <= 128:
+        r = x[:8]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            r = [r[j] + x[i + j] for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for value in x[tail:]:
+            total += value
+        return total
+    half = n // 2 - n // 2 % 8
+    return pairwise_row_sum(x[:half]) + pairwise_row_sum(x[half:])
+
+
+@pytest.mark.parametrize("n", list(range(1, 41)) + [129, 144])
+def test_row_sums_follow_the_order_the_probe_block_copies(n):
+    # probe_block sums each L1 and TV row in this order so that its ratios
+    # equal the NumPy block's bit for bit; a numpy release that changes the
+    # order of x.sum(axis=-1) breaks that, and this shows it.
+    x = np.random.default_rng(n).standard_normal((200, n))
+    assert x.sum(axis=-1).tolist() == [pairwise_row_sum(row) for row in x.tolist()]
 
 
 @pytest.mark.parametrize(
@@ -947,6 +1075,19 @@ def test_a_discount_outside_the_unit_interval_is_rejected_before_any_sweep(rho):
                 solve_bmfe(env, lam=1.0, rho=rho)
             with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\)"):
                 probe_contraction(env, lam=1.0, rho=rho, num_pairs=4, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("lam", [-1.0, math.inf, math.nan])
+def test_a_temperature_outside_the_softmax_range_is_rejected_before_any_draw(lam):
+    # the compiled block's softmax never reaches softmax_table's check, and
+    # on the 1-state grid neither does the NumPy block's
+    for side in (5, 1):
+        env = make_congestion_env(CongestionGridParams(side=side))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="softmax temperature must be finite and >= 0"):
+            probe_contraction(env, lam=lam, rho=0.7, num_pairs=4, rng=rng)
+        assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize(

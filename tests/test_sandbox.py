@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mfg_sandbox.core import l1_norm, tv_norm
+from mfg_sandbox.core import frobenius_norm, inf_norm, l1_norm, tv_norm
 from mfg_sandbox.environment import (
     CongestionGridEnv,
     CongestionGridParams,
@@ -408,6 +408,38 @@ def test_episode_diagnostics_zero_cases():
     assert diag.eps_Q == pytest.approx(0.0, abs=1e-12)
     assert diag.residual_mu <= 2e-9
     assert 0.0 <= diag.e_pi <= 2.0 and 0.0 <= diag.e_mu <= 2.0
+
+
+@pytest.mark.parametrize(
+    "make_env",
+    [lambda: small_env(side=5), lambda: make_two_class_env(CongestionGridParams(side=5)), _fixed_mdp],
+    ids=["grid5", "two_class", "fixed-mdp"],
+)
+def test_diagnostics_ask_for_the_kernel_once_per_episode(make_env):
+    # the push, the chain and the best response share one kernel, and every
+    # field is what the three operators give on kernels of their own
+    env = make_env()
+    S, A = env.num_states, env.num_actions
+    config = small_config(env, reference=solve_bmfe(env, lam=1.0, rho=0.7))
+    rng = np.random.default_rng(4)
+    mu1, pi1 = rng.dirichlet(np.ones(S)), rng.dirichlet(np.ones(A), size=S)
+    p_hat, q_end = rng.dirichlet(np.ones(S), size=S), rng.uniform(0.0, 1.0, size=(S, A))
+    for scored in (True, False):
+        with mock.patch.object(env, "transition_kernel", wraps=env.transition_kernel) as fetch:
+            diag = episode_diagnostics(3, mu1, pi1, p_hat, q_end, config, 0.1, scored)
+        assert fetch.call_count == 1
+    best_response, q_star, _ = gamma1(env, mu1, 1.0, 0.7, config.reference.vi_tol)
+    expected = sandbox.EpisodeDiagnostics(
+        k=3,
+        e_pi=tv_norm(pi1 - best_response),
+        e_mu=l1_norm(mu1 - config.reference.mean_field),
+        eps_P=frobenius_norm(p_hat - induced_kernel(env, pi1, mu1)),
+        eps_Q=inf_norm(q_end - q_star),
+        residual_mu=l1_norm(mu1 - gamma2(env, pi1, mu1)),
+        min_policy=0.1,
+    )
+    scored_diag = episode_diagnostics(3, mu1, pi1, p_hat, q_end, config, 0.1)
+    assert dataclasses.astuple(scored_diag) == dataclasses.astuple(expected)
 
 
 def test_episode_diagnostics_requires_oracle():
