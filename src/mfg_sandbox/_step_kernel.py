@@ -49,13 +49,12 @@ maxima: the Dirichlet rows, their L1 and TV distances, the pushes of the
 pairs and of their moved and varied variants through the kernel's sparse
 rows, the congestion rewards of the moved pairs' mean-fields, value
 iteration on them (a call of ``value_iteration``, so the iterates are
-``oracle.gamma1``'s), the softmax rows with libm's ``exp`` and the ratios.
-Each sum runs in the order of the NumPy block it replaces,
-``oracle._block_ratios``: a Dirichlet row's in index order, as cumsum sums
-it, and each L1 or TV row's in the order of NumPy's add.reduce (in index
-order below 8 entries, eight partial sums from 8 on, two halves past 128),
-so d2 and d3 equal the NumPy block's bit for bit and d1 differs only where
-the two ``exp`` round apart.
+``oracle.gamma1``'s), the softmax rows and the ratios. The block shares the
+kernel's sparse rows with ``value_iteration`` and the softmax row with the
+step. Every sum of the block, a Dirichlet row's and each L1 or TV row's,
+runs in index order, as the NumPy block ``oracle._block_ratios`` sums them
+with cumsum, so d2 and d3 equal the NumPy block's bit for bit and d1 differs
+only where libm's ``exp`` and NumPy's round apart.
 
 No function keeps state of its own between calls: the step's lives in the
 caller's context, and the scratch space of value iteration and of the probe
@@ -341,6 +340,25 @@ static int pick_width(int n)
     return 2;
 }
 
+/* out <- the softmax at lam of the A entries of q, shifted by their
+   maximum, with libm's exp and the sum in index order; out may be q. */
+static void softmax_row(double lam, const double *q, double *out, int A)
+{
+    double z_max = -INFINITY;
+    for (int b = 0; b < A; b++) {
+        out[b] = lam * q[b];
+        if (out[b] > z_max)
+            z_max = out[b];
+    }
+    double z_sum = 0.0;
+    for (int b = 0; b < A; b++) {
+        out[b] = exp(out[b] - z_max);
+        z_sum += out[b];
+    }
+    for (int b = 0; b < A; b++)
+        out[b] /= z_sum;
+}
+
 /* Step t from its finiteness check on, once mu and pi are updated; every
    copy ends here. mu_sum, pi_sum and pi_min are the sums of mu and pi and
    the smallest entry of pi. */
@@ -387,7 +405,7 @@ static int finish_step(step_ctx *c, int t, double mu_sum, double pi_sum, double 
         return -3; /* REWARD_OUT_OF_RANGE */
 
     /* Q-learning update, then the softmax row of the updated state */
-    double *q_s = c->q + (size_t)s * A, *soft_s = c->soft + (size_t)s * A;
+    double *q_s = c->q + (size_t)s * A;
     const double *q_next = c->q + (size_t)next * A;
     double q_max = q_next[0];
     for (int b = 1; b < A; b++)
@@ -395,19 +413,7 @@ static int finish_step(step_ctx *c, int t, double mu_sum, double pi_sum, double 
             q_max = q_next[b];
     const double beta = fmin(1.0, c->c_beta / pow((double)t, c->nu));
     q_s[a] = (1.0 - beta) * q_s[a] + beta * (r + c->rho * q_max);
-    double z_max = -INFINITY;
-    for (int b = 0; b < A; b++) {
-        soft_s[b] = c->lam * q_s[b];
-        if (soft_s[b] > z_max)
-            z_max = soft_s[b];
-    }
-    double z_sum = 0.0;
-    for (int b = 0; b < A; b++) {
-        soft_s[b] = exp(soft_s[b] - z_max);
-        z_sum += soft_s[b];
-    }
-    for (int b = 0; b < A; b++)
-        soft_s[b] /= z_sum;
+    softmax_row(c->lam, q_s, c->soft + (size_t)s * A, A);
 
     c->prev = s;
     c->state = next;
@@ -439,15 +445,34 @@ int learner_step(step_ctx *c, int t)
     return c->copy(c, t);
 }
 
+/* The rows x S matrix scale * kernel as sparse rows row_start (rows + 1),
+   cols and vals, its exact zeros left out: row n holds vals[k] at column
+   cols[k] for k in row_start[n] .. row_start[n + 1] - 1. */
+static void sparse_rows(const double *kernel, double scale, size_t rows, int S, int *row_start, int *cols,
+                        double *vals)
+{
+    int nonzero = 0;
+    for (size_t n = 0; n < rows; n++) {
+        row_start[n] = nonzero;
+        for (int j = 0; j < S; j++) {
+            const double x = scale * kernel[n * S + j];
+            if (x != 0.0) {
+                cols[nonzero] = j;
+                vals[nonzero] = x;
+                nonzero++;
+            }
+        }
+    }
+    row_start[rows] = nonzero;
+}
+
 /* Value iteration q <- rewards + K max_a q on each of num_problems (S x A)
    problems in q, in place, until a sweep changes no entry by more than
    threshold. K = rho * kernel is the shared (S A x S) discounted kernel,
-   first written as sparse rows row_start, cols and vals, its exact zeros
-   left out: row n holds vals[k] at column cols[k] for k in
-   row_start[n] .. row_start[n + 1] - 1. A sweep is in place (Gauss-Seidel):
-   it visits the states in index order, and once state s's A rows are done
-   it writes v(s) = max_a q(s, a), so the rows of later states in the same
-   sweep read it.
+   first written as sparse rows (sparse_rows). A sweep is in place
+   (Gauss-Seidel): it visits the states in index order, and once state s's
+   A rows are done it writes v(s) = max_a q(s, a), so the rows of later
+   states in the same sweep read it.
 
    W problems sweep together, one per lane of a SIMD register; the call
    picks W itself (pick_sweep). The lanes' rewards lane_r and Q-tables
@@ -515,19 +540,7 @@ int64_t value_iteration(int num_problems, int num_states, int num_actions,
     const size_t rows = (size_t)S * A;
     int *row_start = int_scratch, *cols = int_scratch + rows + 1;
     double *vals = scratch, *lane_r = vals + rows * S, *lane_q = lane_r + rows * W, *v = lane_q + rows * W;
-    int nonzero = 0;
-    for (size_t n = 0; n < rows; n++) {
-        row_start[n] = nonzero;
-        for (int j = 0; j < S; j++) {
-            const double x = rho * kernel[n * S + j];
-            if (x != 0.0) {
-                cols[nonzero] = j;
-                vals[nonzero] = x;
-                nonzero++;
-            }
-        }
-    }
-    row_start[rows] = nonzero;
+    sparse_rows(kernel, rho, rows, S, row_start, cols, vals);
 
     int problem[MAX_WIDTH], pending = 0, busy = 0; /* problem -1: the lane is idle */
     int64_t sweeps[MAX_WIDTH], total = 0;
@@ -558,45 +571,13 @@ int64_t value_iteration(int num_problems, int num_states, int num_actions,
     return total;
 }
 
-/* The sum of a contiguous row of n doubles in the order of NumPy 2.x's
-   add.reduce (pairwise_sum): in index order below 8 entries; from 8 on,
-   eight partial sums of every eighth entry, combined as
-   ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail in
-   index order; above 128 entries, the sums of two halves split at a
-   multiple of 8. */
-static double row_sum(const double *x, ptrdiff_t n)
+/* The L1 distance of two rows of n doubles, summed in index order. */
+static double l1_distance(const double *x, const double *y, int n)
 {
-    if (n < 8) {
-        double res = -0.0;
-        for (ptrdiff_t i = 0; i < n; i++)
-            res += x[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        for (int j = 0; j < 8; j++)
-            r[j] = x[j];
-        ptrdiff_t i = 8;
-        for (; i < n - n % 8; i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += x[i + j];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += x[i];
-        return res;
-    }
-    ptrdiff_t half = n / 2;
-    half -= half % 8;
-    return row_sum(x, half) + row_sum(x + half, n - half);
-}
-
-/* The L1 distance of two rows of n doubles, summed as row_sum sums; tmp
-   holds n doubles. */
-static double l1_distance(const double *x, const double *y, int n, double *tmp)
-{
+    double sum = 0.0;
     for (int i = 0; i < n; i++)
-        tmp[i] = fabs(x[i] - y[i]);
-    return row_sum(tmp, n);
+        sum += fabs(x[i] - y[i]);
+    return sum;
 }
 
 /* out <- the flow mu(s) pi(a|s) pushed through the kernel's sparse rows:
@@ -623,9 +604,10 @@ static void push_flow(int S, int A, const int *row_start, const int *cols, const
    threshold and max_iter), the softmax at lam of the 2m Q-tables, and the
    three Lipschitz ratios. Writes the block's maxima of d1, d2 and d3 into
    ratios, 0 where no ratio was taken. Every step is oracle._block_ratios
-   in C, its sums in the same order; the softmax calls libm's exp. The caller owns the scratch: int_scratch holds int_size ints and
-   scratch size doubles. Returns 0; -1 when a value iteration is still
-   moving after max_iter sweeps; -2 when the scratch is too small. */
+   in C, each sum in index order; the softmax is the step's softmax_row.
+   The caller owns the scratch: int_scratch holds int_size ints and scratch
+   size doubles. Returns 0; -1 when a value iteration is still moving after
+   max_iter sweeps; -2 when the scratch is too small. */
 int probe_block(int num_pairs, int num_states, int num_actions, const double *draws,
                 const double *kernel, const double *state_reward, double congestion_c, double lam,
                 double rho, double threshold, int64_t max_iter, int *int_scratch, int64_t int_size,
@@ -635,14 +617,14 @@ int probe_block(int num_pairs, int num_states, int num_actions, const double *dr
     const size_t rows = (size_t)S * A, entries = rows * S, tables = 2 * (size_t)n * rows;
     const size_t vi_ints = rows + 1 + entries, vi_doubles = entries + (2 * rows + S) * MAX_WIDTH;
     /* ints: the kernel's sparse rows, the moved pairs' indices, value_iteration's;
-       doubles: the rows, the distances, two pushes and a row, the kernel's
-       sparse values, the rewards and Q-tables, value_iteration's */
+       doubles: the rows, the distances, two pushes, the kernel's sparse
+       values, the rewards and Q-tables, value_iteration's */
     if ((size_t)int_size < rows + 1 + entries + n + vi_ints
-        || (size_t)size < (size_t)n * width + 2 * (size_t)n + 3 * (size_t)S + A + entries + 2 * tables + vi_doubles)
+        || (size_t)size < (size_t)n * width + 2 * (size_t)n + 2 * (size_t)S + entries + 2 * tables + vi_doubles)
         return -2;
     int *row_start = int_scratch, *cols = row_start + rows + 1, *moved = cols + entries, *vi_int = moved + n;
     double *pairs = scratch, *dmu = pairs + (size_t)n * width, *dpi = dmu + n;
-    double *push = dpi + n, *push_alt = push + S, *tmp = push_alt + S, *vals = tmp + S + A;
+    double *push = dpi + n, *push_alt = push + S, *vals = push_alt + S;
     double *rewards = vals + entries, *q = rewards + tables, *vi_scratch = q + tables;
     double d1 = 0.0, d2 = 0.0, d3 = 0.0;
 
@@ -662,27 +644,17 @@ int probe_block(int num_pairs, int num_states, int num_actions, const double *dr
         }
     }
 
-    int nonzero = 0;
-    for (size_t k = 0; k < rows; k++) {
-        row_start[k] = nonzero;
-        for (int j = 0; j < S; j++)
-            if (kernel[k * S + j] != 0.0) {
-                cols[nonzero] = j;
-                vals[nonzero] = kernel[k * S + j];
-                nonzero++;
-            }
-    }
-    row_start[rows] = nonzero;
+    sparse_rows(kernel, 1.0, rows, S, row_start, cols, vals);
 
     /* distances, pushes, d2 and d3 */
     int m = 0;
     for (int i = 0; i < n; i++) {
         const double *mu = pairs + (size_t)i * width, *mu_alt = mu + S, *pi = mu + 2 * S,
                      *pi_alt = pi + rows;
-        dmu[i] = l1_distance(mu, mu_alt, S, tmp);
+        dmu[i] = l1_distance(mu, mu_alt, S);
         dpi[i] = -INFINITY;
         for (int s = 0; s < S; s++) {
-            const double tv = l1_distance(pi + (size_t)s * A, pi_alt + (size_t)s * A, A, tmp);
+            const double tv = l1_distance(pi + (size_t)s * A, pi_alt + (size_t)s * A, A);
             if (tv > dpi[i])
                 dpi[i] = tv;
         }
@@ -690,13 +662,13 @@ int probe_block(int num_pairs, int num_states, int num_actions, const double *dr
         if (dmu[i] >= 1e-9) {
             moved[m++] = i;
             push_flow(S, A, row_start, cols, vals, mu_alt, pi, push_alt);
-            const double ratio = l1_distance(push, push_alt, S, tmp) / dmu[i];
+            const double ratio = l1_distance(push, push_alt, S) / dmu[i];
             if (ratio > d3)
                 d3 = ratio;
         }
         if (dpi[i] >= 1e-9) {
             push_flow(S, A, row_start, cols, vals, mu, pi_alt, push_alt);
-            const double ratio = l1_distance(push, push_alt, S, tmp) / dpi[i];
+            const double ratio = l1_distance(push, push_alt, S) / dpi[i];
             if (ratio > d2)
                 d2 = ratio;
         }
@@ -718,24 +690,13 @@ int probe_block(int num_pairs, int num_states, int num_actions, const double *dr
         if (value_iteration((int)problems, S, A, kernel, rho, rewards, q, vi_int, vi_scratch, threshold,
                             max_iter) < 0)
             return -1;
-        for (size_t r = 0; r < problems * S; r++) {
-            double *z = q + r * A, z_max = -INFINITY;
-            for (int a = 0; a < A; a++) {
-                z[a] = lam * z[a];
-                if (z[a] > z_max)
-                    z_max = z[a];
-            }
-            for (int a = 0; a < A; a++)
-                z[a] = exp(z[a] - z_max);
-            const double z_sum = row_sum(z, A);
-            for (int a = 0; a < A; a++)
-                z[a] /= z_sum;
-        }
+        for (size_t r = 0; r < problems * S; r++)
+            softmax_row(lam, q + r * A, q + r * A, A);
         for (int j = 0; j < m; j++) {
             const double *g = q + (size_t)j * rows, *g_alt = q + ((size_t)m + j) * rows;
             double tv_max = -INFINITY;
             for (int s = 0; s < S; s++) {
-                const double tv = l1_distance(g + (size_t)s * A, g_alt + (size_t)s * A, A, tmp);
+                const double tv = l1_distance(g + (size_t)s * A, g_alt + (size_t)s * A, A);
                 if (tv > tv_max)
                     tv_max = tv;
             }

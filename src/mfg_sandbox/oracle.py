@@ -35,13 +35,23 @@ from .environment import CongestionGridEnv, MfgEnvironment
 # memory, O(PROBE_BLOCK) whatever the number of pairs.
 PROBE_BLOCK = 32
 
+# Value iteration's defaults: the sup-norm accuracy of gamma1's Q-tables and
+# the sweeps a problem may take before the solve gives up.
+VI_TOL = 1e-10
+VI_MAX_ITER = 1_000_000
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """The sums of x along its last axis, each in index order (cumsum), as the compiled code sums."""
+    return np.cumsum(x, axis=-1)[..., -1]
+
 
 def _sweeps_numpy(kernel, rewards, q, threshold: float, max_iter: int) -> int:
     """The reference loop, the problems of the stack together, in place.
 
     kernel is the (S, A, S) discounted kernel; q is updated in place. A
     sweep visits the states in index order: state s's rows become
-    rewards[:, s] + kernel[s] @ v, each sum in index order (cumsum), and
+    rewards[:, s] + kernel[s] @ v, each sum in index order (_row_sums), and
     v[:, s] = max_a q[:, s] is written before the next state reads it. A
     problem leaves the stack after its first sweep that changes no entry by
     more than threshold. Returns the sweeps summed over the problems, or -1
@@ -54,7 +64,7 @@ def _sweeps_numpy(kernel, rewards, q, threshold: float, max_iter: int) -> int:
     for sweep in range(1, max_iter + 1):
         q_before = q_live.copy()
         for s in range(q.shape[1]):
-            q_live[:, s] = r_live[:, s] + (kernel[s] * v[:, None, :]).cumsum(axis=2)[:, :, -1]
+            q_live[:, s] = r_live[:, s] + _row_sums(kernel[s] * v[:, None, :])
             v[:, s] = q_live[:, s].max(axis=1)
         done = np.abs(q_live - q_before).max(axis=(1, 2)) <= threshold
         q[live[done]] = q_live[done]
@@ -90,7 +100,7 @@ def _sweeps_compiled(ffi, lib, kernel, rho: float, rewards, q, threshold: float,
 
 
 def _value_iteration(
-    env: MfgEnvironment, mus, rho: float, tol: float, q_start=None, max_iter: int = 1_000_000, kernels=None
+    env: MfgEnvironment, mus, rho: float, tol: float, q_start=None, max_iter: int = VI_MAX_ITER, kernels=None
 ) -> tuple[np.ndarray, int]:
     """Value iteration on a stack of mu-frozen MDPs, each accurate to tol in sup norm.
 
@@ -163,7 +173,7 @@ def _value_iteration(
     return q, sweeps
 
 
-def gamma1(env: MfgEnvironment, mu, lam: float, rho: float, tol: float = 1e-10, q_start=None):
+def gamma1(env: MfgEnvironment, mu, lam: float, rho: float, tol: float = VI_TOL, q_start=None):
     """Boltzmann-optimality operator: the softmax at lam of the mu-frozen MDP's optimal Q-table.
 
     mu is one mean-field (S,) or a stack (M, S); the results follow it, as
@@ -279,7 +289,7 @@ def solve_bmfe(
     rho: float,
     tol: float = 1e-8,
     max_iter: int = 10_000,
-    vi_tol: float = 1e-10,
+    vi_tol: float = VI_TOL,
 ) -> BmfePair:
     """Damped fixed-point iteration for the softmax equilibrium.
 
@@ -364,16 +374,17 @@ def _dirichlet_rows(e: np.ndarray) -> np.ndarray:
     """Normalise exponential draws along the last axis into symmetric-Dirichlet(1) rows.
 
     Bit for bit what rng.dirichlet(np.ones(K)) makes of the same K draws:
-    it sums them in index order, as cumsum does, and scales by the inverse.
+    it sums them in index order (_row_sums) and scales by the inverse.
     """
-    return e * (1.0 / np.cumsum(e, axis=-1)[..., -1:])
+    return e * (1.0 / _row_sums(e)[..., None])
 
 
 def _block_ratios(env: MfgEnvironment, lam: float, rho: float, e: np.ndarray) -> tuple[float, float, float]:
     """The NumPy block: the maxima of d1, d2 and d3 over one block's pairs, 0 where no ratio was taken.
 
     e is the block's (n, 2S + 2SA) exponential draws, each pair's mu,
-    mu_alt, pi and pi_alt in that order.
+    mu_alt, pi and pi_alt in that order. Every L1 and TV distance sums in
+    index order (_row_sums), as the compiled block sums it.
     """
     S, A = env.num_states, env.num_actions
     n = len(e)
@@ -381,10 +392,10 @@ def _block_ratios(env: MfgEnvironment, lam: float, rho: float, e: np.ndarray) ->
     mu_alt = _dirichlet_rows(e[:, S : 2 * S])
     pi = _dirichlet_rows(e[:, 2 * S : 2 * S + S * A].reshape(n, S, A))
     pi_alt = _dirichlet_rows(e[:, 2 * S + S * A :].reshape(n, S, A))
-    dmu = np.abs(mu - mu_alt).sum(axis=1)
+    dmu = _row_sums(np.abs(mu - mu_alt))
     moved = dmu >= 1e-9
     m = int(moved.sum())
-    dpi = np.abs(pi - pi_alt).sum(axis=2).max(axis=1)
+    dpi = _row_sums(np.abs(pi - pi_alt)).max(axis=1)
     varied = dpi >= 1e-9
     pushes = gamma2(
         env,
@@ -395,10 +406,10 @@ def _block_ratios(env: MfgEnvironment, lam: float, rho: float, e: np.ndarray) ->
     d1 = d2 = d3 = 0.0
     if m:
         g1 = gamma1(env, np.concatenate([mu[moved], mu_alt[moved]]), lam, rho)[0]
-        d1 = float((np.abs(g1[:m] - g1[m:]).sum(axis=2).max(axis=1) / dmu[moved]).max())
-        d3 = float((np.abs(push[moved] - push_moved).sum(axis=1) / dmu[moved]).max())
+        d1 = float((_row_sums(np.abs(g1[:m] - g1[m:])).max(axis=1) / dmu[moved]).max())
+        d3 = float((_row_sums(np.abs(push[moved] - push_moved)) / dmu[moved]).max())
     if varied.any():
-        d2 = float((np.abs(push[varied] - push_varied).sum(axis=1) / dpi[varied]).max())
+        d2 = float((_row_sums(np.abs(push[varied] - push_varied)) / dpi[varied]).max())
     return d1, d2, d3
 
 
@@ -406,7 +417,8 @@ def _compiled_block(env: CongestionGridEnv, lam: float, rho: float, ffi, lib):
     """_block_ratios for a congestion grid as one C call per block (_step_kernel.probe_block).
 
     Returns a function of a block's draws. Its scratch is sized once for
-    PROBE_BLOCK pairs; value iteration stops as gamma1's defaults stop it.
+    PROBE_BLOCK pairs; value iteration stops at VI_TOL and VI_MAX_ITER, as
+    in gamma1.
     """
     S, A = env.num_states, env.num_actions
     rows, width = S * A, 2 * S + 2 * S * A
@@ -414,7 +426,7 @@ def _compiled_block(env: CongestionGridEnv, lam: float, rho: float, ffi, lib):
     # probe_block's layout, which it checks against these sizes
     ints = np.empty(2 * (rows + 1 + entries) + PROBE_BLOCK, dtype=np.intc)
     scratch = np.empty(
-        PROBE_BLOCK * (width + 2 + 4 * rows) + 3 * S + A + 2 * entries + (2 * rows + S) * _step_kernel.MAX_LANES
+        PROBE_BLOCK * (width + 2 + 4 * rows) + 2 * S + 2 * entries + (2 * rows + S) * _step_kernel.MAX_LANES
     )
     ratios = np.empty(3)
     kernel = ffi.from_buffer("double[]", env.transition_kernel(None))
@@ -422,8 +434,7 @@ def _compiled_block(env: CongestionGridEnv, lam: float, rho: float, ffi, lib):
     int_buffer = ffi.from_buffer("int[]", ints, require_writable=True)
     buffer = ffi.from_buffer("double[]", scratch, require_writable=True)
     ratio_buffer = ffi.from_buffer("double[]", ratios, require_writable=True)
-    tol, max_iter = 1e-10, 1_000_000  # gamma1's and _value_iteration's defaults
-    threshold = tol * (1.0 - rho) / rho
+    threshold = VI_TOL * (1.0 - rho) / rho
 
     def block(e: np.ndarray) -> tuple[float, float, float]:
         code = lib.probe_block(
@@ -437,7 +448,7 @@ def _compiled_block(env: CongestionGridEnv, lam: float, rho: float, ffi, lib):
             lam,
             rho,
             threshold,
-            max_iter,
+            VI_MAX_ITER,
             int_buffer,
             ints.size,
             buffer,
@@ -445,7 +456,7 @@ def _compiled_block(env: CongestionGridEnv, lam: float, rho: float, ffi, lib):
             ratio_buffer,
         )
         if code == -1:
-            raise ArithmeticError(f"value iteration did not converge within {max_iter} sweeps")
+            raise ArithmeticError(f"value iteration did not converge within {VI_MAX_ITER} sweeps")
         if code < 0:
             raise ValueError("probe block scratch too small")
         d1, d2, d3 = ratios
@@ -475,10 +486,10 @@ def probe_contraction(
     rewards, value iteration, the softmax and the three ratios. Elsewhere,
     and as its reference, _block_ratios scores the block in NumPy: one
     gamma2 call pushes the block's pairs and their moved and varied
-    variants, and one gamma1 call solves its moved mean-fields. The two give
-    the same d2 and d3 bit for bit and the same draws; d1 may differ in the
-    last bits, since the compiled softmax calls libm's exp where NumPy calls
-    its own.
+    variants, and one gamma1 call solves its moved mean-fields. Both sum
+    every distance in index order, so they give the same d2 and d3 bit for
+    bit and the same draws; d1 may differ in the last bits, since the
+    compiled softmax calls libm's exp where NumPy calls its own.
     """
     if num_pairs < 1:
         raise ValueError("num_pairs must be >= 1")

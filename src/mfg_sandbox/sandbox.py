@@ -114,7 +114,6 @@ class SandboxResult:
     pi_first_steps: np.ndarray
     q_values: np.ndarray  # the Q-table at the end of the run
     min_policy_entry: float
-    seed: int
 
 
 def update_mean_field(mu_prev, p_hat, c: float, net: Optional[EpsilonNet] = None):
@@ -434,5 +433,4 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
         pi_first_steps=run.pi_first,
         q_values=run.learner.q,
         min_policy_entry=float(global_min_policy),
-        seed=config.seed,
     )

@@ -893,8 +893,9 @@ def test_compiled_probe_matches_the_numpy_block_loop(world, lam):
 @pytest.mark.parametrize("lam", [1.0, 2.0, 10.0, 300.0])
 @pytest.mark.parametrize("side", [2, 3, 5, 12])
 def test_probe_block_equals_the_numpy_block(side, lam, num_pairs):
-    # 12 x 12 = 144 states: row sums past 128 entries split in two; at
-    # lam = 300, exp(lam q) overflows unless the softmax shifts by the row max
+    # 12 x 12 = 144 states: L1 rows of more than 128 entries, which
+    # x.sum(axis=-1) would add as two pairwise halves; at lam = 300,
+    # exp(lam q) overflows unless the softmax shifts by the row max
     loaded = _step_kernel.load()
     if loaded is None:
         pytest.skip("the compiled extension could not be built here")
@@ -931,40 +932,21 @@ def test_block_draws_are_the_dirichlet_stream(S, A, n):
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
-def pairwise_row_sum(x: list) -> float:
-    """The sum of a row in the order _step_kernel's row_sum copies from NumPy's add.reduce.
-
-    In index order below 8 entries; from 8 up to 128, eight partial sums of
-    every eighth entry combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
-    (r6 + r7)), then the tail in index order; above 128, the sums of two
-    halves split at a multiple of 8.
-    """
-    n = len(x)
-    if n < 8:
-        total = -0.0
-        for value in x:
-            total += value
-        return total
-    if n <= 128:
-        r = x[:8]
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            r = [r[j] + x[i + j] for j in range(8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for value in x[tail:]:
-            total += value
-        return total
-    half = n // 2 - n // 2 % 8
-    return pairwise_row_sum(x[:half]) + pairwise_row_sum(x[half:])
+def index_order_sum(x: list) -> float:
+    """The sum of a row entry by entry from the first, as the compiled probe block sums."""
+    total = 0.0
+    for value in x:
+        total += value
+    return total
 
 
 @pytest.mark.parametrize("n", list(range(1, 41)) + [129, 144])
 def test_row_sums_follow_the_order_the_probe_block_copies(n):
-    # probe_block sums each L1 and TV row in this order so that its ratios
-    # equal the NumPy block's bit for bit; a numpy release that changes the
-    # order of x.sum(axis=-1) breaks that, and this shows it.
+    # Both probe blocks sum each L1 and TV row in index order, so that their
+    # ratios agree bit for bit; _row_sums is the NumPy block's sum. The
+    # lengths cover those at which x.sum(axis=-1) adds pairwise instead.
     x = np.random.default_rng(n).standard_normal((200, n))
-    assert x.sum(axis=-1).tolist() == [pairwise_row_sum(row) for row in x.tolist()]
+    assert oracle._row_sums(x).tolist() == [index_order_sum(row) for row in x.tolist()]
 
 
 @pytest.mark.parametrize(

@@ -578,8 +578,10 @@ _TIED_PROJECTION = dict(
 
 # With the grids of sides 1 to 5 (S = 1, 4, 9, 16 and 25) the examples run
 # every compiled copy of the step on an AVX-512 host, whatever hypothesis
-# draws: 2 lanes at S <= 2, 4 at S <= 4 and 8 above. T = 250 passes two
-# simplex checks.
+# draws: 2 lanes at S <= 2, 4 at S <= 4 and 8 above. Sides 6, 7 and 9 (S =
+# 36, 49 and 81, padded to 40, 56 and 88 columns) run the push's other
+# branches at 8 lanes: 5 and 7 vectors of columns, then one full pass of 8
+# and 3 more. T = 250 passes two simplex checks.
 _PAST_A_SIMPLEX_CHECK = dict(schedule=ScheduleParams(), K=3, T=250, rho=0.7, seed=5, mesh=None)
 
 
@@ -600,6 +602,9 @@ _PAST_A_SIMPLEX_CHECK = dict(schedule=ScheduleParams(), K=3, T=250, rho=0.7, see
 @example(env=small_env(side=3, jostle_p=0.2), **_PAST_A_SIMPLEX_CHECK)
 @example(env=small_env(side=4, jostle_p=0.2), **_PAST_A_SIMPLEX_CHECK)
 @example(env=small_env(side=5, jostle_p=0.2), **_PAST_A_SIMPLEX_CHECK)
+@example(env=small_env(side=6, jostle_p=0.2), **_PAST_A_SIMPLEX_CHECK)
+@example(env=small_env(side=7, jostle_p=0.2), **_PAST_A_SIMPLEX_CHECK)
+@example(env=small_env(side=9, jostle_p=0.2), **_PAST_A_SIMPLEX_CHECK)
 def test_kernel_matches_reference_loop(step_kernel, env, schedule, K, T, rho, seed, mesh):
     # The mean-field and the Q-table are bit for bit the reference loop's;
     # the first-step policies only agree to rounding, since the kernel's
@@ -807,7 +812,7 @@ def test_kernel_simplex_abort_matches_reference(step_kernel, monkeypatch, stride
         run_reference_loop(config)
 
 
-@pytest.mark.parametrize("side", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("side", [1, 2, 3, 4, 5, 9])
 def test_kernel_estimate_holds_the_counters_rows_and_zero_pad(step_kernel, side):
     # The kernel's estimate rows are padded to a multiple of MAX_LANES
     # columns. At the end of an episode the pad still holds exact zeros, and
