@@ -53,8 +53,9 @@ iteration on them (a call of ``value_iteration``, so the iterates are
 kernel's sparse rows with ``value_iteration`` and the softmax row with the
 step. Every sum of the block, a Dirichlet row's and each L1 or TV row's,
 runs in index order, as the NumPy block ``oracle._block_ratios`` sums them
-with cumsum, so d2 and d3 equal the NumPy block's bit for bit and d1 differs
-only where libm's ``exp`` and NumPy's round apart.
+with cumsum, and the softmax row calls libm's ``exp``, as
+``core.softmax_table`` does, so d1, d2 and d3 equal the NumPy block's bit
+for bit.
 
 No function keeps state of its own between calls: the step's lives in the
 caller's context, and the scratch space of value iteration and of the probe
@@ -188,7 +189,7 @@ static TARGET int STEP(step_ctx *c, int t)
     typedef int64_t ivec __attribute__((vector_size(8 * W)));
     const int S = c->num_states, A = c->num_actions, S_pad = PADDED(S);
     const double c_mu = c->c_mu[t - 1], c_pi = c->c_pi[t - 1];
-    const double w_soft = c_pi * (1.0 - c->psi), w_unif = c_pi * c->psi * (1.0 / A);
+    const double psi = c->psi, unif = psi / A;
     const vec zero = {0};
     double *mu = c->mu, *pi = c->pi, *push = c->push;
 
@@ -244,7 +245,7 @@ static TARGET int STEP(step_ctx *c, int t)
         vec p, q;
         __builtin_memcpy(&p, pi + n, sizeof p);
         __builtin_memcpy(&q, c->soft + n, sizeof q);
-        p = p * (1.0 - c_pi) + w_soft * q + w_unif;
+        p = (1.0 - c_pi) * p + c_pi * ((1.0 - psi) * q + unif);
         __builtin_memcpy(pi + n, &p, sizeof p);
         sums += p;
         const ivec lower = (ivec)(p < mins);
@@ -257,7 +258,7 @@ static TARGET int STEP(step_ctx *c, int t)
             pi_min = mins[l];
     }
     for (; n < n_pi; n++) {
-        const double v = pi[n] * (1.0 - c_pi) + w_soft * c->soft[n] + w_unif;
+        const double v = (1.0 - c_pi) * pi[n] + c_pi * ((1.0 - psi) * c->soft[n] + unif);
         pi[n] = v;
         pi_sum += v;
         if (v < pi_min)

@@ -152,11 +152,19 @@ def _check_types(given: dict, declared: dict) -> None:
             raise ValueError(f"{key} must be {name}, got {json.dumps(value)}")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"config numbers must be finite, got {name}")
+
+
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate a JSON config file (unknown keys are rejected)."""
+    """Parse and validate a JSON config file (unknown keys are rejected).
+
+    Python's json module reads the NaN, Infinity and -Infinity literals,
+    which JSON itself lacks; a config holding one is rejected.
+    """
     text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as err:
         raise ValueError(f"config parse error at {path}:{err.lineno}:{err.colno}: {err.msg}") from err
     if not isinstance(raw, dict):

@@ -79,6 +79,11 @@ def softmax_table(q_values, lam: float) -> np.ndarray:
     Stabilized by subtracting the per-row maximum before exponentiating, so
     arbitrarily large finite lam * q stays finite. lam = 0 yields the
     uniform table.
+
+    Each entry is exponentiated with libm's exp (math.exp), the function the
+    compiled learner step and probe block call, not with NumPy's own SIMD
+    exp, which rounds some entries apart from it; so the compiled and the
+    reference paths compute the same bits.
     """
     q = _finite_array(q_values, "softmax input")
     if q.ndim != 2:
@@ -87,7 +92,7 @@ def softmax_table(q_values, lam: float) -> np.ndarray:
         raise ValueError("softmax temperature must be finite and >= 0")
     z = lam * q
     z -= z.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
+    z = np.fromiter(map(math.exp, z.ravel().tolist()), dtype=np.float64, count=z.size).reshape(z.shape)
     z /= z.sum(axis=1, keepdims=True)
     return z
 

@@ -8,6 +8,8 @@ per run, never shared across threads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -66,8 +68,8 @@ class QLearner:
     def __init__(self, num_states, num_actions, rho, c_beta, nu):
         if not 0.0 < rho < 1.0:
             raise ValueError("discount rho must lie in (0, 1)")
-        if c_beta <= 0.0:
-            raise ValueError("c_beta must be > 0")
+        if not 0.0 < c_beta < math.inf:
+            raise ValueError("c_beta must be a finite positive real")
         if not 0.5 < nu <= 1.0:
             raise ValueError("nu must lie in (0.5, 1]")
         self.rho = float(rho)

@@ -137,7 +137,7 @@ def _value_iteration(
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be > 0")
     S, A = env.num_states, env.num_actions
     mus = np.asarray(mus, dtype=np.float64)
@@ -302,7 +302,7 @@ def solve_bmfe(
     solve ended with. Each gamma1 call starts from the previous one's
     Q-table; the final residual check solves again from Q = 0.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be > 0")
     num_states = env.num_states
     mu = np.full(num_states, 1.0 / num_states)
@@ -487,9 +487,8 @@ def probe_contraction(
     and as its reference, _block_ratios scores the block in NumPy: one
     gamma2 call pushes the block's pairs and their moved and varied
     variants, and one gamma1 call solves its moved mean-fields. Both sum
-    every distance in index order, so they give the same d2 and d3 bit for
-    bit and the same draws; d1 may differ in the last bits, since the
-    compiled softmax calls libm's exp where NumPy calls its own.
+    every distance in index order and exponentiate with libm's exp, so they
+    give the same d1, d2 and d3 bit for bit and the same draws.
     """
     if num_pairs < 1:
         raise ValueError("num_pairs must be >= 1")

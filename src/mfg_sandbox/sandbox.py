@@ -143,9 +143,7 @@ def update_policy(pi_prev, q_values, c: float, psi_coeff: float, lam: float):
         raise ValueError("step size must lie in (0, 1]")
     if not 0.0 <= psi_coeff <= 1.0:
         raise ValueError("exploration coefficient must lie in [0, 1]")
-    target = softmax_table(q_values, lam)
-    if psi_coeff > 0.0:
-        target = (1.0 - psi_coeff) * target + psi_coeff / pi_prev.shape[1]
+    target = (1.0 - psi_coeff) * softmax_table(q_values, lam) + psi_coeff / pi_prev.shape[1]
     return (1.0 - c) * pi_prev + c * target
 
 
@@ -389,8 +387,8 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
     initial state, then one per action and one per transition, in that
     order. On congestion grids, projection included, steps 2..T of every
     episode use the compiled step when it can be built; every other step
-    and run uses the reference step, and both give the same results up to
-    rounding. Any non-finite value aborts with a NonFiniteError carrying a
+    and run uses the reference step, and both give the same results bit for
+    bit. Any non-finite value aborts with a NonFiniteError carrying a
     serialized state snapshot.
     """
     env = config.env

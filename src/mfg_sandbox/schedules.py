@@ -42,8 +42,8 @@ class ScheduleParams:
             raise ValueError("gamma must be < 1")
         if not self.zeta > 1.0:
             raise ValueError("zeta must be > 1")
-        if self.c_beta <= 0.0:
-            raise ValueError("c_beta must be > 0")
+        if not 0.0 < self.c_beta < math.inf:
+            raise ValueError("c_beta must be a finite positive real")
         if not 0.5 < self.nu <= 1.0:
             raise ValueError("nu must lie in (0.5, 1]")
         if not 0.0 < self.psi < 1.0 - self.c_pi:

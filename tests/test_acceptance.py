@@ -7,11 +7,12 @@ default; run them with `pytest -m slow`.
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from mfg_sandbox import cli
+from mfg_sandbox import _step_kernel, cli
 from mfg_sandbox.core import frobenius_norm, inf_norm, l1_norm, softmax_table, tv_norm
 from mfg_sandbox.environment import CongestionGridParams, make_congestion_env
 from mfg_sandbox.estimators import QLearner, TransitionCounter
@@ -366,12 +367,13 @@ def test_criterion_10_determinism(tmp_path):
 
     first = run("first")
     second = run("second")
-    identical = first.keys() == second.keys() and all(
-        first[name] == second[name] for name in first
-    )
+    # the third run takes every reference loop, as on a host without a compiler
+    with mock.patch.object(_step_kernel, "load", return_value=None):
+        reference = run("reference")
+    identical = first == second == reference
     _report(
         10,
         "determinism",
         identical,
-        f"{len(first)} output files byte-identical across reruns",
+        f"{len(first)} output files byte-identical across reruns and without the compiled extension",
     )

@@ -8,12 +8,13 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import mfg_sandbox
-from mfg_sandbox import cli, snapshots
+from mfg_sandbox import _step_kernel, cli, snapshots
 from mfg_sandbox.sandbox import NonFiniteError, run_sandbox
 
 
@@ -128,6 +129,14 @@ def test_constraint_violations_name_the_field(tmp_path):
     ]:
         with pytest.raises(ValueError, match=key):
             cli.load_config(write_config(tmp_path, {"environment": environment}))
+
+
+@pytest.mark.parametrize("value, literal", [(math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")])
+def test_non_finite_number_literals_rejected(tmp_path, value, literal):
+    # json.dumps writes these literals, which JSON itself lacks, and Python's
+    # json reads them; as c_beta they would make every Q step size min(1, .) = 1
+    with pytest.raises(ValueError, match=f"config numbers must be finite, got {literal}"):
+        cli.load_config(write_config(tmp_path, {"c_beta": value}))
 
 
 def test_readme_config_reference_lists_every_key():
@@ -343,6 +352,37 @@ def test_outputs_are_byte_identical_across_reruns(tmp_path):
     assert first.keys() == second.keys()
     for name in first:
         assert first[name] == second[name], f"{name} differs between reruns"
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("shipped", SHIPPED_CONFIGS, ids=lambda path: path.stem)
+def test_shipped_config_writes_the_same_files_without_the_extension(tmp_path, shipped):
+    # Cut to K = 3, T = 400 and at most two seeds. The second run takes
+    # every reference loop, as on a host without a compiler: the learner
+    # step, value iteration and the probe block.
+    if _step_kernel.load() is None:
+        pytest.skip("the compiled extension could not be built here")
+    doc = json.loads(shipped.read_text(encoding="utf-8"))
+    doc.update(K=3, T=400)
+    if "num_seeds" in doc:
+        doc["num_seeds"] = min(doc["num_seeds"], 2)
+    config = tmp_path / shipped.name
+    config.write_text(json.dumps(doc), encoding="utf-8")
+
+    def run(out_name):
+        out = tmp_path / out_name
+        cfg = dataclasses.replace(cli.load_config(config), output_dir=str(out))
+        assert cli.run_experiment(cfg) == cli.EXIT_OK
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    compiled = run("compiled")
+    with mock.patch.object(_step_kernel, "load", return_value=None):
+        reference = run("reference")
+    assert compiled.keys() == reference.keys()
+    for name in compiled:
+        assert compiled[name] == reference[name], f"{name} differs without the extension"
 
 
 @pytest.mark.parametrize("mode", ["sandbox", "compare", "oracle"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,10 @@ def test_qlearner_validation():
         QLearner(2, 2, rho=1.0, c_beta=5.0, nu=0.55)
     with pytest.raises(ValueError):
         QLearner(2, 2, rho=0.7, c_beta=5.0, nu=0.5)
+    # a NaN or infinite c_beta would make every step size min(1, .) = 1
+    for c_beta in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="c_beta"):
+            QLearner(2, 2, rho=0.7, c_beta=c_beta, nu=0.55)
 
 
 def test_step_size_clamped_to_one():

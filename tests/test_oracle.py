@@ -878,9 +878,7 @@ def test_compiled_probe_matches_the_numpy_block_loop(world, lam):
         est = probe_contraction(env, lam=lam, rho=0.7, num_pairs=num_pairs, rng=rng)
     with numpy_probe():
         numpy_est = probe_contraction(env, lam=lam, rho=0.7, num_pairs=num_pairs, rng=rng_numpy)
-    # the block's softmax calls libm's exp, NumPy its own
-    assert abs(est.d1_hat - numpy_est.d1_hat) <= 1e-15
-    assert (est.d2_hat, est.d3_hat) == (numpy_est.d2_hat, numpy_est.d3_hat)
+    assert (est.d1_hat, est.d2_hat, est.d3_hat) == (numpy_est.d1_hat, numpy_est.d2_hat, numpy_est.d3_hat)
     assert rng.bit_generator.state == rng_numpy.bit_generator.state
     d1, d2, d3 = reference_probe(env, lam, 0.7, num_pairs, rng_ref)
     assert abs(est.d1_hat - d1) <= 1e-12 and abs(est.d2_hat - d2) <= 1e-12 and abs(est.d3_hat - d3) <= 1e-12
@@ -904,7 +902,7 @@ def test_probe_block_equals_the_numpy_block(side, lam, num_pairs):
     e = np.random.default_rng(side).standard_exponential((num_pairs, 2 * S + 2 * S * A))
     d1, d2, d3 = oracle._compiled_block(env, lam, 0.7, *loaded)(e)
     numpy_d1, numpy_d2, numpy_d3 = oracle._block_ratios(env, lam, 0.7, e)
-    assert abs(d1 - numpy_d1) <= 1e-15 and (d2, d3) == (numpy_d2, numpy_d3)
+    assert (d1, d2, d3) == (numpy_d1, numpy_d2, numpy_d3)
 
 
 def test_probe_single_state_skips_every_mean_field_ratio():
@@ -1057,6 +1055,26 @@ def test_a_discount_outside_the_unit_interval_is_rejected_before_any_sweep(rho):
                 solve_bmfe(env, lam=1.0, rho=rho)
             with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\)"):
                 probe_contraction(env, lam=1.0, rho=rho, num_pairs=4, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+def test_a_tolerance_not_above_zero_is_rejected_before_any_sweep(tol):
+    # A NaN tolerance passes no stopping test, so a solve that took it would
+    # sweep to its iteration limit.
+    env = make_congestion_env(CongestionGridParams(side=3))
+    mu = np.full(9, 1.0 / 9)
+    with (
+        mock.patch.object(oracle, "_sweeps_numpy", side_effect=AssertionError),
+        mock.patch.object(oracle, "_sweeps_compiled", side_effect=AssertionError),
+    ):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            oracle._value_iteration(env, mu[None], 0.7, tol)
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            gamma1(env, mu, 1.0, 0.7, tol)
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            solve_bmfe(env, lam=1.0, rho=0.7, tol=tol)
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            solve_bmfe(env, lam=1.0, rho=0.7, vi_tol=tol)
 
 
 @pytest.mark.parametrize("lam", [-1.0, math.inf, math.nan])

@@ -516,18 +516,13 @@ def run_reference_loop(config):
         return run_sandbox(config)
 
 
-def assert_runs_agree(fast, reference, tol=1e-12):
-    """Learner outputs within tol; oracle columns within tol where scored, NaN in both where not."""
-    assert np.abs(fast.mu_first_steps - reference.mu_first_steps).max() <= tol
-    assert np.abs(fast.pi_first_steps - reference.pi_first_steps).max() <= tol
-    assert np.abs(fast.q_values - reference.q_values).max() <= tol
-    assert abs(fast.min_policy_entry - reference.min_policy_entry) <= tol
+def assert_runs_agree(fast, reference):
+    """Every learner output and per-episode field bit for bit, NaN matching NaN where a field was not scored."""
+    for name in ("mu_first_steps", "pi_first_steps", "q_values"):
+        assert np.array_equal(getattr(fast, name), getattr(reference, name)), name
+    assert fast.min_policy_entry == reference.min_policy_entry
     for a, b in zip(fast.per_episode, reference.per_episode, strict=True):
-        assert abs(a.min_policy - b.min_policy) <= tol
-        assert abs(a.residual_mu - b.residual_mu) <= tol
-        for name in ("e_pi", "e_mu", "eps_P", "eps_Q"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert (math.isnan(x) and math.isnan(y)) or abs(x - y) <= tol, (a.k, name, x, y)
+        assert np.array_equal(dataclasses.astuple(a), dataclasses.astuple(b), equal_nan=True), (a, b)
 
 
 @st.composite
@@ -606,17 +601,12 @@ _PAST_A_SIMPLEX_CHECK = dict(schedule=ScheduleParams(), K=3, T=250, rho=0.7, see
 @example(env=small_env(side=7, jostle_p=0.2), **_PAST_A_SIMPLEX_CHECK)
 @example(env=small_env(side=9, jostle_p=0.2), **_PAST_A_SIMPLEX_CHECK)
 def test_kernel_matches_reference_loop(step_kernel, env, schedule, K, T, rho, seed, mesh):
-    # The mean-field and the Q-table are bit for bit the reference loop's;
-    # the first-step policies only agree to rounding, since the kernel's
-    # softmax calls libm exp and NumPy's exp is SIMD code of its own.
     net = None if mesh is None else build_epsilon_net(env.num_states, mesh)
     config = SandboxConfig(
         env=env, schedule=schedule, num_episodes=K, steps_per_episode=T, rho=rho, seed=seed, net=net
     )
     fast, reference = run_sandbox(config), run_reference_loop(config)
     assert_runs_agree(fast, reference)
-    assert np.array_equal(fast.mu_first_steps, reference.mu_first_steps)
-    assert np.array_equal(fast.q_values, reference.q_values)
 
 
 @pytest.mark.parametrize(
@@ -684,7 +674,7 @@ def snapshots_agree(fast, reference):
     for key in ("schema_version", "kind", "episode", "step", "agent_state", "pair_counts", "state_counts", "rng_state"):
         assert a[key] == b[key], key
     for key in ("mean_field", "policy", "q_values", "cached_estimate"):
-        np.testing.assert_allclose(a[key], b[key], rtol=0.0, atol=1e-12, equal_nan=True, err_msg=key)
+        np.testing.assert_array_equal(a[key], b[key], err_msg=key)
 
 
 def test_kernel_nan_reward_abort_matches_reference(step_kernel):

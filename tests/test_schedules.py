@@ -44,6 +44,9 @@ def test_params_constraints():
         ScheduleParams(psi=0.6, c_pi=0.5)
     with pytest.raises(ValueError):
         ScheduleParams(lam=0.0)
+    for c_beta in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="c_beta"):
+            ScheduleParams(c_beta=c_beta)
 
 
 def test_defaults_match_published_experiment_values():
