@@ -8,7 +8,7 @@ policy minimum, the action and next-state draws from pre-drawn uniforms,
 the congestion reward and its range check, the Q-learning update at step
 size ``min(1, c_beta / t**nu)`` and the refresh of the updated state's
 softmax row. The caller counts the transition with
-``TransitionCounter.record``; the step reads the counter's count arrays and
+``TransitionCounter.record``; the step reads the counter's pair counts and
 keeps the transition estimate in a buffer of its own, row by row equal to
 ``TransitionCounter.estimate()``. Each episode's first step, which reads
 the cached estimate, may project, and stores the first-step pair, is left
@@ -98,7 +98,7 @@ typedef struct step_ctx step_ctx;
 struct step_ctx {
     int num_states, num_actions, state, prev, validate_every;
     double *mu, *pi, *q, *soft, *push, *estimate;
-    const int64_t *pair_counts, *state_counts;
+    const int64_t *pair_counts;
     const double *cdf, *state_reward;
     const double *c_mu, *c_pi, *u;
     double congestion_c, lam, rho, psi, c_beta, nu, simplex_atol;
@@ -193,11 +193,14 @@ static TARGET int STEP(step_ctx *c, int t)
     const vec zero = {0};
     double *mu = c->mu, *pi = c->pi, *push = c->push;
 
-    /* estimate row prev <- (N(prev, j) + 1/S) / (N(prev) + 1); the pad
-       columns keep their zeros */
+    /* estimate row prev <- (N(prev, j) + 1/S) / (N(prev) + 1), N(prev) the
+       row's sum; the pad columns keep their zeros */
     {
         const int64_t *n_row = c->pair_counts + (size_t)c->prev * S;
-        const double n_prev = (double)c->state_counts[c->prev] + 1.0, inv_s = 1.0 / S;
+        int64_t visits = 0;
+        for (int i = 0; i < S; i++)
+            visits += n_row[i];
+        const double n_prev = (double)visits + 1.0, inv_s = 1.0 / S;
         double *row = c->estimate + (size_t)c->prev * S_pad;
         int j = 0;
         for (; j + W <= S; j += W) {
@@ -296,9 +299,8 @@ def _copies(template: str, **names: str) -> str:
 # rounded up to a multiple of MAX_LANES, row-major): mu (S), pi and soft
 # (S x A, soft = softmax(lam * q) row by row), q (S x A), push (S_pad, holds
 # P^T mu, zeros from column S on), estimate (S x S_pad, the smoothed
-# transition estimate of the counts pair_counts (S x S) and state_counts
-# (S), the counter's own arrays, in the first S columns of each row and
-# zeros in the rest), prev
+# transition estimate of the counts pair_counts (S x S, the counter's own
+# array) in the first S columns of each row and zeros in the rest), prev
 # (the one state whose estimate row the counts may have moved since the
 # last refresh),
 # cdf (S x A x S, cumulative transition kernel), state_reward (S),

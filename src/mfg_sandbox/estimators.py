@@ -16,12 +16,12 @@ import numpy as np
 class TransitionCounter:
     """Smoothed transition-probability estimator.
 
-    Entry (i, j) of the estimate is (N(i, j) + 1/S) / (N(i) + 1), so every
-    row sums to 1 identically, including never-visited rows (uniform 1/S).
-    The counter holds only the counts N; the estimate is derived from them
-    on each call. Counts cover the current episode only; reset() caches the
-    final estimate so the next episode's first mean-field update can reuse
-    it before any new observations arrive.
+    Entry (i, j) of the estimate is (N(i, j) + 1/S) / (N(i) + 1), N(i) the
+    sum of row i, so every row sums to 1 identically, including never-visited
+    rows (uniform 1/S). The counter holds only the counts N; the estimate is
+    derived from them on each call. Counts cover the current episode only;
+    reset() caches the final estimate so the next episode's first mean-field
+    update can reuse it before any new observations arrive.
     """
 
     def __init__(self, num_states: int):
@@ -29,12 +29,10 @@ class TransitionCounter:
             raise ValueError("num_states must be >= 1")
         self.num_states = num_states
         self.pair_counts = np.zeros((num_states, num_states), dtype=np.int64)
-        self.state_counts = np.zeros(num_states, dtype=np.int64)
-        # 1-D views of the count arrays, which are only ever written in place:
+        # A 1-D view of the counts, which are only ever written in place:
         # record runs once per learner step, and a memoryview increment costs
         # a fraction of a numpy scalar increment.
         self._pairs = memoryview(self.pair_counts.reshape(-1))
-        self._states = memoryview(self.state_counts)
         self.cached_estimate = self.estimate()
 
     def record(self, i: int, j: int) -> None:
@@ -43,17 +41,15 @@ class TransitionCounter:
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"transition ({i}, {j}) out of range for {n} states")
         self._pairs[i * n + j] += 1
-        self._states[i] += 1
 
     def estimate(self) -> np.ndarray:
         """Current smoothed row-stochastic estimate, as a new array."""
-        return (self.pair_counts + 1.0 / self.num_states) / (self.state_counts[:, None] + 1.0)
+        return (self.pair_counts + 1.0 / self.num_states) / (self.pair_counts.sum(axis=1)[:, None] + 1.0)
 
     def reset(self) -> None:
         """Cache the current estimate and zero the counts in place."""
         self.cached_estimate = self.estimate()
         self.pair_counts[:] = 0
-        self.state_counts[:] = 0
 
 
 class QLearner:

@@ -272,7 +272,6 @@ class _Run:
                 policy=self.pi,
                 q_values=self.learner.q,
                 pair_counts=counter.pair_counts,
-                state_counts=counter.state_counts,
                 cached_estimate=counter.cached_estimate,
                 rng_state=rng_state,
             ),
@@ -328,7 +327,6 @@ class _KernelLoop:
             ("c_pi", run.c_pi, T),
             ("u", self._u, 2 * (T - 1)),
             ("pair_counts", run.counter.pair_counts, S * S),
-            ("state_counts", run.counter.state_counts, S),
         ):
             dtype, ctype = (np.int64, "int64_t[]") if name.endswith("counts") else (np.float64, "double[]")
             if array.dtype != dtype or not array.flags.c_contiguous or array.size != size:
@@ -411,12 +409,13 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
         global_min_policy = min(global_min_policy, episode_min_policy)
         mu1, pi1 = run.mu_first[k - 1], run.pi_first[k - 1]
         scored = config.reference is not None and (k - 1) % config.diagnostics_every == 0
+        # reset() caches the episode's final estimate, which the diagnostics score
+        run.counter.reset()
         diagnostics.append(
             episode_diagnostics(
-                k, mu1, pi1, run.counter.estimate(), run.learner.q, config, episode_min_policy, scored
+                k, mu1, pi1, run.counter.cached_estimate, run.learner.q, config, episode_min_policy, scored
             )
         )
-        run.counter.reset()
         run.learner.reset_clock()
 
     avg_mu = run.mu_first[: K - 1].mean(axis=0)

@@ -27,7 +27,6 @@ def run_state_snapshot(
     policy,
     q_values,
     pair_counts,
-    state_counts,
     cached_estimate,
     rng_state,
 ) -> dict:
@@ -42,7 +41,7 @@ def run_state_snapshot(
         "policy": np.asarray(policy, dtype=float).tolist(),
         "q_values": np.asarray(q_values, dtype=float).tolist(),
         "pair_counts": np.asarray(pair_counts).tolist(),
-        "state_counts": np.asarray(state_counts).tolist(),
+        "state_counts": np.asarray(pair_counts).sum(axis=1).tolist(),
         "cached_estimate": np.asarray(cached_estimate, dtype=float).tolist(),
         "rng_state": rng_state,
     }

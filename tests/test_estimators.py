@@ -22,7 +22,7 @@ def test_single_observation_estimate():
     assert counter.estimate()[0, 1] == pytest.approx(0.75)
     assert counter.estimate()[0, 0] == pytest.approx(0.25)
     assert counter.pair_counts[0, 1] == 1
-    assert counter.state_counts[0] == 1
+    assert counter.pair_counts.sum(axis=1)[0] == 1
 
 
 def test_record_out_of_range():
@@ -39,9 +39,30 @@ def test_counts_and_row_sums_invariant(transitions):
     counter = TransitionCounter(5)
     for i, j in transitions:
         counter.record(i, j)
-    assert np.array_equal(counter.state_counts, counter.pair_counts.sum(axis=1))
-    assert counter.state_counts.sum() == len(transitions)
+    assert counter.pair_counts.sum() == len(transitions)
     assert np.abs(counter.estimate().sum(axis=1) - 1.0).max() < 1e-12
+
+
+@st.composite
+def count_tables(draw):
+    """An S x S int64 count table, S in 1..30, with some all-zero rows and entries up to 2**40."""
+    n = draw(st.integers(1, 30))
+    entries = st.integers(0, 2**40)
+    row = st.one_of(st.just([0] * n), st.lists(entries, min_size=n, max_size=n))
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    return np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(count_tables())
+def test_estimate_equals_the_two_array_form(counts):
+    # The estimate divides by the int64 row sums; they must give the bits of
+    # dividing by visit counts summed entry by entry on their own.
+    n = counts.shape[0]
+    visits = np.array([sum(int(c) for c in row) for row in counts], dtype=np.int64)
+    counter = TransitionCounter(n)
+    counter.pair_counts[:] = counts
+    assert np.array_equal(counter.estimate(), (counts + 1.0 / n) / (visits[:, None] + 1.0))
 
 
 class IncrementalCounter:
@@ -91,7 +112,7 @@ def test_estimate_is_bit_equal_to_row_by_row_refresh(script):
         assert np.array_equal(counter.estimate(), reference.estimate)
         assert np.array_equal(counter.cached_estimate, reference.cached_estimate)
     assert np.array_equal(counter.pair_counts, reference.pair_counts)
-    assert np.array_equal(counter.state_counts, reference.state_counts)
+    assert np.array_equal(counter.pair_counts.sum(axis=1), reference.state_counts)
 
 
 def test_reset_caches_final_estimate():
@@ -102,11 +123,11 @@ def test_reset_caches_final_estimate():
     counter.reset()
     assert np.array_equal(counter.cached_estimate, before)
     assert np.allclose(counter.estimate(), 1 / 3)
-    assert counter.state_counts.sum() == 0
+    assert counter.pair_counts.sum() == 0
     # idempotent: a second reset caches the uniform table and changes nothing else
     counter.reset()
     assert np.allclose(counter.cached_estimate, 1 / 3)
-    assert counter.state_counts.sum() == 0
+    assert counter.pair_counts.sum() == 0
 
 
 def test_estimate_accuracy_on_fixed_chain():

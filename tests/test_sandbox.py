@@ -383,7 +383,6 @@ def test_snapshot_file_round_trip(tmp_path):
         policy=np.array([[0.5, 0.5], [0.1, 0.9]]),
         q_values=np.zeros((2, 2)),
         pair_counts=np.zeros((2, 2), dtype=np.int64),
-        state_counts=np.zeros(2, dtype=np.int64),
         cached_estimate=np.full((2, 2), 0.5),
         rng_state=np.random.default_rng(0).bit_generator.state,
     )
@@ -673,6 +672,7 @@ def snapshots_agree(fast, reference):
     assert a.keys() == b.keys()
     for key in ("schema_version", "kind", "episode", "step", "agent_state", "pair_counts", "state_counts", "rng_state"):
         assert a[key] == b[key], key
+    assert a["state_counts"] == np.sum(a["pair_counts"], axis=1).tolist()
     for key in ("mean_field", "policy", "q_values", "cached_estimate"):
         np.testing.assert_array_equal(a[key], b[key], err_msg=key)
 
@@ -821,9 +821,7 @@ def test_kernel_estimate_holds_the_counters_rows_and_zero_pad(step_kernel, side)
         assert np.array_equal(pad, np.zeros_like(pad)) and not np.signbit(pad).any()
         before_last = TransitionCounter(S)
         before_last.pair_counts[:] = run.counter.pair_counts
-        before_last.state_counts[:] = run.counter.state_counts
         before_last.pair_counts[loop.ctx.prev, run.state] -= 1
-        before_last.state_counts[loop.ctx.prev] -= 1
         assert np.array_equal(estimate[:, :S], before_last.estimate())
         run.counter.reset()
         run.learner.reset_clock()
