@@ -104,8 +104,11 @@ class ExperimentConfig:
             raise ValueError("probe_pairs must be >= 1")
         # Any one point covers the simplex within L1 radius 2, so a mesh >= 2
         # guarantees nothing.
-        if self.epsilon_net_mesh is not None and not 0.0 < self.epsilon_net_mesh < 2.0:
-            raise ValueError("epsilon_net_mesh must be null or lie in (0, 2)")
+        if self.epsilon_net_mesh is not None:
+            if not 0.0 < self.epsilon_net_mesh < 2.0:
+                raise ValueError("epsilon_net_mesh must be null or lie in (0, 2)")
+            if not math.isfinite(self.environment.side**2 / self.epsilon_net_mesh):
+                raise ValueError("epsilon_net_mesh is too small: side * side / mesh overflows")
 
 
 _SCHEDULE_KEYS = {_FIELD_ALIASES.get(f.name, f.name) for f in dataclasses.fields(ScheduleParams)}

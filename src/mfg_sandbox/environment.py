@@ -105,6 +105,8 @@ class CongestionGridParams:
         if self.favorable_states is not None:
             try:
                 cells = tuple((operator.index(x), operator.index(y)) for x, y in self.favorable_states)
+                if any(isinstance(v, bool) for cell in self.favorable_states for v in cell):
+                    raise TypeError("a boolean is not a cell coordinate")
             except (TypeError, ValueError) as err:
                 raise ValueError(f"favorable_states must be a list of [x, y] integer cells ({err})") from None
             for x, y in cells:

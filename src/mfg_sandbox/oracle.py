@@ -100,7 +100,7 @@ def _sweeps_compiled(ffi, lib, kernel, rho: float, rewards, q, threshold: float,
 
 
 def _value_iteration(
-    env: MfgEnvironment, mus, rho: float, tol: float, q_start=None, max_iter: int = VI_MAX_ITER, kernels=None
+    env: MfgEnvironment, mus, rho: float, tol: float, q_start=None, max_iter: int = VI_MAX_ITER
 ) -> tuple[np.ndarray, int]:
     """Value iteration on a stack of mu-frozen MDPs, each accurate to tol in sup norm.
 
@@ -127,13 +127,11 @@ def _value_iteration(
       [0, 1] they stay in [0, 1/(1-rho)] and need no clip.
 
     The environment is asked once for the stack's kernels and reward
-    tables, and the discount is folded into the kernel; a caller that has
-    fetched the kernels already passes what _kernels(env, mus) returned as
-    kernels. A kernel stack whose stack axis has stride zero, as
-    np.broadcast_to makes for every package environment, is one kernel for
-    the stack and one compiled call; otherwise each problem is a call of its
-    own. Without the compiled extension, the NumPy reference loop runs
-    instead.
+    tables, and the discount is folded into the kernel. A kernel stack whose
+    stack axis has stride zero, as np.broadcast_to makes for every package
+    environment, is one kernel for the stack and one compiled call;
+    otherwise each problem is a call of its own. Without the compiled
+    extension, the NumPy reference loop runs instead.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
@@ -148,8 +146,7 @@ def _value_iteration(
         q = np.array(q_start, dtype=np.float64, order="C")
     if M == 0:
         return q, 0
-    if kernels is None:
-        kernels = _kernels(env, mus)
+    kernels = _kernels(env, mus)
     rewards = np.ascontiguousarray(env.reward_table(mus), dtype=np.float64)
     # the compiled loop reads these sizes through raw pointers
     if q.shape != (M, S, A) or rewards.shape != q.shape:
@@ -222,12 +219,7 @@ def induced_kernel(env: MfgEnvironment, pi, mu) -> np.ndarray:
     """
     pi = np.asarray(pi, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
-    return _chain(_kernels(env, mu), pi)
-
-
-def _chain(kernel: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """induced_kernel on kernel, what _kernels returns at the pairs' mean-fields."""
-    return np.einsum("...sa,...sat->...st", pi, kernel)
+    return np.einsum("...sa,...sat->...st", pi, _kernels(env, mu))
 
 
 def gamma2(env: MfgEnvironment, pi, mu) -> np.ndarray:
@@ -242,12 +234,8 @@ def gamma2(env: MfgEnvironment, pi, mu) -> np.ndarray:
     """
     pi = np.asarray(pi, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
-    return _push(_kernels(env, mu), pi, mu)
-
-
-def _push(kernel: np.ndarray, pi: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """gamma2 on kernel, what _kernels returns at mu."""
-    S, A = kernel.shape[-3:-1]
+    kernel = _kernels(env, mu)
+    S, A = env.num_states, env.num_actions
     flow = mu[..., None] * pi
     flow = flow.reshape(flow.shape[:-2] + (S * A,))
     return np.einsum("...k,...kt->...t", flow, kernel.reshape(kernel.shape[:-3] + (S * A, S)))

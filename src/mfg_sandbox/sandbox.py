@@ -32,7 +32,7 @@ from .core import (
 )
 from .environment import CongestionGridEnv, MfgEnvironment, env_step, sample_from_cdf
 from .estimators import QLearner, TransitionCounter
-from .oracle import BmfePair, _chain, _kernels, _push, _value_iteration
+from .oracle import BmfePair, gamma1, gamma2, induced_kernel
 from .schedules import (
     EpsilonNet,
     ScheduleParams,
@@ -154,32 +154,29 @@ def episode_diagnostics(
 
     The temperature, discount and environment come from config, the
     reference mean-field and value-iteration tolerance from its reference
-    pair, which config has checked was solved for the same game. residual_mu
-    is the L1 gap to gamma2's push; the induced chain is built only for a
-    scored episode's eps_P. The environment is asked once for the kernel at
-    the first-step mean-field, which the push, the chain and the best
-    response's value iteration share. An unscored episode needs no
-    reference: its oracle-backed fields are NaN and only residual_mu is
-    computed.
+    pair, which config has checked was solved for the same game. Every
+    field goes through the oracle's public operators at the first-step
+    pair: residual_mu is the L1 gap to gamma2's push, e_pi and eps_Q are
+    scored against gamma1's best response and optimal Q-table, and eps_P
+    against induced_kernel's chain. An unscored episode needs no reference:
+    its oracle-backed fields are NaN and only residual_mu is computed.
     """
     ref = config.reference
     if scored and ref is None:
         raise ValueError("episode diagnostics require a reference equilibrium")
-    kernel = _kernels(config.env, mu_first)
-    residual_mu = l1_norm(mu_first - _push(kernel, pi_first, mu_first))
+    env = config.env
+    residual_mu = l1_norm(mu_first - gamma2(env, pi_first, mu_first))
     if not scored:
         nan = math.nan
         return EpisodeDiagnostics(
             k=k, e_pi=nan, e_mu=nan, eps_P=nan, eps_Q=nan, residual_mu=residual_mu, min_policy=min_policy
         )
-    # gamma1 at mu_first, on the kernel fetched above
-    q_star = _value_iteration(config.env, mu_first[None], config.rho, ref.vi_tol, kernels=kernel)[0][0]
-    best_response = softmax_table(q_star, config.schedule.lam)
+    best_response, q_star, _ = gamma1(env, mu_first, config.schedule.lam, config.rho, ref.vi_tol)
     return EpisodeDiagnostics(
         k=k,
         e_pi=tv_norm(pi_first - best_response),
         e_mu=l1_norm(mu_first - ref.mean_field),
-        eps_P=frobenius_norm(p_hat_end - _chain(kernel, pi_first)),
+        eps_P=frobenius_norm(p_hat_end - induced_kernel(env, pi_first, mu_first)),
         eps_Q=inf_norm(q_end - q_star),
         residual_mu=residual_mu,
         min_policy=min_policy,

@@ -118,6 +118,8 @@ def build_epsilon_net(num_states: int, mesh: float) -> EpsilonNet:
         raise ValueError("mesh must be > 0")
     if num_states < 1:
         raise ValueError("num_states must be >= 1")
+    if not math.isfinite(num_states / mesh):
+        raise ValueError("mesh is too small: the resolution num_states / mesh overflows")
     return EpsilonNet(mesh=float(mesh), resolution=math.ceil(num_states / mesh))
 
 

@@ -1,4 +1,4 @@
-"""FixedMdpEnv: a mean-field-independent MDP, the ground-truth environment of the tests."""
+"""Hand-built test environments: FixedMdpEnv, a mean-field-independent MDP, and MuDependentEnv."""
 
 import numpy as np
 
@@ -35,3 +35,21 @@ class FixedMdpEnv(MfgEnvironment):
 
     def reward_table(self, mu):
         return _broadcast_over_stack(self._rewards, mu)
+
+
+class MuDependentEnv(MfgEnvironment):
+    """Kernel and reward both move with mu; a stack of mean-fields gets a
+    stack of distinct kernels, so value iteration solves one problem per
+    call."""
+
+    def __init__(self, seed, num_states=4, num_actions=3):
+        rng = np.random.default_rng(seed)
+        self.num_states, self.num_actions = num_states, num_actions
+        self._base = rng.dirichlet(np.ones(num_states), size=(num_states, num_actions))
+        self._rewards = rng.uniform(0.0, 1.0, size=(num_states, num_actions))
+
+    def transition_kernel(self, mu):
+        return 0.7 * self._base + 0.3 * np.asarray(mu)[..., None, None, :]
+
+    def reward_table(self, mu):
+        return self._rewards * (1.0 - 0.5 * np.asarray(mu))[..., None]

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import gc
 import json
@@ -111,6 +112,7 @@ def test_constraint_violations_name_the_field(tmp_path):
         ("lambda", True),
         ("output_dir", 7),
         ("epsilon_net_mesh", "0.5"),
+        ("epsilon_net_mesh", 1e-320),
     ]:
         with pytest.raises(ValueError, match=key):
             cli.load_config(write_config(tmp_path, {key: value}))
@@ -126,6 +128,7 @@ def test_constraint_violations_name_the_field(tmp_path):
         ("favorable_states", {"kind": "congestion", "favorable_states": 5}),
         ("favorable_states", {"kind": "congestion", "favorable_states": [[1]]}),
         ("favorable_states", {"kind": "congestion", "favorable_states": [[1, 1.5]]}),
+        ("favorable_states", {"kind": "congestion", "favorable_states": [[True, True]]}),
     ]:
         with pytest.raises(ValueError, match=key):
             cli.load_config(write_config(tmp_path, {"environment": environment}))
@@ -156,6 +159,21 @@ def test_readme_library_example_imports_public_names():
     assert block is not None
     names = {name.strip() for name in block.group(1).split(",") if name.strip()}
     assert names and sorted(names - set(mfg_sandbox.__all__)) == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a private module (from . import _step_kernel) is allowed; a private
+    # name from a sibling module is an undocumented fork of its public form
+    package = Path(mfg_sandbox.__file__).resolve().parent
+    private = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_parse_error_carries_line_info(tmp_path):
@@ -286,6 +304,8 @@ def test_main_rejects_bad_config(tmp_path, capsys):
         ("seed", {}, ["--seed", "-1"]),
         ("K", {"K": "3"}, []),
         ("favorable_states", {"environment": {"kind": "congestion", "favorable_states": 5}}, []),
+        ("favorable_states", {"environment": {"kind": "congestion", "favorable_states": [[True, True]]}}, []),
+        ("epsilon_net_mesh", {"epsilon_net_mesh": 1e-320}, []),
     ]:
         config = write_config(tmp_path, {**overrides, "output_dir": str(out)})
         assert cli.main(["--config", str(config), "--quiet", *flags]) == cli.EXIT_USAGE

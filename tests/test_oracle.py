@@ -17,7 +17,6 @@ from mfg_sandbox import _step_kernel, oracle
 from mfg_sandbox.core import inf_norm, l1_norm, softmax_table, tv_norm
 from mfg_sandbox.environment import (
     CongestionGridParams,
-    MfgEnvironment,
     make_congestion_env,
     make_two_class_env,
 )
@@ -31,7 +30,7 @@ from mfg_sandbox.oracle import (
     probe_contraction,
     solve_bmfe,
 )
-from fixed_mdp import FixedMdpEnv
+from fixed_mdp import FixedMdpEnv, MuDependentEnv
 
 
 def _random_env(seed, num_states=5, num_actions=2, concentration=2.0):
@@ -350,24 +349,6 @@ def test_solve_bmfe_records_its_inputs():
 
 # ---------------------------------------------------------------------------
 # Differential tests: the batched, warm-started oracle against plain loops.
-
-
-class MuDependentEnv(MfgEnvironment):
-    """Kernel and reward both move with mu; a stack of mean-fields gets a
-    stack of distinct kernels, so value iteration solves one problem per
-    call."""
-
-    def __init__(self, seed, num_states=4, num_actions=3):
-        rng = np.random.default_rng(seed)
-        self.num_states, self.num_actions = num_states, num_actions
-        self._base = rng.dirichlet(np.ones(num_states), size=(num_states, num_actions))
-        self._rewards = rng.uniform(0.0, 1.0, size=(num_states, num_actions))
-
-    def transition_kernel(self, mu):
-        return 0.7 * self._base + 0.3 * np.asarray(mu)[..., None, None, :]
-
-    def reward_table(self, mu):
-        return self._rewards * (1.0 - 0.5 * np.asarray(mu))[..., None]
 
 
 class MisStackedEnv(MuDependentEnv):

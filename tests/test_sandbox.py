@@ -41,7 +41,7 @@ from mfg_sandbox.schedules import (
     exploration_floor,
 )
 from mfg_sandbox import _step_kernel, sandbox, snapshots
-from fixed_mdp import FixedMdpEnv
+from fixed_mdp import FixedMdpEnv, MuDependentEnv
 from test_schedules import step_size_mu, step_size_pi
 
 
@@ -411,34 +411,40 @@ def test_episode_diagnostics_zero_cases():
 
 @pytest.mark.parametrize(
     "make_env",
-    [lambda: small_env(side=5), lambda: make_two_class_env(CongestionGridParams(side=5)), _fixed_mdp],
-    ids=["grid5", "two_class", "fixed-mdp"],
+    [
+        lambda: small_env(side=5),
+        lambda: make_two_class_env(CongestionGridParams(side=5)),
+        _fixed_mdp,
+        lambda: MuDependentEnv(8),
+    ],
+    ids=["grid5", "two_class", "fixed-mdp", "mu-dependent"],
 )
-def test_diagnostics_ask_for_the_kernel_once_per_episode(make_env):
-    # the push, the chain and the best response share one kernel, and every
-    # field is what the three operators give on kernels of their own
+def test_diagnostics_are_the_public_operators_values(make_env):
+    # every field is exactly what gamma1, gamma2 and induced_kernel give at
+    # the first-step pair, which differs from the reference pair
     env = make_env()
     S, A = env.num_states, env.num_actions
     config = small_config(env, reference=solve_bmfe(env, lam=1.0, rho=0.7))
     rng = np.random.default_rng(4)
     mu1, pi1 = rng.dirichlet(np.ones(S)), rng.dirichlet(np.ones(A), size=S)
     p_hat, q_end = rng.dirichlet(np.ones(S), size=S), rng.uniform(0.0, 1.0, size=(S, A))
-    for scored in (True, False):
-        with mock.patch.object(env, "transition_kernel", wraps=env.transition_kernel) as fetch:
-            diag = episode_diagnostics(3, mu1, pi1, p_hat, q_end, config, 0.1, scored)
-        assert fetch.call_count == 1
     best_response, q_star, _ = gamma1(env, mu1, 1.0, 0.7, config.reference.vi_tol)
+    residual_mu = l1_norm(mu1 - gamma2(env, pi1, mu1))
     expected = sandbox.EpisodeDiagnostics(
         k=3,
         e_pi=tv_norm(pi1 - best_response),
         e_mu=l1_norm(mu1 - config.reference.mean_field),
         eps_P=frobenius_norm(p_hat - induced_kernel(env, pi1, mu1)),
         eps_Q=inf_norm(q_end - q_star),
-        residual_mu=l1_norm(mu1 - gamma2(env, pi1, mu1)),
+        residual_mu=residual_mu,
         min_policy=0.1,
     )
     scored_diag = episode_diagnostics(3, mu1, pi1, p_hat, q_end, config, 0.1)
     assert dataclasses.astuple(scored_diag) == dataclasses.astuple(expected)
+    # an unscored episode needs no reference and computes residual_mu only
+    unscored = episode_diagnostics(3, mu1, pi1, p_hat, q_end, small_config(env), 0.1, scored=False)
+    assert unscored.residual_mu == residual_mu
+    assert all(math.isnan(x) for x in (unscored.e_pi, unscored.e_mu, unscored.eps_P, unscored.eps_Q))
 
 
 def test_episode_diagnostics_requires_oracle():

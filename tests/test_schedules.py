@@ -154,6 +154,11 @@ def test_build_net_two_states_mesh_one():
         assert np.array_equal(project_to_net(net, point), point)
 
 
+def test_build_net_rejects_a_mesh_whose_resolution_overflows():
+    with pytest.raises(ValueError, match="overflows"):
+        build_epsilon_net(25, 1e-320)
+
+
 def test_projection_examples():
     net = build_epsilon_net(2, 1.0)
     assert np.allclose(project_to_net(net, np.array([0.9, 0.1])), [1.0, 0.0])
