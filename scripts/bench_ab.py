@@ -28,16 +28,18 @@ A second, in-process section times the step loop and the oracle without
 the CLI's process start, imports and I/O. It loads both trees into this one
 interpreter as two package names (``load_tree``), so a swing in the host's
 speed lands on both sides alike, and builds from each tree's own ``cli`` the
-same eight calls (``tree_calls``). On ``configs/full_grid_5x5.json``:
+same nine calls (``tree_calls``). On ``configs/full_grid_5x5.json``:
 ``run_sandbox`` cut to K = 4, T = 10k with a reference, ``probe_contraction``
-over ``IN_PROCESS_PROBE_PAIRS`` pairs, ``solve_bmfe``, and value iteration
-and ``gamma2`` alone, each on a stack and on one problem. On
+over ``IN_PROCESS_PROBE_PAIRS`` pairs, ``solve_bmfe``, value iteration
+and ``gamma2`` alone, each on a stack and on one problem, and one scored
+``episode_diagnostics`` call, the oracle's work per scored episode. On
 ``configs/probe_3x3.json``: ``probe_contraction_3x3`` over
 ``IN_PROCESS_PROBE_3X3_PAIRS`` pairs, the shape of ``desk3_compare``'s
 companion probe. Each call runs once
 untimed. In each of ``IN_PROCESS_ROUNDS`` rounds the side that goes first
 alternates, and the sides take turns call by call, ``IN_PROCESS_REPEATS``
-times (``VI_REPEATS`` for value iteration and ``gamma2``); each side keeps
+times (``VI_REPEATS`` for value iteration, ``gamma2`` and
+``episode_diagnostics``); each side keeps
 its minimum ``time.process_time()``, CPU time, so time spent descheduled
 does not count, and the round's ratio is base over candidate. Import time,
 exit time and RSS need processes of their own; they come from the perfbench
@@ -93,6 +95,8 @@ IN_PROCESS_K, IN_PROCESS_T = 4, 10_000
 IN_PROCESS_PROBE_PAIRS = 600
 IN_PROCESS_PROBE_3X3_PAIRS = 500
 VI_STACK, VI_REPEATS = 64, 100
+# calls this short take VI_REPEATS per side and round
+SHORT_CALLS = ("value_iteration", "gamma2", "episode_diagnostics")
 PUSH_STACK = 96  # a probe block's pairs and their moved and varied variants
 TIER1_RUNS = 3
 SHIPPED_CONFIGS = ("desk_3x3_compare", "full_grid_5x5", "probe_3x3", "two_class_5x5")
@@ -195,6 +199,9 @@ def tree_calls(name: str, checkout: Path) -> dict[str, Callable[[], object]]:
     rng = np.random.default_rng(6)
     mus = rng.dirichlet(np.ones(S), size=PUSH_STACK)
     pis = rng.dirichlet(np.ones(A), size=(PUSH_STACK, S))
+    # a first-step pair, an end-of-episode estimate and a Q-table, as a run hands them over
+    p_hat, q_end = rng.dirichlet(np.ones(S), size=S), rng.uniform(0.0, 1.0 / (1.0 - rho), (S, A))
+    episode = (mus[0], pis[0], p_hat, q_end)
     return {
         "run_sandbox": lambda: sandbox.run_sandbox(config),
         "probe_contraction": lambda: oracle.probe_contraction(
@@ -208,6 +215,7 @@ def tree_calls(name: str, checkout: Path) -> dict[str, Callable[[], object]]:
         "value_iteration_1": lambda: oracle._value_iteration(env, vi_mus[:1], rho, 1e-10),
         f"gamma2_{PUSH_STACK}": lambda: oracle.gamma2(env, pis, mus),
         "gamma2_1": lambda: oracle.gamma2(env, pis[0], mus[0]),
+        "episode_diagnostics": lambda: sandbox.episode_diagnostics(1, *episode, config),
     }
 
 
@@ -224,7 +232,7 @@ def measure_in_process(calls: dict[str, dict[str, Callable[[], object]]]) -> dic
         order = ["base", "candidate"] if i % 2 == 0 else ["candidate", "base"]
         for name, call_rounds in rounds.items():
             best = dict.fromkeys(order, math.inf)
-            for _ in range(VI_REPEATS if name.startswith(("value_iteration", "gamma2")) else IN_PROCESS_REPEATS):
+            for _ in range(VI_REPEATS if name.startswith(SHORT_CALLS) else IN_PROCESS_REPEATS):
                 for side in order:
                     call = calls[side][name]
                     started = time.process_time()
@@ -237,9 +245,11 @@ def measure_in_process(calls: dict[str, dict[str, Callable[[], object]]]) -> dic
             "process": "one interpreter, the base export and the working tree loaded as two package names",
             "calls": f"run_sandbox at K={IN_PROCESS_K}, T={IN_PROCESS_T} with a reference, probe_contraction "
             f"({IN_PROCESS_PROBE_PAIRS} pairs, seed 4), solve_bmfe, cold _value_iteration on {VI_STACK} and on 1 "
-            f"mean-field, gamma2 on {PUSH_STACK} pairs and on 1, on configs/full_grid_5x5.json; probe_contraction_3x3 "
-            f"({IN_PROCESS_PROBE_3X3_PAIRS} pairs, seed 4) on configs/probe_3x3.json; each untimed once",
-            "repeats": f"{IN_PROCESS_REPEATS} per side and round, {VI_REPEATS} for value_iteration_* and gamma2_*",
+            f"mean-field, gamma2 on {PUSH_STACK} pairs and on 1, one scored episode_diagnostics call, on "
+            f"configs/full_grid_5x5.json; probe_contraction_3x3 ({IN_PROCESS_PROBE_3X3_PAIRS} pairs, seed 4) on "
+            "configs/probe_3x3.json; each untimed once",
+            "repeats": f"{IN_PROCESS_REPEATS} per side and round, {VI_REPEATS} for value_iteration_*, gamma2_* and "
+            "episode_diagnostics",
             "clock": "time.process_time, the CPU time of the process",
             "order": "the sides take turns call by call, base first in even rounds",
             "ratio": "base minimum over candidate minimum, per round",

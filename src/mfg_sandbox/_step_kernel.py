@@ -583,6 +583,12 @@ static double l1_distance(const double *x, const double *y, int n)
     return sum;
 }
 
+/* The larger of m and x, and NaN once either is, as NumPy's max keeps a NaN. */
+static double max_or_nan(double m, double x)
+{
+    return x > m || isnan(x) ? x : m;
+}
+
 /* out <- the flow mu(s) pi(a|s) pushed through the kernel's sparse rows:
    out[t] sums mu(s) pi(a|s) P(t|s, a) over (s, a) in index order, as
    oracle.gamma2's einsum does for S >= 2. */
@@ -606,8 +612,9 @@ static void push_flow(int S, int A, const int *row_start, const int *cols, const
    mean-fields, value iteration on them from Q = 0 (value_iteration, at
    threshold and max_iter), the softmax at lam of the 2m Q-tables, and the
    three Lipschitz ratios. Writes the block's maxima of d1, d2 and d3 into
-   ratios, 0 where no ratio was taken. Every step is oracle._block_ratios
-   in C, each sum in index order; the softmax is the step's softmax_row.
+   ratios, 0 where no ratio was taken, NaN where one was NaN (as from an
+   overflowed lam * q). Every step is oracle._block_ratios in C, each sum
+   in index order; the softmax is the step's softmax_row.
    The caller owns the scratch: int_scratch holds int_size ints and scratch
    size doubles. Returns 0; -1 when a value iteration is still moving after
    max_iter sweeps; -2 when the scratch is too small. */
@@ -665,15 +672,11 @@ int probe_block(int num_pairs, int num_states, int num_actions, const double *dr
         if (dmu[i] >= 1e-9) {
             moved[m++] = i;
             push_flow(S, A, row_start, cols, vals, mu_alt, pi, push_alt);
-            const double ratio = l1_distance(push, push_alt, S) / dmu[i];
-            if (ratio > d3)
-                d3 = ratio;
+            d3 = max_or_nan(d3, l1_distance(push, push_alt, S) / dmu[i]);
         }
         if (dpi[i] >= 1e-9) {
             push_flow(S, A, row_start, cols, vals, mu, pi_alt, push_alt);
-            const double ratio = l1_distance(push, push_alt, S) / dpi[i];
-            if (ratio > d2)
-                d2 = ratio;
+            d2 = max_or_nan(d2, l1_distance(push, push_alt, S) / dpi[i]);
         }
     }
 
@@ -698,14 +701,9 @@ int probe_block(int num_pairs, int num_states, int num_actions, const double *dr
         for (int j = 0; j < m; j++) {
             const double *g = q + (size_t)j * rows, *g_alt = q + ((size_t)m + j) * rows;
             double tv_max = -INFINITY;
-            for (int s = 0; s < S; s++) {
-                const double tv = l1_distance(g + (size_t)s * A, g_alt + (size_t)s * A, A);
-                if (tv > tv_max)
-                    tv_max = tv;
-            }
-            const double ratio = tv_max / dmu[moved[j]];
-            if (ratio > d1)
-                d1 = ratio;
+            for (int s = 0; s < S; s++)
+                tv_max = max_or_nan(tv_max, l1_distance(g + (size_t)s * A, g_alt + (size_t)s * A, A));
+            d1 = max_or_nan(d1, tv_max / dmu[moved[j]]);
         }
     }
     ratios[0] = d1;

@@ -37,7 +37,7 @@ import numpy as np
 from . import snapshots
 from .core import l1_norm, tv_norm
 from .environment import CongestionGridParams, make_congestion_env, make_two_class_env
-from .oracle import BmfePair, probe_contraction, solve_bmfe
+from .oracle import VI_MAX_ITER, VI_TOL, BmfePair, probe_contraction, solve_bmfe
 from .sandbox import EpisodeDiagnostics, NonFiniteError, SandboxConfig, run_sandbox
 from .schedules import ScheduleParams, build_epsilon_net
 
@@ -94,6 +94,15 @@ class ExperimentConfig:
             raise ValueError("T (steps per episode) must be >= 2")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
+        # From Q = 0, value iteration's sweep k moves Q by at most
+        # rho^(k-1) (1 + rho) / (1 - rho) (oracle._value_iteration's
+        # contraction) and stops once that is <= VI_TOL (1 - rho) / rho.
+        sweeps = math.ceil(math.log(VI_TOL * (1.0 - self.rho) ** 2 / (1.0 + self.rho)) / math.log(self.rho))
+        if sweeps > VI_MAX_ITER:
+            raise ValueError(f"rho too close to 1: value iteration may need {sweeps} sweeps (cap {VI_MAX_ITER})")
+        # lambda * q stays finite on Q-tables in [0, 1/(1 - rho)], with 2x to spare for q's rounding
+        if not self.schedule.lam / (1.0 - self.rho) <= sys.float_info.max / 2:
+            raise ValueError("lambda is too large: lambda / (1 - rho) must not pass half the largest double")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.num_seeds < 1:

@@ -1,9 +1,8 @@
 """Mean-field game environments.
 
 Provides the abstract environment interface, which defines a game by two
-tables at a mean-field mu (the (S, A, S) transition kernel and the (S, A)
-reward table, each with a leading stack axis when mu is an (M, S) stack of
-mean-fields), and the congestion grid worlds used in the experiments. Grid
+tables at one mean-field mu (the (S, A, S) transition kernel and the (S, A)
+reward table), and the congestion grid worlds used in the experiments. Grid
 coordinates are (x, y) with x, y in 1..side; the flat state index is
 (x - 1) * side + (y - 1) (row major).
 """
@@ -27,17 +26,14 @@ class MfgEnvironment(abc.ABC):
     """A mean-field game: its kernel and reward tables at a mean-field mu.
 
     Subclasses define the whole game through transition_kernel and
-    reward_table; the learner's reference step (env_step) and every oracle
-    caller read these two methods, so the game learned is the game scored.
-    Both may depend on mu, and both take one mean-field (S,) or a stack of
-    them (M, S): a stack in gives a stack out, one table per mean-field
-    along a leading axis, with the values of M single calls. The oracle
-    asks once per stack. A table that does not depend on mu comes back as
-    np.broadcast_to(table, (M,) + table.shape), whose zero stride on the
-    stack axis tells the oracle that one table serves the whole stack.
-    Instances are immutable after construction, and both methods are pure
-    and safe to share across concurrent runs. num_states and num_actions
-    are S and A.
+    reward_table, each of one (S,) mean-field; the learner's reference step
+    (env_step) and every oracle caller read these two methods, so the game
+    learned is the game scored. Both may depend on mu. The oracle forms a
+    stack's tables itself, one call per mean-field; when every kernel call
+    returns the same array object, as for a kernel stored once, that one
+    kernel serves the whole stack. Instances are immutable after
+    construction, and both methods are pure and safe to share across
+    concurrent runs. num_states and num_actions are S and A.
     """
 
     num_states: int
@@ -45,18 +41,11 @@ class MfgEnvironment(abc.ABC):
 
     @abc.abstractmethod
     def transition_kernel(self, mu) -> np.ndarray:
-        """(S, A, S) kernel at mean-field mu, or (M, S, A, S) at a stack; each [s, a] row is a distribution."""
+        """(S, A, S) kernel at mean-field mu (S,); each [s, a] row is a distribution."""
 
     @abc.abstractmethod
     def reward_table(self, mu) -> np.ndarray:
-        """(S, A) rewards in [0, 1] at mean-field mu, or (M, S, A) at a stack."""
-
-
-def _broadcast_over_stack(table: np.ndarray, mu) -> np.ndarray:
-    """A mu-independent table at mu: itself for one mean-field or None, a zero-stride stack for (M, S)."""
-    if mu is None or np.ndim(mu) == 1:
-        return table
-    return np.broadcast_to(table, (len(mu),) + table.shape)
+        """(S, A) rewards in [0, 1] at mean-field mu (S,)."""
 
 
 def state_index(x: int, y: int, side: int) -> int:
@@ -152,8 +141,9 @@ def _grid_kernel(side: int, jostle_p: float) -> np.ndarray:
 class CongestionGridEnv(MfgEnvironment):
     """Congestion-averse grid world with a mean-field-independent kernel.
 
-    state_reward holds R(s), so the reward at (s, a, mu) is
-    (1 - congestion_c * mu[s]) * state_reward[s].
+    kernel is the read-only (S, A, S) kernel, returned by every
+    transition_kernel call; state_reward holds R(s), so the reward at
+    (s, a, mu) is (1 - congestion_c * mu[s]) * state_reward[s].
     """
 
     def __init__(self, params: CongestionGridParams, kernel: np.ndarray):
@@ -162,19 +152,19 @@ class CongestionGridEnv(MfgEnvironment):
         self.num_states, self.num_actions = side * side, len(GRID_ACTIONS)
         kernel = np.ascontiguousarray(kernel)
         kernel.flags.writeable = False
-        self._kernel = kernel
+        self.kernel = kernel
         state_reward = np.full(self.num_states, params.baseline_reward)
         for x, y in params.resolved_favorable_states():
             state_reward[state_index(x, y, side)] = params.favorable_reward
         state_reward.flags.writeable = False
         self.state_reward = state_reward
 
-    def transition_kernel(self, mu=None):
-        return _broadcast_over_stack(self._kernel, mu)
+    def transition_kernel(self, mu):
+        return self.kernel
 
     def reward_table(self, mu):
         scale = 1.0 - self.params.congestion_c * np.asarray(mu, dtype=np.float64)
-        return np.repeat((scale * self.state_reward)[..., None], self.num_actions, axis=-1)
+        return (scale * self.state_reward)[:, None].repeat(self.num_actions, axis=1)
 
 
 def make_congestion_env(params: CongestionGridParams) -> CongestionGridEnv:

@@ -6,17 +6,17 @@ the two equilibrium operators has one definition, over a stack of
 mean-fields: gamma1, the Boltzmann-optimality map (mean-field -> softmax of
 the mu-frozen MDP's optimal Q-table, by value iteration), and gamma2, the
 consistency map (policy, mean-field -> pushed-forward mean-field: the
-state-action flow mu(s) pi(a|s) pushed through the kernel). The
-solver iterates their damped composite, the episode diagnostics score the
-learner against them, and the probe samples their Lipschitz ratios, block
-by block. A stack costs one call of each environment table and, for a
-kernel shared by the stack, one compiled value-iteration call that sweeps
-its problems together, one per lane of a SIMD register: up to 8 at a time
-under AVX-512, 4 under AVX2, 2 on other CPUs, a width the call picks itself.
-On a congestion grid the probe scores each block in one compiled call,
-_step_kernel.probe_block, which runs both operators, value iteration
-included, and the ratios in C; the NumPy block, _block_ratios, is its
-reference and its fallback.
+state-action flow mu(s) pi(a|s) pushed through the kernel). The solver
+iterates their damped composite, the episode diagnostics score the learner
+against them, and the probe samples their Lipschitz ratios, block by
+block. A stack costs one call of each environment table per mean-field
+and, for a kernel shared by the stack, one compiled value-iteration call
+that sweeps its problems together, one per lane of a SIMD register: up to
+8 at a time under AVX-512, 4 under AVX2, 2 on other CPUs, a width the call
+picks itself. On a congestion grid the probe scores each block in one
+compiled call, _step_kernel.probe_block, which runs both operators, value
+iteration included, and the ratios in C; the NumPy block, _block_ratios,
+is its reference and its fallback.
 """
 
 from __future__ import annotations
@@ -126,10 +126,10 @@ def _value_iteration(
       (q_1 = G(0) >= 0) and stay below q* = G^k(q*) >= G^k(0), so with r in
       [0, 1] they stay in [0, 1/(1-rho)] and need no clip.
 
-    The environment is asked once for the stack's kernels and reward
-    tables, and the discount is folded into the kernel. A kernel stack whose
-    stack axis has stride zero, as np.broadcast_to makes for every package
-    environment, is one kernel for the stack and one compiled call;
+    The environment is asked for each mean-field's kernel and reward table
+    (_kernels), and the discount is folded into the kernel. When every
+    kernel call returns the same array object, as for every package
+    environment, that one kernel serves the stack in one compiled call;
     otherwise each problem is a call of its own. Without the compiled
     extension, the NumPy reference loop runs instead.
     """
@@ -146,15 +146,12 @@ def _value_iteration(
         q = np.array(q_start, dtype=np.float64, order="C")
     if M == 0:
         return q, 0
-    kernels = _kernels(env, mus)
-    rewards = np.ascontiguousarray(env.reward_table(mus), dtype=np.float64)
     # the compiled loop reads these sizes through raw pointers
-    if q.shape != (M, S, A) or rewards.shape != q.shape:
-        raise ValueError(f"q_start and the reward tables must have shape {(M, S, A)}")
-    if kernels.ndim == 3:
-        stacks = [(kernels, slice(None))]
-    else:
-        stacks = [(kernels[m], slice(m, m + 1)) for m in range(M)]
+    if q.shape != (M, S, A):
+        raise ValueError(f"q_start must have shape {(M, S, A)}")
+    kernels = _kernels(env, mus)
+    rewards = np.array([_checked(env.reward_table(mu), (S, A), "reward tables") for mu in mus])
+    stacks = [(kernels, slice(None))] if kernels.ndim == 3 else [(kernels[m], slice(m, m + 1)) for m in range(M)]
     compiled = _step_kernel.load()
     threshold = tol * (1.0 - rho) / rho
     sweeps = 0
@@ -182,40 +179,42 @@ def gamma1(env: MfgEnvironment, mu, lam: float, rho: float, tol: float = VI_TOL,
     """
     mu = np.asarray(mu, dtype=np.float64)
     single = mu.ndim == 1
-    if single:
-        mu = mu[None]
-        if q_start is not None:
-            q_start = np.asarray(q_start)[None]
-    q, sweeps = _value_iteration(env, mu, rho, tol, q_start=q_start)
+    if single and q_start is not None:
+        q_start = np.asarray(q_start)[None]
+    q, sweeps = _value_iteration(env, mu[None] if single else mu, rho, tol, q_start=q_start)
     policy = softmax_table(q.reshape(-1, env.num_actions), lam).reshape(q.shape)
-    if single:
-        return policy[0], q[0], sweeps
-    return policy, q, sweeps
+    return (policy[0], q[0], sweeps) if single else (policy, q, sweeps)
+
+
+def _checked(table, shape: tuple, name: str) -> np.ndarray:
+    """table as a float64 array, which must have shape."""
+    table = np.asarray(table, dtype=np.float64)
+    if table.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}")
+    return table
 
 
 def _kernels(env: MfgEnvironment, mu) -> np.ndarray:
-    """The (S, A, S) kernel at mu (S), or the kernels of a stack mu (M, S).
+    """The (S, A, S) kernel at mu (S), or the kernels of a stack mu (M, S), one environment call each.
 
-    A stack's kernels come from one environment call: an (M, S, A, S) stack,
-    or one (S, A, S) kernel for every pair when the stack axis has stride
-    zero.
+    A stack whose calls all return the same array object gets that one
+    (S, A, S) kernel, any other the (M, S, A, S) stack of its calls' kernels.
     """
-    kernel = np.asarray(env.transition_kernel(mu), dtype=np.float64)
-    S, A = env.num_states, env.num_actions
-    if kernel.shape != mu.shape[:-1] + (S, A, S):
-        raise ValueError(f"transition kernels must have shape {mu.shape[:-1] + (S, A, S)}")
-    if mu.ndim == 2 and kernel.strides[0] == 0:
-        return kernel[0]  # one kernel for the stack
-    return kernel
+    shape = (env.num_states, env.num_actions, env.num_states)
+    if mu.ndim == 1:
+        return _checked(env.transition_kernel(mu), shape, "transition kernels")
+    kernels = [env.transition_kernel(m) for m in mu]
+    if all(kernel is kernels[0] for kernel in kernels):
+        return _checked(kernels[0], shape, "transition kernels")
+    return np.array([_checked(kernel, shape, "transition kernels") for kernel in kernels])
 
 
 def induced_kernel(env: MfgEnvironment, pi, mu) -> np.ndarray:
     """State-chain matrix P(s, s') = sum_a pi(a|s) P(s'|s, a, mu).
 
     pi (S, A) and mu (S) may also be stacks, (M, S, A) and (M, S), of M
-    pairs; the result is then the (M, S, S) stack of their chains. The
-    environment is asked once for the kernel or the stack of kernels; a
-    stack axis of stride zero is one kernel for every pair.
+    pairs; the result is then the (M, S, S) stack of their chains, from
+    one kernel for every pair when the stack shares it (_kernels).
     """
     pi = np.asarray(pi, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
@@ -228,9 +227,7 @@ def gamma2(env: MfgEnvironment, pi, mu) -> np.ndarray:
     Pushes the state-action flow x(s, a) = mu(s) pi(a|s) through the kernel:
     mu'(t) = sum_{s,a} x(s, a) P(t|s, a, mu), each sum in index order over
     (s, a), without building the chain induced_kernel returns. pi and mu may
-    be stacks of pairs, as in induced_kernel: the environment is asked once
-    for the stack's kernels, and a stack axis of stride zero is one kernel
-    for every pair.
+    be stacks of pairs, as in induced_kernel, whose kernels _kernels forms.
     """
     pi = np.asarray(pi, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
@@ -372,7 +369,8 @@ def _block_ratios(env: MfgEnvironment, lam: float, rho: float, e: np.ndarray) ->
 
     e is the block's (n, 2S + 2SA) exponential draws, each pair's mu,
     mu_alt, pi and pi_alt in that order. Every L1 and TV distance sums in
-    index order (_row_sums), as the compiled block sums it.
+    index order (_row_sums), and a NaN ratio makes its maximum NaN, as in
+    the compiled block.
     """
     S, A = env.num_states, env.num_actions
     n = len(e)
@@ -417,7 +415,7 @@ def _compiled_block(env: CongestionGridEnv, lam: float, rho: float, ffi, lib):
         PROBE_BLOCK * (width + 2 + 4 * rows) + 2 * S + 2 * entries + (2 * rows + S) * _step_kernel.MAX_LANES
     )
     ratios = np.empty(3)
-    kernel = ffi.from_buffer("double[]", env.transition_kernel(None))
+    kernel = ffi.from_buffer("double[]", env.kernel)
     state_reward = ffi.from_buffer("double[]", env.state_reward)
     int_buffer = ffi.from_buffer("int[]", ints, require_writable=True)
     buffer = ffi.from_buffer("double[]", scratch, require_writable=True)
@@ -476,7 +474,8 @@ def probe_contraction(
     gamma2 call pushes the block's pairs and their moved and varied
     variants, and one gamma1 call solves its moved mean-fields. Both sum
     every distance in index order and exponentiate with libm's exp, so they
-    give the same d1, d2 and d3 bit for bit and the same draws.
+    give the same d1, d2 and d3 bit for bit and the same draws. A NaN
+    ratio, as from an overflowed lam * q, raises ArithmeticError.
     """
     if num_pairs < 1:
         raise ValueError("num_pairs must be >= 1")
@@ -498,5 +497,7 @@ def probe_contraction(
     for start in range(0, num_pairs, PROBE_BLOCK):
         n = min(PROBE_BLOCK, num_pairs - start)
         b1, b2, b3 = score(rng.standard_exponential((n, 2 * S + 2 * S * A)))
+        if math.isnan(b1 + b2 + b3):
+            raise ArithmeticError(f"probe ratio is NaN (block maxima {b1}, {b2}, {b3}), as when lam * q overflows")
         d1, d2, d3 = max(d1, b1), max(d2, b2), max(d3, b3)
     return ContractionEstimate(d1_hat=d1, d2_hat=d2, d3_hat=d3, num_pairs=num_pairs)

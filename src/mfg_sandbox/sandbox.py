@@ -318,7 +318,7 @@ class _KernelLoop:
             ("soft", self._soft, S * A),
             ("push", np.zeros(S_pad), S_pad),
             ("estimate", self._estimate, S * S_pad),
-            ("cdf", np.cumsum(env.transition_kernel(None), axis=2), S * A * S),
+            ("cdf", np.cumsum(env.kernel, axis=2), S * A * S),
             ("state_reward", env.state_reward, S),
             ("c_mu", run.c_mu, T),
             ("c_pi", run.c_pi, T),
@@ -390,9 +390,9 @@ def run_sandbox(config: SandboxConfig) -> SandboxResult:
     K = config.num_episodes
     run = _Run(config)
     episode = run.reference_episode
-    # The kernel reads the grid's kernel array and state rewards directly; a
-    # subclass may override transition_kernel or reward_table, which it
-    # does not call.
+    # The compiled step reads the grid's kernel and state_reward arrays
+    # directly; a subclass may override transition_kernel or reward_table,
+    # which it does not call.
     if type(env) is CongestionGridEnv:
         kernel = _step_kernel.load()
         if kernel is not None:

@@ -3,11 +3,15 @@
 import numpy as np
 
 from mfg_sandbox.core import SIMPLEX_ATOL
-from mfg_sandbox.environment import MfgEnvironment, _broadcast_over_stack
+from mfg_sandbox.environment import MfgEnvironment
 
 
 class FixedMdpEnv(MfgEnvironment):
-    """Mean-field-independent MDP used as a ground-truth test environment."""
+    """Mean-field-independent MDP used as a ground-truth test environment.
+
+    kernel and rewards are read-only copies of the tables, returned by every
+    call, so the oracle shares the one kernel across a stack.
+    """
 
     def __init__(self, kernel: np.ndarray, rewards: np.ndarray):
         kernel = np.asarray(kernel, dtype=np.float64)
@@ -25,22 +29,21 @@ class FixedMdpEnv(MfgEnvironment):
         self.num_states, self.num_actions = kernel.shape[:2]
         kernel = kernel.copy()
         kernel.flags.writeable = False
-        self._kernel = kernel
+        self.kernel = kernel
         rewards = rewards.copy()
         rewards.flags.writeable = False
-        self._rewards = rewards
+        self.rewards = rewards
 
-    def transition_kernel(self, mu=None):
-        return _broadcast_over_stack(self._kernel, mu)
+    def transition_kernel(self, mu):
+        return self.kernel
 
     def reward_table(self, mu):
-        return _broadcast_over_stack(self._rewards, mu)
+        return self.rewards
 
 
 class MuDependentEnv(MfgEnvironment):
-    """Kernel and reward both move with mu; a stack of mean-fields gets a
-    stack of distinct kernels, so value iteration solves one problem per
-    call."""
+    """Kernel and reward both move with mu; each call builds a new kernel,
+    so value iteration on a stack solves one problem per call."""
 
     def __init__(self, seed, num_states=4, num_actions=3):
         rng = np.random.default_rng(seed)
@@ -49,7 +52,7 @@ class MuDependentEnv(MfgEnvironment):
         self._rewards = rng.uniform(0.0, 1.0, size=(num_states, num_actions))
 
     def transition_kernel(self, mu):
-        return 0.7 * self._base + 0.3 * np.asarray(mu)[..., None, None, :]
+        return 0.7 * self._base + 0.3 * np.asarray(mu)
 
     def reward_table(self, mu):
-        return self._rewards * (1.0 - 0.5 * np.asarray(mu))[..., None]
+        return self._rewards * (1.0 - 0.5 * np.asarray(mu))[:, None]

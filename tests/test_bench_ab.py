@@ -126,7 +126,7 @@ def test_the_repo_tree_loaded_twice_runs_run_sandbox_alike(bench_ab, tree_names)
             assert np.array_equal(a, b)
 
 
-def test_tree_calls_build_the_eight_calls(bench_ab, tree_names):
+def test_tree_calls_build_the_nine_calls(bench_ab, tree_names):
     calls = bench_ab.tree_calls(tree_names[0], REPO)
     assert set(calls) == {
         "run_sandbox",
@@ -137,11 +137,16 @@ def test_tree_calls_build_the_eight_calls(bench_ab, tree_names):
         "value_iteration_1",
         f"gamma2_{bench_ab.PUSH_STACK}",
         "gamma2_1",
+        "episode_diagnostics",
     }
     q, _ = calls["value_iteration_1"]()
     assert q.shape == (1, 25, 4)
     assert calls[f"gamma2_{bench_ab.PUSH_STACK}"]().shape == (bench_ab.PUSH_STACK, 25)
     assert calls["probe_contraction_3x3"]().num_pairs == bench_ab.IN_PROCESS_PROBE_3X3_PAIRS
+    # one scored episode: every oracle-backed field computed
+    scored = calls["episode_diagnostics"]()
+    assert scored.k == 1
+    assert all(math.isfinite(v) for v in (scored.e_pi, scored.e_mu, scored.eps_P, scored.eps_Q, scored.residual_mu))
 
 
 def _fake_calls(costs: dict, clock: list, log: list) -> dict:
@@ -168,14 +173,25 @@ def test_in_process_rounds_time_cpu_not_wall(bench_ab, monkeypatch):
     monkeypatch.setattr(bench_ab, "IN_PROCESS_REPEATS", 2)
     monkeypatch.setattr(bench_ab, "VI_REPEATS", 3)
     costs = {
-        "base": {"probe_contraction": [0.4, 0.3], "solve_bmfe": [0.02], "value_iteration_1": [0.06]},
-        "candidate": {"probe_contraction": [0.2, 0.1], "solve_bmfe": [0.04], "value_iteration_1": [0.03]},
+        "base": {
+            "probe_contraction": [0.4, 0.3],
+            "solve_bmfe": [0.02],
+            "value_iteration_1": [0.06],
+            "episode_diagnostics": [0.01],
+        },
+        "candidate": {
+            "probe_contraction": [0.2, 0.1],
+            "solve_bmfe": [0.04],
+            "value_iteration_1": [0.03],
+            "episode_diagnostics": [0.02],
+        },
     }
     out = bench_ab.measure_in_process(_fake_calls(costs, clock, log))
     assert out["protocol"]["clock"].startswith("time.process_time")
     assert out["probe_contraction"]["ratios"] == pytest.approx([3.0, 3.0])
     assert out["solve_bmfe"]["ratios"] == pytest.approx([0.5, 0.5])
     assert out["value_iteration_1"]["ratios"] == pytest.approx([2.0, 2.0])
+    assert out["episode_diagnostics"]["ratios"] == pytest.approx([0.5, 0.5])
     assert out["probe_contraction"]["rounds"][1] == {
         "first_side": "candidate",
         "candidate_min_s": pytest.approx(0.1),
@@ -184,9 +200,10 @@ def test_in_process_rounds_time_cpu_not_wall(bench_ab, monkeypatch):
     assert (out["probe_contraction"]["base_min_s"], out["probe_contraction"]["candidate_min_s"]) == pytest.approx(
         (0.3, 0.1)
     )
-    # one untimed call each, then value iteration at VI_REPEATS and the rest at IN_PROCESS_REPEATS
+    # one untimed call each, then value iteration and the diagnostics at
+    # VI_REPEATS and the rest at IN_PROCESS_REPEATS
     counts = {name: sum(1 for _, n in log if n == name) for name in costs["base"]}
-    assert counts == {"probe_contraction": 10, "solve_bmfe": 10, "value_iteration_1": 14}
+    assert counts == {"probe_contraction": 10, "solve_bmfe": 10, "value_iteration_1": 14, "episode_diagnostics": 14}
 
 
 def test_in_process_sides_alternate_call_by_call_and_ratios_are_summarised(bench_ab, monkeypatch):

@@ -16,6 +16,7 @@ import pytest
 
 import mfg_sandbox
 from mfg_sandbox import _step_kernel, cli, snapshots
+from mfg_sandbox.oracle import VI_MAX_ITER
 from mfg_sandbox.sandbox import NonFiniteError, run_sandbox
 
 
@@ -163,13 +164,16 @@ def test_readme_library_example_imports_public_names():
 
 def test_no_module_imports_a_private_name_of_another():
     # a private module (from . import _step_kernel) is allowed; a private
-    # name from a sibling module is an undocumented fork of its public form
+    # name from a sibling module is an undocumented fork of its public form.
+    # The test environments too are built from the public contract alone.
     package = Path(mfg_sandbox.__file__).resolve().parent
+    paths = [*sorted(package.glob("*.py")), Path(__file__).resolve().parent / "fixed_mdp.py"]
     private = [
         f"{path.name}:{node.lineno} {alias.name}"
-        for path in sorted(package.glob("*.py"))
+        for path in paths
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.ImportFrom) and node.level and node.module
+        if isinstance(node, ast.ImportFrom) and node.module
+        and (node.level or node.module.startswith("mfg_sandbox."))
         for alias in node.names
         if alias.name.startswith("_")
     ]
@@ -306,11 +310,30 @@ def test_main_rejects_bad_config(tmp_path, capsys):
         ("favorable_states", {"environment": {"kind": "congestion", "favorable_states": 5}}, []),
         ("favorable_states", {"environment": {"kind": "congestion", "favorable_states": [[True, True]]}}, []),
         ("epsilon_net_mesh", {"epsilon_net_mesh": 1e-320}, []),
+        # lambda * q overflows: the probe wrote d1_hat 0 from NaN policies,
+        # the oracle died in value iteration on a NaN mean-field
+        ("lambda", {"mode": "probe", "lambda": 1e308}, []),
+        ("lambda", {"mode": "oracle", "lambda": 1e308}, []),
+        # value iteration could run out of sweeps and end in a traceback
+        ("rho", {"mode": "oracle", "rho": 0.999999}, []),
     ]:
         config = write_config(tmp_path, {**overrides, "output_dir": str(out)})
         assert cli.main(["--config", str(config), "--quiet", *flags]) == cli.EXIT_USAGE
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_rho_and_lambda_load_up_to_their_bounds(tmp_path):
+    # the shipped configs load in test_shipped_configs_parse_and_match_published_values
+    assert cli.load_config(write_config(tmp_path, {"rho": 0.999})).rho == 0.999
+    # value iteration from Q = 0 may need some 5e7 sweeps at this rho
+    with pytest.raises(ValueError, match=f"rho .*cap {VI_MAX_ITER}"):
+        cli.load_config(write_config(tmp_path, {"rho": 0.999999}))
+    # at rho = 1/2 the bound lambda / (1 - rho) <= max / 2 is lambda <= max / 4
+    largest = sys.float_info.max / 4
+    assert cli.load_config(write_config(tmp_path, {"rho": 0.5, "lambda": largest})).schedule.lam == largest
+    with pytest.raises(ValueError, match="lambda"):
+        cli.load_config(write_config(tmp_path, {"rho": 0.5, "lambda": largest * 1.5}))
 
 
 def test_main_missing_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfg_sandbox import oracle
 from mfg_sandbox.environment import (
     TWO_CLASS_OPEN_STATES,
     CongestionGridParams,
@@ -194,7 +195,7 @@ def test_fixed_mdp_round_trip_and_mu_independence():
     kernel = rng.dirichlet(np.ones(5), size=(5, 2))
     rewards = rng.uniform(0, 1, size=(5, 2))
     env = FixedMdpEnv(kernel, rewards)
-    assert np.array_equal(env.transition_kernel(), kernel)
+    assert np.array_equal(env.kernel, kernel)
     mu1 = rng.dirichlet(np.ones(5))
     mu2 = rng.dirichlet(np.ones(5))
     assert np.array_equal(env.transition_kernel(mu1), kernel)
@@ -237,13 +238,16 @@ def test_an_environment_is_its_two_tables():
 )
 @pytest.mark.parametrize("M", [1, 4])
 def test_a_stack_of_mean_fields_gets_a_stack_of_tables(env, M):
+    # An environment takes one mean-field; the oracle asks it once per
+    # mean-field of a stack. A kernel that ignores mu is one array object,
+    # which then serves the whole stack.
     S, A = env.num_states, env.num_actions
     mus = np.random.default_rng(M).dirichlet(np.ones(S), size=M)
-    kernels, rewards = env.transition_kernel(mus), env.reward_table(mus)
-    assert kernels.shape == (M, S, A, S) and rewards.shape == (M, S, A)
-    # a kernel that ignores mu is one array seen M times, through a zero stride
-    assert kernels.strides[0] == 0 and np.shares_memory(kernels, env.transition_kernel(None))
+    kernel = env.transition_kernel(mus[0])
+    assert kernel.shape == (S, A, S) and env.reward_table(mus[0]).shape == (S, A)
+    assert all(env.transition_kernel(mu) is kernel for mu in mus)
+    assert oracle._kernels(env, mus) is kernel
+    policy, q, _ = oracle.gamma1(env, mus, 1.0, 0.7)
     for m, mu in enumerate(mus):
-        assert np.array_equal(kernels[m], env.transition_kernel(mu))
-        assert np.array_equal(rewards[m], env.reward_table(mu))
-    assert env.transition_kernel(mus[0]).shape == (S, A, S) and env.reward_table(mus[0]).shape == (S, A)
+        single_policy, single_q, _ = oracle.gamma1(env, mu, 1.0, 0.7)
+        assert np.array_equal(q[m], single_q) and np.array_equal(policy[m], single_policy)

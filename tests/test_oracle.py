@@ -58,7 +58,7 @@ def test_q_star_single_state_geometric_series():
 
 def test_q_star_zero_rewards():
     env = _random_env(0)
-    env = FixedMdpEnv(env.transition_kernel(), np.zeros((5, 2)))
+    env = FixedMdpEnv(env.kernel, np.zeros((5, 2)))
     _, q, _ = gamma1(env, np.full(5, 0.2), lam=1.0, rho=0.9, tol=1e-10)
     assert np.allclose(q, 0.0)
 
@@ -352,11 +352,21 @@ def test_solve_bmfe_records_its_inputs():
 
 
 class MisStackedEnv(MuDependentEnv):
-    """Right for one mean-field, but a stack of M = A mean-fields broadcasts
-    against the kernel's action axis into one wrong (S, A, S) table."""
+    """Broadcasts one mean-field over a leading axis, as if it were a stack:
+    an (S, S, A, S) kernel and a (1, S, A) reward table for one (S,) mu."""
 
     def transition_kernel(self, mu):
-        return 0.7 * self._base + 0.3 * np.asarray(mu)
+        return 0.7 * self._base + 0.3 * np.asarray(mu)[:, None, None, None]
+
+    def reward_table(self, mu):
+        return super().reward_table(mu)[None]
+
+
+class CopiedKernelEnv(FixedMdpEnv):
+    """A fixed MDP whose kernel calls each return a new copy: equal kernels, never one object."""
+
+    def transition_kernel(self, mu):
+        return self.kernel.copy()
 
 
 def reference_value_iteration(env, mus, rho, tol, q_start=None):
@@ -544,7 +554,6 @@ def test_mu_dependent_kernel_takes_the_stacked_branch():
         pytest.skip("the compiled extension could not be built here")
     env = MuDependentEnv(0)
     mus = np.random.default_rng(1).dirichlet(np.ones(4), size=3)
-    assert env.transition_kernel(mus).strides[0] != 0
     with mock.patch.object(oracle, "_sweeps_compiled", wraps=oracle._sweeps_compiled) as compiled:
         q, _ = oracle._value_iteration(env, mus, 0.8, 1e-10)
     assert [len(call.args[4]) for call in compiled.call_args_list] == [1, 1, 1]
@@ -557,10 +566,30 @@ def test_a_shared_kernel_is_one_compiled_call():
         pytest.skip("the compiled extension could not be built here")
     env = make_congestion_env(CongestionGridParams(side=3))
     mus = np.random.default_rng(2).dirichlet(np.ones(9), size=5)
-    assert env.transition_kernel(mus).strides[0] == 0
     with mock.patch.object(oracle, "_sweeps_compiled", wraps=oracle._sweeps_compiled) as compiled:
         oracle._value_iteration(env, mus, 0.7, 1e-10)
     assert compiled.call_count == 1 and len(compiled.call_args.args[4]) == 5
+    assert compiled.call_args.args[2] is env.kernel
+
+
+def test_equal_kernels_of_distinct_objects_take_the_stacked_branch():
+    # The identity of the returned array, not its values, shares a kernel;
+    # the stacked branch solves the same problems to the same bits.
+    shared = _random_env(7)
+    copied = CopiedKernelEnv(shared.kernel, shared.rewards)
+    mus = np.random.default_rng(8).dirichlet(np.ones(5), size=3)
+    assert oracle._kernels(shared, mus) is shared.kernel
+    kernels = oracle._kernels(copied, mus)
+    assert kernels.shape == (3, 5, 2, 5) and all(np.array_equal(k, shared.kernel) for k in kernels)
+    for path in value_iteration_paths():
+        with path:
+            assert np.array_equal(
+                oracle._value_iteration(copied, mus, 0.7, 1e-10)[0], oracle._value_iteration(shared, mus, 0.7, 1e-10)[0]
+            )
+    if _step_kernel.load() is not None:
+        with mock.patch.object(oracle, "_sweeps_compiled", wraps=oracle._sweeps_compiled) as compiled:
+            oracle._value_iteration(copied, mus, 0.7, 1e-10)
+        assert [len(call.args[4]) for call in compiled.call_args_list] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("rho", [0.5, 0.7, 0.95])
@@ -633,7 +662,7 @@ def test_idle_lanes_hold_zeros():
     mus = np.random.default_rng(38).dirichlet(np.ones(S), size=9)
     widths = []
     for M in (1, 3, 5, 9):
-        rewards = np.ascontiguousarray(env.reward_table(mus[:M]))
+        rewards = np.stack([env.reward_table(mu) for mu in mus[:M]])
         q_ref, sweeps_ref = oracle._value_iteration(env, mus[:M], 0.7, 1e-10)
         q = np.zeros((M, S, A))
         scratch = np.full(S * A * S + lane * _step_kernel.MAX_LANES, np.nan)
@@ -649,26 +678,30 @@ def test_idle_lanes_hold_zeros():
 
 
 def test_a_stack_of_mean_fields_gets_a_stack_of_tables():
+    # one environment call per mean-field; a new kernel per call is a stack of them
     env = MuDependentEnv(33)
     mus = np.random.default_rng(34).dirichlet(np.ones(4), size=3)
-    kernels, rewards = env.transition_kernel(mus), env.reward_table(mus)
-    assert kernels.shape == (3, 4, 3, 4) and rewards.shape == (3, 4, 3)
+    kernels = oracle._kernels(env, mus)
+    assert kernels.shape == (3, 4, 3, 4)
     for m, mu in enumerate(mus):
         assert np.array_equal(kernels[m], env.transition_kernel(mu))
-        assert np.array_equal(rewards[m], env.reward_table(mu))
+        assert env.reward_table(mu).shape == (4, 3)
 
 
 def test_a_wrongly_broadcast_kernel_stack_fails_the_shape_check():
-    # S = 4, A = 3, M = 3: the stack (3, 4) broadcasts against (4, 3, 4)
-    # into one (4, 3, 4) table, which must not pass as a shared kernel.
+    # One mean-field broadcast into a stack's shape is no (S, A, S) kernel
+    # nor (S, A) reward table; each table is checked on its own.
     env = MisStackedEnv(35)
-    mus = np.random.default_rng(36).dirichlet(np.ones(4), size=3)
-    pis = np.random.default_rng(37).dirichlet(np.ones(3), size=(3, 4))
-    assert env.transition_kernel(mus).shape == (4, 3, 4)
-    with pytest.raises(ValueError, match="transition kernels"):
-        gamma1(env, mus, 1.0, 0.7)
-    with pytest.raises(ValueError, match="transition kernels"):
-        gamma2(env, pis, mus)
+    mu = np.random.default_rng(36).dirichlet(np.ones(4))
+    pi = np.random.default_rng(37).dirichlet(np.ones(3), size=4)
+    assert env.transition_kernel(mu).shape == (4, 4, 3, 4)
+    for call in (gamma1, gamma2, induced_kernel):
+        args = (env, mu, 1.0, 0.7) if call is gamma1 else (env, pi, mu)
+        with pytest.raises(ValueError, match=r"transition kernels must have shape \(4, 3, 4\)"):
+            call(*args)
+    env.transition_kernel = MuDependentEnv(35).transition_kernel
+    with pytest.raises(ValueError, match=r"reward tables must have shape \(4, 3\)"):
+        gamma1(env, np.stack([mu, mu]), 1.0, 0.7)
 
 
 @pytest.mark.parametrize("kind", ["congestion", "two_class", "mu_dependent"])
@@ -829,6 +862,18 @@ def test_probe_pushes_once_per_block():
     with numpy_probe(), mock.patch.object(oracle, "gamma2", wraps=oracle.gamma2) as push:
         probe_contraction(env, lam=2.0, rho=0.7, num_pairs=600, rng=np.random.default_rng(3))
     assert push.call_count == -(-600 // PROBE_BLOCK) == 19
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+def test_a_nan_probe_ratio_raises(compiled):
+    # lam * q overflows on these Q-tables, so every moved pair's softmax rows
+    # are NaN; a maximum that drops them would report d1_hat = 0
+    env = make_congestion_env(CongestionGridParams(side=3))
+    block_sizes = []
+    path = recording_probe_block(block_sizes) if compiled else numpy_probe()
+    with path, np.errstate(over="ignore", invalid="ignore"), pytest.raises(ArithmeticError, match="NaN"):
+        probe_contraction(env, lam=1e308, rho=0.7, num_pairs=64, rng=np.random.default_rng(0))
+    assert block_sizes == ([PROBE_BLOCK] if compiled else [])
 
 
 def test_compiled_probe_calls_the_block_once_per_block():

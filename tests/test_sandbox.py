@@ -40,7 +40,7 @@ from mfg_sandbox.schedules import (
     exploration_coeff,
     exploration_floor,
 )
-from mfg_sandbox import _step_kernel, sandbox, snapshots
+from mfg_sandbox import _step_kernel, oracle, sandbox, snapshots
 from fixed_mdp import FixedMdpEnv, MuDependentEnv
 from test_schedules import step_size_mu, step_size_pi
 
@@ -184,7 +184,7 @@ def test_single_sample_path_without_reinitialization():
     with logged_env_steps(steps):
         run_sandbox(small_config(env, num_episodes=K, steps_per_episode=T))
     assert len(steps) == K * T  # exactly one transition per step
-    kernel = env.inner.transition_kernel()
+    kernel = env.inner.kernel
     for (s, a, s_next), (s_after, _, _) in zip(steps, steps[1:]):
         # the next step starts where this one landed, through a
         # positive-probability transition, including across episode boundaries
@@ -195,14 +195,14 @@ class FlatRewardGridEnv(CongestionGridEnv):
     """A congestion grid whose one override is a constant reward table."""
 
     def reward_table(self, mu):
-        return np.full(np.shape(mu)[:-1] + (self.num_states, self.num_actions), 0.5)
+        return np.full((self.num_states, self.num_actions), 0.5)
 
 
 def test_the_learner_and_the_oracle_play_one_game():
     # The subclass runs the reference loop; every reward the learner
     # receives, and the table the oracle solves, must be the override's.
     grid = small_env(side=3)
-    env = FlatRewardGridEnv(grid.params, grid.transition_kernel())
+    env = FlatRewardGridEnv(grid.params, grid.kernel)
     K, T = 3, 50
     with mock.patch.object(QLearner, "update", autospec=True, side_effect=QLearner.update) as update:
         run_sandbox(small_config(env, num_episodes=K, steps_per_episode=T))
@@ -331,7 +331,7 @@ class NanRewardEnv(MfgEnvironment):
     def reward_table(self, mu):
         self.count += 1
         if self.count > self.bad_after:
-            return np.full(np.shape(mu)[:-1] + (self.num_states, self.num_actions), math.nan)
+            return np.full((self.num_states, self.num_actions), math.nan)
         return self.inner.reward_table(mu)
 
 
@@ -339,20 +339,22 @@ class NanRewardEnv(MfgEnvironment):
     "make_env",
     [
         lambda: PlainGridEnv(small_env(side=3)),
-        lambda: FlatRewardGridEnv(small_env(side=3).params, small_env(side=3).transition_kernel()),
+        lambda: FlatRewardGridEnv(small_env(side=3).params, small_env(side=3).kernel),
         lambda: NanRewardEnv(small_env(side=3), bad_after=10),
         lambda: NanRewardEnv(small_env(side=3), bad_after=0),
     ],
     ids=["plain", "flat_reward", "nan_reward_before", "nan_reward_after"],
 )
 def test_test_environments_give_stacked_tables(make_env):
+    # Each takes one mean-field and gives one table; on a stack the oracle
+    # asks once per mean-field, and the grid's one kernel object serves it.
     env = make_env()
     mus = np.random.default_rng(3).dirichlet(np.ones(env.num_states), size=3)
-    kernels, rewards = env.transition_kernel(mus), env.reward_table(mus)
-    assert kernels.shape == (3, 9, 4, 9) and rewards.shape == (3, 9, 4)
-    for m, mu in enumerate(mus):
-        assert np.array_equal(kernels[m], env.transition_kernel(mu))
-        assert np.array_equal(rewards[m], env.reward_table(mu), equal_nan=True)
+    kernel = oracle._kernels(env, mus)
+    assert kernel.shape == (9, 4, 9)
+    for mu in mus:
+        assert env.transition_kernel(mu) is kernel
+        assert env.reward_table(mu).shape == (9, 4)
 
 
 def test_non_finite_reward_aborts_with_snapshot():
