@@ -9,10 +9,10 @@ modes: "sandbox" (one instrumented learning run), "oracle" (equilibrium
 solve only), "compare" (oracle solve plus num_seeds learning runs, one after
 another, and a joint report), and "probe" (empirical operator-Lipschitz
 estimate). The reference solve and the probe take no solver settings from
-the config: they run at the library defaults, and solve_bmfe tunes its own
-damping. Outputs are CSV and JSON files in output_dir; identical config
-and seed reproduce identical bytes, so wall-clock time is logged rather than
-written into the summary files.
+the config: they run at the oracle's one accuracy, its module constants,
+and solve_bmfe tunes its own damping. Outputs are CSV and JSON files in
+output_dir; identical config and seed reproduce identical bytes, so
+wall-clock time is logged rather than written into the summary files.
 """
 
 from __future__ import annotations

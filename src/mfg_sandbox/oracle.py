@@ -35,10 +35,14 @@ from .environment import CongestionGridEnv, MfgEnvironment
 # memory, O(PROBE_BLOCK) whatever the number of pairs.
 PROBE_BLOCK = 32
 
-# Value iteration's defaults: the sup-norm accuracy of gamma1's Q-tables and
-# the sweeps a problem may take before the solve gives up.
+# The oracle's accuracy, read at call time. Value iteration: the sup-norm
+# accuracy of gamma1's Q-tables and the sweeps a problem may take before the
+# solve gives up. solve_bmfe: the L1 residual at which it stops and the
+# iterations it may take before it returns its last iterate.
 VI_TOL = 1e-10
 VI_MAX_ITER = 1_000_000
+BMFE_TOL = 1e-8
+BMFE_MAX_ITER = 10_000
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -99,14 +103,13 @@ def _sweeps_compiled(ffi, lib, kernel, rho: float, rewards, q, threshold: float,
     )
 
 
-def _value_iteration(
-    env: MfgEnvironment, mus, rho: float, tol: float, q_start=None, max_iter: int = VI_MAX_ITER
-) -> tuple[np.ndarray, int]:
+def _value_iteration(env: MfgEnvironment, mus, rho: float, tol: float, q_start=None) -> tuple[np.ndarray, int]:
     """Value iteration on a stack of mu-frozen MDPs, each accurate to tol in sup norm.
 
     mus is an (M, S) stack of mean-fields. Returns the (M, S, A) final
     iterates and the number of sweeps summed over the M problems. q_start is
     the (M, S, A) starting stack; by default every problem starts from Q = 0.
+    A problem still moving after VI_MAX_ITER sweeps raises ArithmeticError.
 
     A sweep G is in place (Gauss-Seidel): it visits the states in index
     order and sets q'(s, a) = r(s, a) + rho * sum_j P(s, a, j) w(j), where
@@ -144,11 +147,11 @@ def _value_iteration(
         q = np.zeros((M, S, A))
     else:
         q = np.array(q_start, dtype=np.float64, order="C")
-    if M == 0:
-        return q, 0
     # the compiled loop reads these sizes through raw pointers
     if q.shape != (M, S, A):
         raise ValueError(f"q_start must have shape {(M, S, A)}")
+    if M == 0:
+        return q, 0
     kernels = _kernels(env, mus)
     rewards = np.array([_checked(env.reward_table(mu), (S, A), "reward tables") for mu in mus])
     stacks = [(kernels, slice(None))] if kernels.ndim == 3 else [(kernels[m], slice(m, m + 1)) for m in range(M)]
@@ -157,22 +160,22 @@ def _value_iteration(
     sweeps = 0
     for kernel, part in stacks:
         if compiled is None:
-            n = _sweeps_numpy(rho * kernel, rewards[part], q[part], threshold, max_iter)
+            n = _sweeps_numpy(rho * kernel, rewards[part], q[part], threshold, VI_MAX_ITER)
         else:
             kernel = np.ascontiguousarray(kernel)
-            n = _sweeps_compiled(*compiled, kernel, rho, rewards[part], q[part], threshold, max_iter)
+            n = _sweeps_compiled(*compiled, kernel, rho, rewards[part], q[part], threshold, VI_MAX_ITER)
         if n < 0:
-            raise ArithmeticError(f"value iteration did not converge within {max_iter} sweeps")
+            raise ArithmeticError(f"value iteration did not converge within {VI_MAX_ITER} sweeps")
         sweeps += n
     return q, sweeps
 
 
-def gamma1(env: MfgEnvironment, mu, lam: float, rho: float, tol: float = VI_TOL, q_start=None):
+def gamma1(env: MfgEnvironment, mu, lam: float, rho: float, q_start=None):
     """Boltzmann-optimality operator: the softmax at lam of the mu-frozen MDP's optimal Q-table.
 
     mu is one mean-field (S,) or a stack (M, S); the results follow it, as
     in gamma2. Returns (policy, q, sweeps): the (S, A) or (M, S, A) policy
-    and optimal Q-table, the latter within tol in sup norm, and the
+    and optimal Q-table, the latter within VI_TOL in sup norm, and the
     value-iteration sweeps summed over the stack. q_start, shaped like q,
     warm-starts the iteration, whose stopping rule bounds the error from
     any start.
@@ -181,7 +184,7 @@ def gamma1(env: MfgEnvironment, mu, lam: float, rho: float, tol: float = VI_TOL,
     single = mu.ndim == 1
     if single and q_start is not None:
         q_start = np.asarray(q_start)[None]
-    q, sweeps = _value_iteration(env, mu[None] if single else mu, rho, tol, q_start=q_start)
+    q, sweeps = _value_iteration(env, mu[None] if single else mu, rho, VI_TOL, q_start=q_start)
     policy = softmax_table(q.reshape(-1, env.num_actions), lam).reshape(q.shape)
     return (policy[0], q[0], sweeps) if single else (policy, q, sweeps)
 
@@ -204,6 +207,8 @@ def _kernels(env: MfgEnvironment, mu) -> np.ndarray:
     if mu.ndim == 1:
         return _checked(env.transition_kernel(mu), shape, "transition kernels")
     kernels = [env.transition_kernel(m) for m in mu]
+    if not kernels:
+        return np.empty((0,) + shape)
     if all(kernel is kernels[0] for kernel in kernels):
         return _checked(kernels[0], shape, "transition kernels")
     return np.array([_checked(kernel, shape, "transition kernels") for kernel in kernels])
@@ -246,11 +251,11 @@ class BmfePair:
     residual_policy is the TV gap between policy and the optimality operator
     applied to mean_field; residual_mu is the L1 gap between mean_field and
     its own push-forward under policy. converged is False when the solver
-    hit max_iter and returned its last iterate. vi_sweeps counts the
+    hit BMFE_MAX_ITER and returned its last iterate. vi_sweeps counts the
     value-iteration sweeps the solve ran, the residual check included.
-    env, lam, rho, tol and vi_tol are the arguments of the solve_bmfe call
-    that built the pair, so a run scored against it can check that it plays
-    the same game; damping is the damping the solve ended with.
+    env, lam and rho are the arguments of the solve_bmfe call that built the
+    pair, so a run scored against it can check that it plays the same game;
+    damping is the damping the solve ended with.
     """
 
     policy: np.ndarray
@@ -264,41 +269,31 @@ class BmfePair:
     lam: float
     rho: float
     damping: float
-    tol: float
-    vi_tol: float
 
 
-def solve_bmfe(
-    env: MfgEnvironment,
-    lam: float,
-    rho: float,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-    vi_tol: float = VI_TOL,
-) -> BmfePair:
+def solve_bmfe(env: MfgEnvironment, lam: float, rho: float) -> BmfePair:
     """Damped fixed-point iteration for the softmax equilibrium.
 
     From the uniform mean-field, repeat mu <- (1 - damping) * mu + damping *
-    gamma2(gamma1(mu), mu) until the undamped composite moves mu by
-    at most tol in L1. The undamped composite need not contract, so damping
-    (which preserves fixed points) widens the set of instances that converge.
-    The damping starts at 1/2 and halves whenever that undamped residual is
-    larger than on the previous iteration; the pair records the damping the
-    solve ended with. Each gamma1 call starts from the previous one's
-    Q-table; the final residual check solves again from Q = 0.
+    gamma2(gamma1(mu), mu) until the undamped composite moves mu by at most
+    BMFE_TOL in L1, for at most BMFE_MAX_ITER iterations. The undamped
+    composite need not contract, so damping (which preserves fixed points)
+    widens the set of instances that converge. The damping starts at 1/2
+    and halves whenever that undamped residual is larger than on the
+    previous iteration; the pair records the damping the solve ended with.
+    Each gamma1 call starts from the previous one's Q-table; the final
+    residual check solves again from Q = 0.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be > 0")
     num_states = env.num_states
     mu = np.full(num_states, 1.0 / num_states)
-    pi, q, sweeps = gamma1(env, mu, lam, rho, vi_tol)
+    pi, q, sweeps = gamma1(env, mu, lam, rho)
     converged = False
     iterations = 0
     damping, previous = 0.5, math.inf
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, BMFE_MAX_ITER + 1):
         pushed = gamma2(env, pi, mu)
         residual = l1_norm(pushed - mu)
-        if residual <= tol:
+        if residual <= BMFE_TOL:
             converged = True
             break
         if residual > previous:
@@ -306,10 +301,10 @@ def solve_bmfe(
         previous = residual
         mu = (1.0 - damping) * mu + damping * pushed
         mu /= mu.sum()
-        pi, q, n = gamma1(env, mu, lam, rho, vi_tol, q_start=q)
+        pi, q, n = gamma1(env, mu, lam, rho, q_start=q)
         sweeps += n
     residual_mu = l1_norm(gamma2(env, pi, mu) - mu)
-    pi_check, _, n = gamma1(env, mu, lam, rho, vi_tol)
+    pi_check, _, n = gamma1(env, mu, lam, rho)
     residual_policy = tv_norm(pi - pi_check)
     check_simplex(mu, pi, "in the solved equilibrium")
     mu.flags.writeable = pi.flags.writeable = False
@@ -325,8 +320,6 @@ def solve_bmfe(
         lam=lam,
         rho=rho,
         damping=damping,
-        tol=tol,
-        vi_tol=vi_tol,
     )
 
 

@@ -153,13 +153,13 @@ def episode_diagnostics(
     """Score one episode against exact operators on the run's environment.
 
     The temperature, discount and environment come from config, the
-    reference mean-field and value-iteration tolerance from its reference
-    pair, which config has checked was solved for the same game. Every
-    field goes through the oracle's public operators at the first-step
-    pair: residual_mu is the L1 gap to gamma2's push, e_pi and eps_Q are
-    scored against gamma1's best response and optimal Q-table, and eps_P
-    against induced_kernel's chain. An unscored episode needs no reference:
-    its oracle-backed fields are NaN and only residual_mu is computed.
+    reference mean-field from its reference pair, which config has checked
+    was solved for the same game. Every field goes through the oracle's
+    public operators at the first-step pair: residual_mu is the L1 gap to
+    gamma2's push, e_pi and eps_Q are scored against gamma1's best response
+    and optimal Q-table, and eps_P against induced_kernel's chain. An
+    unscored episode needs no reference: its oracle-backed fields are NaN
+    and only residual_mu is computed.
     """
     ref = config.reference
     if scored and ref is None:
@@ -171,7 +171,7 @@ def episode_diagnostics(
         return EpisodeDiagnostics(
             k=k, e_pi=nan, e_mu=nan, eps_P=nan, eps_Q=nan, residual_mu=residual_mu, min_policy=min_policy
         )
-    best_response, q_star, _ = gamma1(env, mu_first, config.schedule.lam, config.rho, ref.vi_tol)
+    best_response, q_star, _ = gamma1(env, mu_first, config.schedule.lam, config.rho)
     return EpisodeDiagnostics(
         k=k,
         e_pi=tv_norm(pi_first - best_response),

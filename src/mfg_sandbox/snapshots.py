@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import oracle
+
 SCHEMA_VERSION = 1
 
 
@@ -50,8 +52,9 @@ def run_state_snapshot(
 def equilibrium_snapshot(pair) -> dict:
     """Equilibrium pair document; shares the mean_field / policy encoding.
 
-    Records the temperature, discount and tolerance the pair was solved
-    with and the damping its solve ended with, taken from the pair itself.
+    Records the temperature and discount the pair was solved with and the
+    damping its solve ended with, taken from the pair itself, and the
+    tolerance every solve stops at, oracle.BMFE_TOL.
     """
     return {
         "schema_version": SCHEMA_VERSION,
@@ -66,7 +69,7 @@ def equilibrium_snapshot(pair) -> dict:
         "lambda": pair.lam,
         "rho": pair.rho,
         "damping": pair.damping,
-        "tol": pair.tol,
+        "tol": oracle.BMFE_TOL,
     }
 
 

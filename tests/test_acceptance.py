@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mfg_sandbox import _step_kernel, cli
+from mfg_sandbox import _step_kernel, cli, oracle
 from mfg_sandbox.core import frobenius_norm, inf_norm, l1_norm, softmax_table, tv_norm
 from mfg_sandbox.environment import CongestionGridParams, make_congestion_env
 from mfg_sandbox.estimators import QLearner, TransitionCounter
@@ -201,7 +201,7 @@ def _q_learning_batched(kernel, rewards, seeds, steps):
 
 def test_criterion_04_q_learning_accuracy():
     kernel, rewards = _q_criterion_mdp()
-    _, q_star, _ = gamma1(FixedMdpEnv(kernel, rewards), np.full(5, 0.2), 1.0, RHO, tol=1e-10)
+    _, q_star, _ = gamma1(FixedMdpEnv(kernel, rewards), np.full(5, 0.2), 1.0, RHO)
     q = _q_learning_batched(kernel, rewards, Q_SEEDS, Q_STEPS)
     errors = [inf_norm(q_seed - q_star) for q_seed in q]
     passes = sum(e <= 0.05 for e in errors)
@@ -248,14 +248,15 @@ def test_criterion_05_exploration_floor():
 
 
 def test_criterion_06_oracle_self_consistency():
-    pair = solve_bmfe(_desk_env(), lam=1.0, rho=RHO, tol=1e-8)
+    pair = solve_bmfe(_desk_env(), lam=1.0, rho=RHO)
     ok_grid = pair.converged and pair.residual_policy <= 1e-8 and pair.residual_mu <= 1e-8
 
     env = FixedMdpEnv(
         np.random.default_rng(12).dirichlet(np.ones(5) * 2.0, size=(5, 2)),
         np.random.default_rng(13).uniform(0.0, 1.0, size=(5, 2)),
     )
-    fixed = solve_bmfe(env, lam=1.0, rho=RHO, tol=1e-9)
+    with mock.patch.object(oracle, "BMFE_TOL", 1e-9):
+        fixed = solve_bmfe(env, lam=1.0, rho=RHO)
     policy, _, _ = gamma1(env, fixed.mean_field, 1.0, RHO)
     chain = induced_kernel(env, policy, fixed.mean_field)
     a = chain.T - np.eye(5)
@@ -276,7 +277,7 @@ def test_criterion_06_oracle_self_consistency():
 def test_criterion_07_desk_scale_convergence():
     env = _desk_env()
     schedule = ScheduleParams(**GRID_SCHEDULE, psi=0.01)
-    pair = solve_bmfe(env, lam=schedule.lam, rho=RHO, tol=1e-8)
+    pair = solve_bmfe(env, lam=schedule.lam, rho=RHO)
     mu_gaps, pi_gaps = [], []
     for seed in range(5):
         result = run_sandbox(
@@ -308,7 +309,7 @@ def _windowed_trend(values):
 
 def _full_grid_run(env):
     schedule = ScheduleParams(**GRID_SCHEDULE, psi=0.2)
-    reference = solve_bmfe(env, lam=schedule.lam, rho=RHO, tol=1e-8)
+    reference = solve_bmfe(env, lam=schedule.lam, rho=RHO)
     result = run_sandbox(
         SandboxConfig(
             env=env,

@@ -1,13 +1,16 @@
 import ast
 import dataclasses
 import gc
+import hashlib
 import json
 import logging
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 
 import mfg_sandbox
-from mfg_sandbox import _step_kernel, cli, snapshots
+from mfg_sandbox import _step_kernel, cli, oracle, snapshots
 from mfg_sandbox.oracle import VI_MAX_ITER
 from mfg_sandbox.sandbox import NonFiniteError, run_sandbox
 
@@ -398,13 +401,34 @@ def test_outputs_are_byte_identical_across_reruns(tmp_path):
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+OUTPUT_DIGESTS = Path(__file__).resolve().parent / "output_digests.json"
+
+
+def check_output_digests(config: str, files: dict) -> None:
+    """Compare the SHA-256 of config's output files with those in OUTPUT_DIGESTS.
+
+    The digests hold for the numpy and libc they were made with. Under any
+    other version the comparison is skipped, and a warning says so.
+    """
+    recorded = json.loads(OUTPUT_DIGESTS.read_text(encoding="utf-8"))
+    running = {"numpy": np.__version__, "libc": " ".join(platform.libc_ver())}
+    made_with = {key: recorded[key] for key in running}
+    if running != made_with:
+        warnings.warn(f"{config}: output digests not compared; they were made with {made_with}, this is {running}")
+        return
+    expected = recorded["digests"][config]
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    moved = [f"{name} now {digest}" for name, digest in digests.items() if expected.get(name) != digest]
+    moved += [f"{name} not written" for name in sorted(expected.keys() - digests.keys())]
+    assert not moved, f"{config}: outputs moved from {OUTPUT_DIGESTS.name}: " + "; ".join(moved)
 
 
 @pytest.mark.parametrize("shipped", SHIPPED_CONFIGS, ids=lambda path: path.stem)
 def test_shipped_config_writes_the_same_files_without_the_extension(tmp_path, shipped):
     # Cut to K = 3, T = 400 and at most two seeds. The second run takes
     # every reference loop, as on a host without a compiler: the learner
-    # step, value iteration and the probe block.
+    # step, value iteration and the probe block. The first run's files must
+    # also match their committed digests.
     if _step_kernel.load() is None:
         pytest.skip("the compiled extension could not be built here")
     doc = json.loads(shipped.read_text(encoding="utf-8"))
@@ -426,12 +450,12 @@ def test_shipped_config_writes_the_same_files_without_the_extension(tmp_path, sh
     assert compiled.keys() == reference.keys()
     for name in compiled:
         assert compiled[name] == reference[name], f"{name} differs without the extension"
+    check_output_digests(shipped.stem, compiled)
 
 
 @pytest.mark.parametrize("mode", ["sandbox", "compare", "oracle"])
 def test_unconverged_reference_warns_in_every_mode(tmp_path, caplog, monkeypatch, mode):
-    solve = cli.solve_bmfe
-    monkeypatch.setattr(cli, "solve_bmfe", lambda *args, **kwargs: solve(*args, **kwargs, max_iter=2))
+    monkeypatch.setattr(oracle, "BMFE_MAX_ITER", 2)
     out = tmp_path / mode
     cfg = dataclasses.replace(
         cli.load_config(write_config(tmp_path, {"mode": mode, "T": 10})), output_dir=str(out)

@@ -52,37 +52,38 @@ def _stationary_distribution(chain):
 
 def test_q_star_single_state_geometric_series():
     env = FixedMdpEnv(np.ones((1, 1, 1)), np.array([[1.0]]))
-    _, q, _ = gamma1(env, np.array([1.0]), lam=1.0, rho=0.7, tol=1e-10)
+    _, q, _ = gamma1(env, np.array([1.0]), lam=1.0, rho=0.7)
     assert q[0, 0] == pytest.approx(10 / 3, abs=1e-9)
 
 
 def test_q_star_zero_rewards():
     env = _random_env(0)
     env = FixedMdpEnv(env.kernel, np.zeros((5, 2)))
-    _, q, _ = gamma1(env, np.full(5, 0.2), lam=1.0, rho=0.9, tol=1e-10)
+    _, q, _ = gamma1(env, np.full(5, 0.2), lam=1.0, rho=0.9)
     assert np.allclose(q, 0.0)
 
 
 def test_q_star_satisfies_bellman_equation():
     env = _random_env(1)
     mu = np.full(5, 0.2)
-    rho, tol = 0.7, 1e-10
-    _, q, _ = gamma1(env, mu, 1.0, rho, tol)
+    rho, tol = 0.7, oracle.VI_TOL
+    _, q, _ = gamma1(env, mu, 1.0, rho)
     backed_up = env.reward_table(mu) + rho * (env.transition_kernel(mu) @ q.max(axis=1))
     assert inf_norm(q - backed_up) <= tol
 
 
-def test_q_star_monotone_in_rewards():
+def test_q_star_monotone_in_rewards(monkeypatch):
+    monkeypatch.setattr(oracle, "VI_TOL", 1e-11)
     rng = np.random.default_rng(2)
     kernel = rng.dirichlet(np.ones(4), size=(4, 2))
     rewards = rng.uniform(0, 0.8, size=(4, 2))
     mu = np.full(4, 0.25)
-    _, base, _ = gamma1(FixedMdpEnv(kernel, rewards), mu, 1.0, 0.7, 1e-11)
+    _, base, _ = gamma1(FixedMdpEnv(kernel, rewards), mu, 1.0, 0.7)
     for _ in range(10):
         bumped = rewards.copy()
         s, a = rng.integers(4), rng.integers(2)
         bumped[s, a] += rng.uniform(0, 0.2)
-        _, raised, _ = gamma1(FixedMdpEnv(kernel, bumped), mu, 1.0, 0.7, 1e-11)
+        _, raised, _ = gamma1(FixedMdpEnv(kernel, bumped), mu, 1.0, 0.7)
         assert np.all(raised >= base - 1e-9)
 
 
@@ -92,14 +93,15 @@ def test_gamma1_uniform_at_zero_temperature():
     assert np.allclose(pol, 0.5)
 
 
-def test_gamma1_two_action_example():
+def test_gamma1_two_action_example(monkeypatch):
     # Q* row (1, 0) at lam = ln 3 gives (0.75, 0.25): one state, two actions,
     # both absorbing with rewards chosen so Q* separates by exactly 1 - rho...
     # simpler to check composition directly on an engineered instance.
     kernel = np.ones((1, 2, 1))
     rewards = np.array([[0.3, 0.0]])
     env = FixedMdpEnv(kernel, rewards)
-    pol, q, _ = gamma1(env, np.array([1.0]), lam=math.log(3) / 0.3, rho=0.7, tol=1e-12)
+    monkeypatch.setattr(oracle, "VI_TOL", 1e-12)
+    pol, q, _ = gamma1(env, np.array([1.0]), lam=math.log(3) / 0.3, rho=0.7)
     # Q*(a) = r(a) + 0.7 * max Q = r(a) + 0.7 * Q*(best): gap is exactly 0.3
     assert q[0, 0] - q[0, 1] == pytest.approx(0.3, abs=1e-9)
     assert pol[0, 0] == pytest.approx(0.75, abs=1e-6)
@@ -108,7 +110,7 @@ def test_gamma1_two_action_example():
 def test_gamma1_concentrates_with_temperature():
     env = _random_env(4)
     mu = np.full(5, 0.2)
-    _, q, _ = gamma1(env, mu, 1.0, 0.7, 1e-10)
+    _, q, _ = gamma1(env, mu, 1.0, 0.7)
     best = q.argmax(axis=1)
     separated = (q.max(axis=1) - np.sort(q, axis=1)[:, -2]) > 0.1
     assert separated.any()
@@ -194,9 +196,10 @@ def test_solve_bmfe_single_state():
     assert np.allclose(pair.mean_field, [1.0])
 
 
-def test_solve_bmfe_matches_stationary_distribution():
+def test_solve_bmfe_matches_stationary_distribution(monkeypatch):
     env = _random_env(12)
-    pair = solve_bmfe(env, lam=1.0, rho=0.7, tol=1e-9)
+    monkeypatch.setattr(oracle, "BMFE_TOL", 1e-9)
+    pair = solve_bmfe(env, lam=1.0, rho=0.7)
     assert pair.converged
     # mu-independent env: the equilibrium policy is constant, so mu* is the
     # stationary distribution of its chain
@@ -207,8 +210,8 @@ def test_solve_bmfe_matches_stationary_distribution():
 
 def test_solve_bmfe_congestion_fixed_point_contract():
     env = make_congestion_env(CongestionGridParams(side=3))
-    tol = 1e-8
-    pair = solve_bmfe(env, lam=1.0, rho=0.7, tol=tol)
+    tol = oracle.BMFE_TOL
+    pair = solve_bmfe(env, lam=1.0, rho=0.7)
     assert pair.converged
     assert pair.residual_policy <= tol
     assert pair.residual_mu <= tol
@@ -217,9 +220,11 @@ def test_solve_bmfe_congestion_fixed_point_contract():
     assert l1_norm(moved - pair.mean_field) <= 2 * tol
 
 
-def test_solve_bmfe_flags_non_convergence():
+def test_solve_bmfe_flags_non_convergence(monkeypatch):
     env = make_congestion_env(CongestionGridParams(side=3))
-    pair = solve_bmfe(env, lam=1.0, rho=0.7, tol=1e-12, max_iter=2)
+    monkeypatch.setattr(oracle, "BMFE_TOL", 1e-12)
+    monkeypatch.setattr(oracle, "BMFE_MAX_ITER", 2)
+    pair = solve_bmfe(env, lam=1.0, rho=0.7)
     assert not pair.converged
     assert pair.iterations == 2
     assert isinstance(pair, BmfePair)
@@ -241,12 +246,13 @@ def test_shipped_grids_never_back_off(env, iterations):
     assert (pair.iterations, pair.damping) == (iterations, 0.5)
 
 
-def test_damping_back_off_converges_where_half_stalls():
+def test_damping_back_off_converges_where_half_stalls(monkeypatch):
     # At a fixed damping of 1/2 this solve cycles with residual_mu near 0.047
     # for all 10,000 iterations; halving the damping when the residual rises
     # converges within 100.
     env = make_congestion_env(CongestionGridParams(side=3))
-    pair = solve_bmfe(env, lam=10.0, rho=0.9, max_iter=100)
+    monkeypatch.setattr(oracle, "BMFE_MAX_ITER", 100)
+    pair = solve_bmfe(env, lam=10.0, rho=0.9)
     assert pair.converged and pair.residual_mu <= 1e-8 and pair.residual_policy <= 1e-8
     assert (pair.iterations, pair.damping) == (41, 0.25)
     mu_ref, iterations, _, damping = reference_solve_bmfe(env, lam=10.0, rho=0.9, max_iter=100)
@@ -321,8 +327,8 @@ def test_the_3x3_equilibrium_is_reached_from_every_start(lam):
     # every vertex of the simplex and from random mean-fields ends at the
     # mean-field solve_bmfe finds from the uniform one.
     env = make_congestion_env(CongestionGridParams(side=3))
-    tol = 1e-8
-    reference = solve_bmfe(env, lam=lam, rho=0.7, tol=tol)
+    tol = oracle.BMFE_TOL
+    reference = solve_bmfe(env, lam=lam, rho=0.7)
     assert reference.converged
     starts = list(np.eye(9)) + list(np.random.default_rng(18).dirichlet(np.ones(9), size=5))
     for start in starts:
@@ -339,9 +345,9 @@ def test_contraction_estimate_validation():
 
 def test_solve_bmfe_records_its_inputs():
     env = make_congestion_env(CongestionGridParams(side=3))
-    pair = solve_bmfe(env, lam=2.0, rho=0.6, tol=1e-9, vi_tol=1e-11)
+    pair = solve_bmfe(env, lam=2.0, rho=0.6)
     assert pair.env is env
-    assert (pair.lam, pair.rho, pair.tol, pair.vi_tol) == (2.0, 0.6, 1e-9, 1e-11)
+    assert (pair.lam, pair.rho) == (2.0, 0.6)
     # the damping the solve ended with: this solve never backs off from 1/2
     assert pair.damping == 0.5
     assert pair.converged and pair.iterations > 0 and pair.vi_sweeps > pair.iterations
@@ -641,10 +647,14 @@ def test_max_iter_counts_each_lane_on_its_own():
         assert max(needed[:cold] + needed[cold + 1 :]) < needed[cold] - 1
         for path in value_iteration_paths():
             with path:
-                _, sweeps = oracle._value_iteration(env, mus, 0.7, 1e-10, q_start=q_start, max_iter=needed[cold])
+                with mock.patch.object(oracle, "VI_MAX_ITER", needed[cold]):
+                    _, sweeps = oracle._value_iteration(env, mus, 0.7, 1e-10, q_start=q_start)
                 assert sweeps == sum(needed)
-                with pytest.raises(ArithmeticError, match=f"within {needed[cold] - 1} sweeps"):
-                    oracle._value_iteration(env, mus, 0.7, 1e-10, q_start=q_start, max_iter=needed[cold] - 1)
+                with (
+                    mock.patch.object(oracle, "VI_MAX_ITER", needed[cold] - 1),
+                    pytest.raises(ArithmeticError, match=f"within {needed[cold] - 1} sweeps"),
+                ):
+                    oracle._value_iteration(env, mus, 0.7, 1e-10, q_start=q_start)
 
 
 def test_idle_lanes_hold_zeros():
@@ -686,6 +696,17 @@ def test_a_stack_of_mean_fields_gets_a_stack_of_tables():
     for m, mu in enumerate(mus):
         assert np.array_equal(kernels[m], env.transition_kernel(mu))
         assert env.reward_table(mu).shape == (4, 3)
+
+
+def test_an_empty_stack_gets_empty_results():
+    # a stack of no pairs: no sweep, no push and no chain, in the stack's shapes
+    env = make_congestion_env(CongestionGridParams(side=2))
+    S, A = env.num_states, env.num_actions
+    mus, pis = np.empty((0, S)), np.empty((0, S, A))
+    policy, q, sweeps = gamma1(env, mus, 1.0, 0.7)
+    assert policy.shape == q.shape == (0, S, A) and sweeps == 0
+    assert gamma2(env, pis, mus).shape == (0, S)
+    assert induced_kernel(env, pis, mus).shape == (0, S, S)
 
 
 def test_a_wrongly_broadcast_kernel_stack_fails_the_shape_check():
@@ -767,17 +788,23 @@ def test_value_iteration_past_max_iter_raises(kind):
     needed = reference_value_iteration(env, mus, 0.7, 1e-10)[1].max()
     for path in value_iteration_paths():
         with path:
-            oracle._value_iteration(env, mus, 0.7, 1e-10, max_iter=needed)
-            with pytest.raises(ArithmeticError, match=f"within {needed - 1} sweeps"):
-                oracle._value_iteration(env, mus, 0.7, 1e-10, max_iter=needed - 1)
+            with mock.patch.object(oracle, "VI_MAX_ITER", needed):
+                oracle._value_iteration(env, mus, 0.7, 1e-10)
+            with (
+                mock.patch.object(oracle, "VI_MAX_ITER", needed - 1),
+                pytest.raises(ArithmeticError, match=f"within {needed - 1} sweeps"),
+            ):
+                oracle._value_iteration(env, mus, 0.7, 1e-10)
 
 
 def test_value_iteration_rejects_mis_shaped_inputs():
-    # the compiled loop would read past these arrays' ends
+    # the compiled loop would read past these arrays' ends, and an empty
+    # stack would return the mis-shaped start as its result
     env = _random_env(0)
     mus = np.full((2, 5), 0.2)
-    with pytest.raises(ValueError, match="q_start"):
-        oracle._value_iteration(env, mus, 0.7, 1e-10, q_start=np.zeros((1, 5, 2)))
+    for stack in (mus, mus[:0]):
+        with pytest.raises(ValueError, match="q_start"):
+            oracle._value_iteration(env, stack, 0.7, 1e-10, q_start=np.zeros((1, 5, 2)))
     short = MuDependentEnv(1, num_states=5, num_actions=2)
     short.transition_kernel = lambda mu: np.full((5, 2, 4), 0.25)
     with pytest.raises(ValueError, match="transition kernels"):
@@ -929,6 +956,20 @@ def test_probe_block_equals_the_numpy_block(side, lam, num_pairs):
     d1, d2, d3 = oracle._compiled_block(env, lam, 0.7, *loaded)(e)
     numpy_d1, numpy_d2, numpy_d3 = oracle._block_ratios(env, lam, 0.7, e)
     assert (d1, d2, d3) == (numpy_d1, numpy_d2, numpy_d3)
+
+
+def test_a_block_past_its_scratch_is_refused():
+    # the block's scratch holds PROBE_BLOCK pairs and not one more
+    loaded = _step_kernel.load()
+    if loaded is None:
+        pytest.skip("the compiled extension could not be built here")
+    env = make_congestion_env(CongestionGridParams(side=3))
+    S, A = env.num_states, env.num_actions
+    block = oracle._compiled_block(env, 1.0, 0.7, *loaded)
+    e = np.random.default_rng(3).standard_exponential((PROBE_BLOCK + 1, 2 * S + 2 * S * A))
+    assert all(math.isfinite(ratio) for ratio in block(e[:PROBE_BLOCK]))
+    with pytest.raises(ValueError, match="probe block scratch too small"):
+        block(e)
 
 
 def test_probe_single_state_skips_every_mean_field_ratio():
@@ -1095,12 +1136,6 @@ def test_a_tolerance_not_above_zero_is_rejected_before_any_sweep(tol):
     ):
         with pytest.raises(ValueError, match="tol must be > 0"):
             oracle._value_iteration(env, mu[None], 0.7, tol)
-        with pytest.raises(ValueError, match="tol must be > 0"):
-            gamma1(env, mu, 1.0, 0.7, tol)
-        with pytest.raises(ValueError, match="tol must be > 0"):
-            solve_bmfe(env, lam=1.0, rho=0.7, tol=tol)
-        with pytest.raises(ValueError, match="tol must be > 0"):
-            solve_bmfe(env, lam=1.0, rho=0.7, vi_tol=tol)
 
 
 @pytest.mark.parametrize("lam", [-1.0, math.inf, math.nan])

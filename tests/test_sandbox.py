@@ -210,7 +210,8 @@ def test_the_learner_and_the_oracle_play_one_game():
     assert len(rewards) == K * T and set(rewards) == {0.5}
     # a constant reward r makes every optimal Q-value r / (1 - rho)
     mu = np.random.default_rng(0).dirichlet(np.ones(env.num_states))
-    _, q_star, _ = gamma1(env, mu, 1.0, 0.7, tol=1e-12)
+    with mock.patch.object(oracle, "VI_TOL", 1e-12):
+        _, q_star, _ = gamma1(env, mu, 1.0, 0.7)
     np.testing.assert_allclose(q_star, 0.5 / (1.0 - 0.7), rtol=0.0, atol=1e-11)
 
 
@@ -395,11 +396,12 @@ def test_snapshot_file_round_trip(tmp_path):
 
 def test_episode_diagnostics_zero_cases():
     env = small_env(side=2)
-    pair = solve_bmfe(env, lam=1.0, rho=0.7, tol=1e-9)
+    with mock.patch.object(oracle, "BMFE_TOL", 1e-9):
+        pair = solve_bmfe(env, lam=1.0, rho=0.7)
     mu_star = pair.mean_field
     pi_star = pair.policy
     chain = induced_kernel(env, pi_star, mu_star)
-    _, q_star, _ = gamma1(env, mu_star, 1.0, 0.7, pair.vi_tol)
+    _, q_star, _ = gamma1(env, mu_star, 1.0, 0.7)
     config = small_config(env, reference=pair)
     diag = episode_diagnostics(5, mu_star, pi_star, chain, q_star, config, min_policy=0.1)
     assert diag.k == 5
@@ -430,7 +432,7 @@ def test_diagnostics_are_the_public_operators_values(make_env):
     rng = np.random.default_rng(4)
     mu1, pi1 = rng.dirichlet(np.ones(S)), rng.dirichlet(np.ones(A), size=S)
     p_hat, q_end = rng.dirichlet(np.ones(S), size=S), rng.uniform(0.0, 1.0, size=(S, A))
-    best_response, q_star, _ = gamma1(env, mu1, 1.0, 0.7, config.reference.vi_tol)
+    best_response, q_star, _ = gamma1(env, mu1, 1.0, 0.7)
     residual_mu = l1_norm(mu1 - gamma2(env, pi1, mu1))
     expected = sandbox.EpisodeDiagnostics(
         k=3,
